@@ -1,8 +1,9 @@
 package repro
 
-// One benchmark per experiment (E1-E13, matching DESIGN.md's experiment
-// index) plus microbenchmarks of every substrate and ablation benchmarks
-// for the design choices called out in DESIGN.md. Run with:
+// One benchmark per experiment (E1-E18, matching the experiment index
+// experiments.All) plus microbenchmarks of every substrate and ablation
+// benchmarks for the design choices described in doc.go and the package
+// docs. Run with:
 //
 //	go test -bench=. -benchmem
 import (

@@ -1,6 +1,7 @@
 // Command paperbench regenerates every experiment table of the
-// reproduction (E1-E17, one per figure/claim of the paper plus the
-// large-horizon LP scaling record; see DESIGN.md).
+// reproduction (E1-E20: one per figure/claim of the paper plus the
+// large-horizon scaling, approximation-gap and live-delta records; the
+// index is experiments.All in internal/experiments).
 //
 // Usage:
 //

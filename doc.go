@@ -10,8 +10,24 @@
 // algorithms), every substrate the paper depends on (max-flow feasibility
 // oracle, a simplex LP solver, span minimization, exact baselines), every
 // gadget family behind the paper's figures, and an experiment harness that
-// regenerates each figure-level claim. See DESIGN.md for the inventory and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// regenerates each figure-level claim. The experiment index is
+// experiments.All in internal/experiments; `go run ./cmd/paperbench`
+// prints every table, and BENCH_TRAJECTORY.json records the gated runs of
+// the scaling experiments. ROADMAP.md holds the measured history and the
+// open work.
+//
+// Three algorithms that the paper cites but does not spell out are
+// substituted, each documented and tested where it is implemented:
+//
+//  1. activetime.SolveUnitExact, for the exact unit-job algorithm of
+//     Chang, Gabow and Khuller: interval multicover solved as a
+//     difference-constraint system;
+//  2. busytime.HeuristicSpan, a local-search span minimizer for large
+//     flexible instances, checked against busytime.ExactSpan on small
+//     ones;
+//  3. busytime.PairCover, a reconstruction of the Alicherry–Bhatia and
+//     Kumar–Rudra interval 2-approximations sketched in the paper's
+//     Appendix A.
 //
 // The Section-3 solve pipeline is fully incremental and scales to very
 // large horizons: the simplex engine (internal/lp) is a sparse revised

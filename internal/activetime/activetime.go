@@ -37,18 +37,32 @@ var ErrInfeasible = errors.New("activetime: instance is infeasible")
 // AllSlots returns every slot covered by at least one job window, sorted.
 // Slots outside all windows can never be useful.
 func AllSlots(in *core.Instance) []core.Time {
-	seen := make(map[core.Time]bool)
-	for _, j := range in.Jobs {
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			seen[t] = true
+	covered := windowSlots(in.Jobs)
+	var out []core.Time
+	for t, ok := range covered {
+		if ok {
+			out = append(out, core.Time(t))
 		}
 	}
-	out := make([]core.Time, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	core.SortSlots(out)
 	return out
+}
+
+// windowSlots marks, by slot index, the slots covered by at least one job
+// window; its length is one past the last deadline. Slots start at 1, so
+// index 0 is never covered; a window reaching below slot 1 (a negative
+// release, which Validate rejects) is cut there.
+func windowSlots(jobs []core.Job) []bool {
+	var last core.Time
+	for _, j := range jobs {
+		last = max(last, j.LastSlot())
+	}
+	covered := make([]bool, last+1)
+	for _, j := range jobs {
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			covered[t] = true
+		}
+	}
+	return covered
 }
 
 // feasibleFlow runs the Gfeas max-flow for the given jobs restricted to the
@@ -60,9 +74,10 @@ func AllSlots(in *core.Instance) []core.Time {
 // the only one that extracts assignments), feasChecker (persistent int64
 // network over every window slot, re-capacitated per query), and the LP
 // separator in lp.go (persistent float64 network with y-scaled
-// capacities). Collapsing the one-shot path onto feasChecker was measured
-// ~1.5x slower on BenchmarkDinicFeasibility — the full-universe build plus
-// toggle pass costs more than constructing the trimmed network directly.
+// capacities). Collapsing the one-shot path onto feasChecker measures
+// 1.20–1.27x slower across BenchmarkDinicFeasibility's three sizes (2-vCPU
+// Xeon, go1.24) — the full-universe build plus toggle pass costs more than
+// constructing the trimmed network directly.
 func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
 	slotIdx := make(map[core.Time]int, len(open))
 	// Nodes: 0 = source, 1..len(jobs) = jobs, then slots, then sink.
@@ -140,11 +155,11 @@ type feasChecker struct {
 	net       *flow.Network[int64]
 	src, sink int
 	jobEdges  []flow.EdgeID[int64]
-	slotEdges map[core.Time]flow.EdgeID[int64]
-	slotIn    map[core.Time][]jobSlotRef // per slot, incoming job→slot edges
-	jobWins   [][]jobWinRef              // per job, its window edges with slot times
-	total     int64                      // sum of lengths of switched-on jobs
-	flow      int64                      // flow currently routed (always a valid flow)
+	slotEdges []flow.EdgeID[int64] // index t: slot t → sink (window slots only)
+	slotIn    [][]jobSlotRef       // index t: incoming job→slot edges; empty outside every window
+	jobWins   [][]jobWinRef        // per job, its window edges with slot times
+	total     int64                // sum of lengths of switched-on jobs
+	flow      int64                // flow currently routed (always a valid flow)
 	// Counters for the incremental-flow gates: augments is the number of
 	// Dinic continuation calls, coldFlows how many of them started from zero
 	// routed flow, freeCloses the trial closes answered without any solve.
@@ -166,36 +181,40 @@ type jobWinRef struct {
 }
 
 // newFeasChecker builds the persistent network with all jobs and all slots
-// switched off.
+// switched off. Slot nodes follow the jobs in ascending slot order; only
+// slots inside some job window get one.
 func newFeasChecker(g int, jobs []core.Job) *feasChecker {
-	universe := make(map[core.Time]bool)
-	for _, j := range jobs {
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			universe[t] = true
+	universe := windowSlots(jobs)
+	nSlots := 0
+	for _, ok := range universe {
+		if ok {
+			nSlots++
 		}
 	}
 	fc := &feasChecker{
 		g:         g,
 		jobs:      jobs,
-		net:       flow.NewNetwork[int64](2+len(jobs)+len(universe), 0),
+		net:       flow.NewNetwork[int64](2+len(jobs)+nSlots, 0),
 		src:       0,
-		sink:      1 + len(jobs) + len(universe),
+		sink:      1 + len(jobs) + nSlots,
 		jobEdges:  make([]flow.EdgeID[int64], len(jobs)),
-		slotEdges: make(map[core.Time]flow.EdgeID[int64], len(universe)),
-		slotIn:    make(map[core.Time][]jobSlotRef, len(universe)),
+		slotEdges: make([]flow.EdgeID[int64], len(universe)),
+		slotIn:    make([][]jobSlotRef, len(universe)),
 		jobWins:   make([][]jobWinRef, len(jobs)),
 	}
 	node := 1 + len(jobs)
-	slotNode := make(map[core.Time]int, len(universe))
-	for t := range universe {
-		slotNode[t] = node
-		fc.slotEdges[t] = fc.net.AddEdge(node, fc.sink, 0)
-		node++
+	slotNode := make([]int, len(universe))
+	for t, ok := range universe {
+		if ok {
+			slotNode[t] = node
+			fc.slotEdges[t] = fc.net.AddEdge(node, fc.sink, 0)
+			node++
+		}
 	}
 	for i, j := range jobs {
 		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, 0)
 		wins := make([]jobWinRef, 0, int(j.LastSlot()-j.FirstSlot())+1)
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
 			id := fc.net.AddEdge(1+i, slotNode[t], 1)
 			wins = append(wins, jobWinRef{t, id})
 			fc.slotIn[t] = append(fc.slotIn[t], jobSlotRef{int32(i), id})
@@ -205,13 +224,23 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 	return fc
 }
 
+// slotEdge returns slot t's sink edge; ok is false for a slot outside every
+// job window (slot 0, a gap between windows, or past the last deadline),
+// which has no node in the network.
+func (fc *feasChecker) slotEdge(t core.Time) (id flow.EdgeID[int64], ok bool) {
+	if t < 0 || int(t) >= len(fc.slotIn) || len(fc.slotIn[t]) == 0 {
+		return id, false
+	}
+	return fc.slotEdges[t], true
+}
+
 // setSlot opens or closes a slot (capacity g or 0 on its sink edge),
 // preserving the routed flow; closing a slot that carries flow cancels the
 // excess along the slot's incoming job edges and their supply edges. Slots
 // outside every job window are ignored: they can never carry work, so their
 // state cannot change feasibility.
 func (fc *feasChecker) setSlot(t core.Time, open bool) {
-	id, ok := fc.slotEdges[t]
+	id, ok := fc.slotEdge(t)
 	if !ok {
 		return
 	}
@@ -301,7 +330,7 @@ func (fc *feasChecker) feasible() bool {
 // and the max flow restored before returning false, so the invariant holds
 // on exit either way.
 func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
-	id, ok := fc.slotEdges[t]
+	id, ok := fc.slotEdge(t)
 	if !ok {
 		return true // outside every window: closing cannot affect feasibility
 	}
@@ -419,13 +448,13 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 		return nil, ErrInfeasible
 	}
 	order := closeOrder(open, opts)
-	isOpen := make(map[core.Time]bool, len(open))
+	isOpen := make([]bool, open[len(open)-1]+1) // index t: slot t
 	for _, t := range open {
 		isOpen[t] = true
 	}
 	probes := 0
 	for _, t := range order {
-		if !isOpen[t] {
+		if t < 0 || int(t) >= len(isOpen) || !isOpen[t] {
 			continue
 		}
 		probes++

@@ -1,10 +1,12 @@
 package activetime
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/lp"
 )
@@ -64,14 +66,46 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 // against a fresh one-shot max flow over the same configuration. This is
 // the state-corruption net for SetCapacityKeepFlow/PushBack bookkeeping:
 // any excess mis-cancelled on a capacity decrease shows up as a verdict
-// mismatch within a few toggles.
+// mismatch within a few toggles. After every toggle it also opens, closes
+// and trial-closes a slot outside every window (slot 0, one past the last
+// deadline, or a gap between windows): each must be a no-op that leaves
+// every edge as it was, and the trial close must succeed.
 func TestFeasCheckerToggleEquivalence(t *testing.T) {
 	const seedsPerFamily = 6
+	gaps := 0
 	for _, fam := range lpFamilies {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
 			in := fam.make(seed)
 			slots := AllSlots(in)
 			fc := fullChecker(in, slots)
+			last := slots[len(slots)-1]
+			outside := []core.Time{0, last + 1}
+			for s, k := slots[0], 0; s < last; s++ {
+				if slots[k] == s {
+					k++
+				} else {
+					outside = append(outside, s)
+				}
+			}
+			gaps += len(outside) - 2
+			// state lists every edge's capacity and flow plus the checker's
+			// totals and counters.
+			ids := append([]flow.EdgeID[int64](nil), fc.jobEdges...)
+			for _, s := range slots {
+				ids = append(ids, fc.slotEdges[s])
+			}
+			for _, wins := range fc.jobWins {
+				for _, w := range wins {
+					ids = append(ids, w.id)
+				}
+			}
+			state := func() []int64 {
+				out := []int64{fc.flow, fc.total, int64(fc.augments), int64(fc.coldFlows), int64(fc.freeCloses)}
+				for _, id := range ids {
+					out = append(out, fc.net.Capacity(id), fc.net.Flow(id))
+				}
+				return out
+			}
 			slotOpen := make(map[core.Time]bool, len(slots))
 			for _, s := range slots {
 				slotOpen[s] = true
@@ -90,6 +124,16 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 					s := slots[rng.Intn(len(slots))]
 					slotOpen[s] = !slotOpen[s]
 					fc.setSlot(s, slotOpen[s])
+				}
+				s := outside[step%len(outside)]
+				before := state()
+				fc.setSlot(s, step%2 == 0)
+				fc.setSlot(s, step%2 != 0)
+				if !fc.trialCloseSlot(s) {
+					t.Fatalf("%s seed %d step %d: trial close of out-of-window slot %d failed", fam.name, seed, step, s)
+				}
+				if !slices.Equal(before, state()) {
+					t.Fatalf("%s seed %d step %d: toggling out-of-window slot %d changed the checker", fam.name, seed, step, s)
 				}
 				var jobs []core.Job
 				for i, j := range in.Jobs {
@@ -114,6 +158,9 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	if gaps == 0 {
+		t.Error("no instance has a gap between windows; that out-of-window case went untested")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // which every job has unit length. It plays the role of the exact algorithm
 // of Chang, Gabow and Khuller [2] that the paper builds on.
 //
-// Method (documented as substitution #1 in DESIGN.md): with unit jobs the
+// Method (substitution 1 in the repro package doc, doc.go): with unit jobs the
 // job-slot bipartite graph is convex, so by Hall's theorem a set of open
 // slots is feasible iff for every slot interval [a,b] the number of jobs
 // whose window lies inside [a,b] is at most g times the number of open

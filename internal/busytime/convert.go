@@ -161,7 +161,7 @@ func (s *spanSearch) dfs(idx int, placed []core.Interval) {
 // HeuristicSpan is a fast span minimizer for larger instances: start with
 // every job right-aligned at its deadline, then iteratively move single jobs
 // to the aligned candidate position that most reduces the union, until a
-// local optimum (documented as substitution #2 in DESIGN.md; validated
+// local optimum (substitution 2 in the repro package doc, doc.go; validated
 // against ExactSpan on small instances by tests).
 type HeuristicSpan struct {
 	// MaxPasses bounds improvement sweeps (default 8).

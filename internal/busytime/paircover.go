@@ -10,7 +10,8 @@ import (
 
 // PairCover is a 2-approximation for busy time with interval jobs — the
 // reconstruction of the Alicherry-Bhatia / Kumar-Rudra algorithms sketched
-// in Appendix A of the paper (substitution #3 in DESIGN.md).
+// in Appendix A of the paper (substitution 3 in the repro package doc,
+// doc.go).
 //
 // Dummy interval jobs are first added so the raw demand over every
 // interesting interval is a multiple of g (this never changes the demand

@@ -29,6 +29,18 @@
 // it). All traversal scratch (BFS queue, DFS path stack, level and iterator
 // arrays) is owned by the Network and reused, so a Reset+Max cycle performs
 // no allocations.
+//
+// # Cost of a phase
+//
+// A Dinic phase pays for the region up to the sink, not the whole residual
+// graph: its BFS stops as soon as it labels the sink, so it scans only the
+// adjacency entries met until then, and it resets level and iterator
+// entries only for the nodes the previous phase labelled. A continuation
+// that reroutes a few units along short paths therefore stays cheap on a
+// network with thousands of slot nodes. The flow routed is the same, on
+// every edge, as full-labelling Dinic's: nodes at or past the sink's level
+// lie on no shortest augmenting path, so labelling them changes no path the
+// blocking flow finds.
 package flow
 
 // Capacity is the constraint satisfied by capacity types. It is restricted
@@ -177,23 +189,33 @@ func (g *Network[C]) Residual(id EdgeID[C]) C {
 	return g.adj[id.from][id.idx].cap
 }
 
-// ensureScratch sizes the reusable traversal buffers to the node count.
+// ensureScratch sizes the reusable traversal buffers to the node count. A
+// fresh level array starts all −1 (unlabelled) with an empty queue, the
+// state bfs expects: it clears only the nodes the previous pass queued.
 func (g *Network[C]) ensureScratch() {
 	if n := len(g.adj); len(g.level) < n {
 		g.level = make([]int, n)
+		for i := range g.level {
+			g.level[i] = -1
+		}
 		g.iter = make([]int, n)
 		g.queue = make([]int, 0, n)
 		g.path = make([]int, 0, n)
 	}
 }
 
+// bfs labels nodes with their residual distance from s and reports whether
+// t is reachable. It stops as soon as it labels t: every augmenting path of
+// the phase has exactly level[t] edges, so no node at level ≥ level[t] other
+// than t lies on one, and augment walks the same edges in the same order
+// whether or not those nodes carry a label. Only the nodes the previous pass
+// queued are cleared first; every other node already holds −1.
 func (g *Network[C]) bfs(s, t int) bool {
 	level := g.level
-	for i := range g.adj {
-		level[i] = -1
+	for _, v := range g.queue {
+		level[v] = -1
 	}
-	queue := g.queue[:0]
-	queue = append(queue, s)
+	queue := append(g.queue[:0], s)
 	level[s] = 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -201,11 +223,15 @@ func (g *Network[C]) bfs(s, t int) bool {
 			if e.cap > g.eps && level[e.to] < 0 {
 				level[e.to] = level[u] + 1
 				queue = append(queue, e.to)
+				if e.to == t {
+					g.queue = queue
+					return true
+				}
 			}
 		}
 	}
 	g.queue = queue
-	return level[t] >= 0
+	return false
 }
 
 // augment finds one augmenting path from s to t in the current level graph
@@ -261,6 +287,13 @@ func (g *Network[C]) augment(s, t int) C {
 // It may be called repeatedly: each call continues from the current residual
 // state, so callers wanting a fresh solve use Reset (and/or SetCapacity)
 // first.
+//
+// A phase costs the adjacency entries its BFS scans until it labels t, plus
+// a reset of the nodes the previous phase labelled, then one blocking flow
+// over those nodes; nodes the BFS never reached are not touched. The routed
+// flow equals, edge for edge, that of textbook Dinic with a full BFS labelling
+// of the residual graph: both find the same augmenting paths in the same
+// order.
 func (g *Network[C]) Max(s, t int) C {
 	if s == t {
 		return 0
@@ -268,8 +301,8 @@ func (g *Network[C]) Max(s, t int) C {
 	g.ensureScratch()
 	var total C
 	for g.bfs(s, t) {
-		for i := range g.adj {
-			g.iter[i] = 0
+		for _, v := range g.queue {
+			g.iter[v] = 0
 		}
 		for {
 			f := g.augment(s, t)
