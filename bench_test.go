@@ -59,6 +59,7 @@ func BenchmarkDinicFeasibility(b *testing.B) {
 				N: size.n, Horizon: size.T, MaxLen: 6, Slack: 6, G: 4, Seed: 1,
 			})
 			open := activetime.AllSlots(in)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				activetime.CheckFeasible(in, open)
@@ -250,29 +251,55 @@ func BenchmarkSolveLPPricing(b *testing.B) {
 	}
 }
 
+// largeHorizonBench is the end-to-end benchmark's input (activebench, seed
+// 1, instance 0): gen.LargeHorizon at T = 2048 with n = 256, g = 4 and
+// lengths up to 16, where network builds and max flows are most of the
+// post-LP work.
+func largeHorizonBench() *core.Instance {
+	return gen.LargeHorizon(gen.RandomConfig{N: 256, Horizon: 2048, MaxLen: 16, G: 4, Seed: 1000})
+}
+
 func BenchmarkRoundLP(b *testing.B) {
-	in := gen.RandomFlexible(gen.RandomConfig{
-		N: 20, Horizon: 30, MaxLen: 4, Slack: 4, G: 3, Seed: 5,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := activetime.RoundLP(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		in   *core.Instance
+	}{
+		{"n=20,T=30", gen.RandomFlexible(gen.RandomConfig{
+			N: 20, Horizon: 30, MaxLen: 4, Slack: 4, G: 3, Seed: 5,
+		})},
+		{"LargeHorizon,n=256,T=2048", largeHorizonBench()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := activetime.RoundLP(c.in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkMinimalFeasible(b *testing.B) {
-	in := gen.RandomFlexible(gen.RandomConfig{
-		N: 40, Horizon: 60, MaxLen: 5, Slack: 5, G: 3, Seed: 5,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := activetime.MinimalFeasible(in, activetime.MinimalOptions{
-			Strategy: activetime.CloseRightToLeft,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		in   *core.Instance
+	}{
+		{"n=40,T=60", gen.RandomFlexible(gen.RandomConfig{
+			N: 40, Horizon: 60, MaxLen: 5, Slack: 5, G: 3, Seed: 5,
+		})},
+		{"LargeHorizon,n=256,T=2048", largeHorizonBench()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := activetime.MinimalFeasible(c.in, activetime.MinimalOptions{
+					Strategy: activetime.CloseRightToLeft,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

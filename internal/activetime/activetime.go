@@ -52,17 +52,69 @@ func AllSlots(in *core.Instance) []core.Time {
 // index 0 is never covered; a window reaching below slot 1 (a negative
 // release, which Validate rejects) is cut there.
 func windowSlots(jobs []core.Job) []bool {
-	var last core.Time
-	for _, j := range jobs {
-		last = max(last, j.LastSlot())
-	}
-	covered := make([]bool, last+1)
+	covered := make([]bool, lastWindowSlot(jobs)+1)
 	for _, j := range jobs {
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
 			covered[t] = true
 		}
 	}
 	return covered
+}
+
+// lastWindowSlot returns the last slot of any job window, 0 for no jobs.
+func lastWindowSlot(jobs []core.Job) core.Time {
+	var last core.Time
+	for _, j := range jobs {
+		last = max(last, j.LastSlot())
+	}
+	return last
+}
+
+// gfeasDegrees counts the arcs each node of a Gfeas network holds, reverse
+// arcs included, so that flow.NewNetworkDegrees can carve every adjacency
+// list out of one exactly sized array. The three builders (feasibleFlow,
+// feasChecker and the LP separator) share the source → job → slot → sink
+// shape and its numbering: source 0, job i at node 1+i, nSlots slot nodes
+// after the jobs, the sink last. They differ only in which slots get a
+// node, which slotNode gives by slot, with 0 (the source) for a slot that
+// has none. A slot node holds its sink arc and one arc per job whose window
+// covers it; a job node holds its supply arc and one arc per window slot
+// with a node. Windows are cut at slot 1, as windowSlots cuts them.
+func gfeasDegrees(jobs []core.Job, slotNode []int, nSlots int) []int {
+	n := len(jobs)
+	deg := make([]int, 2+n+nSlots)
+	deg[0] = n
+	for v := 1 + n; v <= n+nSlots; v++ {
+		deg[v] = 1
+	}
+	deg[1+n+nSlots] = nSlots
+	for i, j := range jobs {
+		deg[1+i]++
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			if v := slotNode[t]; v != 0 {
+				deg[1+i]++
+				deg[v]++
+			}
+		}
+	}
+	return deg
+}
+
+// carve returns n empty lists, list k with room for count(k) entries, all
+// cut from one array. A list appended past its room moves to its own array
+// and leaves its neighbours' entries intact.
+func carve[T any](n int, count func(k int) int) [][]T {
+	total := 0
+	for k := 0; k < n; k++ {
+		total += count(k)
+	}
+	all := make([]T, total)
+	lists := make([][]T, n)
+	for k := range lists {
+		c := count(k)
+		lists[k], all = all[:0:c], all[c:]
+	}
+	return lists
 }
 
 // feasibleFlow runs the Gfeas max-flow for the given jobs restricted to the
@@ -74,19 +126,26 @@ func windowSlots(jobs []core.Job) []bool {
 // the only one that extracts assignments), feasChecker (persistent int64
 // network over every window slot, re-capacitated per query), and the LP
 // separator in lp.go (persistent float64 network with y-scaled
-// capacities). Collapsing the one-shot path onto feasChecker measures
-// 1.20–1.27x slower across BenchmarkDinicFeasibility's three sizes (2-vCPU
-// Xeon, go1.24) — the full-universe build plus toggle pass costs more than
-// constructing the trimmed network directly.
+// capacities). They share the node numbering and arc counts
+// (gfeasDegrees), not the build: collapsing the one-shot path onto
+// feasChecker would pay for the full-universe build plus a toggle pass
+// where constructing the trimmed network directly suffices.
 func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
-	slotIdx := make(map[core.Time]int, len(open))
-	// Nodes: 0 = source, 1..len(jobs) = jobs, then slots, then sink.
-	n := flow.NewNetwork[int64](2+len(jobs)+len(open), 0)
-	src := 0
-	sink := 1 + len(jobs) + len(open)
-	for i, t := range open {
-		slotIdx[t] = 1 + len(jobs) + i
-		n.AddEdge(slotIdx[t], sink, int64(g))
+	// Nodes: 0 = source, 1..len(jobs) = jobs, then open slots, then sink.
+	// slotNode is indexed by slot up to the last window slot, so an open
+	// slot outside every window gets a node with only its sink arc; a slot
+	// listed twice gets two nodes, and the jobs use the last.
+	slotNode := make([]int, lastWindowSlot(jobs)+1)
+	for k, t := range open {
+		if t >= 1 && int(t) < len(slotNode) {
+			slotNode[t] = 1 + len(jobs) + k
+		}
+	}
+	deg := gfeasDegrees(jobs, slotNode, len(open))
+	n := flow.NewNetworkDegrees[int64](deg, 0)
+	src, sink := 0, len(deg)-1
+	for k := range open {
+		n.AddEdge(1+len(jobs)+k, sink, int64(g))
 	}
 	type jobEdge struct {
 		job  int // index into jobs
@@ -94,12 +153,19 @@ func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64
 		id   flow.EdgeID[int64]
 	}
 	var jes []jobEdge
+	if extract {
+		arcs := 0
+		for i := range jobs {
+			arcs += deg[1+i] - 1
+		}
+		jes = make([]jobEdge, 0, arcs)
+	}
 	var total int64
 	for i, j := range jobs {
 		n.AddEdge(src, 1+i, j.Length)
 		total += j.Length
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			if node, ok := slotIdx[t]; ok {
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			if node := slotNode[t]; node != 0 {
 				id := n.AddEdge(1+i, node, 1)
 				if extract {
 					jes = append(jes, jobEdge{i, t, id})
@@ -182,44 +248,48 @@ type jobWinRef struct {
 
 // newFeasChecker builds the persistent network with all jobs and all slots
 // switched off. Slot nodes follow the jobs in ascending slot order; only
-// slots inside some job window get one.
+// slots inside some job window get one. The network's arcs, the slotIn
+// lists and the jobWins lists are each carved out of one exactly sized
+// array.
 func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 	universe := windowSlots(jobs)
+	slotNode := make([]int, len(universe))
 	nSlots := 0
-	for _, ok := range universe {
+	for t, ok := range universe {
 		if ok {
+			slotNode[t] = 1 + len(jobs) + nSlots
 			nSlots++
 		}
 	}
+	deg := gfeasDegrees(jobs, slotNode, nSlots)
 	fc := &feasChecker{
 		g:         g,
 		jobs:      jobs,
-		net:       flow.NewNetwork[int64](2+len(jobs)+nSlots, 0),
+		net:       flow.NewNetworkDegrees[int64](deg, 0),
 		src:       0,
-		sink:      1 + len(jobs) + nSlots,
+		sink:      len(deg) - 1,
 		jobEdges:  make([]flow.EdgeID[int64], len(jobs)),
 		slotEdges: make([]flow.EdgeID[int64], len(universe)),
-		slotIn:    make([][]jobSlotRef, len(universe)),
-		jobWins:   make([][]jobWinRef, len(jobs)),
+		slotIn: carve[jobSlotRef](len(universe), func(t int) int {
+			if v := slotNode[t]; v != 0 {
+				return deg[v] - 1
+			}
+			return 0
+		}),
+		jobWins: carve[jobWinRef](len(jobs), func(i int) int { return deg[1+i] - 1 }),
 	}
-	node := 1 + len(jobs)
-	slotNode := make([]int, len(universe))
-	for t, ok := range universe {
-		if ok {
-			slotNode[t] = node
-			fc.slotEdges[t] = fc.net.AddEdge(node, fc.sink, 0)
-			node++
+	for t, v := range slotNode {
+		if v != 0 {
+			fc.slotEdges[t] = fc.net.AddEdge(v, fc.sink, 0)
 		}
 	}
 	for i, j := range jobs {
 		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, 0)
-		wins := make([]jobWinRef, 0, int(j.LastSlot()-j.FirstSlot())+1)
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
 			id := fc.net.AddEdge(1+i, slotNode[t], 1)
-			wins = append(wins, jobWinRef{t, id})
+			fc.jobWins[i] = append(fc.jobWins[i], jobWinRef{t, id})
 			fc.slotIn[t] = append(fc.slotIn[t], jobSlotRef{int32(i), id})
 		}
-		fc.jobWins[i] = wins
 	}
 	return fc
 }

@@ -238,36 +238,42 @@ type slotRef struct {
 	job, k int32
 }
 
+// newSeparator builds the network over every slot of the horizon. Its arcs,
+// the jobEdges lists and the slotJobs lists are each carved out of one
+// exactly sized array; growth (addSlots, addJob) moves a full list to its
+// own array.
 func newSeparator(in *core.Instance) *separator {
 	const eps = 1e-12
 	T := int(in.Horizon())
 	nJobs := len(in.Jobs)
+	slotNode := make([]int, 1+T) // index t: node of slot t
+	for t := 1; t <= T; t++ {
+		slotNode[t] = nJobs + t
+	}
+	deg := gfeasDegrees(in.Jobs, slotNode, T)
 	s := &separator{
 		in:        in,
-		net:       flow.NewNetwork[float64](2+nJobs+T, eps),
+		net:       flow.NewNetworkDegrees[float64](deg, eps),
 		src:       0,
 		sink:      1 + nJobs + T,
 		jobNode:   make([]int, nJobs),
-		slotNode:  make([]int, T),
+		slotNode:  slotNode[1:],
 		srcEdges:  make([]flow.EdgeID[float64], nJobs),
 		slotEdges: make([]flow.EdgeID[float64], T),
-		jobEdges:  make([][]flow.EdgeID[float64], nJobs),
-		slotJobs:  make([][]slotRef, T),
+		jobEdges:  carve[flow.EdgeID[float64]](nJobs, func(i int) int { return deg[1+i] - 1 }),
+		slotJobs:  carve[slotRef](T, func(k int) int { return deg[1+nJobs+k] - 1 }),
 	}
 	for t := 1; t <= T; t++ {
-		s.slotNode[t-1] = 1 + nJobs + t - 1
 		s.slotEdges[t-1] = s.net.AddEdge(s.slotNode[t-1], s.sink, 0)
 	}
 	for i, j := range in.Jobs {
 		s.jobNode[i] = 1 + i
 		s.srcEdges[i] = s.net.AddEdge(s.src, s.jobNode[i], float64(j.Length))
 		s.total += float64(j.Length)
-		ids := make([]flow.EdgeID[float64], 0, int(j.LastSlot()-j.FirstSlot())+1)
 		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			ids = append(ids, s.net.AddEdge(s.jobNode[i], s.slotNode[t-1], 0))
+			s.jobEdges[i] = append(s.jobEdges[i], s.net.AddEdge(s.jobNode[i], s.slotNode[t-1], 0))
 			s.slotJobs[t-1] = append(s.slotJobs[t-1], slotRef{int32(i), int32(k)})
 		}
-		s.jobEdges[i] = ids
 	}
 	return s
 }

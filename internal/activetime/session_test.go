@@ -79,12 +79,41 @@ func mutateSession(t *testing.T, sess *Session, rng *rand.Rand, mk func(int64) *
 	return true
 }
 
+// checkSlotJobs requires the separator's per-slot edge lists to stay the
+// transpose of its per-job window edges across deltas: every entry of slot
+// t's list names a distinct window edge of a live job at slot t, and every
+// such edge is listed. The lists are carved out of one array, and an
+// arrival appends to slot lists that are already full, so a list that
+// overran its room into its neighbour's would break this.
+func checkSlotJobs(t *testing.T, s *separator) {
+	t.Helper()
+	seen := make(map[slotRef]bool)
+	for k, refs := range s.slotJobs {
+		for _, ref := range refs {
+			j := s.in.Jobs[ref.job]
+			if at := j.FirstSlot() + core.Time(ref.k); at != core.Time(k+1) || seen[ref] {
+				t.Fatalf("slot %d lists window edge %d of job %d, which is at slot %d (listed before: %v)", k+1, ref.k, ref.job, at, seen[ref])
+			}
+			seen[ref] = true
+		}
+	}
+	want := 0
+	for _, j := range s.in.Jobs {
+		want += int(j.LastSlot()-j.FirstSlot()) + 1
+	}
+	if len(seen) != want {
+		t.Fatalf("slot lists hold %d window edges, the live jobs have %d", len(seen), want)
+	}
+}
+
 // TestSessionDeltaMatchesColdSolve is the correctness spine of the delta
 // layer: on every generator family, after any mutation sequence of arrivals
 // and departures, the patched session's optimum must equal a cold solve of
 // the mutated instance to 1e-6 — and no delta re-solve may abandon its warm
 // basis (ColdFallbacks stays zero; counted cold rebuilds on tight-row
-// removals are allowed, silent fallbacks are not).
+// removals are allowed, silent fallbacks are not). After every delta the
+// separator's slot lists must still index exactly the live window edges
+// (checkSlotJobs).
 func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 	const seedsPerFamily = 6
 	const steps = 4
@@ -105,6 +134,7 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 			}
 			for step := 0; step < steps; step++ {
 				mutateSession(t, sess, rng, fam.make, seed, step)
+				checkSlotJobs(t, sess.sep)
 				got, err := sess.Solve()
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: Solve: %v", fam.name, seed, step, err)

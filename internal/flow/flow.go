@@ -30,6 +30,17 @@
 // arrays) is owned by the Network and reused, so a Reset+Max cycle performs
 // no allocations.
 //
+// A network whose shape is known before it is built takes its arc counts
+// up front: NewNetworkDegrees carves every adjacency list out of one array
+// sized by the counts (an edge counts once at each endpoint), so the build
+// allocates once instead of at every list growth. The counts are room, not
+// a limit: a node that receives more arcs than its room moves to its own
+// array on that AddEdge and leaves its neighbours' arcs in place, which is
+// how growth reaches nodes that were built full. AddEdge places arcs in call
+// order either way, so a network built with counts holds the same arcs in
+// the same order as one built with NewNetwork from the same calls, and
+// every Max routes the same flow on every edge.
+//
 // # Cost of a phase
 //
 // A Dinic phase pays for the region up to the sink, not the whole residual
@@ -64,8 +75,8 @@ type EdgeID[C Capacity] struct {
 	from, idx int
 }
 
-// Network is a flow network. Create networks with NewNetwork; the zero value
-// has no nodes.
+// Network is a flow network. Create networks with NewNetwork or
+// NewNetworkDegrees; the zero value has no nodes.
 type Network[C Capacity] struct {
 	adj   [][]edge[C]
 	eps   C // capacities <= eps are treated as exhausted (0 for int64)
@@ -79,6 +90,26 @@ type Network[C Capacity] struct {
 // eps should be a small positive tolerance (e.g. 1e-12); for int64 pass 0.
 func NewNetwork[C Capacity](n int, eps C) *Network[C] {
 	return &Network[C]{adj: make([][]edge[C], n), eps: eps}
+}
+
+// NewNetworkDegrees returns an empty network with len(deg) nodes whose
+// adjacency lists are carved out of one array: node u gets room for deg[u]
+// arcs, counting the reverse arcs AddEdge gives it. A network built with
+// exact counts thus costs one arc allocation instead of one per list growth.
+// The counts size the lists without limiting them: a node given more arcs
+// than its room moves to its own array and leaves its neighbours' arcs
+// intact.
+func NewNetworkDegrees[C Capacity](deg []int, eps C) *Network[C] {
+	g := NewNetwork[C](len(deg), eps)
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	arcs := make([]edge[C], total)
+	for u, d := range deg {
+		g.adj[u], arcs = arcs[:0:d], arcs[d:]
+	}
+	return g
 }
 
 // NumNodes returns the number of nodes in the network.

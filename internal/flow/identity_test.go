@@ -52,25 +52,76 @@ func refBFS[C Capacity](g *Network[C], s, t int) bool {
 	return level[t] >= 0
 }
 
-// twins holds two identically built networks: got runs Max, want runs
-// refMax. Every mutation is applied to both; an EdgeID names the same edge
-// in either.
+// twins holds two networks built from the same AddNode/AddEdge calls: got
+// runs Max, want runs refMax. want is built with NewNetwork as the calls
+// come; got is built with NewNetworkDegrees once the initial topology is
+// complete (build), from counts that may fit its arcs exactly, fall short or
+// leave room to spare. Every later mutation is applied to both; an EdgeID
+// names the same edge in either.
 type twins[C Capacity] struct {
 	got, want *Network[C]
+	eps       C
+	plan      []plannedArc[C] // arcs added before build, replayed into got
 }
 
+type plannedArc[C Capacity] struct {
+	u, v int
+	c    C
+	id   EdgeID[C]
+}
+
+// room says how the counts got is built from relate to its arcs.
+type room int
+
+const (
+	exactRoom room = iota // every node's count is its arc count
+	shortRoom             // some nodes are one arc short and move mid-build
+	spareRoom             // every node has up to two arcs to spare
+)
+
 func newTwins[C Capacity](n int, eps C) *twins[C] {
-	return &twins[C]{got: NewNetwork[C](n, eps), want: NewNetwork[C](n, eps)}
+	return &twins[C]{want: NewNetwork[C](n, eps), eps: eps}
 }
 
 func (tw *twins[C]) addNode() int {
-	tw.want.AddNode()
-	return tw.got.AddNode()
+	if tw.got != nil {
+		tw.got.AddNode()
+	}
+	return tw.want.AddNode()
 }
 
 func (tw *twins[C]) addEdge(u, v int, c C) EdgeID[C] {
-	tw.want.AddEdge(u, v, c)
-	return tw.got.AddEdge(u, v, c)
+	id := tw.want.AddEdge(u, v, c)
+	if tw.got == nil {
+		tw.plan = append(tw.plan, plannedArc[C]{u, v, c, id})
+	} else {
+		tw.got.AddEdge(u, v, c)
+	}
+	return id
+}
+
+// build counts each node's arcs in want, adjusts the counts as r says and
+// replays the arcs added so far into a NewNetworkDegrees network, which
+// must hand out the same EdgeIDs.
+func (tw *twins[C]) build(t *testing.T, r room, rng *rand.Rand) {
+	t.Helper()
+	deg := make([]int, len(tw.want.adj))
+	for u, arcs := range tw.want.adj {
+		deg[u] = len(arcs)
+		switch {
+		case r == shortRoom && deg[u] > 0 && rng.Intn(3) == 0:
+			deg[u]--
+		case r == spareRoom:
+			deg[u] += rng.Intn(3)
+		}
+	}
+	tw.got = NewNetworkDegrees(deg, tw.eps)
+	for _, a := range tw.plan {
+		if id := tw.got.AddEdge(a.u, a.v, a.c); id != a.id {
+			t.Fatalf("arc %d→%d: NewNetworkDegrees gave %+v, NewNetwork %+v", a.u, a.v, id, a.id)
+		}
+	}
+	tw.plan = nil
 }
 
 // max runs Max on one twin and refMax on the other, then requires the same
@@ -83,6 +134,9 @@ func (tw *twins[C]) max(t *testing.T, label string, s, sink int) {
 		t.Fatalf("%s: Max = %v, full-labelling Dinic = %v", label, got, want)
 	}
 	for u := range tw.got.adj {
+		if len(tw.got.adj[u]) != len(tw.want.adj[u]) {
+			t.Fatalf("%s: node %d has %d arcs under Max, %d under full-labelling Dinic", label, u, len(tw.got.adj[u]), len(tw.want.adj[u]))
+		}
 		for i, e := range tw.got.adj[u] {
 			if r := tw.want.adj[u][i]; e != r {
 				t.Fatalf("%s: arc %d[%d] is %+v under Max, %+v under full-labelling Dinic", label, u, i, e, r)
@@ -165,11 +219,16 @@ func layered[C Capacity](rng *rand.Rand, tw *twins[C], layers, width int) (sink 
 }
 
 // TestMaxMatchesFullLabelling is the identity behind the sink-bounded
-// phases: on seeded random bipartite and layered networks, with int64 and
-// float64 capacities, Max routes exactly the flow of full-labelling Dinic
-// on every arc — from scratch, after Reset, after capacity shrinks repaired
-// with SetCapacityKeepFlow + PushBack, after capacity raises, and after
-// AddNode/AddEdge growth, where the level scratch is reallocated.
+// phases and counted construction: on seeded random bipartite and layered
+// networks, with int64 and float64 capacities, Max on a NewNetworkDegrees
+// network routes exactly the flow of full-labelling Dinic on a NewNetwork
+// network, on every arc — from scratch, after Reset, after capacity shrinks
+// repaired with SetCapacityKeepFlow + PushBack, after capacity raises, and
+// after AddNode/AddEdge growth, where the level scratch is reallocated. The
+// counts are exact, one arc short at random nodes or spare, by seed (seed
+// mod 3). A node given more arcs than its room, mid-build or by growth
+// reaching the full source and right nodes, must move without touching its
+// neighbours' arcs.
 func TestMaxMatchesFullLabelling(t *testing.T) {
 	t.Run("int64", func(t *testing.T) { checkMaxIdentity[int64](t, 0) })
 	t.Run("float64", func(t *testing.T) { checkMaxIdentity[float64](t, 1e-12) })
@@ -178,11 +237,13 @@ func TestMaxMatchesFullLabelling(t *testing.T) {
 func checkMaxIdentity[C Capacity](t *testing.T, eps C) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		r, roomRng := room(seed%3), rand.New(rand.NewSource(^seed))
 
 		// Layered: from scratch, then again after Reset.
 		layers, width := 3+rng.Intn(5), 2+rng.Intn(8)
 		lt := newTwins[C](2+layers*width, eps)
 		lsink := layered(rng, lt, layers, width)
+		lt.build(t, r, roomRng)
 		lt.max(t, fmt.Sprintf("seed %d layered", seed), 0, lsink)
 		lt.got.Reset()
 		lt.want.Reset()
@@ -192,6 +253,7 @@ func checkMaxIdentity[C Capacity](t *testing.T, eps C) {
 		nLeft, nRight := 2+rng.Intn(10), 2+rng.Intn(10)
 		bt := newTwins[C](2+nLeft+nRight, eps)
 		sink, supply, demand, middle := bipartite(rng, bt, nLeft, nRight)
+		bt.build(t, r, roomRng)
 		bt.max(t, fmt.Sprintf("seed %d bipartite", seed), 0, sink)
 		for round := 0; round < 4; round++ {
 			label := fmt.Sprintf("seed %d bipartite round %d", seed, round)
