@@ -134,120 +134,29 @@ func BenchmarkSolveLPCutGen(b *testing.B) {
 // BenchmarkSolveLPLargeHorizon measures the full LP1 pipeline on the
 // large-horizon laminar/nested family — the workload the factorized
 // revised simplex, batched cut separation and cut-registry purging exist
-// for. The PR 1 dense pipeline could not run these sizes at all (its dual
-// simplex mis-reported the feasible master as infeasible past T ≈ 1000),
-// and the PR 2 dense-inverse engine needed ~90 s for batched/T=4096 where
-// the LU/eta core takes seconds — that sub-benchmark is the locked ≥10×
-// record of this PR. The single-cut sub-benchmarks keep PR 1's
-// one-cut-per-round separation as the in-tree baseline (omitted at 4096,
-// where its long round tail dominates the suite). Separation rounds and
-// purged cuts are reported so the batching and lifecycle wins are visible
-// alongside wall time.
+// for. Separation rounds and purged cuts are reported alongside wall time.
+// The small-horizon end of the cut-cap policy is BenchmarkSolveLPSmall in
+// internal/activetime.
 func BenchmarkSolveLPLargeHorizon(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		solve func(*core.Instance) (*activetime.LPResult, error)
-		sizes []int
-	}{
-		{"batched", activetime.SolveLP, []int{1024, 2048, 4096}},
-		{"single-cut", activetime.SolveLPSingleCut, []int{1024, 2048}},
-	} {
-		for _, T := range bc.sizes {
-			b.Run(fmt.Sprintf("%s/T=%d", bc.name, T), func(b *testing.B) {
-				in := gen.LargeHorizon(gen.RandomConfig{
-					N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 3,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				var res *activetime.LPResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = bc.solve(in)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.Rounds), "rounds")
-				b.ReportMetric(float64(res.Cuts), "cuts")
-				b.ReportMetric(float64(res.Purged), "purged")
+	for _, T := range []int{1024, 2048, 4096} {
+		b.Run(fmt.Sprintf("T=%d", T), func(b *testing.B) {
+			in := gen.LargeHorizon(gen.RandomConfig{
+				N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 3,
 			})
-		}
-	}
-}
-
-// BenchmarkSolveLPSmall pins the small-horizon regression the adaptive
-// batch cap exists to recover: at T ∈ {128, 256, 512} the full 32-cut
-// batches of the large-horizon policy pad the master without saving
-// meaningful rounds, so the adaptive cap (SolveLP) must track the better
-// of the fixed-32 batch and the single-cut reference. These numbers, not
-// prose, are what hold the adaptiveBatchCap policy in place.
-func BenchmarkSolveLPSmall(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		solve func(*core.Instance) (*activetime.LPResult, error)
-	}{
-		{"adaptive", activetime.SolveLP},
-		{"batched32", func(in *core.Instance) (*activetime.LPResult, error) {
-			return activetime.SolveLPFixedBatch(in, 32)
-		}},
-		{"single-cut", activetime.SolveLPSingleCut},
-	} {
-		for _, T := range []int{128, 256, 512} {
-			b.Run(fmt.Sprintf("%s/T=%d", bc.name, T), func(b *testing.B) {
-				in := gen.LargeHorizon(gen.RandomConfig{
-					N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 3,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				var res *activetime.LPResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = bc.solve(in)
-					if err != nil {
-						b.Fatal(err)
-					}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res *activetime.LPResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = activetime.SolveLP(in)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Rounds), "rounds")
-			})
-		}
-	}
-}
-
-// BenchmarkSolveLPPricing is the pricing-rule ablation on the E18 family
-// (seed 7): the default dual steepest-edge pipeline against the devex
-// fallback rule and the Dantzig baseline, with pivots and separation
-// rounds reported next to wall time. These numbers back the pricing
-// architecture the same way BenchmarkSolveLPSmall backs the adaptive
-// batch cap; TestPricingPivotReduction turns the ≥2× pivot win at
-// T = 4096 into a hard gate.
-func BenchmarkSolveLPPricing(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		rule lp.PricingRule
-	}{
-		{"steepest-edge", lp.PricingSteepestEdge},
-		{"devex", lp.PricingDevex},
-		{"dantzig", lp.PricingDantzig},
-	} {
-		for _, T := range []int{1024, 2048} {
-			b.Run(fmt.Sprintf("%s/T=%d", bc.name, T), func(b *testing.B) {
-				in := gen.LargeHorizon(gen.RandomConfig{
-					N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 7,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				var res *activetime.LPResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = activetime.SolveLPPricing(in, bc.rule)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.Pivots), "pivots")
-				b.ReportMetric(float64(res.Rounds), "rounds")
-			})
-		}
+			}
+			b.ReportMetric(float64(res.Rounds), "rounds")
+			b.ReportMetric(float64(res.Cuts), "cuts")
+			b.ReportMetric(float64(res.Purged), "purged")
+		})
 	}
 }
 

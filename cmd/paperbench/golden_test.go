@@ -20,6 +20,9 @@ type benchSchema struct {
 	ID      string   `json:"id"`
 	Name    string   `json:"name"`
 	Columns []string `json:"columns"`
+	// Retired pins the columns each experiment declares deliberately
+	// dropped, which the trajectory merge accepts as missing.
+	Retired []string `json:"retired,omitempty"`
 	// Kernel pins which experiments expose a kernel digest and its exact
 	// key set — but not its values, which are deterministic per box/arch
 	// yet not across them.
@@ -58,6 +61,9 @@ func TestBenchJSONSchemaGolden(t *testing.T) {
 	wantKeys := []string{"columns", "id", "millis", "name", "rows"}
 	for i, rec := range raw {
 		extra := 0
+		if _, ok := rec["retired"]; ok {
+			extra++
+		}
 		if _, ok := rec["kernel"]; ok {
 			extra++
 		}
@@ -85,7 +91,7 @@ func TestBenchJSONSchemaGolden(t *testing.T) {
 	}
 	records := make([]benchSchema, len(full))
 	for i, rec := range full {
-		records[i] = benchSchema{ID: rec.ID, Name: rec.Name, Columns: rec.Columns}
+		records[i] = benchSchema{ID: rec.ID, Name: rec.Name, Columns: rec.Columns, Retired: rec.Retired}
 		sortedKeys := func(m map[string]any) []string {
 			keys := make([]string, 0, len(m))
 			for k := range m {

@@ -23,10 +23,12 @@
 // per solve), every delta digest must show delta-vs-cold agreement to 1e-6
 // with zero warm-start fallbacks and a >= 5x headline arrival pivot ratio
 // at T >= 4096, and against the latest existing entry the experiment set
-// must not shrink, no experiment may lose table columns, the kernel
-// digest's hypersparse share must not collapse, and the approximation and
-// delta counters must not regress. Wall times are recorded but deliberately not gated — they
-// are machine-dependent; the gated metrics are the deterministic ones.
+// must not shrink, no experiment may lose a table column it does not
+// declare retired (experiments.Table.Retired), the kernel digest's
+// hypersparse share must not collapse, and the approximation and delta
+// counters must not regress. Wall times are recorded but deliberately not
+// gated — they are machine-dependent; the gated metrics are the
+// deterministic ones.
 // With -merge-from, the records of a previous run's -bench-json output are
 // merged instead of running the experiments — the same gates apply; only
 // the hours-long recomputation is skipped.
@@ -62,6 +64,7 @@ type benchRecord struct {
 	Millis  float64                    `json:"millis"`
 	Rows    int                        `json:"rows"`
 	Columns []string                   `json:"columns"`
+	Retired []string                   `json:"retired,omitempty"`
 	Kernel  *experiments.KernelSummary `json:"kernel,omitempty"`
 	Approx  *experiments.ApproxSummary `json:"approx,omitempty"`
 	Delta   *experiments.DeltaSummary  `json:"delta,omitempty"`
@@ -119,9 +122,10 @@ func mergeTrajectory(path, label string, records []benchRecord) error {
 // trajectory entry and the new records, over the experiments the new run
 // produced (a -only run gates just that experiment): none of those may
 // have disappeared conceptually — they are present by construction — but
-// each must keep every table column it ever had and must not collapse its
-// kernel digest. Experiments in prev that the new run did not execute are
-// left alone, so partial (-only) runs compose with full ones.
+// each must keep every table column it ever had, unless its record
+// declares the column retired, and must not collapse its kernel digest.
+// Experiments in prev that the new run did not execute are left alone, so
+// partial (-only) runs compose with full ones.
 func checkNonRegression(prev trajectoryEntry, records []benchRecord) error {
 	prevByID := make(map[string]benchRecord, len(prev.Records))
 	for _, r := range prev.Records {
@@ -132,8 +136,11 @@ func checkNonRegression(prev trajectoryEntry, records []benchRecord) error {
 		if !ok {
 			continue // new experiment: trivially non-regressing
 		}
-		have := make(map[string]bool, len(r.Columns))
+		have := make(map[string]bool, len(r.Columns)+len(r.Retired))
 		for _, c := range r.Columns {
+			have[c] = true
+		}
+		for _, c := range r.Retired {
 			have[c] = true
 		}
 		for _, c := range p.Columns {
@@ -146,28 +153,21 @@ func checkNonRegression(prev trajectoryEntry, records []benchRecord) error {
 				return fmt.Errorf("%s dropped its kernel digest", r.ID)
 			}
 			// Halving band, not a fixed offset: kernel retunes move the
-			// share a little, but a representation change moves it a lot
-			// without losing anything — switching the basis from the
-			// product-form eta file to Forrest–Tomlin updates took the E18
-			// headline share 0.618 -> 0.408 (spike fill densifies the
-			// updated-U reach) at a ~4x wall-clock win. Losing the
-			// hypersparse path entirely still zeroes the share, which no
-			// band survives; the endurance gates pin the absolute floor.
+			// share a little, but a representation change can move it a
+			// lot without losing anything (denser update spikes densify the
+			// U reach at a wall-clock win). Losing the hypersparse path
+			// entirely still zeroes the share, which no band survives; the
+			// endurance gates pin the absolute floor.
 			if r.Kernel.HyperShare < p.Kernel.HyperShare/2 {
 				return fmt.Errorf("%s hypersparse share collapsed: %.3f -> %.3f",
 					r.ID, p.Kernel.HyperShare, r.Kernel.HyperShare)
 			}
 			// Forrest–Tomlin non-collapse: once a headline run maintains its
 			// basis with in-place updates, a later run silently degrading to
-			// per-pivot refactorization (updates -> 0) or resurrecting the
-			// eta-dot pass the representation eliminated must not merge.
+			// per-pivot refactorization (updates -> 0) must not merge.
 			if p.Kernel.FTUpdates > 0 && r.Kernel.FTUpdates == 0 {
 				return fmt.Errorf("%s Forrest–Tomlin updates collapsed: %d -> 0 (per-pivot refactorization?)",
 					r.ID, p.Kernel.FTUpdates)
-			}
-			if p.Kernel.FTUpdates > 0 && p.Kernel.EtaDotOps == 0 && r.Kernel.EtaDotOps > 0 {
-				return fmt.Errorf("%s eta-dot pass resurfaced on the FT default: %d entries traversed",
-					r.ID, r.Kernel.EtaDotOps)
 			}
 		}
 		if p.Approx != nil && r.Approx == nil {
@@ -321,6 +321,7 @@ func run(args []string, stdout io.Writer) error {
 				Millis:  float64(elapsed.Microseconds()) / 1000,
 				Rows:    len(tab.Rows),
 				Columns: tab.Columns,
+				Retired: tab.Retired,
 				Kernel:  tab.Kernel,
 				Approx:  tab.Approx,
 				Delta:   tab.Delta,

@@ -71,8 +71,9 @@ func TestRunAllQuick(t *testing.T) {
 
 // TestMergeTrajectoryGate exercises the -merge-bench non-regression gate
 // directly: appending compatible records extends the trajectory, dropping
-// a column or collapsing the kernel digest is rejected without touching
-// the file, and partial runs leave unexecuted experiments ungated.
+// a column the record does not declare retired or collapsing the kernel
+// digest is rejected without touching the file, a declared retirement
+// merges, and partial runs leave unexecuted experiments ungated.
 func TestMergeTrajectoryGate(t *testing.T) {
 	path := t.TempDir() + "/traj.json"
 	kern := &experiments.KernelSummary{HyperShare: 0.35, FtranAvgNNZ: 190, BtranAvgNNZ: 320, RowRefills: 12, Pivots: 100}
@@ -108,6 +109,11 @@ func TestMergeTrajectoryGate(t *testing.T) {
 		recs []benchRecord
 	}{
 		{"dropped column", []benchRecord{{ID: "E18", Columns: []string{"T"}, Kernel: kern}}},
+		{"dropped column beside a retired one", []benchRecord{{ID: "E18", Columns: []string{"T"},
+			Retired: []string{"hyp%"}, Kernel: kern}}},
+		{"dropped column, retirement declared in the wrong experiment", []benchRecord{
+			{ID: "E18", Columns: []string{"T", "hyp%"}, Kernel: kern},
+			{ID: "E17", Columns: []string{"T", "ms"}, Retired: []string{"pivots"}}}},
 		{"dropped kernel digest", []benchRecord{{ID: "E18", Columns: []string{"T", "pivots", "hyp%"}}}},
 		{"collapsed hypersparse share", []benchRecord{{ID: "E18", Columns: []string{"T", "pivots", "hyp%"},
 			Kernel: &experiments.KernelSummary{HyperShare: 0.01}}}},
@@ -118,6 +124,11 @@ func TestMergeTrajectoryGate(t *testing.T) {
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
 		t.Errorf("rejected merges modified the trajectory file")
+	}
+	// A column the new record declares retired may go missing.
+	retired := []benchRecord{{ID: "E18", Columns: []string{"T", "hyp%"}, Retired: []string{"pivots"}, Kernel: kern}}
+	if err := mergeTrajectory(path, "pr7", retired); err != nil {
+		t.Fatalf("declared retirement rejected: %v", err)
 	}
 }
 

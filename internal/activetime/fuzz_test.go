@@ -13,8 +13,8 @@ import (
 // chain over 72 slots whose master accumulates enough coupled cut rows to
 // clear the hypersparse engagement threshold, so the fuzzer starts from an
 // input whose triangular solves genuinely run the Gilbert–Peierls
-// reach-DFS over a near-dense eta file rather than the small-dimension
-// dense fallback.
+// reach-DFS over near-dense updated factors rather than the
+// small-dimension dense fallback.
 func fuzzHardnessChain() []byte {
 	var buf bytes.Buffer
 	if err := gen.Hardness(24, 2).WriteJSON(&buf); err != nil {
@@ -32,7 +32,7 @@ func fuzzHardnessChain() []byte {
 // satisfy the kernel path-equivalence invariant: the hypersparse and
 // forced-dense engines walk the identical pivot sequence to the identical
 // objective — the tier exists so fuzzing exercises the reach-DFS on
-// near-dense eta files, which small instances never engage. The seed
+// near-dense updated factors, which small instances never engage. The seed
 // corpus under testdata/fuzz covers the interesting decode shapes;
 // `go test -fuzz=FuzzSolveLP` explores from there.
 func FuzzSolveLP(f *testing.F) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // pivotRec is one basis change observed through lp.Problem.SetPivotHook.
@@ -13,19 +12,13 @@ type pivotRec struct{ row, col int }
 
 // solveTraced runs the default purging pipeline with a pivot-sequence
 // recorder, optionally pinning the simplex engine to the dense
-// triangular-solve path. solveTracedRule additionally selects the basis
-// factorization rule (solveTraced keeps the Forrest–Tomlin default).
+// triangular-solve path.
 func solveTraced(in *core.Instance, dense bool) (*LPResult, []pivotRec, error) {
-	return solveTracedRule(in, dense, lp.FactorizationFT)
-}
-
-func solveTracedRule(in *core.Instance, dense bool, rule lp.FactorizationRule) (*LPResult, []pivotRec, error) {
 	var trace []pivotRec
 	res, err := solveLP(in, lpOptions{
-		purge:         true,
-		denseKernels:  dense,
-		factorization: rule,
-		pivotHook:     func(row, col int) { trace = append(trace, pivotRec{row, col}) },
+		purge:        true,
+		denseKernels: dense,
+		pivotHook:    func(row, col int) { trace = append(trace, pivotRec{row, col}) },
 	})
 	return res, trace, err
 }
@@ -116,68 +109,4 @@ func TestKernelPathEquivalence(t *testing.T) {
 		t.Fatal("no case engaged the hypersparse kernels; the equivalence suite is vacuous")
 	}
 	t.Logf("%d cases, %d hypersparse kernel solves on the default path", len(cases), hyperSeen)
-}
-
-// TestKernelPathEquivalencePFI re-asserts the dense-vs-hypersparse
-// pivot-identity invariant under the product-form-eta ablation on a reduced
-// corpus. The invariant is per-rule: within one factorization rule the
-// kernel path choice must not perturb the trajectory, but the two rules
-// legitimately walk different trajectories (their folds round the basis at
-// different pivots), so FT-vs-PFI traces are not compared here — the
-// cross-solver metamorphic suite pins both to the exact optimum instead.
-func TestKernelPathEquivalencePFI(t *testing.T) {
-	type instCase struct {
-		name string
-		in   *core.Instance
-	}
-	var cases []instCase
-	for _, fam := range lpFamilies {
-		for seed := int64(0); seed < 6; seed++ {
-			cases = append(cases, instCase{fam.name, fam.make(seed)})
-		}
-	}
-	cases = append(cases,
-		instCase{"hardness", gen.Hardness(5, 3)},
-		instCase{"large-horizon",
-			gen.LargeHorizon(gen.RandomConfig{N: 128, Horizon: 1024, MaxLen: 16, G: 4, Seed: 3})})
-
-	hyperSeen := 0
-	for _, tc := range cases {
-		def, defTrace, err := solveTracedRule(tc.in, false, lp.FactorizationPFI)
-		if err == ErrInfeasible {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s (%s): default engine: %v", tc.name, tc.in.Name, err)
-		}
-		den, denTrace, err := solveTracedRule(tc.in, true, lp.FactorizationPFI)
-		if err != nil {
-			t.Fatalf("%s (%s): dense engine: %v", tc.name, tc.in.Name, err)
-		}
-		if def.Objective != den.Objective {
-			t.Errorf("%s (%s): objective diverged: hypersparse %.17g, dense %.17g",
-				tc.name, tc.in.Name, def.Objective, den.Objective)
-		}
-		if len(defTrace) != len(denTrace) {
-			t.Errorf("%s (%s): pivot count diverged: hypersparse %d, dense %d",
-				tc.name, tc.in.Name, len(defTrace), len(denTrace))
-		} else {
-			for i := range defTrace {
-				if defTrace[i] != denTrace[i] {
-					t.Errorf("%s (%s): pivot %d diverged: hypersparse (%d,%d), dense (%d,%d)",
-						tc.name, tc.in.Name, i,
-						defTrace[i].row, defTrace[i].col, denTrace[i].row, denTrace[i].col)
-					break
-				}
-			}
-		}
-		if u := def.Kernel.FTUpdates + den.Kernel.FTUpdates; u != 0 {
-			t.Errorf("%s (%s): PFI runs reported %d Forrest–Tomlin updates", tc.name, tc.in.Name, u)
-		}
-		hyperSeen += def.Kernel.FtranHyper + def.Kernel.BtranHyper
-	}
-	if hyperSeen == 0 {
-		t.Fatal("no case engaged the hypersparse kernels under PFI; the ablation suite is vacuous")
-	}
-	t.Logf("%d cases, %d hypersparse kernel solves on the PFI default path", len(cases), hyperSeen)
 }

@@ -106,59 +106,12 @@ func SolveLP(in *core.Instance) (*LPResult, error) {
 	return solveLP(in, lpOptions{batchCap: 0, purge: true})
 }
 
-// SolveLPSingleCut is the PR 1 reference pipeline kept for metamorphic
-// testing and ablation: identical master and separation oracle, but each
-// round adds only the single cut induced by the global minimum cut, and no
-// cut is ever purged. The optimum is the same as SolveLP's; only the effort
-// differs (the property suite asserts the former, the scaling experiment
-// reports the latter).
-func SolveLPSingleCut(in *core.Instance) (*LPResult, error) {
-	return solveLP(in, lpOptions{batchCap: 1})
-}
-
-// SolveLPFixedBatch is the ablation pipeline behind BenchmarkSolveLPSmall
-// and E18: the batched separation of SolveLP with a fixed per-round cut cap
-// instead of the adaptive policy, and no purging. cap is clamped to
-// [1, 32].
-func SolveLPFixedBatch(in *core.Instance, cap int) (*LPResult, error) {
-	if cap < 1 {
-		cap = 1
-	}
-	if cap > maxBatchCuts {
-		cap = maxBatchCuts
-	}
-	return solveLP(in, lpOptions{batchCap: cap})
-}
-
-// SolveLPPricing is the pricing-rule ablation entry point mirroring
-// SolveLPFixedBatch: the default pipeline (adaptive batch cap, purging,
-// incremental separation) with the master's simplex pricing pinned to the
-// given rule. SolveLP itself runs lp.PricingSteepestEdge; the Dantzig and
-// devex rules exist for E18's pricing columns and the cross-solver
-// property suite, which asserts all three reach the exact optimum.
-func SolveLPPricing(in *core.Instance, rule lp.PricingRule) (*LPResult, error) {
-	return solveLP(in, lpOptions{purge: true, pricing: rule})
-}
-
-// SolveLPFactorization is the factorization-rule ablation entry point
-// mirroring SolveLPPricing: the default pipeline with the master's basis
-// representation pinned to the given rule. SolveLP itself runs
-// lp.FactorizationFT (Forrest–Tomlin updates); the product-form eta file
-// (lp.FactorizationPFI) exists for E18's ablation columns, the CI endurance
-// gate, and the cross-solver property suite, which asserts both rules reach
-// the exact optimum.
-func SolveLPFactorization(in *core.Instance, rule lp.FactorizationRule) (*LPResult, error) {
-	return solveLP(in, lpOptions{purge: true, factorization: rule})
-}
-
-// lpOptions selects the cut lifecycle and pricing policy of one solveLP run.
+// lpOptions selects the cut lifecycle of one solveLP run. SolveLP runs the
+// adaptive cap with purging; tests build never-purging references with
+// batchCap 1 (one cut per round, the global minimum cut) or 32.
 type lpOptions struct {
-	batchCap int            // cuts per separation round; 0 = adaptive in the horizon
-	purge    bool           // purge persistently slack cuts between rounds
-	pricing  lp.PricingRule // master pricing rule (zero value = steepest edge)
-	// factorization selects the master's basis representation (zero value =
-	// Forrest–Tomlin updates; lp.FactorizationPFI is the eta-file ablation).
-	factorization lp.FactorizationRule
+	batchCap int  // cuts per separation round; 0 = adaptive in the horizon
+	purge    bool // purge persistently slack cuts between rounds
 	// denseKernels pins the master's triangular solves to the dense path
 	// (lp.Problem.SetDenseKernels); pivotHook observes every master basis
 	// change (lp.Problem.SetPivotHook). Both exist for the kernel

@@ -37,9 +37,9 @@ func SolveLPExact(in *core.Instance) (*ExactLPResult, error) {
 	return solveLPExact(in, true)
 }
 
-// SolveLPExactCold is the pre-warm-start reference pipeline kept for
-// ablation (E17's exact-pivot comparison): identical cuts and convergence,
-// but every round solves the rational master from scratch.
+// SolveLPExactCold is the cold reference behind E17's exact-pivot
+// comparison: identical cuts and convergence, but every round solves the
+// rational master from scratch.
 func SolveLPExactCold(in *core.Instance) (*ExactLPResult, error) {
 	return solveLPExact(in, false)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // lpFamilies enumerates every seeded random family of package gen, plus the
@@ -45,18 +44,16 @@ var lpFamilies = []struct {
 }
 
 // TestLPCrossSolverMetamorphic is the cross-solver property suite of the
-// LP1 pipeline: on every family, the batched float pipeline under every
-// pricing rule (steepest-edge — the default —, devex, and the Dantzig
-// baseline) and under both factorization rules (Forrest–Tomlin updates —
-// the default — and the product-form eta-file ablation), the single-cut
-// float pipeline, and the exact rational pipeline must agree on the LP
-// optimum to 1e-6 — independently wrong solvers agreeing on ~150 instances
-// × 6 pipelines is the strongest equivalence evidence the repo can buy
-// without a reference LP library. Batching must also never need more
-// separation rounds than single-cut generation.
+// LP1 pipeline: on every family, the batched float pipeline (SolveLP), the
+// never-purging single-cut float pipeline (one global-minimum cut per
+// round), and the exact rational pipeline must agree on the LP optimum to
+// 1e-6 — independently wrong solvers agreeing on ~150 instances × 3
+// pipelines is the strongest equivalence evidence the repo can buy without
+// a reference LP library, and the exact engine is the oracle the float
+// engine answers to. Batching must also never need more separation rounds
+// than single-cut generation.
 func TestLPCrossSolverMetamorphic(t *testing.T) {
 	const seedsPerFamily = 22 // 7 families × 22 = 154 instances
-	pricingRules := []lp.PricingRule{lp.PricingDantzig, lp.PricingDevex}
 	solved := 0
 	for _, fam := range lpFamilies {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
@@ -68,9 +65,9 @@ func TestLPCrossSolverMetamorphic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: SolveLP: %v", fam.name, seed, err)
 			}
-			single, err := SolveLPSingleCut(in)
+			single, err := solveLP(in, lpOptions{batchCap: 1})
 			if err != nil {
-				t.Fatalf("%s seed %d: SolveLPSingleCut: %v", fam.name, seed, err)
+				t.Fatalf("%s seed %d: single-cut solveLP: %v", fam.name, seed, err)
 			}
 			exact, err := SolveLPExact(in)
 			if err != nil {
@@ -82,22 +79,6 @@ func TestLPCrossSolverMetamorphic(t *testing.T) {
 			}
 			if math.Abs(single.Objective-want) > 1e-6 {
 				t.Errorf("%s seed %d: single-cut LP %.9f, exact %.9f", fam.name, seed, single.Objective, want)
-			}
-			for _, rule := range pricingRules {
-				ruled, err := SolveLPPricing(in, rule)
-				if err != nil {
-					t.Fatalf("%s seed %d: SolveLPPricing(%v): %v", fam.name, seed, rule, err)
-				}
-				if math.Abs(ruled.Objective-want) > 1e-6 {
-					t.Errorf("%s seed %d: %v LP %.9f, exact %.9f", fam.name, seed, rule, ruled.Objective, want)
-				}
-			}
-			pfi, err := SolveLPFactorization(in, lp.FactorizationPFI)
-			if err != nil {
-				t.Fatalf("%s seed %d: SolveLPFactorization(pfi): %v", fam.name, seed, err)
-			}
-			if math.Abs(pfi.Objective-want) > 1e-6 {
-				t.Errorf("%s seed %d: pfi LP %.9f, exact %.9f", fam.name, seed, pfi.Objective, want)
 			}
 			if batched.Rounds > single.Rounds {
 				t.Errorf("%s seed %d: batched took %d rounds, single-cut only %d",

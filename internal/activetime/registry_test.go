@@ -1,6 +1,7 @@
 package activetime
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,9 +24,9 @@ func TestCutPurgingMatchesReferences(t *testing.T) {
 			if err != nil {
 				t.Fatalf("T=%d seed=%d: SolveLP: %v", T, seed, err)
 			}
-			single, err := SolveLPSingleCut(in)
+			single, err := solveLP(in, lpOptions{batchCap: 1})
 			if err != nil {
-				t.Fatalf("T=%d seed=%d: SolveLPSingleCut: %v", T, seed, err)
+				t.Fatalf("T=%d seed=%d: single-cut solveLP: %v", T, seed, err)
 			}
 			if math.Abs(def.Objective-single.Objective) > 1e-6 {
 				t.Errorf("T=%d seed=%d: purged pipeline LP %.9f != single-cut %.9f",
@@ -72,6 +73,42 @@ func setOf(n int, idx ...int) []bool {
 		A[i] = true
 	}
 	return A
+}
+
+// BenchmarkSolveLPSmall pins the small-horizon regression the adaptive
+// batch cap exists to recover: at T ∈ {128, 256, 512} the full 32-cut
+// batches of the large-horizon policy pad the master without saving
+// meaningful rounds, so the adaptive cap (SolveLP) must track the better
+// of the never-purging fixed-32 batch and single-cut references. These
+// numbers, not prose, are what hold the adaptiveBatchCap policy in place.
+func BenchmarkSolveLPSmall(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts lpOptions
+	}{
+		{"adaptive", lpOptions{purge: true}},
+		{"batched32", lpOptions{batchCap: 32}},
+		{"single-cut", lpOptions{batchCap: 1}},
+	} {
+		for _, T := range []int{128, 256, 512} {
+			b.Run(fmt.Sprintf("%s/T=%d", bc.name, T), func(b *testing.B) {
+				in := gen.LargeHorizon(gen.RandomConfig{
+					N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 3,
+				})
+				b.ReportAllocs()
+				b.ResetTimer()
+				var res *LPResult
+				for i := 0; i < b.N; i++ {
+					var err error
+					res, err = solveLP(in, bc.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Rounds), "rounds")
+			})
+		}
+	}
 }
 
 // TestRegistryPinsRepurgedCuts checks the termination guard: a cut key

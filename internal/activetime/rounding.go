@@ -1,6 +1,7 @@
 package activetime
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,6 +9,13 @@ import (
 
 	"repro/internal/core"
 )
+
+// ErrRoundingInfeasible reports that the rounding sweep ended on a slot set
+// that cannot schedule every job. The hybrid close certificates make this
+// unreachable for an optimal LP1 solution; it surfaces when the supplied
+// LP solution is not feasible for LP1, or when floating-point drift breaks
+// a certificate.
+var ErrRoundingInfeasible = errors.New("activetime: rounding produced an infeasible slot set")
 
 // RoundingResult is the outcome of the LP-rounding 2-approximation.
 type RoundingResult struct {
@@ -19,10 +27,11 @@ type RoundingResult struct {
 	Opened  int
 	// FlowChecks counts hybrid-feasibility max-flows run while deciding
 	// whether barely open slots could be closed; ProxyCarries counts proxy
-	// slots passed between iterations; Repairs counts extra slots opened by
-	// the defensive final repair loop (structurally zero: every close is
+	// slots passed between iterations. Repairs is always 0: every close is
 	// certified against the full hybrid solution, so the sweep's output is
-	// integrally feasible by construction — tests and the E19 gate pin it).
+	// integrally feasible by construction, and a slot set that is not fails
+	// with ErrRoundingInfeasible instead of being patched. It stays in the
+	// result for the bench records and gates that read it.
 	FlowChecks   int
 	ProxyCarries int
 	Repairs      int
@@ -40,9 +49,9 @@ type RoundingResult struct {
 	// ever failed (never expected; tests assert false).
 	InvariantViolated bool
 	// Per-phase wall time in milliseconds: LP solve (zero when the caller
-	// supplied a precomputed LP), right shift, rounding sweep, defensive
-	// repair loop, and final assignment extraction.
-	LPMillis, ShiftMillis, SweepMillis, RepairMillis, AssignMillis float64
+	// supplied a precomputed LP), right shift, rounding sweep, the final
+	// feasibility check of the opened slots, and assignment extraction.
+	LPMillis, ShiftMillis, SweepMillis, VerifyMillis, AssignMillis float64
 }
 
 const (
@@ -145,9 +154,8 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	// Persistent integral feasibility network: jobs switch on as the
 	// deadline prefix grows, slots switch on as they are opened. The sweep
 	// itself never queries it (close decisions are certified against the
-	// hybrid vector above) — it exists for the final verification and the
-	// defensive repair loop, whose single query is the rounding pass's one
-	// cold flow.
+	// hybrid vector above) — it exists for the final check, whose single
+	// query is the rounding pass's one cold flow.
 	fc := newFeasChecker(in.G, jobsByDeadline)
 	opened := make(map[core.Time]bool)
 	var openList []core.Time
@@ -257,27 +265,20 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	}
 	res.SweepMillis = float64(time.Since(phase).Microseconds()) / 1000
 	phase = time.Now()
-	// Defensive repair if floating point left a gap: probe the persistent
-	// checker (every job is switched on once the deadline sweep finishes),
-	// opening slots until it reports feasible. The hybrid close certificates
-	// make this loop unreachable in exact arithmetic — its survival is pure
-	// defense in depth, and Repairs != 0 fails the scale tests and the E19
-	// gate. Only then is the one-shot assignment network built, exactly once.
-	rep := newSlotRepairer(in)
-	for !fc.feasible() {
-		t, rerr := rep.next(opened)
-		if rerr != nil {
-			return nil, fmt.Errorf("activetime: rounding produced infeasible slot set: %w", rerr)
-		}
-		openSlot(t)
-		res.Repairs++
+	// Check the opened slots on the persistent checker (every job is
+	// switched on once the deadline sweep finishes). The hybrid close
+	// certificates make a failure unreachable for an optimal LP solution in
+	// exact arithmetic, so a failure is reported, never patched. Only then
+	// is the one-shot assignment network built, exactly once.
+	if !fc.feasible() {
+		return nil, fmt.Errorf("%w: %d opened slots", ErrRoundingInfeasible, len(openList))
 	}
 	res.ColdFlows = fc.coldFlows
-	res.RepairMillis = float64(time.Since(phase).Microseconds()) / 1000
+	res.VerifyMillis = float64(time.Since(phase).Microseconds()) / 1000
 	phase = time.Now()
 	sched, err := Assign(in, openList)
 	if err != nil {
-		return nil, fmt.Errorf("activetime: rounding produced infeasible slot set: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrRoundingInfeasible, err)
 	}
 	res.AssignMillis = float64(time.Since(phase).Microseconds()) / 1000
 	res.Schedule = sched
@@ -352,40 +353,6 @@ func RightShiftedY(in *core.Instance, lpres *LPResult) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// slotRepairer hands out closed slots for the defensive repair loop,
-// rightmost window-covered slot first. The candidate list is the window
-// universe computed once up front (AllSlots), so each probe is amortized
-// O(1) instead of rescanning every job window, and exhaustion is an
-// explicit error rather than a zero sentinel (slot 0 is outside every
-// window by validation, but the sentinel conflated "no slot found" with
-// it).
-type slotRepairer struct {
-	slots []core.Time // window-covered slots, descending
-	idx   int
-}
-
-func newSlotRepairer(in *core.Instance) *slotRepairer {
-	slots := AllSlots(in)
-	for i, j := 0, len(slots)-1; i < j; i, j = i+1, j-1 {
-		slots[i], slots[j] = slots[j], slots[i]
-	}
-	return &slotRepairer{slots: slots}
-}
-
-// next returns the rightmost window-covered slot not yet opened, or an
-// error when every candidate is open. Opened slots are skipped permanently:
-// the repair loop only ever opens slots, so the cursor never needs to back
-// up.
-func (r *slotRepairer) next(opened map[core.Time]bool) (core.Time, error) {
-	for ; r.idx < len(r.slots); r.idx++ {
-		if t := r.slots[r.idx]; !opened[t] {
-			r.idx++
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("activetime: no closed slot available for repair")
 }
 
 func sortJobsByDeadline(jobs []core.Job) {

@@ -1,6 +1,11 @@
 package activetime
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -8,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // TestTrialCloseMatchesFreshFlow is the equivalence property behind the
@@ -199,79 +203,91 @@ func TestMinimalFeasibleStatsCounters(t *testing.T) {
 	}
 }
 
-// TestSlotRepairerOrder pins the repair-candidate policy: rightmost
-// window-covered slot first, already-open slots skipped, and exhaustion
-// reported as an explicit error instead of the historical 0 sentinel
-// (slot 0 is outside every window by validation, so the sentinel silently
-// conflated "nothing to open" with a real slot).
-func TestSlotRepairerOrder(t *testing.T) {
-	in := &core.Instance{G: 2, Jobs: []core.Job{
-		{ID: 0, Release: 2, Deadline: 5, Length: 1},
-		{ID: 1, Release: 7, Deadline: 9, Length: 1},
-	}}
-	rep := newSlotRepairer(in)
-	opened := map[core.Time]bool{8: true, 4: true}
-	var got []core.Time
-	for {
-		s, err := rep.next(opened)
-		if err != nil {
-			break
-		}
-		got = append(got, s)
-		opened[s] = true
-	}
-	want := []core.Time{9, 5, 3} // slots {3,4,5,8,9} descending, minus the pre-opened {8,4}
-	if len(got) != len(want) {
-		t.Fatalf("repairer handed out %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("repairer handed out %v, want %v", got, want)
-		}
-	}
-	if _, err := rep.next(opened); err == nil {
-		t.Error("exhausted repairer returned a slot instead of an error")
-	}
+// hybridCloseVertex is one frozen LP1 optimum of a pinned instance (see
+// TestRoundingHybridCloseRepairFree): the instance's generator parameters
+// and the optimal vertex, stored with exact float64 round-trip.
+type hybridCloseVertex struct {
+	T         int       `json:"T"`
+	Seed      int64     `json:"seed"`
+	Objective float64   `json:"objective"`
+	Y         []float64 `json:"y"`
 }
 
 // TestRoundingHybridCloseRepairFree pins the instances on which the
 // historical due-jobs-only close rule produced integrally infeasible sweeps
-// (hundreds of defensive repairs: the proxy mass of a certified close
-// migrated past the deadlines of not-yet-due jobs sharing the closed slot,
-// breaking their joint Hall condition on mass-bound-tight optimal
-// vertices). The hybrid close rule — certify every close against the full
-// hybrid solution — must round all of them repair-free under both
-// factorization rules, whose different optimal vertices are what exposed
-// the bug in the first place.
+// (hundreds of extra slots: the proxy mass of a certified close migrated
+// past the deadlines of not-yet-due jobs sharing the closed slot, breaking
+// their joint Hall condition on mass-bound-tight optimal vertices). The
+// hybrid close rule — certify every close against the full hybrid solution
+// — must round each of them to a verified schedule within 2·LP, from two
+// different optimal vertices: the live SolveLP optimum, and a second
+// optimum of the same LP frozen in testdata (it differs from the live one
+// in 1, 47, 180 and 304 entries of y), which is the vertex family that
+// exposed the bug in the first place.
 func TestRoundingHybridCloseRepairFree(t *testing.T) {
-	cases := []struct {
-		T    int
-		seed int64
-	}{{1024, 0}, {1024, 5}, {2048, 11}, {4096, 8}}
-	for _, c := range cases {
-		in := gen.LargeHorizon(gen.RandomConfig{N: c.T / 8, Horizon: c.T, MaxLen: 16, G: 4, Seed: c.seed})
-		for _, rule := range []lp.FactorizationRule{lp.FactorizationFT, lp.FactorizationPFI} {
-			lpres, err := SolveLPFactorization(in, rule)
+	data, err := os.ReadFile(filepath.Join("testdata", "hybrid_close_vertices.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frozen []hybridCloseVertex
+	if err := json.Unmarshal(data, &frozen); err != nil {
+		t.Fatal(err)
+	}
+	if len(frozen) != 4 {
+		t.Fatalf("testdata holds %d vertices, want 4", len(frozen))
+	}
+	for _, c := range frozen {
+		in := gen.LargeHorizon(gen.RandomConfig{N: c.T / 8, Horizon: c.T, MaxLen: 16, G: 4, Seed: c.Seed})
+		live, err := SolveLP(in)
+		if err != nil {
+			t.Fatalf("T=%d seed %d: SolveLP: %v", c.T, c.Seed, err)
+		}
+		if len(c.Y) != len(live.Y) || math.Abs(c.Objective-live.Objective) > 1e-6 {
+			t.Fatalf("T=%d seed %d: frozen vertex (len %d, LP %.9f) does not match the instance (len %d, LP %.9f)",
+				c.T, c.Seed, len(c.Y), c.Objective, len(live.Y), live.Objective)
+		}
+		for _, v := range []struct {
+			name  string
+			lpres *LPResult
+		}{
+			{"live", live},
+			{"frozen", &LPResult{Y: c.Y, Objective: c.Objective}},
+		} {
+			res, err := roundWithLP(in, v.lpres)
 			if err != nil {
-				t.Fatalf("T=%d seed %d %v: SolveLP: %v", c.T, c.seed, rule, err)
-			}
-			res, err := roundWithLP(in, lpres)
-			if err != nil {
-				t.Fatalf("T=%d seed %d %v: round: %v", c.T, c.seed, rule, err)
-			}
-			if res.Repairs != 0 {
-				t.Errorf("T=%d seed %d %v: %d defensive repairs, want 0", c.T, c.seed, rule, res.Repairs)
+				t.Fatalf("T=%d seed %d %s: round: %v", c.T, c.Seed, v.name, err)
 			}
 			if verr := core.VerifyActive(in, res.Schedule); verr != nil {
-				t.Errorf("T=%d seed %d %v: rounded schedule invalid: %v", c.T, c.seed, rule, verr)
+				t.Errorf("T=%d seed %d %s: rounded schedule invalid: %v", c.T, c.Seed, v.name, verr)
 			}
 			if float64(res.Opened) > 2*res.LPValue+1e-6 {
-				t.Errorf("T=%d seed %d %v: opened %d > 2·LP = %.6f", c.T, c.seed, rule, res.Opened, 2*res.LPValue)
+				t.Errorf("T=%d seed %d %s: opened %d > 2·LP = %.6f", c.T, c.Seed, v.name, res.Opened, 2*res.LPValue)
 			}
 			if res.ColdFlows > 1 {
-				t.Errorf("T=%d seed %d %v: %d cold flows, incremental contract allows 1", c.T, c.seed, rule, res.ColdFlows)
+				t.Errorf("T=%d seed %d %s: %d cold flows, incremental contract allows 1", c.T, c.Seed, v.name, res.ColdFlows)
 			}
 		}
+	}
+}
+
+// TestRoundingInfeasibleLPReturnsError feeds the rounding sweep a solution
+// that is not feasible for LP1 — an optimum with every y_t and the
+// objective halved — so no sequence of certified closes can end on a
+// schedulable slot set. The sweep must report ErrRoundingInfeasible rather
+// than open extra slots or return an unverified schedule.
+func TestRoundingInfeasibleLPReturnsError(t *testing.T) {
+	in := gen.LargeHorizon(gen.RandomConfig{N: 64, Horizon: 512, MaxLen: 16, G: 4, Seed: 3})
+	lpres, err := SolveLP(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := &LPResult{Y: make([]float64, len(lpres.Y)), Objective: lpres.Objective / 2}
+	for i, y := range lpres.Y {
+		half.Y[i] = y / 2
+	}
+	res, err := roundWithLP(in, half)
+	if !errors.Is(err, ErrRoundingInfeasible) {
+		t.Fatalf("rounding a halved LP solution: got (%v, %v), want ErrRoundingInfeasible", res, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // scalingInstance is the pinned endurance family of the ROADMAP record:
@@ -76,15 +75,14 @@ func checkKernelRegime(t *testing.T, res *LPResult, maxPivots, maxUsPerPivot int
 }
 
 // runCanonicalEndurance is the shared body of the canonical-density
-// (n = T/8) endurance tests: solve the pinned scaling instance under the
-// given factorization rule, check the LP optimum against the demand lower
-// bound, require the cut lifecycle to be live, and gate the hypersparse
-// kernel regime (pivot trajectory, kernel counters, catastrophe µs/pivot
-// ceiling).
-func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int, rule lp.FactorizationRule) {
+// (n = T/8) endurance tests: solve the pinned scaling instance, check the
+// LP optimum against the demand lower bound, require the cut lifecycle to
+// be live, and gate the hypersparse kernel regime (pivot trajectory, kernel
+// counters, catastrophe µs/pivot ceiling).
+func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int) {
 	in := gen.LargeHorizon(*scalingInstance(T, 8))
 	start := time.Now()
-	def, err := SolveLPFactorization(in, rule)
+	def, err := SolveLP(in)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("SolveLP at T=%d n=T/8: %v", T, err)
@@ -114,7 +112,7 @@ func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int, rule l
 			def.ColdFallbacks, T, strings.Join(def.FallbackVerdicts, "\n  "))
 	}
 	checkKernelRegime(t, def, maxPivots, maxUsPerPivot, elapsed)
-	writeScalingRecord(t, T, len(in.Jobs), rule, def, elapsed)
+	writeScalingRecord(t, T, len(in.Jobs), def, elapsed)
 	t.Logf("T=%d n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d refactors=%d in %v",
 		T, len(in.Jobs), def.Objective, def.Rounds, def.Cuts, def.Purged, def.Pivots, def.Refactors,
 		elapsed.Round(time.Millisecond))
@@ -125,19 +123,14 @@ func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int, rule l
 // scaling job points it at its benchmark artifact so the T = 16384 and
 // T = 32768 records ship alongside the paperbench tables. A no-op
 // otherwise, so local runs stay artifact-free.
-func writeScalingRecord(t *testing.T, T, n int, rule lp.FactorizationRule, res *LPResult, elapsed time.Duration) {
+func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Duration) {
 	path := os.Getenv("SCALING_BENCH_JSON")
 	if path == "" {
 		return
 	}
-	ruleName := "ft"
-	if rule == lp.FactorizationPFI {
-		ruleName = "pfi"
-	}
 	type record struct {
 		T          int     `json:"t"`
 		N          int     `json:"n"`
-		Rule       string  `json:"rule"`
 		Millis     float64 `json:"millis"`
 		Pivots     int     `json:"pivots"`
 		UsPerPivot float64 `json:"usPerPivot"`
@@ -157,7 +150,7 @@ func writeScalingRecord(t *testing.T, T, n int, rule lp.FactorizationRule, res *
 		}
 	}
 	recs = append(recs, record{
-		T: T, N: n, Rule: ruleName,
+		T: T, N: n,
 		Millis:     float64(elapsed.Microseconds()) / 1000,
 		Pivots:     res.Pivots,
 		UsPerPivot: float64(elapsed.Microseconds()) / float64(res.Pivots),
@@ -178,14 +171,11 @@ func writeScalingRecord(t *testing.T, T, n int, rule lp.FactorizationRule, res *
 
 // TestSolveLPHorizon16k is the horizon-scale endurance test at the paper's
 // canonical job density: a genuine T = 16384, n = T/8 instance of the
-// scaling family must solve — the workload that PR 4 left beyond a
-// 50-minute budget and that steepest-edge pricing (PR 5), the hypersparse
-// FTRAN/BTRAN kernels and cut-row working-set pricing (PR 6), and the
-// Forrest–Tomlin update factorization bring into the CI scaling-job
-// budget. The known-good FT trajectory spends 10719 pivots; the ceiling is
-// kept at the eta-file era's 45000 (its trajectory spent 39147) so the FT
-// default must beat the representation it replaced, with the bad basins —
-// which at least double the count — still separated cleanly.
+// scaling family must solve inside the CI scaling-job budget, which takes
+// steepest-edge pricing, the hypersparse FTRAN/BTRAN kernels, cut-row
+// working-set pricing and Forrest–Tomlin updates together. The known-good
+// trajectory spends 10719 pivots; the 45000 ceiling is a backstop against
+// a pricing or ordering change that drops the solve into a far worse basin.
 // It skips under the race detector, where the instruction-level slowdown
 // would turn minutes into the better part of an hour —
 // TestSolveLPHorizon16kLight is the race-mode endurance run.
@@ -197,21 +187,7 @@ func TestSolveLPHorizon16k(t *testing.T) {
 	// Calibration on the reference box: ~1.2 ms/pivot; the ceiling pads
 	// ~6× for slower runners while still catching a dense-everywhere or
 	// quadratic-pricing catastrophe.
-	runCanonicalEndurance(t, 16384, 45000, 8000, lp.FactorizationFT)
-}
-
-// TestSolveLPHorizon16kPFI runs the same canonical 16k endurance workload
-// under the product-form-eta ablation — the PR 6 representation kept as a
-// live fallback. Same ceilings as the FT default: the known-good PFI
-// trajectory spends 39147 pivots (the PR 6 record, bit-faithful since the
-// ablation preserves the old eta-file fold policy), and the µs/pivot
-// backstop catches the ablation quietly losing its hypersparse paths.
-func TestSolveLPHorizon16kPFI(t *testing.T) {
-	if raceEnabled {
-		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
-	}
-	skipUnlessEndurance(t, 15*time.Minute)
-	runCanonicalEndurance(t, 16384, 45000, 8000, lp.FactorizationPFI)
+	runCanonicalEndurance(t, 16384, 45000, 8000)
 }
 
 // TestSolveLPHorizon32k doubles the endurance horizon to T = 32768 at the
@@ -224,19 +200,19 @@ func TestSolveLPHorizon32k(t *testing.T) {
 		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
 	}
 	skipUnlessEndurance(t, 30*time.Minute)
-	// Ceilings calibrated in the eta-file era (94849 pivots at ~3.1
-	// ms/pivot; the per-pivot cost grew with the eta file and basis
-	// dimension) and kept for the FT default, padded as in the 16k run.
-	runCanonicalEndurance(t, 32768, 110000, 15000, lp.FactorizationFT)
+	// The known-good trajectory spends 96339 pivots; the ceilings pad it
+	// as in the 16k run.
+	runCanonicalEndurance(t, 32768, 110000, 15000)
 }
 
-// TestSolveLPHorizon16kLight keeps the n = T/32 density of the PR 4
-// endurance test: the full 16k horizon, master width and cut lifecycle
+// TestSolveLPHorizon16kLight runs at the light n = T/32 density: the full
+// 16k horizon, master width and cut lifecycle
 // machinery at a density affordable under the race detector, where the
 // canonical-density test skips. The purging pipeline must agree with the
-// never-purging fixed-batch reference. It shares the -short/deadline gate
-// of the other endurance tests (rather than a hard-coded build-mode skip):
-// the race build's slowdown is exactly what the deadline budget absorbs.
+// never-purging fixed-batch reference (32 cuts per round). It shares the
+// -short/deadline gate of the other endurance tests (rather than a
+// hard-coded build-mode skip): the race build's slowdown is exactly what the
+// deadline budget absorbs.
 func TestSolveLPHorizon16kLight(t *testing.T) {
 	skipUnlessEndurance(t, 8*time.Minute)
 	in := gen.LargeHorizon(*scalingInstance(16384, 32))
@@ -244,9 +220,9 @@ func TestSolveLPHorizon16kLight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveLP at T=16384: %v", err)
 	}
-	fixed, err := SolveLPFixedBatch(in, 32)
+	fixed, err := solveLP(in, lpOptions{batchCap: 32})
 	if err != nil {
-		t.Fatalf("SolveLPFixedBatch at T=16384: %v", err)
+		t.Fatalf("fixed-batch solveLP at T=16384: %v", err)
 	}
 	if math.Abs(def.Objective-fixed.Objective) > 1e-6 {
 		t.Fatalf("purged LP %.9f != fixed-batch LP %.9f", def.Objective, fixed.Objective)
@@ -264,52 +240,4 @@ func TestSolveLPHorizon16kLight(t *testing.T) {
 	}
 	t.Logf("T=16384 n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d refactors=%d",
 		len(in.Jobs), def.Objective, def.Rounds, def.Cuts, def.Purged, def.Pivots, def.Refactors)
-}
-
-// TestPricingPivotReduction locks the tentpole claim of the pricing work
-// against the E18 instance (seed 7, the BENCH_PR4/PR5 baseline family):
-// at T = 4096 the steepest-edge pipeline must spend at most half the
-// simplex pivots of the Dantzig-baseline pipeline (most-infeasible dual
-// rows, full primal scans, two-phase cold starts — the PR 4 behavior), and
-// at T = 2048 it must still spend strictly fewer. Pivot counts are
-// deterministic for a pinned instance, so this is a hard gate, not a flaky
-// timing assertion; BENCH_PR5.json records the wall-clock win alongside.
-//
-// Both runs pin the factorization to the PFI ablation: the comparison
-// isolates the pricing rule, and the eta-file representation is the
-// substrate the PR 5 basin was locked on (Forrest–Tomlin rounding shifts
-// the degenerate tie-breaks of this pinned instance into a different —
-// sometimes better, sometimes worse — basin per cadence). The FT default's
-// own trajectory quality is gated by the canonical endurance ceilings at
-// T = 16384/32768, which it passes with room the eta file never had.
-func TestPricingPivotReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second pricing comparison")
-	}
-	for _, tc := range []struct {
-		T      int
-		factor int // required pivot ratio dantzig/steepest-edge
-	}{
-		{2048, 1},
-		{4096, 2},
-	} {
-		in := gen.LargeHorizon(gen.RandomConfig{N: tc.T / 8, Horizon: tc.T, MaxLen: 16, G: 4, Seed: 7})
-		se, err := solveLP(in, lpOptions{purge: true, factorization: lp.FactorizationPFI})
-		if err != nil {
-			t.Fatalf("T=%d steepest-edge: %v", tc.T, err)
-		}
-		dz, err := solveLP(in, lpOptions{purge: true, pricing: lp.PricingDantzig, factorization: lp.FactorizationPFI})
-		if err != nil {
-			t.Fatalf("T=%d dantzig: %v", tc.T, err)
-		}
-		if math.Abs(se.Objective-dz.Objective) > 1e-6 {
-			t.Fatalf("T=%d: steepest-edge LP %.9f != dantzig LP %.9f", tc.T, se.Objective, dz.Objective)
-		}
-		if se.Pivots*tc.factor >= dz.Pivots {
-			t.Errorf("T=%d: steepest-edge spent %d pivots, dantzig %d; want ≥%d× reduction",
-				tc.T, se.Pivots, dz.Pivots, tc.factor)
-		}
-		t.Logf("T=%d: steepest-edge %d pivots, dantzig %d (%.1fx)",
-			tc.T, se.Pivots, dz.Pivots, float64(dz.Pivots)/float64(se.Pivots))
-	}
 }

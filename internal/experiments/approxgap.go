@@ -220,7 +220,7 @@ func E19ApproxGap(cfg Config) (*Table, error) {
 		tab.AddRow(c.family, di(c.T), di(len(in.Jobs)), f3(res.LPValue),
 			di(res.Opened), d(int64(minCost)), optCell,
 			f3(rndLP), f3(minLP), minOPT,
-			f2(res.SweepMillis+res.ShiftMillis+res.RepairMillis+res.AssignMillis+res.LPMillis),
+			f2(res.SweepMillis+res.ShiftMillis+res.VerifyMillis+res.AssignMillis+res.LPMillis),
 			di(minres.FlowAugments), di(res.FlowChecks), di(res.ColdFlows+minres.ColdFlows))
 	}
 	tab.Approx = sum

@@ -2,31 +2,22 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/activetime"
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // E18PivotCost is the pivot-cost scaling study of the factorized simplex
-// core, its pricing rules, and its basis-update representation: the full
-// LP1 pipeline on the laminar/nested scaling family under dual
-// steepest-edge pricing (the default), the devex fallback rule, and the
-// Dantzig baseline (most-infeasible dual rows, full primal scans,
-// two-phase cold starts — the PR 4 behavior), plus the fixed-32-cap
-// never-purging ablation and the product-form-eta factorization ablation
-// (the PR 6 representation the Forrest–Tomlin update replaced). For each
-// size it reports the effort anatomy — rounds, cuts, purged rows, simplex
-// pivots, refactorizations, the realized per-pivot cost — the FT update
-// digest of the default run (in-place updates, mean spike fill,
-// stability-forced refactorizations, peak updated-U fill), and the
-// per-rule pivot/time columns that back the ROADMAP's pricing and
-// factorization claims (the scaling suite separately locks the ≥2× pivot
-// win at T = 4096 and the FT endurance ceilings at 16384/32768). All
-// pipelines must agree on the LP optimum to 1e-6, so the table is also a
-// metamorphic check of pricing, purging, and factorization at scale.
+// core: the full LP1 pipeline (SolveLP: adaptive cut batches, purging,
+// dual steepest-edge pricing, Forrest–Tomlin updates) on the laminar/nested
+// scaling family. For each size it reports the effort anatomy — rounds,
+// cuts, purged rows, simplex pivots, refactorizations, the realized
+// per-pivot cost — the hypersparse kernel counters, and the Forrest–Tomlin
+// update digest (in-place updates, mean spike fill, stability-forced
+// refactorizations, peak updated-U fill). The largest size's counters are
+// the kernel digest the bench trajectory gates on; the scaling suite
+// separately locks the endurance ceilings at T = 16384 and 32768.
 func E18PivotCost(cfg Config) (*Table, error) {
 	sizes := []int{512, 1024, 2048, 4096}
 	if cfg.Quick {
@@ -34,12 +25,12 @@ func E18PivotCost(cfg Config) (*Table, error) {
 	}
 	tab := &Table{
 		ID:    "E18",
-		Title: "Pivot-cost scaling of the LU/FT simplex core (steepest-edge vs devex vs Dantzig, FT vs eta-file, default vs fixed-batch)",
-		Claim: "steepest-edge pricing takes fewer, better pivots than Dantzig at every horizon; FT updates hold per-pivot cost flat where the eta-file's grows with its length",
+		Title: "Pivot-cost scaling of the LU/FT simplex core",
+		Claim: "Forrest–Tomlin updates and hypersparse solves keep per-pivot cost tracking the factors' sparsity as the horizon grows",
 		Columns: []string{"T", "n", "LP", "se-ms", "rounds", "cuts", "purged", "se-pivots",
 			"refactors", "us/pivot", "hyp%", "ftran-nnz", "btran-nnz", "refills",
-			"ft-upd", "spike-nnz", "forced", "ufill%",
-			"dv-ms", "dv-pivots", "dz-ms", "dz-pivots",
+			"ft-upd", "spike-nnz", "forced", "ufill%"},
+		Retired: []string{"dv-ms", "dv-pivots", "dz-ms", "dz-pivots",
 			"fixed32-ms", "fixed32-pivots", "pfi-ms", "pfi-pivots", "pfi-us/pivot"},
 	}
 	for _, T := range sizes {
@@ -49,52 +40,12 @@ func E18PivotCost(cfg Config) (*Table, error) {
 		start := time.Now()
 		def, err := activetime.SolveLP(in)
 		if err != nil {
-			return nil, fmt.Errorf("T=%d steepest-edge: %w", T, err)
+			return nil, fmt.Errorf("T=%d: %w", T, err)
 		}
 		defMS := float64(time.Since(start).Microseconds()) / 1000
-		start = time.Now()
-		devex, err := activetime.SolveLPPricing(in, lp.PricingDevex)
-		if err != nil {
-			return nil, fmt.Errorf("T=%d devex: %w", T, err)
-		}
-		devexMS := float64(time.Since(start).Microseconds()) / 1000
-		start = time.Now()
-		dantzig, err := activetime.SolveLPPricing(in, lp.PricingDantzig)
-		if err != nil {
-			return nil, fmt.Errorf("T=%d dantzig: %w", T, err)
-		}
-		dantzigMS := float64(time.Since(start).Microseconds()) / 1000
-		start = time.Now()
-		fixed, err := activetime.SolveLPFixedBatch(in, 32)
-		if err != nil {
-			return nil, fmt.Errorf("T=%d fixed32: %w", T, err)
-		}
-		fixedMS := float64(time.Since(start).Microseconds()) / 1000
-		start = time.Now()
-		pfi, err := activetime.SolveLPFactorization(in, lp.FactorizationPFI)
-		if err != nil {
-			return nil, fmt.Errorf("T=%d pfi: %w", T, err)
-		}
-		pfiMS := float64(time.Since(start).Microseconds()) / 1000
-		if def.Kernel.EtaDotOps != 0 {
-			return nil, fmt.Errorf("T=%d: FT default traversed %d eta-file entries; the representation exists to make this zero", T, def.Kernel.EtaDotOps)
-		}
-		for _, alt := range []struct {
-			name string
-			obj  float64
-		}{{"devex", devex.Objective}, {"dantzig", dantzig.Objective}, {"fixed32", fixed.Objective}, {"pfi", pfi.Objective}} {
-			if math.Abs(def.Objective-alt.obj) > 1e-6 {
-				return nil, fmt.Errorf("T=%d: steepest-edge LP %.9f != %s LP %.9f",
-					T, def.Objective, alt.name, alt.obj)
-			}
-		}
 		perPivot := 0.0
 		if def.Pivots > 0 {
 			perPivot = defMS * 1000 / float64(def.Pivots)
-		}
-		pfiPerPivot := 0.0
-		if pfi.Pivots > 0 {
-			pfiPerPivot = pfiMS * 1000 / float64(pfi.Pivots)
 		}
 		spikeAvg := 0.0
 		if def.Kernel.FTUpdates > 0 {
@@ -108,11 +59,7 @@ func E18PivotCost(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.1f", def.Kernel.BtranAvgNNZ()),
 			di(def.Kernel.RowRefills),
 			di(def.Kernel.FTUpdates), fmt.Sprintf("%.1f", spikeAvg),
-			di(def.Kernel.ForcedRefactors), di(def.Kernel.UFillMaxPct),
-			fmt.Sprintf("%.1f", devexMS), di(devex.Pivots),
-			fmt.Sprintf("%.1f", dantzigMS), di(dantzig.Pivots),
-			fmt.Sprintf("%.1f", fixedMS), di(fixed.Pivots),
-			fmt.Sprintf("%.1f", pfiMS), di(pfi.Pivots), fmt.Sprintf("%.1f", pfiPerPivot))
+			di(def.Kernel.ForcedRefactors), di(def.Kernel.UFillMaxPct))
 		// The largest size is the headline run whose kernel digest the
 		// bench trajectory gates on.
 		tab.Kernel = &KernelSummary{
@@ -125,16 +72,13 @@ func E18PivotCost(cfg Config) (*Table, error) {
 			FTSpikeAvgNNZ:   spikeAvg,
 			ForcedRefactors: def.Kernel.ForcedRefactors,
 			UFillMaxPct:     def.Kernel.UFillMaxPct,
-			EtaDotOps:       def.Kernel.EtaDotOps,
 		}
 	}
 	tab.Notes = append(tab.Notes,
 		"family: laminar binary containers + nested window chains, n = T/8 jobs, g = 4",
-		"hyp%/ftran-nnz/btran-nnz/refills: hypersparse kernel share, mean result nonzeros per hypersparse FTRAN/BTRAN, dual working-set refill sweeps (steepest-edge run)",
-		"ft-upd/spike-nnz/forced/ufill%: Forrest–Tomlin in-place updates, mean spike nonzeros absorbed per update, stability-forced refactorizations, peak updated-U fill vs the refactorization-time factors (default run; the FT path traverses zero eta-file entries by construction)",
-		"identical objectives asserted (1e-6) across all five pipelines: the table doubles as a pricing/purging/factorization metamorphic check",
-		"se/dv/dz: steepest-edge (default), devex, Dantzig-baseline pricing; TestPricingPivotReduction locks the ≥2× pivot win at T = 4096",
-		"pfi: the product-form eta-file ablation (the PR 6 representation) under default pricing; its us/pivot grows with the eta file where the FT default's stays flat",
-		"PR 2's dense-inverse engine needed ~90 s for T = 4096 on this family; see BenchmarkSolveLPLargeHorizon for the locked record")
+		"se-ms/se-pivots: wall time and simplex pivots of SolveLP (dual steepest-edge pricing)",
+		"hyp%/ftran-nnz/btran-nnz/refills: hypersparse kernel share, mean result nonzeros per hypersparse FTRAN/BTRAN, dual working-set refill sweeps",
+		"ft-upd/spike-nnz/forced/ufill%: Forrest–Tomlin in-place updates, mean spike nonzeros absorbed per update, stability-forced refactorizations, peak updated-U fill vs the refactorization-time factors",
+		"BenchmarkSolveLPLargeHorizon records the same pipeline's wall time at T = 1024..4096")
 	return tab, nil
 }

@@ -15,9 +15,9 @@ import (
 // nested chains of strictly shrinking windows are layered around random
 // centers. Window supports are short relative to the horizon, so the Benders
 // master's constraint rows are highly sparse — the regime the factorized
-// (LU + eta file) revised-simplex core and its hypersparse FTRAN/BTRAN
-// kernels are built for. The canonical density is N = T/8 jobs; at
-// T = 16384–32768 that density is the endurance workload of E18 and the
+// (LU + Forrest–Tomlin updates) revised-simplex core and its hypersparse
+// FTRAN/BTRAN kernels are built for. The canonical density is N = T/8 jobs;
+// at T = 16384–32768 that density is the endurance workload of E18 and the
 // ROADMAP scaling record, while lighter densities (N = T/32) carry the same
 // structure to T = 65536 and keep big horizons test-suite-affordable.
 // TestLargeHorizonShape pins the structural invariants (validity, horizon,

@@ -28,7 +28,7 @@ func exactWeights(t *revised) []float64 {
 // (legitimately) declared them stale and fallen back to devex updates.
 func checkWeights(t *testing.T, st *revised, where string) {
 	t.Helper()
-	if st.rule != PricingSteepestEdge || st.dseStale || st.broken {
+	if st.dseStale || st.broken {
 		return
 	}
 	want := exactWeights(st)
@@ -134,9 +134,9 @@ func TestDSEWeightsExactAcrossPivots(t *testing.T) {
 	}
 }
 
-// TestDSEWeightsSurviveRefactorization forces eta-file folds by driving
-// enough pivots through one state that maxEtas trips repeatedly: the
-// weights live in basis-position space and must come through every
+// TestDSEWeightsSurviveRefactorization forces factor folds by driving
+// enough pivots through one state that the fold policy trips repeatedly:
+// the weights live in basis-position space and must come through every
 // refactorization bit-compatible with the from-scratch recomputation.
 func TestDSEWeightsSurviveRefactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

@@ -8,12 +8,10 @@ import (
 // factor is the factorized representation of the basis: a sparse LU
 // factorization of the basis matrix as of the last refactorization, kept
 // current across basis changes by Forrest–Tomlin updates that rewrite U in
-// place (the product-form eta file is retained behind FactorizationPFI for
-// ablation). It replaces the explicit dense m×m inverse the engine carried
-// before — every former B⁻¹·v product is now an FTRAN (forward solve
-// through L, the row-eta list, and the updated U) and every vᵀ·B⁻¹ product
-// a BTRAN (the same chain transposed, in reverse), so per-pivot work tracks
-// the sparsity of the factors instead of m².
+// place. Every B⁻¹·v product is an FTRAN (forward solve through L, the
+// row-eta list, and the updated U) and every vᵀ·B⁻¹ product a BTRAN (the
+// same chain transposed, in reverse), so per-pivot work tracks the sparsity
+// of the factors; nothing of size m² is ever stored.
 //
 // # Factorization
 //
@@ -30,25 +28,23 @@ import (
 //
 // # Forrest–Tomlin update
 //
-// Under the default rule, elimination steps become permanent *slots*: perm,
-// cperm, rowStep and posStep never change between refactorizations, and a
-// separate cyclic triangular order (ordSlot/slotOrd, the identity at
-// refactorization) records where each slot currently stands in U's
-// triangle. When column q enters the basis at position p, the slot
-// kp = posStep[p] has its U column replaced by the entering column's
-// *spike* — L̄⁻¹·A_q, the entering FTRAN's intermediate after the L solve
-// and the accumulated row etas, stashed by ftranSparse before its U phase —
-// and kp rotates to the end of the order. The replacement leaves row kp's
-// old entries as a bump below the new diagonal; ftUpdate eliminates the
-// bump by solving μᵀ·U_sub = (row kp)ᵀ over the columns ordered after kp
-// and records the multipliers as one short row-eta transform
-// M = I − e_kp·μᵀ, so B = L̄·U stays factored with
-// L̄⁻¹ = M_k·…·M_1·L⁻¹. FTRAN applies the row etas oldest-first between L
-// and U; BTRAN applies their transposes newest-first between Uᵀ and Lᵀ.
-// Unlike the product-form eta file, the per-pivot state is one row eta
-// whose support is the *eliminated row remainder* — typically a handful of
-// entries — and neither solve direction ever pays a pass over every pivot
-// since the refactorization.
+// Elimination steps are permanent *slots*: perm, cperm, rowStep and posStep
+// never change between refactorizations, and a separate cyclic triangular
+// order (ordSlot/slotOrd, the identity at refactorization) records where
+// each slot currently stands in U's triangle. When column q enters the basis
+// at position p, the slot kp = posStep[p] has its U column replaced by the
+// entering column's *spike* — L̄⁻¹·A_q, the entering FTRAN's intermediate
+// after the L solve and the accumulated row etas, stashed by ftranSparse
+// before its U phase — and kp rotates to the end of the order. The
+// replacement leaves row kp's old entries as a bump below the new diagonal;
+// ftUpdate eliminates the bump by solving μᵀ·U_sub = (row kp)ᵀ over the
+// columns ordered after kp and records the multipliers as one short row-eta
+// transform M = I − e_kp·μᵀ, so B = L̄·U stays factored with
+// L̄⁻¹ = M_k·…·M_1·L⁻¹. FTRAN applies the row etas oldest-first between L and U;
+// BTRAN applies their transposes newest-first between Uᵀ and Lᵀ. The
+// per-pivot state is one row eta whose support is the *eliminated row
+// remainder* — typically a handful of entries — so neither solve direction
+// pays a pass whose length grows with the pivots since the refactorization.
 //
 // U's mutable columns live in per-slot slice headers (ucRows/ucVals) into
 // the refactorization arena or, once replaced, the spike arena; the
@@ -62,24 +58,14 @@ import (
 // ftUpdate refuses before mutating anything and the engine refactorizes
 // from the post-pivot basis instead, counted in KernelStats.ForcedRefactors.
 //
-// # Eta file (PFI ablation)
-//
-// Under FactorizationPFI the factors stay frozen and pushEta records one
-// product-form eta (r, w = B⁻¹·A_q) per basis change; FTRAN applies the
-// recorded operations oldest-first after the triangular solves, BTRAN
-// applies their transposes newest-first before them — the pass whose
-// O(etas × nnz) growth the Forrest–Tomlin representation eliminates,
-// measured by KernelStats.EtaDotOps.
-//
 // # Storage
 //
 // All factor content lives in shared arenas (offset-indexed backing slices)
 // owned by the struct and reset, not reallocated, at each refactorization —
 // steady-state pivoting and periodic refactorization are allocation-free
-// once the arenas have warmed up. (The Forrest–Tomlin spike and row-list
-// arenas may grow between refactorizations when updates out-fill their
-// headroom; relocated regions leak until the next fold, which is the same
-// transient profile the eta file had.)
+// once the arenas have warmed up. (The spike and row-list arenas may grow
+// between refactorizations when updates out-fill their headroom; relocated
+// regions leak until the next fold.)
 type factor struct {
 	m int
 
@@ -101,14 +87,6 @@ type factor struct {
 	uStep []int32 // earlier elimination steps
 	uVal  []float64
 
-	// Eta file, oldest first: eta e pivots position etaPos[e] with pivot
-	// value etaPiv[e]; its off-pivot nonzeros occupy etaOff[e]..etaOff[e+1].
-	etaPos []int32
-	etaPiv []float64
-	etaOff []int32
-	etaIdx []int32 // basis positions
-	etaVal []float64
-
 	luNNZ int // nonzeros in L+U at the last refactorization
 
 	// Scratch for the solves and the factorization, length m, plus the
@@ -122,17 +100,15 @@ type factor struct {
 
 	// Hypersparse solve support (see the kernel section of the package
 	// comment). The derived adjacency below is rebuilt by refactorize;
-	// the mark arrays are stamp-versioned so solves never re-zero them.
+	// the mark array is stamp-versioned so solves never re-zero it.
 	posStep []int32 // basis position -> elimination step (inverse of cperm)
 	lStep   []int32 // lRow mapped through rowStep: L column adjacency in step space
-	urOff   []int32 // row-major U pattern: step j -> later columns holding j
+	urOff   []int32 // row-major U pattern at refactorization (seeds the row lists)
 	urAdj   []int32
 	lrOff   []int32 // row-major L pattern: step j -> earlier columns holding j's pivot row
 	lrAdj   []int32
 	mark    []int32 // step-space visit stamps for the reach traversal
 	stamp   int32
-	pmark   []int32 // position/row-space stamps for result-pattern dedup
-	pstamp  int32
 	reach   []int32 // reach worklist scratch, elimination steps
 
 	// Bit mirrors of the reach and result-support memberships, kept
@@ -153,21 +129,18 @@ type factor struct {
 	// control: either path yields bit-identical results.
 	denseRun [ftranClasses]int
 
-	// forceDense routes every solve down the dense kernels — the ablation
-	// hook behind Problem.SetDenseKernels. Both paths are bit-identical by
+	// forceDense routes every solve down the dense kernels — the test hook
+	// behind Problem.SetDenseKernels. Both paths are bit-identical by
 	// construction (the equivalence suite asserts identical pivot
 	// sequences), so flipping this changes cost, never results.
 	forceDense bool
 
-	// rule selects the update representation (Forrest–Tomlin by default,
-	// product-form eta file for ablation); stats, when set, receives the
-	// kernel counters the factor maintains itself (FT updates, spike fill,
-	// eta-dot traversals). Both are fixed for the life of the owning engine
-	// state.
-	rule  FactorizationRule
+	// stats, when set, receives the kernel counters the factor maintains
+	// itself (FT updates, spike fill, peak fill). It is fixed for the life
+	// of the owning engine state.
 	stats *KernelStats
 
-	// Forrest–Tomlin state, valid only under FactorizationFT.
+	// Forrest–Tomlin state, rebuilt by initFT at every refactorization.
 	ordSlot []int32 // triangular order -> slot (identity at refactorization)
 	slotOrd []int32 // slot -> triangular order
 	// U's mutable columns, one header per slot: the off-diagonal entries
@@ -264,15 +237,13 @@ const (
 	ftPivotTol = 1e-10
 	// Fold policy: refactorize after maxFTUpdates in-place updates, or
 	// when the updated U plus its row etas outgrow ftFillBloat times the
-	// refactorization-time factor fill. Replaces the PFI maxEtas/etaBloat
-	// heuristic, which was tuned for a representation whose *solve* cost
-	// grew with every pivot; here only fill and accumulated roundoff do —
-	// so the update count doubles as the trajectory lever on the massively
-	// degenerate covering masters, where FT-vs-PFI rounding differences
-	// steer tie-breaks into different pivot-count basins. A short cadence
-	// bounds the update-era drift and empirically lands the canonical
-	// endurance instances in basins at or below the eta-file era's
-	// (T = 16384: 10719 pivots vs 39147; T = 32768: 96339 vs 94849);
+	// refactorization-time factor fill. The solve cost does not grow per
+	// pivot, so only fill and accumulated roundoff need bounding — and the
+	// update count doubles as the trajectory lever on the massively
+	// degenerate covering masters, where small rounding differences steer
+	// tie-breaks into different pivot-count basins. A short cadence bounds
+	// the update-era drift and empirically lands the canonical endurance
+	// instances in low basins (T = 16384: 10719 pivots; T = 32768: 96339);
 	// longer cadences (32–192) were swept and land up to 6× worse at
 	// T = 32768 despite lower per-pivot overhead.
 	maxFTUpdates = 16
@@ -310,7 +281,6 @@ func (f *factor) reset(m int) {
 	f.uOff[0] = 0
 	f.uStep = f.uStep[:0]
 	f.uVal = f.uVal[:0]
-	f.clearEtas()
 	if cap(f.xwork) < m {
 		f.xwork = make([]float64, m, m+m/4+16)
 		f.swork = make([]float64, m, m+m/4+16)
@@ -334,26 +304,6 @@ func growI32(s []int32, n int) []int32 {
 	}
 	return s[:n]
 }
-
-// clearEtas drops the eta file (the basis it encodes has just been folded
-// into a fresh LU).
-func (f *factor) clearEtas() {
-	f.etaPos = f.etaPos[:0]
-	f.etaPiv = f.etaPiv[:0]
-	if f.etaOff == nil {
-		f.etaOff = make([]int32, 1, 64)
-	}
-	f.etaOff = f.etaOff[:1]
-	f.etaOff[0] = 0
-	f.etaIdx = f.etaIdx[:0]
-	f.etaVal = f.etaVal[:0]
-}
-
-// etas reports the current eta-file length.
-func (f *factor) etas() int { return len(f.etaPos) }
-
-// etaNNZ reports the total off-pivot nonzeros recorded in the eta file.
-func (f *factor) etaNNZ() int { return len(f.etaIdx) }
 
 // refactorize builds a fresh LU of the basis described by src. It reports
 // false when the basis is numerically singular, leaving the factor unusable
@@ -454,9 +404,7 @@ func (f *factor) refactorize(m int, src basisMatrix) bool {
 	}
 	f.luNNZ = len(f.lRow) + len(f.uStep) + m
 	f.buildReachAdjacency()
-	if f.rule == FactorizationFT {
-		f.initFT()
-	}
+	f.initFT()
 	return true
 }
 
@@ -559,8 +507,7 @@ func (f *factor) buildReachAdjacency() {
 	// Mark arrays track visits by stamp: slots freshly zeroed by growth can
 	// never match a bumped stamp, so no per-solve clearing is needed.
 	f.mark = growI32(f.mark, m)
-	f.pmark = growI32(f.pmark, m)
-	// A fresh factorization drops the eta file, so every class gets a
+	// A fresh factorization drops the row etas, so every class gets a
 	// fresh shot at the hyper path.
 	f.denseRun = [ftranClasses]int{}
 	// Bit mirrors hold the all-zero invariant between solves, so growth
@@ -646,17 +593,6 @@ func (f *factor) newStamp() {
 	f.stamp++
 }
 
-// newPStamp is newStamp for the position/row-space pattern marks.
-func (f *factor) newPStamp() {
-	if f.pstamp == math.MaxInt32 {
-		for i := range f.pmark {
-			f.pmark[i] = 0
-		}
-		f.pstamp = 0
-	}
-	f.pstamp++
-}
-
 // expandReach closes the pre-seeded, pre-marked worklist f.reach over the
 // CSR pattern (off, adj), appending newly reached steps. It reports false —
 // the dense-fallback signal — once the closure would exceed capN steps.
@@ -682,55 +618,19 @@ func (f *factor) expandReach(off, adj []int32, capN int) bool {
 	return true
 }
 
-// pushEta records the basis change "column entering at position pos with
-// pivot column w" (w = B⁻¹·A_entering, dense, length m).
-func (f *factor) pushEta(pos int, w []float64) {
-	f.etaPos = append(f.etaPos, int32(pos))
-	f.etaPiv = append(f.etaPiv, w[pos])
-	for i, wi := range w {
-		if wi != 0 && i != pos {
-			f.etaIdx = append(f.etaIdx, int32(i))
-			f.etaVal = append(f.etaVal, wi)
-		}
-	}
-	f.etaOff = append(f.etaOff, int32(len(f.etaIdx)))
-}
-
-// pushEtaSparse is pushEta for a pivot column whose support is listed in
-// wind (sorted ascending, so the recorded eta entries match the dense
-// scan's order bit for bit; a superset with exact zeros is fine — zeros are
-// skipped exactly as the dense scan skips them).
-func (f *factor) pushEtaSparse(pos int, w []float64, wind []int32) {
-	f.etaPos = append(f.etaPos, int32(pos))
-	f.etaPiv = append(f.etaPiv, w[pos])
-	for _, i := range wind {
-		if wi := w[i]; wi != 0 && int(i) != pos {
-			f.etaIdx = append(f.etaIdx, i)
-			f.etaVal = append(f.etaVal, wi)
-		}
-	}
-	f.etaOff = append(f.etaOff, int32(len(f.etaIdx)))
-}
-
 // ftran solves B·x = v in place through the dense kernels: on entry v holds
 // a right-hand side indexed by engine row; on return it holds the solution
 // indexed by basis position. The hypersparse entry point is ftranSparse;
 // this dense chain doubles as its fallback, phase by phase.
 func (f *factor) ftran(v []float64) {
-	if f.rule == FactorizationFT {
-		f.ftranDenseFT(v, false)
-		return
-	}
-	f.ftranLDense(v)
-	f.ftranUDense(v)
-	f.ftranEtasDense(v)
+	f.ftranDense(v, false)
 }
 
-// ftranDenseFT is the dense Forrest–Tomlin FTRAN chain: L, then the row
-// etas, then the updated U. With capture set (an entering-column solve) it
-// stashes the spike — the intermediate between the row etas and the U solve
-// — for the ftUpdate that pivot will request.
-func (f *factor) ftranDenseFT(v []float64, capture bool) {
+// ftranDense is the dense FTRAN chain: L, then the row etas, then the
+// updated U. With capture set (an entering-column solve) it stashes the
+// spike — the intermediate between the row etas and the U solve — for the
+// ftUpdate that pivot will request.
+func (f *factor) ftranDense(v []float64, capture bool) {
 	f.ftranLDense(v)
 	f.ftranRetasDense(v)
 	if capture {
@@ -744,7 +644,21 @@ func (f *factor) ftranDenseFT(v []float64, capture bool) {
 		}
 		f.spikeOK = true
 	}
-	f.ftranUDenseFT(v)
+	f.ftranUDense(v)
+}
+
+// ftranLDense is the dense forward solve through L (engine-row space).
+func (f *factor) ftranLDense(v []float64) {
+	m := f.m
+	for k := 0; k < m; k++ {
+		zk := v[f.perm[k]]
+		if zk == 0 {
+			continue
+		}
+		for e := f.lOff[k]; e < f.lOff[k+1]; e++ {
+			v[f.lRow[e]] -= f.lVal[e] * zk
+		}
+	}
 }
 
 // ftranRetasDense applies the row etas, oldest first: each transform
@@ -759,10 +673,11 @@ func (f *factor) ftranRetasDense(v []float64) {
 	}
 }
 
-// ftranUDenseFT is ftranUDense against the updated U: the same backward
-// solve walked in the mutable triangular order through the per-slot column
-// headers. It restores the swork all-zero invariant on exit.
-func (f *factor) ftranUDenseFT(v []float64) {
+// ftranUDense is the dense backward solve through the updated U, walked in
+// the mutable triangular order through the per-slot column headers; the
+// result is gathered into scratch by slot, then scattered to basis
+// positions. It restores the swork all-zero invariant on exit.
+func (f *factor) ftranUDense(v []float64) {
 	m := f.m
 	y := f.swork
 	for oi := m - 1; oi >= 0; oi-- {
@@ -785,85 +700,20 @@ func (f *factor) ftranUDenseFT(v []float64) {
 	}
 }
 
-// ftranLDense is the dense forward solve through L (engine-row space).
-func (f *factor) ftranLDense(v []float64) {
-	m := f.m
-	for k := 0; k < m; k++ {
-		zk := v[f.perm[k]]
-		if zk == 0 {
-			continue
-		}
-		for e := f.lOff[k]; e < f.lOff[k+1]; e++ {
-			v[f.lRow[e]] -= f.lVal[e] * zk
-		}
-	}
-}
-
-// ftranUDense is the dense backward solve through U (elimination-step
-// space), result gathered into scratch then scattered to basis positions.
-// It restores the swork all-zero invariant on exit.
-func (f *factor) ftranUDense(v []float64) {
-	m := f.m
-	y := f.swork
-	for k := m - 1; k >= 0; k-- {
-		pv := v[f.perm[k]]
-		if pv == 0 {
-			y[k] = 0
-			continue
-		}
-		yk := pv / f.uDiag[k]
-		y[k] = yk
-		for e := f.uOff[k]; e < f.uOff[k+1]; e++ {
-			v[f.perm[f.uStep[e]]] -= f.uVal[e] * yk
-		}
-	}
-	for k := 0; k < m; k++ {
-		v[f.cperm[k]] = y[k]
-		y[k] = 0
-	}
-}
-
-// ftranEtasDense applies the eta file, oldest first (position space).
-func (f *factor) ftranEtasDense(v []float64) {
-	ops := 0
-	for e := 0; e < len(f.etaPos); e++ {
-		r := f.etaPos[e]
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		vr /= f.etaPiv[e]
-		v[r] = vr
-		ops += int(f.etaOff[e+1] - f.etaOff[e])
-		for q := f.etaOff[e]; q < f.etaOff[e+1]; q++ {
-			v[f.etaIdx[q]] -= f.etaVal[q] * vr
-		}
-	}
-	if f.stats != nil {
-		f.stats.EtaDotOps += ops
-	}
-}
-
 // btran solves Bᵀ·y = v in place through the dense kernels: on entry v is
 // indexed by basis position; on return it holds the solution indexed by
 // engine row. btranSparse is the hypersparse entry point; these phases
 // double as its fallback.
 func (f *factor) btran(v []float64) {
-	if f.rule == FactorizationFT {
-		f.btranUTDenseFT(v)
-		f.btranRetasOnZ()
-		f.btranLTDense(v)
-		return
-	}
-	f.btranEtasDense(v)
 	f.btranUTDense(v)
+	f.btranRetasOnZ()
 	f.btranLTDense(v)
 }
 
-// btranUTDenseFT is btranUTDense against the updated U, walked in the
-// mutable triangular order through the per-slot column headers, gathered
-// into swork (slot space).
-func (f *factor) btranUTDenseFT(v []float64) {
+// btranUTDense is the dense forward solve through the updated Uᵀ, walked in
+// the mutable triangular order through the per-slot column headers,
+// gathered into swork (slot space).
+func (f *factor) btranUTDense(v []float64) {
 	m := f.m
 	z := f.swork
 	for oi := 0; oi < m; oi++ {
@@ -892,38 +742,6 @@ func (f *factor) btranRetasOnZ() {
 	}
 }
 
-// btranEtasDense applies the eta transposes, newest first (position space).
-// Every eta reads its full recorded row regardless of the intermediate's
-// sparsity — the inherent per-pivot-growing cost EtaDotOps measures and the
-// Forrest–Tomlin representation exists to eliminate.
-func (f *factor) btranEtasDense(v []float64) {
-	for e := len(f.etaPos) - 1; e >= 0; e-- {
-		r := f.etaPos[e]
-		s := 0.0
-		for q := f.etaOff[e]; q < f.etaOff[e+1]; q++ {
-			s += f.etaVal[q] * v[f.etaIdx[q]]
-		}
-		v[r] = (v[r] - s) / f.etaPiv[e]
-	}
-	if f.stats != nil {
-		f.stats.EtaDotOps += len(f.etaIdx)
-	}
-}
-
-// btranUTDense is the dense forward solve through Uᵀ (elimination-step
-// space), gathered into swork.
-func (f *factor) btranUTDense(v []float64) {
-	m := f.m
-	z := f.swork
-	for k := 0; k < m; k++ {
-		zk := v[f.cperm[k]]
-		for e := f.uOff[k]; e < f.uOff[k+1]; e++ {
-			zk -= f.uVal[e] * z[f.uStep[e]]
-		}
-		z[k] = zk / f.uDiag[k]
-	}
-}
-
 // btranLTDense is the dense backward solve through Lᵀ plus the scatter to
 // engine rows. It restores the swork all-zero invariant on exit.
 func (f *factor) btranLTDense(v []float64) {
@@ -942,264 +760,10 @@ func (f *factor) btranLTDense(v []float64) {
 	}
 }
 
-// ftranSparse solves B·x = v like ftran, exploiting a sparse right-hand
-// side: vind lists the engine rows where v may be nonzero (order and
-// duplicates are irrelevant; a superset of the true support is fine). On
-// the hypersparse path the triangular solves visit only the symbolic
-// nonzero closure — the Gilbert–Peierls reach of the RHS support over the
-// factor column patterns — and the result's support comes back as sorted,
-// duplicate-free basis positions appended to out, with sparse = true. When
-// a closure exceeds the density threshold (or the dimension is tiny, or
-// forceDense is set) the solve completes through the dense phase kernels
-// from wherever it is and returns sparse = false with out empty. v is a
-// valid dense result either way.
-//
-// Both paths are arithmetically bit-identical: the reach is processed in
-// elimination-step order — ascending through L, descending through U —
-// which is exactly the dense loop order with its guaranteed-zero
-// contributions elided, so no accumulation is ever reordered. That
-// equivalence is what lets the pricing layers switch paths per solve
-// without perturbing a single pivot.
-func (f *factor) ftranSparse(v []float64, vind []int32, out []int32, class int) ([]int32, bool) {
-	if f.rule == FactorizationFT {
-		return f.ftranSparseFT(v, vind, out, class)
-	}
-	out = out[:0]
-	m := f.m
-	if f.forceDense || m < hyperMinDim {
-		f.ftran(v)
-		return out, false
-	}
-	capN := m / hyperDenseDiv
-	// Symbolic reach through L: close the RHS support (mapped to
-	// elimination steps) over the L column patterns.
-	f.newStamp()
-	reach := f.reach[:0]
-	mark, stamp := f.mark, f.stamp
-	for _, r := range vind {
-		k := f.rowStep[r]
-		if mark[k] != stamp {
-			mark[k] = stamp
-			f.bitReach[k>>6] |= 1 << (uint32(k) & 63)
-			reach = append(reach, k)
-		}
-	}
-	f.reach = reach
-	if len(f.reach) > capN || !f.expandReach(f.lOff, f.lStep, capN) {
-		clearBitList(f.bitReach, f.reach)
-		f.ftran(v)
-		return out, false
-	}
-	f.reach = sweepBits(f.bitReach, f.reach)
-	setBitList(f.bitReach, f.reach)
-	// Forward solve through L over the reach, ascending step order.
-	for _, k := range f.reach {
-		zk := v[f.perm[k]]
-		if zk == 0 {
-			continue
-		}
-		for e := f.lOff[k]; e < f.lOff[k+1]; e++ {
-			v[f.lRow[e]] -= f.lVal[e] * zk
-		}
-	}
-	// Close the post-L support over the U column patterns, in place: the L
-	// reach seeds the U reach. In a dense-U regime, skip the expansion
-	// between probes: the attempt is capN-bounded wasted work whenever it
-	// aborts, and by this point the cheap sparse L phase is already banked.
-	if f.denseRun[class] >= hyperRunMin && f.denseRun[class]%hyperProbeEvery != 0 {
-		f.denseRun[class]++
-		clearBitList(f.bitReach, f.reach)
-		f.ftranUDense(v)
-		f.ftranEtasDense(v)
-		return out, false
-	}
-	if !f.expandReach(f.uOff, f.uStep, capN) {
-		f.denseRun[class]++
-		clearBitList(f.bitReach, f.reach)
-		f.ftranUDense(v)
-		f.ftranEtasDense(v)
-		return out, false
-	}
-	f.denseRun[class] = 0
-	f.reach = sweepBits(f.bitReach, f.reach)
-	reach = f.reach
-	// Backward solve through U over the reach, descending step order,
-	// gathered into swork.
-	y := f.swork
-	for i := len(reach) - 1; i >= 0; i-- {
-		k := reach[i]
-		yk := v[f.perm[k]] / f.uDiag[k]
-		y[k] = yk
-		if yk == 0 {
-			continue
-		}
-		for e := f.uOff[k]; e < f.uOff[k+1]; e++ {
-			v[f.perm[f.uStep[e]]] -= f.uVal[e] * yk
-		}
-	}
-	// Consume the engine-row entries, then scatter the result to basis
-	// positions — two passes, since a position slot may alias a still-
-	// unconsumed row slot.
-	for _, k := range reach {
-		v[f.perm[k]] = 0
-	}
-	f.newPStamp()
-	pmark, pstamp := f.pmark, f.pstamp
-	bs := f.bitOut
-	for _, k := range reach {
-		p := f.cperm[k]
-		v[p] = y[k]
-		y[k] = 0
-		pmark[p] = pstamp
-		bs[p>>6] |= 1 << (uint32(p) & 63)
-		out = append(out, p)
-	}
-	// Eta file, oldest first, tracking new support as it appears.
-	ops := 0
-	for e := 0; e < len(f.etaPos); e++ {
-		r := f.etaPos[e]
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		vr /= f.etaPiv[e]
-		v[r] = vr
-		ops += int(f.etaOff[e+1] - f.etaOff[e])
-		for q := f.etaOff[e]; q < f.etaOff[e+1]; q++ {
-			idx := f.etaIdx[q]
-			v[idx] -= f.etaVal[q] * vr
-			if pmark[idx] != pstamp {
-				pmark[idx] = pstamp
-				bs[idx>>6] |= 1 << (uint32(idx) & 63)
-				out = append(out, idx)
-			}
-		}
-	}
-	if f.stats != nil {
-		f.stats.EtaDotOps += ops
-	}
-	if len(out) > capN {
-		clearBitList(bs, out)
-		return out[:0], false
-	}
-	return sweepBits(bs, out), true
-}
-
-// btranSparse solves Bᵀ·y = v like btran for a right-hand side with support
-// vind (basis positions; superset and duplicates fine), mirroring
-// ftranSparse's contract and fallback: the result's support comes back as
-// sorted engine rows with sparse = true, or the solve completes densely
-// with sparse = false. The eta pass always walks the whole file — each eta
-// reads its full recorded row, so there is nothing to elide — which keeps
-// it O(nnz(etas)) on every path, exactly the dense cost.
-func (f *factor) btranSparse(v []float64, vind []int32, out []int32) ([]int32, bool) {
-	if f.rule == FactorizationFT {
-		return f.btranSparseFT(v, vind, out)
-	}
-	out = out[:0]
-	m := f.m
-	if f.forceDense || m < hyperMinDim {
-		f.btran(v)
-		return out, false
-	}
-	capN := m / hyperDenseDiv
-	// Eta transposes, newest first, tracking where support appears (the
-	// position-space pattern borrows out; it is consumed by the seeding
-	// below and reset before rows are collected).
-	f.newPStamp()
-	pmark, pstamp := f.pmark, f.pstamp
-	for _, p := range vind {
-		if pmark[p] != pstamp {
-			pmark[p] = pstamp
-			out = append(out, p)
-		}
-	}
-	for e := len(f.etaPos) - 1; e >= 0; e-- {
-		r := f.etaPos[e]
-		s := 0.0
-		for q := f.etaOff[e]; q < f.etaOff[e+1]; q++ {
-			s += f.etaVal[q] * v[f.etaIdx[q]]
-		}
-		vr := (v[r] - s) / f.etaPiv[e]
-		v[r] = vr
-		if vr != 0 && pmark[r] != pstamp {
-			pmark[r] = pstamp
-			out = append(out, r)
-		}
-	}
-	if f.stats != nil {
-		f.stats.EtaDotOps += len(f.etaIdx)
-	}
-	// Seed the Uᵀ reach from the post-eta support (numerically zero
-	// entries contribute nothing and stay out).
-	f.newStamp()
-	reach := f.reach[:0]
-	mark, stamp := f.mark, f.stamp
-	for _, p := range out {
-		if v[p] == 0 {
-			continue
-		}
-		k := f.posStep[p]
-		if mark[k] != stamp {
-			mark[k] = stamp
-			f.bitReach[k>>6] |= 1 << (uint32(k) & 63)
-			reach = append(reach, k)
-		}
-	}
-	f.reach = reach
-	if len(f.reach) > capN || !f.expandReach(f.urOff, f.urAdj, capN) {
-		clearBitList(f.bitReach, f.reach)
-		f.btranUTDense(v)
-		f.btranLTDense(v)
-		return out[:0], false
-	}
-	out = out[:0]
-	f.reach = sweepBits(f.bitReach, f.reach)
-	setBitList(f.bitReach, f.reach)
-	// Forward solve through Uᵀ over the reach, ascending step order,
-	// consuming the position-space entries as they are read.
-	z := f.swork
-	for _, k := range f.reach {
-		p := f.cperm[k]
-		zk := v[p]
-		v[p] = 0
-		for e := f.uOff[k]; e < f.uOff[k+1]; e++ {
-			zk -= f.uVal[e] * z[f.uStep[e]]
-		}
-		z[k] = zk / f.uDiag[k]
-	}
-	// Close over the Lᵀ pattern and solve descending.
-	if !f.expandReach(f.lrOff, f.lrAdj, capN) {
-		clearBitList(f.bitReach, f.reach)
-		f.btranLTDense(v)
-		return out, false
-	}
-	f.reach = sweepBits(f.bitReach, f.reach)
-	reach = f.reach
-	for i := len(reach) - 1; i >= 0; i-- {
-		k := reach[i]
-		yk := z[k]
-		for e := f.lOff[k]; e < f.lOff[k+1]; e++ {
-			yk -= f.lVal[e] * z[f.rowStep[f.lRow[e]]]
-		}
-		z[k] = yk
-	}
-	bs := f.bitOut
-	for _, k := range reach {
-		r := f.perm[k]
-		v[r] = z[k]
-		z[k] = 0
-		bs[r>>6] |= 1 << (uint32(r) & 63)
-		out = append(out, r)
-	}
-	return sweepBits(bs, out), true
-}
-
-// expandReachUColsFT closes the pre-seeded, pre-marked worklist f.reach
-// over the updated U's per-slot column patterns (the Forrest–Tomlin
-// counterpart of expandReach over the frozen uOff/uStep CSR), setting bits
-// as it appends. It reports false once the closure would exceed capN.
-func (f *factor) expandReachUColsFT(capN int) bool {
+// expandReachUCols closes the pre-seeded, pre-marked worklist f.reach over
+// the updated U's per-slot column patterns, setting bits as it appends. It
+// reports false once the closure would exceed capN.
+func (f *factor) expandReachUCols(capN int) bool {
 	reach, mark, stamp := f.reach, f.mark, f.stamp
 	bs := f.bitReach
 	for head := 0; head < len(reach); head++ {
@@ -1219,12 +783,12 @@ func (f *factor) expandReachUColsFT(capN int) bool {
 	return true
 }
 
-// expandReachRowsFT closes f.reach over the stale-tolerated row lists — the
+// expandReachRows closes f.reach over the stale-tolerated row lists — the
 // influence direction of Uᵀ (a nonzero at row slot k feeds every column
 // that contains k). Stale entries only overestimate the pattern, which the
 // numeric pass resolves to exact zeros. Mark-only (no bits: the caller
 // sorts by triangular order afterwards); reports false past capN.
-func (f *factor) expandReachRowsFT(capN int) bool {
+func (f *factor) expandReachRows(capN int) bool {
 	reach, mark, stamp := f.reach, f.mark, f.stamp
 	for head := 0; head < len(reach); head++ {
 		k := reach[head]
@@ -1246,9 +810,9 @@ func (f *factor) expandReachRowsFT(capN int) bool {
 
 // sortReachByOrd reorders f.reach (slots, bit-free) ascending by the
 // mutable triangular order: slot bits are consumed if still set, order bits
-// are set and swept, and the emitted orders map back to slots. The
-// Forrest–Tomlin counterpart of the sweep-by-step trick — slots stop being
-// sorted by triangular position the moment an update rotates the order.
+// are set and swept, and the emitted orders map back to slots. Slots stop
+// being sorted by triangular position the moment an update rotates the
+// order, so the U phases sort by order instead of by slot.
 func (f *factor) sortReachByOrd(slotBitsSet bool) {
 	if slotBitsSet {
 		clearBitList(f.bitReach, f.reach)
@@ -1264,19 +828,34 @@ func (f *factor) sortReachByOrd(slotBitsSet bool) {
 	}
 }
 
-// ftranSparseFT is ftranSparse against the Forrest–Tomlin factors: the same
-// symbolic-reach contract and dense fallbacks, with the row etas joined
-// into the closure between the L and U phases and the U phase walked in the
-// mutable triangular order over the per-slot columns. An entering-column
-// solve (class ftranEnter) also stashes the spike — the intermediate after
-// the row etas, captured in ascending slot order on every path so the
-// update that consumes it is bit-identical no matter which kernel ran.
-func (f *factor) ftranSparseFT(v []float64, vind []int32, out []int32, class int) ([]int32, bool) {
+// ftranSparse solves B·x = v like ftran, exploiting a sparse right-hand
+// side: vind lists the engine rows where v may be nonzero (order and
+// duplicates are irrelevant; a superset of the true support is fine). On
+// the hypersparse path the triangular solves visit only the symbolic
+// nonzero closure — the Gilbert–Peierls reach of the RHS support over L,
+// the row etas and the updated U's column patterns — and the result's
+// support comes back as sorted, duplicate-free basis positions appended to
+// out, with sparse = true. When a closure exceeds the density threshold (or
+// the dimension is tiny, or forceDense is set) the solve completes through
+// the dense phase kernels from wherever it is and returns sparse = false
+// with out empty. v is a valid dense result either way.
+//
+// Both paths are arithmetically bit-identical: the reach is processed in
+// elimination order — ascending through L, the row etas oldest first,
+// descending the triangular order through U — which is exactly the dense
+// loop order with its guaranteed-zero contributions elided, so no
+// accumulation is ever reordered. That equivalence is what lets the pricing
+// layers switch paths per solve without perturbing a single pivot. An
+// entering-column solve (class ftranEnter) also stashes the spike — the
+// intermediate after the row etas, captured in ascending slot order on
+// every path so the update that consumes it is bit-identical no matter
+// which kernel ran.
+func (f *factor) ftranSparse(v []float64, vind []int32, out []int32, class int) ([]int32, bool) {
 	out = out[:0]
 	m := f.m
 	capture := class == ftranEnter
 	if f.forceDense || m < hyperMinDim {
-		f.ftranDenseFT(v, capture)
+		f.ftranDense(v, capture)
 		return out, false
 	}
 	capN := m / hyperDenseDiv
@@ -1295,7 +874,7 @@ func (f *factor) ftranSparseFT(v []float64, vind []int32, out []int32, class int
 	f.reach = reach
 	if len(f.reach) > capN || !f.expandReach(f.lOff, f.lStep, capN) {
 		clearBitList(f.bitReach, f.reach)
-		f.ftranDenseFT(v, capture)
+		f.ftranDense(v, capture)
 		return out, false
 	}
 	f.reach = sweepBits(f.bitReach, f.reach)
@@ -1354,18 +933,20 @@ func (f *factor) ftranSparseFT(v []float64, vind []int32, out []int32, class int
 		}
 		f.spikeOK = true
 	}
-	// Close over the updated U's column patterns, dense-regime gated
-	// exactly like the frozen-U path.
+	// Close over the updated U's column patterns. In a dense-U regime, skip
+	// the expansion between probes: the attempt is capN-bounded wasted work
+	// whenever it aborts, and by this point the cheap sparse L phase is
+	// already banked.
 	if f.denseRun[class] >= hyperRunMin && f.denseRun[class]%hyperProbeEvery != 0 {
 		f.denseRun[class]++
 		clearBitList(f.bitReach, f.reach)
-		f.ftranUDenseFT(v)
+		f.ftranUDense(v)
 		return out, false
 	}
-	if !f.expandReachUColsFT(capN) {
+	if !f.expandReachUCols(capN) {
 		f.denseRun[class]++
 		clearBitList(f.bitReach, f.reach)
-		f.ftranUDenseFT(v)
+		f.ftranUDense(v)
 		return out, false
 	}
 	f.denseRun[class] = 0
@@ -1385,7 +966,9 @@ func (f *factor) ftranSparseFT(v []float64, vind []int32, out []int32, class int
 			v[f.perm[r]] -= vals[e] * yk
 		}
 	}
-	// Consume the engine-row entries, then scatter to basis positions.
+	// Consume the engine-row entries, then scatter the result to basis
+	// positions — two passes, since a position slot may alias a still-
+	// unconsumed row slot.
 	for _, k := range reach {
 		v[f.perm[k]] = 0
 	}
@@ -1400,12 +983,15 @@ func (f *factor) ftranSparseFT(v []float64, vind []int32, out []int32, class int
 	return sweepBits(bs, out), true
 }
 
-// btranSparseFT is btranSparse against the Forrest–Tomlin factors: seed the
-// Uᵀ reach from the right-hand support, close over the row lists, solve
-// ascending the triangular order, apply the row-eta transposes newest first
-// (joining their supports to the closure), then close and solve through Lᵀ
-// exactly as the frozen path does — with no eta-file pass on either side.
-func (f *factor) btranSparseFT(v []float64, vind []int32, out []int32) ([]int32, bool) {
+// btranSparse solves Bᵀ·y = v like btran for a right-hand side with support
+// vind (basis positions; superset and duplicates fine), mirroring
+// ftranSparse's contract and fallback: seed the Uᵀ reach from the
+// right-hand support, close over the row lists, solve ascending the
+// triangular order, apply the row-eta transposes newest first (joining
+// their supports to the closure), then close and solve through Lᵀ. The
+// result's support comes back as sorted engine rows with sparse = true, or
+// the solve completes densely with sparse = false.
+func (f *factor) btranSparse(v []float64, vind []int32, out []int32) ([]int32, bool) {
 	out = out[:0]
 	m := f.m
 	if f.forceDense || m < hyperMinDim {
@@ -1427,7 +1013,7 @@ func (f *factor) btranSparseFT(v []float64, vind []int32, out []int32) ([]int32,
 		}
 	}
 	f.reach = reach
-	if len(f.reach) > capN || !f.expandReachRowsFT(capN) {
+	if len(f.reach) > capN || !f.expandReachRows(capN) {
 		f.btran(v)
 		return out, false
 	}
@@ -1652,8 +1238,8 @@ func (f *factor) ftUpdate(pos int) bool {
 	return true
 }
 
-// ftFill is the current factor fill under the Forrest–Tomlin rule: L, the
-// updated U (diagonal included), and the row etas.
+// ftFill is the current factor fill: L, the updated U (diagonal included),
+// and the row etas.
 func (f *factor) ftFill() int {
 	return len(f.lRow) + f.uNNZ + f.m + len(f.retaIdx)
 }

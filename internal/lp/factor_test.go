@@ -164,79 +164,9 @@ func TestFactorSolvesMatchDense(t *testing.T) {
 	}
 }
 
-// TestFactorEtaUpdates drives a sequence of simulated basis changes through
-// pushEta and checks FTRAN/BTRAN against dense solves of the mutated basis
-// after every change. This exercises the PFI ablation representation; the
-// default Forrest–Tomlin update path is covered by TestFactorFTUpdates.
-func TestFactorEtaUpdates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var f factor
-	f.rule = FactorizationPFI
-	for trial := 0; trial < 25; trial++ {
-		m := 5 + rng.Intn(40)
-		d := randBasis(rng, m, m)
-		if !f.refactorize(m, d) {
-			continue
-		}
-		for step := 0; step < 30; step++ {
-			// A random entering column replaces a random basis position.
-			col := make([]float64, m)
-			for i := range col {
-				if rng.Intn(4) == 0 {
-					col[i] = rng.NormFloat64()
-				}
-			}
-			col[rng.Intn(m)] += 1 + rng.Float64() // keep it nontrivial
-			w := append([]float64{}, col...)
-			f.ftran(w)
-			pos := rng.Intn(m)
-			if math.Abs(w[pos]) < 1e-6 {
-				continue // would be an illegal simplex pivot; skip
-			}
-			f.pushEta(pos, w)
-			for r := 0; r < m; r++ {
-				d.a[r][pos] = col[r]
-			}
-			b := make([]float64, m)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			want, ok := solveDense(d.a, b)
-			if !ok {
-				t.Fatalf("trial %d step %d: dense reference singular", trial, step)
-			}
-			got := append([]float64{}, b...)
-			f.ftran(got)
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-					t.Fatalf("trial %d step %d: FTRAN[%d] = %g, dense %g", trial, step, i, got[i], want[i])
-				}
-			}
-			// BTRAN against the transposed dense system.
-			at := make([][]float64, m)
-			for r := range at {
-				at[r] = make([]float64, m)
-				for p := 0; p < m; p++ {
-					at[r][p] = d.a[p][r]
-				}
-			}
-			wantT, ok := solveDense(at, b)
-			if !ok {
-				t.Fatalf("trial %d step %d: transposed dense reference singular", trial, step)
-			}
-			got = append(got[:0], b...)
-			f.btran(got)
-			for i := range got {
-				if math.Abs(got[i]-wantT[i]) > 1e-6*(1+math.Abs(wantT[i])) {
-					t.Fatalf("trial %d step %d: BTRAN[%d] = %g, dense %g", trial, step, i, got[i], wantT[i])
-				}
-			}
-		}
-	}
-}
-
-// TestFactorFTUpdates is TestFactorEtaUpdates against the default
-// Forrest–Tomlin representation: each basis change goes through the
+// TestFactorFTUpdates drives a sequence of simulated basis changes through
+// the Forrest–Tomlin update and checks FTRAN/BTRAN against dense solves of
+// the mutated basis after every change: each basis change goes through the
 // entering-class FTRAN (which stashes the spike) and ftUpdate, with a
 // stability-refused update falling back to a from-scratch refactorization
 // exactly as the engine does. Sizes straddle hyperMinDim so both the dense
@@ -329,71 +259,4 @@ func TestFactorFTUpdates(t *testing.T) {
 	if forced > 100 {
 		t.Fatalf("forced refactorizations dominate: %d updates refused", forced)
 	}
-}
-
-// TestFactorizationRuleEngine exercises the factorization switch through the
-// full engine: random covering LPs solved under the Forrest–Tomlin default
-// and the PFI ablation must reach the same optimum, and the kernel counters
-// must show each rule doing the work its representation implies — FT solves
-// traverse zero eta-file entries (the pass the representation eliminates)
-// while accumulating in-place updates, and PFI solves do the opposite.
-func TestFactorizationRuleEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	var ftUpdates, ftEtaOps, pfiUpdates, pfiEtaOps int
-	for trial := 0; trial < 25; trial++ {
-		n := 12 + rng.Intn(10)
-		p := NewProblem(n)
-		for j := 0; j < n; j++ {
-			p.SetObjective(j, float64(1+rng.Intn(9)))
-			check(t, p.AddDense(unitRow(n, j), LE, 1))
-		}
-		rows := 8 + rng.Intn(8)
-		for r := 0; r < rows; r++ {
-			coeffs := make([]float64, n)
-			tot := 0.0
-			for j := range coeffs {
-				if rng.Intn(3) > 0 {
-					coeffs[j] = float64(1 + rng.Intn(4))
-					tot += coeffs[j]
-				}
-			}
-			if tot == 0 {
-				coeffs[0] = 1
-				tot = 1
-			}
-			check(t, p.AddDense(coeffs, GE, math.Floor(1+rng.Float64()*(tot-1)*0.8)))
-		}
-		p.SetFactorization(FactorizationFT)
-		ft := mustSolve(t, p)
-		p.SetFactorization(FactorizationPFI)
-		pfi := mustSolve(t, p)
-		if ft.Status != pfi.Status {
-			t.Fatalf("trial %d: status FT=%v PFI=%v", trial, ft.Status, pfi.Status)
-		}
-		if ft.Status != Optimal {
-			continue
-		}
-		if math.Abs(ft.Objective-pfi.Objective) > 1e-7 {
-			t.Errorf("trial %d: FT obj %.12f, PFI obj %.12f", trial, ft.Objective, pfi.Objective)
-		}
-		if ft.Kernel.EtaDotOps != 0 {
-			t.Errorf("trial %d: FT solve traversed %d eta-file entries; want 0", trial, ft.Kernel.EtaDotOps)
-		}
-		if pfi.Kernel.FTUpdates != 0 || pfi.Kernel.FTSpikeNNZ != 0 {
-			t.Errorf("trial %d: PFI solve reports %d FT updates (%d spike nnz); want 0",
-				trial, pfi.Kernel.FTUpdates, pfi.Kernel.FTSpikeNNZ)
-		}
-		ftUpdates += ft.Kernel.FTUpdates
-		ftEtaOps += ft.Kernel.EtaDotOps
-		pfiUpdates += pfi.Kernel.FTUpdates
-		pfiEtaOps += pfi.Kernel.EtaDotOps
-	}
-	if ftUpdates == 0 {
-		t.Error("FT rule applied zero in-place updates across the corpus")
-	}
-	if pfiEtaOps == 0 {
-		t.Error("PFI rule traversed zero eta-file entries across the corpus")
-	}
-	t.Logf("FT: %d updates, %d eta ops; PFI: %d updates, %d eta ops",
-		ftUpdates, ftEtaOps, pfiUpdates, pfiEtaOps)
 }

@@ -5,11 +5,11 @@
 //	subject to  a_i·x {<=,>=,=} b_i   for each constraint i
 //	            0 <= x_j <= u_j       (u_j = +Inf unless SetUpper is called)
 //
-// Two interchangeable engines are provided: a float64 engine (Solve) with
-// selectable pricing (dual steepest-edge by default; see SetPricing)
-// falling back to Bland's rule for anti-cycling, and an exact rational
-// engine over math/big.Rat (SolveExact) used by tests to validate the
-// float engine and by callers that need exact optima on small programs.
+// Two interchangeable engines are provided: a float64 engine (Solve) priced
+// by dual steepest edge and falling back to Bland's rule for anti-cycling,
+// and an exact rational engine over math/big.Rat (SolveExact) used by tests
+// to validate the float engine and by callers that need exact optima on
+// small programs.
 //
 // # Sparse representation and factorized basis
 //
@@ -23,32 +23,26 @@
 // replaces the leaving column of U in place with the entering column's
 // spike (its partial FTRAN through L and the accumulated row etas) and
 // eliminates the resulting row bump into one short row-eta operation plus
-// a rotation of U's triangular order. Every former B⁻¹·v product is an
+// a rotation of U's triangular order. Every B⁻¹·v product is an
 // FTRAN (a triangular solve through L, the row-eta list, and the updated
 // U) and every vᵀ·B⁻¹ product a BTRAN (the same chain transposed, in
 // reverse), so per-pivot work is O(m + nnz(L+U) + nnz(row etas) + nnz of
 // the priced rows) — nothing of size m² or n×m is ever stored, written or
-// scanned, and no pass over a growing product-form eta file is ever paid.
-// The product-form (PFI) eta-file representation is retained for ablation
-// behind SetFactorization, and the dense-inverse predecessor's O(m²)
-// rank-one updates capped the Benders master near a thousand rows; the
-// factorized core carries the same pipeline to tens of thousands.
+// scanned, which carries the Benders master to tens of thousands of rows.
 //
 // The updated factors are folded into a fresh LU when the update count
 // reaches maxFTUpdates or the updated U (plus its row etas) grows past
 // ftFillBloat times the refactorization-time fill, after every append or
 // removal of rows, on every resync, and — counted separately in
-// KernelStats.ForcedRefactors — whenever a spike's eliminated diagonal
-// falls below the stability tolerance, in which case the pre-update
-// factors are discarded untouched and rebuilt from the post-pivot basis.
-// (The PFI ablation folds at maxEtas operations or etaBloat times the
-// factor size, its original policy.) Each refactorization immediately
-// re-derives the basic values and reduced costs so the incremental state
-// never disagrees with the factors. The dual ratio test orders its
-// candidates by ratio with Harris-style tie-breaking (largest pivot
-// magnitude within a tie): covering masters are massively dual degenerate,
-// and index-order tie-breaking measurably sent the bound-flipping walk
-// into dual-progress-free flip storms at large horizons.
+// KernelStats.ForcedRefactors — whenever a spike's eliminated diagonal falls
+// below the stability tolerance, in which case the pre-update factors are
+// discarded untouched and rebuilt from the post-pivot basis. Each
+// refactorization immediately re-derives the basic values and reduced costs
+// so the incremental state never disagrees with the factors. The dual ratio
+// test orders its candidates by ratio with Harris-style tie-breaking
+// (largest pivot magnitude within a tie): covering masters are massively
+// dual degenerate, and index-order tie-breaking measurably sent the
+// bound-flipping walk into dual-progress-free flip storms at large horizons.
 //
 // # Hypersparse FTRAN/BTRAN kernels
 //
@@ -63,69 +57,62 @@
 // float operations in the identical order, which makes the path choice a
 // pure cost knob that can never perturb the pivot trajectory (the
 // equivalence suite in package activetime asserts identical pivot
-// sequences within each factorization rule, and SetDenseKernels pins the
-// dense path for that ablation).
+// sequences, with SetDenseKernels pinning the dense path).
 // When an expanding reach crosses a capped fraction of m the solve aborts
 // to the dense kernel — near-dense intermediates make symbolic bookkeeping
 // pure overhead — and a per-caller-class run counter then skips the doomed
 // symbolic expansion while a class stays in its dense regime, re-probing
 // periodically and resetting at each refactorization. The result support
-// lists the hypersparse solves hand back let consumers (eta appends, FG
-// weight updates, pivot-row scatter) iterate nonzeros directly instead of
+// lists the hypersparse solves hand back let consumers (FG weight updates,
+// flip applications, pivot-row scatter) iterate nonzeros directly instead of
 // scanning dense vectors.
 //
 // # Pricing
 //
-// Pricing is rule-selectable per Problem (SetPricing). The default,
-// PricingSteepestEdge, prices dual pivots with Forrest–Goldfarb dual
-// steepest-edge reference weights w_i = ‖e_iᵀB⁻¹‖²: the leaving row
-// maximizes violation²/weight, which measures each violation in the
-// geometry of the dual edge the pivot traverses and takes far fewer (and
-// better-conditioned) pivots than most-infeasible selection on the
-// dual-degenerate covering masters this package exists for. The weights
-// live in basis-position space and are maintained incrementally across
-// every basis change by the exact FG update (one extra FTRAN per pivot,
-// hooked into the same FTRAN/BTRAN products the pivot already computes);
-// they survive refactorization unchanged (the basis does not change),
-// survive RemoveRows by compaction, and appended rows price their new
-// positions exactly with one BTRAN each. The exact norm of each pivot row
-// — computed anyway for the ratio test — anchors the leaving weight every
-// pivot and doubles as a staleness detector: on disagreement beyond a
-// guard factor the engine falls back to devex max-form updates (robust to
-// approximate weights) for the rest of the state's life. PricingDevex
-// runs those max-form updates exclusively (no extra FTRAN); PricingDantzig
-// keeps the pre-steepest-edge baseline for ablation. Under the non-Dantzig
-// rules the primal phase prices from a managed partial candidate list
-// (refilled by a cyclic rotor scan) instead of scanning every column, the
-// dual phase prices leaving rows from a working set of infeasible cut rows
-// — maintained incrementally by the same sparse updates that change basic
-// values, rebuilt by one complete sweep (counted in KernelStats.RowRefills)
-// only when it runs dry, so steady-state pivots never scan all m rows —
-// and
-// the bound-flipping dual ratio test consumes its candidates through a
-// binary heap — the walk usually wants a handful of the thousands a wide
-// pivot row yields, so nothing pays a full sort per pivot.
+// Dual pivots are priced with Forrest–Goldfarb dual steepest-edge reference
+// weights w_i = ‖e_iᵀB⁻¹‖²: the leaving row maximizes violation²/weight,
+// which measures each violation in the geometry of the dual edge the pivot
+// traverses and takes far fewer (and better-conditioned) pivots than
+// most-infeasible selection on the dual-degenerate covering masters this
+// package exists for. The weights live in basis-position space and are
+// maintained incrementally across every basis change by the exact FG update
+// (one extra FTRAN per pivot, hooked into the same FTRAN/BTRAN products the
+// pivot already computes); they survive refactorization unchanged (the basis
+// does not change), survive RemoveRows by compaction, and appended rows
+// price their new positions exactly with one BTRAN each. The exact norm of
+// each pivot row — computed anyway for the ratio test — anchors the leaving
+// weight every pivot and doubles as a staleness detector: on disagreement
+// beyond a guard factor the engine falls back to devex max-form updates
+// (robust to approximate weights) for the rest of the state's life. The
+// primal phase prices from a managed partial candidate list (refilled by a
+// cyclic rotor scan) instead of scanning every column, the dual phase prices
+// leaving rows from a working set of infeasible cut rows — maintained
+// incrementally by the same sparse updates that change basic values, rebuilt
+// by one complete sweep (counted in KernelStats.RowRefills) only when it
+// runs dry, so steady-state pivots never scan all m rows — and the
+// bound-flipping dual ratio test consumes its candidates through a binary
+// heap — the walk usually wants a handful of the thousands a wide pivot row
+// yields, so nothing pays a full sort per pivot.
 //
 // The engine handles variable upper bounds natively (nonbasic variables may
 // sit at either bound, and the ratio test admits bound flips), so callers
-// never pay a constraint row for a box constraint; single-variable
-// "x_j <= u" rows are also presolved into bounds. Cold solves under the
-// non-Dantzig rules start directly dual feasible whenever every
-// negative-cost column has a finite upper bound (always true for covering
-// masters): each structural rests on the bound its cost sign prefers, the
-// all-logical basis prices exactly (weight 1 everywhere), and the dual
-// simplex replaces the whole two-phase artificial apparatus. It supports
-// incremental re-solves: ResolveFrom keeps the factorized state alive
-// between calls, incorporates rows appended to the Problem since the
-// previous solve (one refactorization at the new dimension), and recovers
-// optimality with the dual simplex instead of re-running a cold solve from
-// scratch; a warm re-solve that fails re-enters through a crash basis
-// seeded from the warm basis's surviving columns (fresh factors, no
-// numerical history) before the full cold solve is attempted. The pricing
-// loop maintains a persistent reduced-cost row updated in place at each
-// pivot (refreshed periodically against drift), and the factor arenas are
-// reused across refactorizations, so steady-state pivoting performs no
-// allocations.
+// never pay a constraint row for a box constraint; single-variable "x_j <=
+// u" rows are also presolved into bounds. Cold solves start directly dual
+// feasible whenever every negative-cost column has a finite upper bound
+// (always true for covering masters): each structural rests on the bound its
+// cost sign prefers, the all-logical basis prices exactly (weight 1
+// everywhere), and the dual simplex replaces the whole two-phase artificial
+// apparatus. It supports incremental re-solves: ResolveFrom keeps the
+// factorized state alive between calls, incorporates rows appended to the
+// Problem since the previous solve (one refactorization at the new
+// dimension), and recovers optimality with the dual simplex instead of
+// re-running a cold solve from scratch; a warm re-solve that fails re-enters
+// through a crash basis seeded from the warm basis's surviving columns
+// (fresh factors, no numerical history) before the full cold solve is
+// attempted. The pricing loop maintains a persistent reduced-cost row
+// updated in place at each pivot (refreshed periodically against drift), and
+// the factor arenas are reused across refactorizations, so steady-state
+// pivoting performs no allocations.
 //
 // # Warm-start contract
 //
@@ -166,9 +153,7 @@
 // basis from scratch, resyncs every basic value, and re-tries. Every
 // returned optimum is verified against the caller's own rows to 1e-6 as
 // the last line of defense — a warm solve that fails any of this falls
-// back to a verified cold solve. The dense predecessor lacked these
-// safeguards and mis-reported feasible masters as infeasible past
-// T ≈ 1000 slots.
+// back to a verified cold solve.
 //
 // Go has no mature linear-programming library, so this package is built as
 // a first-class substrate: the active-time LP of the paper (Section 3) is
@@ -199,77 +184,6 @@ func (r Relation) String() string {
 		return ">="
 	case EQ:
 		return "=="
-	}
-	return "?"
-}
-
-// PricingRule selects the float engine's simplex pricing strategy: how the
-// dual simplex chooses its leaving row and how the primal simplex chooses
-// its entering column. Every rule reaches the same optima (the cross-solver
-// property suites assert it); they differ only in how many pivots they
-// spend getting there and what each pivot's pricing pass costs.
-type PricingRule int
-
-const (
-	// PricingSteepestEdge is the default: dual pivots are priced with
-	// Forrest–Goldfarb dual steepest-edge reference weights
-	// (w_i = ‖e_iᵀB⁻¹‖²), maintained incrementally across every basis
-	// change with the exact update formula (one extra FTRAN per pivot),
-	// and the primal phase prices from a managed partial candidate list
-	// instead of scanning every column. When the incrementally maintained
-	// weights go stale — detected against the exact row norm the dual
-	// ratio test computes anyway — the engine falls back to devex-style
-	// max-form updates for the remainder of the state's life.
-	PricingSteepestEdge PricingRule = iota
-	// PricingDevex maintains approximate reference weights with devex
-	// max-form updates only (no extra FTRAN per pivot), anchored at the
-	// exact norm of each pivot row as it is computed. Primal pricing is
-	// the same partial candidate list as steepest edge.
-	PricingDevex
-	// PricingDantzig is the pre-steepest-edge baseline kept for ablation:
-	// most-infeasible dual row selection and full most-negative-reduced-
-	// cost primal scans.
-	PricingDantzig
-)
-
-func (r PricingRule) String() string {
-	switch r {
-	case PricingSteepestEdge:
-		return "steepest-edge"
-	case PricingDevex:
-		return "devex"
-	case PricingDantzig:
-		return "dantzig"
-	}
-	return "?"
-}
-
-// FactorizationRule selects how the float engine keeps its factorized
-// basis current across pivots. Both rules reach the same optima (the
-// cross-solver property suites assert it for each); they differ in the
-// per-pivot solve cost and — because their floating-point rounding
-// differs — possibly in the pivot trajectory taken.
-type FactorizationRule int
-
-const (
-	// FactorizationFT is the default: Forrest–Tomlin updates that rewrite
-	// U in place at every basis change (spike column in, eliminated row
-	// bump out as one short row eta), so FTRAN/BTRAN traverse only L, the
-	// updated U, and the row-eta list — no pass over a growing eta file.
-	FactorizationFT FactorizationRule = iota
-	// FactorizationPFI is the product-form ablation baseline: the factors
-	// stay frozen at the last refactorization and every basis change
-	// appends one column eta to a product-form eta file that both solve
-	// directions must traverse in full (the pre-FT behavior).
-	FactorizationPFI
-)
-
-func (r FactorizationRule) String() string {
-	switch r {
-	case FactorizationFT:
-		return "forrest-tomlin"
-	case FactorizationPFI:
-		return "pfi"
 	}
 	return "?"
 }
@@ -313,14 +227,12 @@ type Problem struct {
 	// warm re-solve can reject a basis that missed a removal — a pure
 	// row-count comparison cannot tell remove-k-then-append-k from
 	// append-only.
-	removeEpoch   int
-	pricing       PricingRule
-	factorization FactorizationRule
+	removeEpoch int
 	// denseKernels forces every FTRAN/BTRAN through the dense triangular
-	// solves, disabling the hypersparse reach path (ablation hook; see
+	// solves, disabling the hypersparse reach path (test hook; see
 	// SetDenseKernels). pivotHook, when set, observes every basis change
 	// (see SetPivotHook). Both are read when an engine state is created and
-	// ride with it for its life, like the pricing rule.
+	// ride with it for its life.
 	denseKernels bool
 	pivotHook    func(row, col int)
 }
@@ -359,38 +271,13 @@ func (p *Problem) SetUpper(j int, u float64) {
 	p.upper[j] = u
 }
 
-// SetPricing selects the float engine's pricing rule (PricingSteepestEdge
-// by default). The rule is read when an engine state is created — a cold
-// Solve/ResolveFrom(nil) call — and rides with that state for its life, so
-// changing it between warm re-solves has no effect until the next cold
-// start. The exact rational engine is unaffected.
-func (p *Problem) SetPricing(r PricingRule) {
-	p.pricing = r
-}
-
-// Pricing returns the pricing rule new engine states will use.
-func (p *Problem) Pricing() PricingRule { return p.pricing }
-
-// SetFactorization selects how the float engine maintains its factorized
-// basis across pivots (FactorizationFT by default; FactorizationPFI keeps
-// the product-form eta file for ablation, exactly as PricingDantzig keeps
-// the pre-steepest-edge pricing). Like SetPricing, the rule is read when
-// an engine state is created and rides with that state for its life, so
-// changing it between warm re-solves has no effect until the next cold
-// start. The exact rational engine is unaffected.
-func (p *Problem) SetFactorization(r FactorizationRule) {
-	p.factorization = r
-}
-
-// Factorization returns the factorization rule new engine states will use.
-func (p *Problem) Factorization() FactorizationRule { return p.factorization }
-
 // SetDenseKernels forces the float engine's triangular solves onto the
 // dense path, bypassing the hypersparse symbolic-reach kernels. The two
 // paths compute bit-for-bit identical results by construction (the
 // equivalence suites assert identical pivot sequences); the flag exists as
-// an ablation hook for tests and benchmarks. Like SetPricing, it is read
-// when an engine state is created and rides with that state for its life.
+// a hook for those tests. It is read when an engine state is created — a
+// cold Solve/ResolveFrom(nil) call — and rides with that state for its
+// life.
 func (p *Problem) SetDenseKernels(dense bool) {
 	p.denseKernels = dense
 }
@@ -565,8 +452,7 @@ type Solution struct {
 	// Refactors counts every basis refactorization performed during the
 	// call. Most are scheduled folds: sparse-LU rebuilds triggered by
 	// appended or removed rows, by the updated factors reaching their
-	// update-count or fill limit (the eta file's length/fill limit under
-	// the PFI ablation), and by drift resyncs. The remainder are
+	// update-count or fill limit, and by drift resyncs. The remainder are
 	// stability-forced: a Forrest–Tomlin spike whose eliminated diagonal
 	// fell below the pivot tolerance, counted separately in
 	// Kernel.ForcedRefactors (always a subset of this total). Together
@@ -607,8 +493,7 @@ type KernelStats struct {
 	RowRefills    int // dual working-set refill sweeps
 	// FTUpdates counts Forrest–Tomlin in-place basis updates applied, and
 	// FTSpikeNNZ the total spike-column nonzeros those updates absorbed
-	// into U (the per-update fill pressure). Both are zero under the PFI
-	// ablation.
+	// into U (the per-update fill pressure).
 	FTUpdates  int
 	FTSpikeNNZ int
 	// ForcedRefactors counts refactorizations forced by a Forrest–Tomlin
@@ -617,11 +502,6 @@ type KernelStats struct {
 	// post-pivot basis refactorized from scratch). Always a subset of
 	// Solution.Refactors.
 	ForcedRefactors int
-	// EtaDotOps counts product-form eta-file entries traversed by the
-	// solve kernels — the per-pivot-growing pass the Forrest–Tomlin
-	// representation exists to eliminate. Structurally zero on the FT
-	// path; under the PFI ablation it grows with etas × their fill.
-	EtaDotOps int
 	// UFillMaxPct is the peak size of the updated U plus its row etas as a
 	// percentage of the refactorization-time factor fill — the gauge the
 	// fold policy caps. It is a high-water mark, not a flow: minus carries
@@ -661,7 +541,6 @@ func (k KernelStats) minus(o KernelStats) KernelStats {
 		FTUpdates:       k.FTUpdates - o.FTUpdates,
 		FTSpikeNNZ:      k.FTSpikeNNZ - o.FTSpikeNNZ,
 		ForcedRefactors: k.ForcedRefactors - o.ForcedRefactors,
-		EtaDotOps:       k.EtaDotOps - o.EtaDotOps,
 		UFillMaxPct:     k.UFillMaxPct, // high-water mark: the peak to date stands
 	}
 }
@@ -679,7 +558,6 @@ func (k *KernelStats) Accumulate(o KernelStats) {
 	k.FTUpdates += o.FTUpdates
 	k.FTSpikeNNZ += o.FTSpikeNNZ
 	k.ForcedRefactors += o.ForcedRefactors
-	k.EtaDotOps += o.EtaDotOps
 	if o.UFillMaxPct > k.UFillMaxPct {
 		k.UFillMaxPct = o.UFillMaxPct
 	}
