@@ -97,9 +97,7 @@ func BenchmarkSimplexMaster(b *testing.B) {
 		p := lp.NewProblem(T)
 		for j := 0; j < T; j++ {
 			p.SetObjective(j, 1)
-			if err := p.AddSparse([]int{j}, []float64{1}, lp.LE, 1); err != nil {
-				b.Fatal(err)
-			}
+			p.SetUpper(j, 1)
 		}
 		for r := 0; r < 40; r++ {
 			var cols []int

@@ -21,11 +21,13 @@
 //     capacities. Networks are built once and re-solved; re-capacitation
 //     with SetCapacityKeepFlow/PushBack keeps a valid flow, so a re-solve
 //     augments only the difference and routes the same flow as a cold one.
-//   - internal/lp: the sparse revised simplex (sparse LU with
-//     Forrest–Tomlin updates, hypersparse FTRAN/BTRAN, dual steepest-edge
-//     pricing, warm re-solves, in-place row removal) and an exact engine
-//     over big.Rat. Every float optimum is verified against the caller's
-//     rows, a warm re-solve that abandons its basis is counted in
+//   - internal/lp: a sparse dual simplex for covering LPs (costs ≥ 0, rows
+//     a·x ≥ b with a, b ≥ 0; anything else is an error), with a sparse LU
+//     and Forrest–Tomlin updates, hypersparse FTRAN/BTRAN, dual
+//     steepest-edge pricing, warm re-solves and in-place row removal; and
+//     a general exact engine over big.Rat, the float engine's oracle.
+//     Every float optimum is verified against the caller's rows, a warm
+//     re-solve that abandons its basis is counted in
 //     Solution.ColdFallbacks, and the dense and hypersparse kernels perform
 //     identical float operations, so the kernel choice never changes a
 //     pivot.

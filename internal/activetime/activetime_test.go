@@ -241,7 +241,7 @@ func TestRightShiftStaysFeasible(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Lemma 3: the right-shifted solution is still LP-feasible.
-		if _, violated := separate(in, shifted[1:]); violated {
+		if _, violated := newSeparator(in).separate(shifted[1:]); violated {
 			t.Errorf("trial %d: right-shifted solution violates a cut (instance %+v, y=%v)",
 				trial, in, shifted)
 		}

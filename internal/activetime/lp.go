@@ -24,9 +24,9 @@ type LPResult struct {
 	// solves (cold plus warm), the solver-effort figure experiments report.
 	Cuts, Rounds, Pivots int
 	// Purged counts cuts removed by the registry's lifecycle management
-	// (persistently slack rows excised from the live master); Refactors
-	// the basis refactorizations across all master solves. Both are zero
-	// for pipelines that disable the corresponding machinery.
+	// (persistently slack rows excised from the live master); it is zero
+	// for pipelines that disable purging. Refactors counts the basis
+	// refactorizations across all master solves.
 	Purged, Refactors int
 	// Kernel aggregates the simplex engine's triangular-solve kernel
 	// activity across all master solves: hypersparse-vs-dense path counts,
@@ -539,12 +539,6 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 		out = append(out, B)
 	}
 	return out
-}
-
-// separate is the one-shot form kept for callers without a reusable
-// separator.
-func separate(in *core.Instance, y []float64) (A []bool, violated bool) {
-	return newSeparator(in).separate(y)
 }
 
 // cutFor builds the canonical cut for job subset A:

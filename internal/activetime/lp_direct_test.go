@@ -19,7 +19,8 @@ import (
 //	                 x_{t,j} = 0 outside windows.
 //
 // It exists only to cross-validate the Benders decomposition in SolveLP,
-// which never materializes the x variables.
+// which never materializes the x variables. Its <= rows with −1
+// coefficients make it a general LP, so only the exact engine solves it.
 func buildFullLP1(in *core.Instance) *lp.Problem {
 	T := int(in.Horizon())
 	n := len(in.Jobs)
@@ -74,7 +75,7 @@ func buildFullLP1(in *core.Instance) *lp.Problem {
 
 // TestSolveLPMatchesDirectFormulation is the strongest check of the Benders
 // construction: for random instances the projected cut-generation optimum
-// must equal the full LP1 optimum solved by plain simplex.
+// must equal the full LP1 optimum solved by the exact simplex.
 func TestSolveLPMatchesDirectFormulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(888))
 	checked := 0
@@ -87,16 +88,16 @@ func TestSolveLPMatchesDirectFormulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		direct, err := lp.Solve(buildFullLP1(in))
+		direct, err := lp.SolveExact(buildFullLP1(in))
 		if err != nil {
 			t.Fatalf("trial %d: direct LP: %v", trial, err)
 		}
 		if direct.Status != lp.Optimal {
 			t.Fatalf("trial %d: direct LP status %v", trial, direct.Status)
 		}
-		if math.Abs(direct.Objective-benders.Objective) > 1e-5 {
+		if obj, _ := direct.Objective.Float64(); math.Abs(obj-benders.Objective) > 1e-5 {
 			t.Errorf("trial %d: Benders %v != direct LP1 %v (instance %+v)",
-				trial, benders.Objective, direct.Objective, in)
+				trial, benders.Objective, obj, in)
 		}
 		checked++
 	}

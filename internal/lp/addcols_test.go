@@ -59,10 +59,9 @@ func TestAddColumnsWarmMatchesExact(t *testing.T) {
 	}
 }
 
-// TestAddColumnsPricedIntoLiveBasis checks the splice stays warm: appending
-// columns that the optimum wants (negative cost, finite bound) must be
-// absorbed by the warm repair without abandoning the basis, and a column
-// the optimum does not want must stay at zero.
+// TestAddColumnsPricedIntoLiveBasis checks the splice stays warm: a new
+// column the optimum wants (a cheap cover for a new row) must be absorbed
+// by the warm repair without abandoning the basis.
 func TestAddColumnsPricedIntoLiveBasis(t *testing.T) {
 	// min x0 s.t. x0 >= 2. Opt 2.
 	p := NewProblem(1)

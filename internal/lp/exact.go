@@ -53,8 +53,8 @@ type RatBasis struct {
 // cut generation produces) are eliminated against it and repaired with the
 // exact dual simplex under Bland's rule, and a final barred primal pass
 // certifies optimality. The warm-start contract is narrower than
-// ResolveFrom's: only row appends between calls — no bound changes and,
-// unlike the float engine, no objective changes. A warm solve that cannot
+// ResolveFrom's: only row appends between calls — no column appends, bound
+// changes or objective changes. A warm solve that cannot
 // finish (EQ append, pivot budget) falls back to a cold run of the full
 // problem. The returned RatBasis is nil when the solve did not end Optimal.
 func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, error) {

@@ -88,7 +88,7 @@ func TestResolveExactFromRejectsBoundChange(t *testing.T) {
 		p.SetObjective(j, 1)
 		p.SetUpper(j, 1)
 	}
-	if err := p.AddDense([]float64{1, 1}, GE, 1); err != nil {
+	if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 1); err != nil {
 		t.Fatal(err)
 	}
 	sol, basis, err := p.ResolveExactFrom(nil)

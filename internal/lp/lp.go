@@ -1,34 +1,46 @@
-// Package lp implements a sparse revised-simplex solver for bounded-variable
-// linear programs in the form
+// Package lp solves covering linear programs
 //
 //	minimize    c·x
-//	subject to  a_i·x {<=,>=,=} b_i   for each constraint i
-//	            0 <= x_j <= u_j       (u_j = +Inf unless SetUpper is called)
+//	subject to  a_i·x >= b_i      for each constraint i
+//	            0 <= x_j <= u_j   (u_j = +Inf unless SetUpper is called)
 //
-// Two interchangeable engines are provided: a float64 engine (Solve) priced
-// by dual steepest edge and falling back to Bland's rule for anti-cycling,
-// and an exact rational engine over math/big.Rat (SolveExact) used by tests
-// to validate the float engine and by callers that need exact optima on
-// small programs.
+// with c >= 0, a_i >= 0 and b_i >= 0 by a sparse dual simplex in float64
+// (Solve, ResolveFrom), and general linear programs, whose rows may be
+// a_i·x {<=,>=,=} b_i with any signs, by an exact simplex over math/big.Rat
+// (SolveExact, ResolveExactFrom). The float engine returns an error for
+// any program that is not covering. The exact engine stays general because
+// it is the oracle the float engine's tests compare against, and it serves
+// callers that need exact optima of small programs.
+//
+// # The covering contract
+//
+// A covering program is dual feasible at the all-slack basis: every row's
+// surplus is basic and every structural rests at its lower bound, which its
+// nonnegative cost prefers. So the dual simplex alone solves it, cold or
+// warm, with no phase 1 and no artificial columns, and it is never
+// unbounded. This is the paper's LP1 (Section 3) projected onto the slot
+// variables — min Σ y_t over 0 ≤ y ≤ 1 with covering cuts
+// Σ_t min(g, cov_A(t))·y_t ≥ P(A) — which package activetime solves by
+// Benders cut generation.
 //
 // # Sparse representation and factorized basis
 //
-// The float engine is a revised simplex: constraint rows are kept verbatim
-// in compressed sparse form (a per-row column/value list, mirrored by a
-// per-column view), and logical columns are signed unit vectors that are
-// never materialized. All pivoting state lives in a factorized basis
-// representation (factor.go): a sparse LU of the basis — refactorized with
-// a static Markowitz-style column ordering and threshold partial pivoting —
-// kept current across basis changes by Forrest–Tomlin updates: each pivot
-// replaces the leaving column of U in place with the entering column's
-// spike (its partial FTRAN through L and the accumulated row etas) and
-// eliminates the resulting row bump into one short row-eta operation plus
-// a rotation of U's triangular order. Every B⁻¹·v product is an
-// FTRAN (a triangular solve through L, the row-eta list, and the updated
-// U) and every vᵀ·B⁻¹ product a BTRAN (the same chain transposed, in
-// reverse), so per-pivot work is O(m + nnz(L+U) + nnz(row etas) + nnz of
-// the priced rows) — nothing of size m² or n×m is ever stored, written or
-// scanned, which carries the Benders master to tens of thousands of rows.
+// Constraint rows are kept verbatim in compressed sparse form (a per-row
+// column/value list, mirrored by a per-column view), and logical columns
+// are signed unit vectors that are never materialized. All pivoting state
+// lives in a factorized basis representation (factor.go): a sparse LU of
+// the basis — refactorized with a static Markowitz-style column ordering
+// and threshold partial pivoting — kept current across basis changes by
+// Forrest–Tomlin updates: each pivot replaces the leaving column of U in
+// place with the entering column's spike (its partial FTRAN through L and
+// the accumulated row etas) and eliminates the resulting row bump into one
+// short row-eta operation plus a rotation of U's triangular order. Every
+// B⁻¹·v product is an FTRAN (a triangular solve through L, the row-eta
+// list, and the updated U) and every vᵀ·B⁻¹ product a BTRAN (the same chain
+// transposed, in reverse), so per-pivot work is O(m + nnz(L+U) + nnz(row
+// etas) + nnz of the priced rows) — nothing of size m² or n×m is ever
+// stored, written or scanned, which carries the Benders master to tens of
+// thousands of rows.
 //
 // The updated factors are folded into a fresh LU when the update count
 // reaches maxFTUpdates or the updated U (plus its row etas) grows past
@@ -73,72 +85,60 @@
 // weights w_i = ‖e_iᵀB⁻¹‖²: the leaving row maximizes violation²/weight,
 // which measures each violation in the geometry of the dual edge the pivot
 // traverses and takes far fewer (and better-conditioned) pivots than
-// most-infeasible selection on the dual-degenerate covering masters this
-// package exists for. The weights live in basis-position space and are
-// maintained incrementally across every basis change by the exact FG update
-// (one extra FTRAN per pivot, hooked into the same FTRAN/BTRAN products the
-// pivot already computes); they survive refactorization unchanged (the basis
-// does not change), survive RemoveRows by compaction, and appended rows
-// price their new positions exactly with one BTRAN each. The exact norm of
-// each pivot row — computed anyway for the ratio test — anchors the leaving
-// weight every pivot and doubles as a staleness detector: on disagreement
-// beyond a guard factor the engine falls back to devex max-form updates
-// (robust to approximate weights) for the rest of the state's life. The
-// primal phase prices from a managed partial candidate list (refilled by a
-// cyclic rotor scan) instead of scanning every column, the dual phase prices
-// leaving rows from a working set of infeasible cut rows — maintained
-// incrementally by the same sparse updates that change basic values, rebuilt
-// by one complete sweep (counted in KernelStats.RowRefills) only when it
-// runs dry, so steady-state pivots never scan all m rows — and the
-// bound-flipping dual ratio test consumes its candidates through a binary
-// heap — the walk usually wants a handful of the thousands a wide pivot row
-// yields, so nothing pays a full sort per pivot.
+// most-infeasible selection on dual-degenerate covering masters. The
+// all-slack start is a signed permutation, so the weights start exact (1
+// everywhere). They are maintained incrementally across every basis change
+// by the exact FG update (one extra FTRAN per pivot, hooked into the same
+// FTRAN/BTRAN products the pivot already computes); they survive
+// refactorization unchanged (the basis does not change), survive RemoveRows
+// by compaction, and appended rows price their new positions exactly with
+// one BTRAN each. The exact norm of each pivot row — computed anyway for
+// the ratio test — anchors the leaving weight every pivot and doubles as a
+// staleness detector: on disagreement beyond a guard factor the engine
+// falls back to devex max-form updates (robust to approximate weights) for
+// the rest of the state's life. Leaving rows are priced from a working set
+// of infeasible cut rows — maintained incrementally by the same sparse
+// updates that change basic values, rebuilt by one complete sweep (counted
+// in KernelStats.RowRefills) only when it runs dry, so steady-state pivots
+// never scan all m rows — and the bound-flipping dual ratio test consumes
+// its candidates through a binary heap — the walk usually wants a handful
+// of the thousands a wide pivot row yields, so nothing pays a full sort per
+// pivot.
 //
-// The engine handles variable upper bounds natively (nonbasic variables may
-// sit at either bound, and the ratio test admits bound flips), so callers
-// never pay a constraint row for a box constraint; single-variable "x_j <=
-// u" rows are also presolved into bounds. Cold solves start directly dual
-// feasible whenever every negative-cost column has a finite upper bound
-// (always true for covering masters): each structural rests on the bound its
-// cost sign prefers, the all-logical basis prices exactly (weight 1
-// everywhere), and the dual simplex replaces the whole two-phase artificial
-// apparatus. It supports incremental re-solves: ResolveFrom keeps the
-// factorized state alive between calls, incorporates rows appended to the
-// Problem since the previous solve (one refactorization at the new
-// dimension), and recovers optimality with the dual simplex instead of
-// re-running a cold solve from scratch; a warm re-solve that fails re-enters
-// through a crash basis seeded from the warm basis's surviving columns
-// (fresh factors, no numerical history) before the full cold solve is
-// attempted. The pricing loop maintains a persistent reduced-cost row
-// updated in place at each pivot (refreshed periodically against drift), and
+// Variable upper bounds are native (nonbasic variables may sit at either
+// bound, and the ratio test admits bound flips), so callers never pay a
+// constraint row for a box constraint. The reduced-cost row persists across
+// pivots, updated in place and refreshed periodically against drift, and
 // the factor arenas are reused across refactorizations, so steady-state
 // pivoting performs no allocations.
 //
 // # Warm-start contract
 //
-// A *Basis returned by ResolveFrom stays valid for the same Problem as long
-// as only new constraint rows are appended (AddSparse/AddDense), new
-// structural columns are appended (AddColumns — the column-space dual of
-// row appends: the live state splices them in nonbasic at their lower
-// bound, reprices them against the persistent dual row at the
-// refactorization the splice schedules, and the usual dual+primal repair
-// absorbs any that price attractively), or rows strictly slack at the last
-// optimum are removed (RemoveRows, which excises
-// them from both the problem and the live state — the primitive behind
-// Benders cut purging) between calls: appended rows enter with their own
-// basic slack, and removing a slack row disturbs neither the remaining
-// duals nor any remaining basic value. Changing the objective between
-// re-solves is also permitted (the final primal clean-up phase
-// re-optimizes). A warm re-solve falls back to a cold two-phase solve only
-// when the caller passes a nil Basis — which is also what callers must do
-// after any solve that did not end Optimal, since non-optimal solves return
-// no Basis. Changing the bound of a column the basis has already seen
-// still invalidates it (shaping a freshly appended column before its first
-// re-solve is part of the splice, not a change): ResolveFrom rejects such
-// calls loudly instead of silently solving against stale state, and the
-// caller re-solves cold. A warm re-solve that abandons its basis mid-call
-// (crash/cold recovery) reports it in Solution.ColdFallbacks — counted,
-// never silent.
+// ResolveFrom keeps the factorized state alive between calls. A *Basis it
+// returns stays valid for the same Problem as long as only these changes
+// happen between calls:
+//   - new covering rows are appended (AddSparse): each enters with its own
+//     basic slack, which keeps the old basis dual feasible, and the dual
+//     simplex repairs the violated ones after one refactorization at the
+//     new dimension;
+//   - new structural columns are appended (AddColumns) and shaped with
+//     SetObjective/SetUpper before the next re-solve: they enter nonbasic
+//     at their lower bound, where their nonnegative cost keeps them dual
+//     feasible;
+//   - rows strictly slack at the last optimum are removed through the basis
+//     (RemoveRows), which excises them from both the problem and the live
+//     state — the primitive behind Benders cut purging; removing a slack
+//     row disturbs neither the remaining duals nor any remaining basic
+//     value.
+//
+// Changing the bound or the objective of a column the basis has already
+// seen invalidates it: ResolveFrom rejects such calls with an error
+// instead of solving against stale state, and the caller re-solves cold by
+// passing a nil Basis — which is also what callers must do after any solve
+// that did not end Optimal, since non-optimal solves return no Basis. A
+// warm re-solve that does not end in a verified optimum abandons its basis
+// and solves cold from the all-slack basis; it reports this in
+// Solution.ColdFallbacks — counted, never silent.
 //
 // The exact rational engine mirrors the contract on a smaller surface:
 // ResolveExactFrom keeps the big.Rat dictionary alive between calls,
@@ -147,17 +147,16 @@
 //
 // # Numerical safeguards
 //
-// Optimality is never certified against a stale reduced-cost row (a full
-// refresh precedes the claim), and dual infeasibility is never certified
-// from drifted state: before reporting it, the engine refactorizes the
-// basis from scratch, resyncs every basic value, and re-tries. Every
-// returned optimum is verified against the caller's own rows to 1e-6 as
-// the last line of defense — a warm solve that fails any of this falls
-// back to a verified cold solve.
-//
-// Go has no mature linear-programming library, so this package is built as
-// a first-class substrate: the active-time LP of the paper (Section 3) is
-// solved through it via Benders-style cut generation in package activetime.
+// When the dual simplex finds no violated row, the engine refreshes the
+// basic values and reduced costs from the factors and checks that every
+// nonbasic column still sits on the bound its reduced cost prefers.
+// Infeasibility is never certified from drifted state: before reporting
+// it, the engine refactorizes the basis from scratch, resyncs every basic
+// value, and re-tries. For the second half of its pivot budget the dual
+// simplex selects leaving rows by Bland's rule. Every returned optimum is
+// verified against the caller's own rows to 1e-6 as the last line of
+// defense — a warm solve that fails any of this falls back to a verified
+// cold solve.
 package lp
 
 import (
@@ -195,8 +194,8 @@ type Status int
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
-	IterLimit
+	Unbounded // exact engine only: a covering program is bounded below by 0
+	IterLimit // pivot budget exhausted, or a numerical failure of the float engine
 )
 
 func (s Status) String() string {
@@ -323,12 +322,11 @@ func (p *Problem) upperChanged(snap []float64) (j int, changed bool) {
 //
 // AddColumns is the column-space dual of appending rows: a basis captured
 // before the call stays warm-startable. ResolveFrom splices the new columns
-// into the live engine state nonbasic at their lower bound, reprices them
-// against the persistent dual row at the refactorization the splice
-// schedules, and lets the usual dual+primal repair absorb them — setting an
-// upper bound on a new column before the next re-solve is part of the
-// splice, not a bound change on a snapshotted column, so it does not trip
-// the warm-start contract's bound check. Columns can never be removed.
+// into the live engine state nonbasic at their lower bound and prices them
+// at the refactorization the splice schedules — shaping a new column's cost
+// and bound before the next re-solve is part of the splice, not a change
+// to a snapshotted column, so it does not trip the warm-start contract's
+// checks. Columns can never be removed.
 func (p *Problem) AddColumns(k int) int {
 	j0 := p.numVars
 	if k <= 0 {
@@ -344,9 +342,10 @@ func (p *Problem) AddColumns(k int) int {
 	return j0
 }
 
-// AddSparse adds the constraint sum_k coeffs[k].val * x[coeffs[k].col] rel rhs.
+// AddSparse adds the constraint sum_k vals[k] * x[cols[k]] rel rhs.
 // Coefficient columns must be valid variable indices; duplicate columns are
-// summed.
+// summed. The float engine accepts only covering rows (rel GE, vals and rhs
+// nonnegative); the exact engine accepts any.
 func (p *Problem) AddSparse(cols []int, vals []float64, rel Relation, rhs float64) error {
 	if len(cols) != len(vals) {
 		return fmt.Errorf("lp: %d columns but %d values", len(cols), len(vals))
@@ -362,23 +361,6 @@ func (p *Problem) AddSparse(cols []int, vals []float64, rel Relation, rhs float6
 	p.rel = append(p.rel, rel)
 	p.b = append(p.b, rhs)
 	return nil
-}
-
-// AddDense adds the constraint coeffs·x rel rhs, where len(coeffs) ==
-// NumVars.
-func (p *Problem) AddDense(coeffs []float64, rel Relation, rhs float64) error {
-	if len(coeffs) != p.numVars {
-		return fmt.Errorf("lp: dense row has %d coefficients, want %d", len(coeffs), p.numVars)
-	}
-	var cols []int
-	var vals []float64
-	for j, v := range coeffs {
-		if v != 0 {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		}
-	}
-	return p.AddSparse(cols, vals, rel, rhs)
 }
 
 // RemoveRows deletes the constraint rows at the given indices (indices into
@@ -409,7 +391,7 @@ func (p *Problem) RemoveRows(drop []int, basis *Basis) error {
 		}
 	}
 	if basis != nil && basis.t != nil {
-		if basis.t.rowsBuilt != len(p.rows) {
+		if basis.t.m != len(p.rows) {
 			return errors.New("lp: basis is out of sync with the problem; re-solve before removing rows")
 		}
 		if err := basis.t.removeRows(drop); err != nil {
@@ -443,11 +425,11 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
-	// Iterations counts simplex basis changes (pivots) performed during the
-	// call that produced this solution — two-phase pivots for a cold solve,
-	// dual plus clean-up pivots for a warm re-solve. Bound flips and pricing
-	// rounds that end without a pivot are not counted, so summing Iterations
-	// across a cut-generation loop never double-counts work.
+	// Iterations counts dual simplex basis changes (pivots) performed during
+	// the call that produced this solution, including those of a warm
+	// attempt the call abandoned for a cold solve. Bound flips are not
+	// counted, so summing Iterations across a cut-generation loop never
+	// double-counts work.
 	Iterations int
 	// Refactors counts every basis refactorization performed during the
 	// call. Most are scheduled folds: sparse-LU rebuilds triggered by
@@ -465,14 +447,15 @@ type Solution struct {
 	// covers exactly the work of the call that produced this solution.
 	Kernel KernelStats
 	// ColdFallbacks is 1 when a warm ResolveFrom abandoned its inherited
-	// basis — the warm dual+primal repair (or its verification) did not end
-	// Optimal and the call recovered through a crash basis or a full cold
-	// solve — and 0 otherwise (cold calls included: a requested cold solve
-	// is not a fallback). The recovery itself is correct and verified; the
-	// counter exists because a warm-path regression that silently degrades
-	// every re-solve to a cold solve costs an order of magnitude and would
-	// otherwise be invisible. FallbackVerdict carries the triggering
-	// verdict (the warm status and the recovery path) for logging.
+	// basis — the warm dual repair, its dual-feasibility check or its
+	// verification did not end Optimal and the call re-solved cold from the
+	// all-slack basis — and 0 otherwise (cold calls included: a requested
+	// cold solve is not a fallback). The recovery itself is correct and
+	// verified; the counter exists because a warm-path regression that
+	// silently degrades every re-solve to a cold solve costs an order of
+	// magnitude and would otherwise be invisible. FallbackVerdict carries
+	// the triggering verdict (the warm status and the cold status) for
+	// logging.
 	ColdFallbacks   int
 	FallbackVerdict string
 }
@@ -604,23 +587,23 @@ type Basis struct {
 	t *revised
 }
 
-// Solve optimizes the problem with the float64 simplex engine from a cold
-// start. A non-nil error indicates malformed input only; infeasibility and
-// unboundedness are reported through Solution.Status.
+// Solve optimizes the covering problem with the float64 dual simplex from
+// a cold start. A non-nil error indicates malformed input only, including a
+// program that is not covering (see the package comment); infeasibility is
+// reported through Solution.Status.
 func Solve(p *Problem) (*Solution, error) {
 	sol, _, err := p.ResolveFrom(nil)
 	return sol, err
 }
 
-// ResolveFrom optimizes the problem, warm-starting from prev when non-nil.
-// With prev == nil it performs a cold two-phase bounded simplex solve. With
-// a prev obtained from an earlier optimal solve of the same problem, rows
-// appended since are incorporated into the live tableau and re-optimized
-// with the dual simplex (each new row enters with its own basic slack, so
-// the old basis stays dual feasible), followed by a primal clean-up pass
-// that also absorbs objective changes. The returned Basis supports the next
-// incremental call; it is nil when the solve did not end Optimal. See the
-// package comment for the exact warm-start contract.
+// ResolveFrom optimizes the covering problem, warm-starting from prev when
+// non-nil. With prev == nil it solves cold with the dual simplex from the
+// all-slack basis. With a prev obtained from an earlier optimal solve of
+// the same problem, the rows and columns appended since are spliced into
+// the live state and the dual simplex repairs the rows they violate. The
+// returned Basis supports the next incremental call; it is nil when the
+// solve did not end Optimal. See the package comment for the exact
+// warm-start contract.
 func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 	if p.numVars == 0 {
 		return nil, nil, errors.New("lp: problem has no variables")
@@ -638,110 +621,76 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 	fallbackVerdict := ""
 	budget := maxPivots
 	if prev == nil || prev.t == nil {
-		t, status = coldSolve(p, &budget)
-		if status == Optimal {
-			status = t.verifyOptimal(p, &budget)
+		if err := p.coveringErr(0); err != nil {
+			return nil, nil, err
 		}
+		t = newRevised(p)
+		status = t.solve(p, &budget)
 	} else {
 		t = prev.t
 		if t.n > p.numVars {
 			return nil, nil, fmt.Errorf("lp: basis has %d variables, problem has %d (columns cannot be removed)", t.n, p.numVars)
 		}
-		if t.rowsBuilt > len(p.rows) {
+		if t.m > len(p.rows) {
 			return nil, nil, errors.New("lp: problem has fewer rows than the basis (rows were removed)")
 		}
 		if t.epoch != p.removeEpoch {
 			return nil, nil, errors.New("lp: rows were removed without this basis (RemoveRows with a nil or different basis); re-solve cold")
 		}
-		// Changed bounds invalidate the basis (see the warm-start contract);
-		// catch the misuse instead of returning a silently wrong optimum.
-		if j, changed := p.upperChanged(t.probUpper); changed {
+		// Changed bounds or costs invalidate the basis (see the warm-start
+		// contract); catch the misuse instead of returning a silently wrong
+		// optimum.
+		if j, changed := p.upperChanged(t.upper[:t.n]); changed {
 			return nil, nil, fmt.Errorf("lp: upper bound of variable %d changed since the basis was captured; re-solve cold", j)
+		}
+		for j, c := range t.cost[:t.n] {
+			if p.c[j] != c {
+				return nil, nil, fmt.Errorf("lp: objective of variable %d changed since the basis was captured; re-solve cold", j)
+			}
+		}
+		if err := p.coveringErr(t.m); err != nil {
+			return nil, nil, err
 		}
 		t.pivotsAtCall = t.pivots
 		t.refactorsAtCall = t.refactors
 		t.kstatsAtCall = t.kstats
 		newCols := p.numVars - t.n
 		t.appendProblemCols(p)
-		copy(t.cost[:t.n], p.c) // pick up objective changes since the snapshot
 		t.appendProblemRows(p)
 		// A warm repair of freshly appended rows needs tens of pivots; give
-		// it a budget proportional to the row count rather than the global
-		// ceiling, so a degenerate stall falls back to the (verified) cold
-		// solve quickly instead of grinding the dual for the full budget.
-		// Appended columns each cost at most one primal entering pivot.
+		// it a budget proportional to the rows and appended columns rather
+		// than the global ceiling, so a degenerate stall falls back to the
+		// (verified) cold solve quickly. Half the budget is also where
+		// dualIterate switches to Bland's rule, so this formula fixes the
+		// pivot sequence of long repairs.
 		if wb := 4*len(p.rows) + 4*newCols + 400; wb < budget {
 			budget = wb
 		}
-		status = t.dualIterate(&budget)
-		if status == Optimal {
-			status = t.primalIterate(false, &budget)
-		}
-		if status == Optimal {
-			status = t.verifyOptimal(p, &budget)
-		}
+		status = t.solve(p, &budget)
 		if status != Optimal {
 			// The warm path certifies only optima: a warm claim of
 			// infeasibility (or an exhausted pivot budget, or an optimum
-			// that failed verification) may be an artifact of the inherited
-			// basis, so it is re-derived cold. The cold entry is a crash
-			// basis seeded from the warm basis's surviving columns — a
-			// fresh state with no numerical history whose dual repair
-			// typically needs a handful of pivots where the all-logical
-			// two-phase restart pays thousands re-deriving a near-identical
-			// basis. Only a verified optimum is accepted from the crash;
-			// anything else (including any infeasibility claim, which a
-			// seeded basis cannot certify) falls through to coldSolve,
-			// which likewise only trusts its fast dual-start for optima
-			// and ends every other verdict at the two-phase solve, whose
-			// phase-1 result is independent of any prior state.
-			// Iterations still reports every pivot spent in this call —
-			// warm, crash and cold. The abandonment is counted, never
-			// silent: Solution.ColdFallbacks flags it and FallbackVerdict
-			// names the warm status that triggered it, so callers gating a
-			// warm trajectory (the canonical scaling tests, the delta
-			// sessions) see a warm-path regression as a counter, not as a
-			// quiet 10× slowdown.
+			// that failed its checks) may be an artifact of the inherited
+			// basis, so it is re-derived by a cold solve, whose all-slack
+			// start is independent of any prior state. Iterations still
+			// reports every pivot spent in this call, warm and cold. The
+			// abandonment is counted, never silent: Solution.ColdFallbacks
+			// flags it and FallbackVerdict names the warm status that
+			// triggered it, so callers gating a warm trajectory (the
+			// canonical scaling tests, the delta sessions) see a warm-path
+			// regression as a counter, not as a quiet 10× slowdown.
 			coldFallbacks = 1
 			warmStatus := status
-			prevPivots := t.pivots - t.pivotsAtCall
-			prevRefactors := t.refactors - t.refactorsAtCall
-			prevKernel := t.kstats.minus(t.kstatsAtCall)
-			prev := t
-			t = nil
-			if tc := newCrashRevised(p, prev); tc != nil {
-				budget = maxPivots / 4
-				tc.crashPrep()
-				st := tc.dualIterate(&budget)
-				if st == Optimal {
-					st = tc.primalIterate(false, &budget)
-				}
-				if st == Optimal {
-					st = tc.verifyOptimal(p, &budget)
-				}
-				if st == Optimal {
-					t = tc
-					status = Optimal
-					fallbackVerdict = fmt.Sprintf("warm re-solve ended %v; recovered via crash basis", warmStatus)
-				} else {
-					prevPivots += tc.pivots
-					prevRefactors += tc.refactors
-					prevKernel.Accumulate(tc.kstats)
-				}
-			}
-			if t == nil {
-				budget = maxPivots
-				t, status = coldSolve(p, &budget)
-				if status == Optimal {
-					status = t.verifyOptimal(p, &budget)
-				}
-				fallbackVerdict = fmt.Sprintf("warm re-solve ended %v; recovered via cold solve (status %v)", warmStatus, status)
-			}
-			// Accumulate rather than overwrite: coldSolve may itself have
-			// discarded a dual-start attempt into pivotsAtCall already.
-			t.pivotsAtCall -= prevPivots
-			t.refactorsAtCall -= prevRefactors
-			t.kstatsAtCall = t.kstatsAtCall.minus(prevKernel)
+			warmPivots := t.pivots - t.pivotsAtCall
+			warmRefactors := t.refactors - t.refactorsAtCall
+			warmKernel := t.kstats.minus(t.kstatsAtCall)
+			budget = maxPivots
+			t = newRevised(p)
+			status = t.solve(p, &budget)
+			fallbackVerdict = fmt.Sprintf("warm re-solve ended %v; recovered via cold solve (status %v)", warmStatus, status)
+			t.pivotsAtCall = -warmPivots
+			t.refactorsAtCall = -warmRefactors
+			t.kstatsAtCall = KernelStats{}.minus(warmKernel)
 		}
 	}
 	sol := &Solution{
@@ -762,4 +711,30 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 	}
 	sol.Objective = obj
 	return sol, &Basis{t: t}, nil
+}
+
+// coveringErr reports why p is not a covering program, checking every
+// cost and the rows from index from on: the float engine solves only
+// min c·x with c ≥ 0 over rows a·x ≥ b with a ≥ 0 and b ≥ 0. The negated
+// comparisons reject NaN too.
+func (p *Problem) coveringErr(from int) error {
+	for j, c := range p.c {
+		if !(c >= 0) {
+			return fmt.Errorf("lp: variable %d has cost %v; the float engine needs costs >= 0", j, c)
+		}
+	}
+	for i := from; i < len(p.rows); i++ {
+		if p.rel[i] != GE {
+			return fmt.Errorf("lp: row %d is a %v row; the float engine solves only >= rows", i, p.rel[i])
+		}
+		if !(p.b[i] >= 0) {
+			return fmt.Errorf("lp: row %d has right-hand side %v; the float engine needs b >= 0", i, p.b[i])
+		}
+		for _, e := range p.rows[i] {
+			if !(e.val >= 0) {
+				return fmt.Errorf("lp: row %d has coefficient %v on variable %d; the float engine needs a >= 0", i, e.val, e.col)
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -15,23 +16,37 @@ func mustSolve(t *testing.T, p *Problem) *Solution {
 	return sol
 }
 
+func mustSolveExact(t *testing.T, p *Problem) *RatSolution {
+	t.Helper()
+	sol, err := SolveExact(p)
+	if err != nil {
+		t.Fatalf("SolveExact: %v", err)
+	}
+	return sol
+}
+
+func ratFloat(r *big.Rat) float64 {
+	f, _ := r.Float64()
+	return f
+}
+
 func TestSolveBasic(t *testing.T) {
 	// min -x - 2y s.t. x + y <= 4, x <= 2, y <= 3, x,y >= 0. Opt at (1,3): -7.
 	p := NewProblem(2)
 	p.SetObjective(0, -1)
 	p.SetObjective(1, -2)
-	check(t, p.AddDense([]float64{1, 1}, LE, 4))
-	check(t, p.AddDense([]float64{1, 0}, LE, 2))
-	check(t, p.AddDense([]float64{0, 1}, LE, 3))
-	sol := mustSolve(t, p)
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, LE, 4))
+	check(t, p.AddSparse([]int{0}, []float64{1}, LE, 2))
+	check(t, p.AddSparse([]int{1}, []float64{1}, LE, 3))
+	sol := mustSolveExact(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	if math.Abs(sol.Objective-(-7)) > 1e-6 {
+	if sol.Objective.Cmp(big.NewRat(-7, 1)) != 0 {
 		t.Errorf("objective = %v, want -7", sol.Objective)
 	}
-	if math.Abs(sol.X[0]-1) > 1e-6 || math.Abs(sol.X[1]-3) > 1e-6 {
-		t.Errorf("x = %v, want (1,3)", sol.X)
+	if x := sol.Float64s(); x[0] != 1 || x[1] != 3 {
+		t.Errorf("x = %v, want (1,3)", x)
 	}
 }
 
@@ -40,22 +55,24 @@ func TestSolveGEAndEQ(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 2)
 	p.SetObjective(1, 3)
-	check(t, p.AddDense([]float64{1, 1}, GE, 10))
-	check(t, p.AddDense([]float64{1, -1}, EQ, 2))
-	sol := mustSolve(t, p)
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 10))
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, -1}, EQ, 2))
+	sol := mustSolveExact(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	if math.Abs(sol.Objective-24) > 1e-6 {
+	if sol.Objective.Cmp(big.NewRat(24, 1)) != 0 {
 		t.Errorf("objective = %v, want 24", sol.Objective)
 	}
 }
 
+// TestSolveInfeasible: a covering row no point within the bounds
+// satisfies is infeasible for the float engine.
 func TestSolveInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective(0, 1)
-	check(t, p.AddDense([]float64{1}, GE, 5))
-	check(t, p.AddDense([]float64{1}, LE, 3))
+	p.SetUpper(0, 3)
+	check(t, p.AddSparse([]int{0}, []float64{1}, GE, 5))
 	sol := mustSolve(t, p)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -65,8 +82,8 @@ func TestSolveInfeasible(t *testing.T) {
 func TestSolveUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, -1)
-	check(t, p.AddDense([]float64{0, 1}, LE, 1))
-	sol := mustSolve(t, p)
+	check(t, p.AddSparse([]int{1}, []float64{1}, LE, 1))
+	sol := mustSolveExact(t, p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}
@@ -76,9 +93,9 @@ func TestSolveNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -3  (i.e. x >= 3).
 	p := NewProblem(1)
 	p.SetObjective(0, 1)
-	check(t, p.AddDense([]float64{-1}, LE, -3))
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal || math.Abs(sol.Objective-3) > 1e-6 {
+	check(t, p.AddSparse([]int{0}, []float64{-1}, LE, -3))
+	sol := mustSolveExact(t, p)
+	if sol.Status != Optimal || sol.Objective.Cmp(big.NewRat(3, 1)) != 0 {
 		t.Fatalf("got %v obj=%v, want optimal 3", sol.Status, sol.Objective)
 	}
 }
@@ -89,36 +106,34 @@ func TestSolveDegenerate(t *testing.T) {
 	for j, c := range []float64{-0.75, 150, -0.02, 6} {
 		p.SetObjective(j, c)
 	}
-	check(t, p.AddDense([]float64{0.25, -60, -0.04, 9}, LE, 0))
-	check(t, p.AddDense([]float64{0.5, -90, -0.02, 3}, LE, 0))
-	check(t, p.AddDense([]float64{0, 0, 1, 0}, LE, 1))
-	sol := mustSolve(t, p)
+	all := []int{0, 1, 2, 3}
+	check(t, p.AddSparse(all, []float64{0.25, -60, -0.04, 9}, LE, 0))
+	check(t, p.AddSparse(all, []float64{0.5, -90, -0.02, 3}, LE, 0))
+	check(t, p.AddSparse([]int{2}, []float64{1}, LE, 1))
+	sol := mustSolveExact(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
+	if math.Abs(ratFloat(sol.Objective)-(-0.05)) > 1e-9 {
 		t.Errorf("objective = %v, want -0.05 (Beale's example)", sol.Objective)
 	}
 }
 
 func TestExactMatchesFloatBasic(t *testing.T) {
+	// min x + 2y s.t. x + y >= 4, x <= 2, y <= 3. Opt at (2,2): 6.
 	p := NewProblem(2)
-	p.SetObjective(0, -1)
-	p.SetObjective(1, -2)
-	check(t, p.AddDense([]float64{1, 1}, LE, 4))
-	check(t, p.AddDense([]float64{1, 0}, LE, 2))
-	check(t, p.AddDense([]float64{0, 1}, LE, 3))
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 2)
+	p.SetUpper(0, 2)
+	p.SetUpper(1, 3)
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 4))
 	fs := mustSolve(t, p)
-	es, err := SolveExact(p)
-	if err != nil {
-		t.Fatalf("SolveExact: %v", err)
+	es := mustSolveExact(t, p)
+	if es.Status != Optimal || fs.Status != Optimal {
+		t.Fatalf("status exact %v, float %v", es.Status, fs.Status)
 	}
-	if es.Status != Optimal {
-		t.Fatalf("exact status = %v", es.Status)
-	}
-	obj, _ := es.Objective.Float64()
-	if math.Abs(obj-fs.Objective) > 1e-7 {
-		t.Errorf("exact obj %v != float obj %v", obj, fs.Objective)
+	if obj := ratFloat(es.Objective); obj != 6 || math.Abs(obj-fs.Objective) > 1e-7 {
+		t.Errorf("exact obj %v, float obj %v, want 6", obj, fs.Objective)
 	}
 }
 
@@ -131,48 +146,41 @@ func TestExactMatchesFloatRandom(t *testing.T) {
 		p := NewProblem(n)
 		for j := 0; j < n; j++ {
 			p.SetObjective(j, float64(1+rng.Intn(5)))
-			check(t, p.AddDense(unitRow(n, j), LE, 1)) // x_j <= 1
+			p.SetUpper(j, 1)
 		}
 		rows := 1 + rng.Intn(4)
 		for r := 0; r < rows; r++ {
-			coeffs := make([]float64, n)
+			var cols []int
+			var vals []float64
 			tot := 0.0
-			for j := range coeffs {
-				coeffs[j] = float64(rng.Intn(4))
-				tot += coeffs[j]
+			for j := 0; j < n; j++ {
+				if v := float64(rng.Intn(4)); v != 0 {
+					cols = append(cols, j)
+					vals = append(vals, v)
+					tot += v
+				}
 			}
 			if tot == 0 {
-				coeffs[0] = 1
-				tot = 1
+				cols, vals, tot = []int{0}, []float64{1}, 1
 			}
 			rhs := 1 + rng.Float64()*(tot-1)*0.9
 			if rhs > tot {
 				rhs = tot
 			}
-			check(t, p.AddDense(coeffs, GE, math.Floor(rhs*4)/4))
+			check(t, p.AddSparse(cols, vals, GE, math.Floor(rhs*4)/4))
 		}
 		fs := mustSolve(t, p)
-		es, err := SolveExact(p)
-		if err != nil {
-			t.Fatalf("SolveExact: %v", err)
-		}
+		es := mustSolveExact(t, p)
 		if fs.Status != es.Status {
 			t.Fatalf("trial %d: status float=%v exact=%v", trial, fs.Status, es.Status)
 		}
 		if fs.Status != Optimal {
 			continue
 		}
-		obj, _ := es.Objective.Float64()
-		if math.Abs(obj-fs.Objective) > 1e-6 {
+		if obj := ratFloat(es.Objective); math.Abs(obj-fs.Objective) > 1e-6 {
 			t.Errorf("trial %d: exact obj %v != float obj %v", trial, obj, fs.Objective)
 		}
 	}
-}
-
-func unitRow(n, j int) []float64 {
-	row := make([]float64, n)
-	row[j] = 1
-	return row
 }
 
 func check(t *testing.T, err error) {
@@ -209,9 +217,9 @@ func TestSolveTrivialAtOrigin(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		p.SetObjective(j, float64(j+1))
 	}
-	check(t, p.AddDense([]float64{1, 1, 1}, LE, 10))
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal || sol.Objective != 0 {
+	check(t, p.AddSparse([]int{0, 1, 2}, []float64{1, 1, 1}, LE, 10))
+	sol := mustSolveExact(t, p)
+	if sol.Status != Optimal || sol.Objective.Sign() != 0 {
 		t.Errorf("got %v obj=%v, want optimal 0", sol.Status, sol.Objective)
 	}
 }
@@ -221,14 +229,14 @@ func TestSolveEqualityOnlySystem(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 1)
-	check(t, p.AddDense([]float64{1, 1}, EQ, 4))
-	check(t, p.AddDense([]float64{1, -1}, EQ, 2))
-	sol := mustSolve(t, p)
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, EQ, 4))
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, -1}, EQ, 2))
+	sol := mustSolveExact(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if math.Abs(sol.X[0]-3) > 1e-7 || math.Abs(sol.X[1]-1) > 1e-7 {
-		t.Errorf("x = %v, want (3,1)", sol.X)
+	if x := sol.Float64s(); x[0] != 3 || x[1] != 1 {
+		t.Errorf("x = %v, want (3,1)", x)
 	}
 }
 
@@ -237,11 +245,11 @@ func TestSolveRedundantRows(t *testing.T) {
 	// rather than declare infeasibility.
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
-	check(t, p.AddDense([]float64{1, 1}, EQ, 3))
-	check(t, p.AddDense([]float64{1, 1}, EQ, 3))
-	check(t, p.AddDense([]float64{2, 2}, EQ, 6))
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal || math.Abs(sol.Objective) > 1e-9 {
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, EQ, 3))
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, EQ, 3))
+	check(t, p.AddSparse([]int{0, 1}, []float64{2, 2}, EQ, 6))
+	sol := mustSolveExact(t, p)
+	if sol.Status != Optimal || sol.Objective.Sign() != 0 {
 		t.Errorf("got %v obj=%v, want optimal 0 (x=(0,3))", sol.Status, sol.Objective)
 	}
 }
@@ -249,7 +257,7 @@ func TestSolveRedundantRows(t *testing.T) {
 func TestExactRejectsNonFinite(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective(0, math.Inf(1))
-	check(t, p.AddDense([]float64{1}, GE, 1))
+	check(t, p.AddSparse([]int{0}, []float64{1}, GE, 1))
 	if _, err := SolveExact(p); err == nil {
 		t.Error("infinite coefficient accepted by exact engine")
 	}

@@ -84,10 +84,10 @@ func TestRemoveRowsNilBasisInvalidates(t *testing.T) {
 			p.SetObjective(j, 1)
 			p.SetUpper(j, 2)
 		}
-		if err := p.AddDense([]float64{1, 1}, GE, 1); err != nil {
+		if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddDense([]float64{2, 1}, GE, 1); err != nil {
+		if err := p.AddSparse([]int{0, 1}, []float64{2, 1}, GE, 1); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -100,7 +100,7 @@ func TestRemoveRowsNilBasisInvalidates(t *testing.T) {
 	if err := p.RemoveRows([]int{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddDense([]float64{1, 2}, GE, 3); err != nil {
+	if err := p.AddSparse([]int{0, 1}, []float64{1, 2}, GE, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := p.ResolveFrom(basis); err == nil {
@@ -115,7 +115,7 @@ func TestRemoveRowsNilBasisInvalidates(t *testing.T) {
 	if err := q.RemoveRows([]int{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.AddDense([]float64{1, 2}, GE, 3); err != nil {
+	if err := q.AddSparse([]int{0, 1}, []float64{1, 2}, GE, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := q.ResolveExactFrom(ebasis); err == nil {
@@ -141,10 +141,10 @@ func TestRemoveRowsRejectsTightRow(t *testing.T) {
 		p.SetObjective(j, 1)
 		p.SetUpper(j, 1)
 	}
-	if err := p.AddDense([]float64{1, 1}, GE, 1); err != nil { // will be tight
+	if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 1); err != nil { // will be tight
 		t.Fatal(err)
 	}
-	if err := p.AddDense([]float64{2, 1}, GE, 1); err != nil { // slack at opt
+	if err := p.AddSparse([]int{0, 1}, []float64{2, 1}, GE, 1); err != nil { // slack at opt
 		t.Fatal(err)
 	}
 	sol, basis, err := p.ResolveFrom(nil)

@@ -3,22 +3,20 @@ package lp
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
-// revised is the sparse revised-simplex working state of the float engine.
+// revised is the sparse dual-simplex working state of the float engine.
 //
-// Unlike the dense tableau it replaced, the constraint matrix is never
-// transformed: rows are stored once in sign-normalized compressed sparse
-// form (plus a per-column view for FTRAN), and all pivoting state lives in
-// the factorized basis representation f — a sparse LU of the basis as of
-// the last refactorization, kept current by Forrest–Tomlin updates (see
-// factor.go). Logical columns (slacks, surpluses, artificials)
-// are signed unit vectors and are never materialized. xB holds the actual
-// value of each basic variable — not a transformed right-hand side — which
-// keeps the bookkeeping correct when nonbasic variables rest at nonzero
-// upper bounds.
+// The constraint matrix is never transformed: rows are stored once in
+// compressed sparse form (plus a per-column view for FTRAN), and all
+// pivoting state lives in the factorized basis representation f — a sparse
+// LU of the basis as of the last refactorization, kept current by
+// Forrest–Tomlin updates (see factor.go). Logical columns (surpluses,
+// slacks and pad columns; see newRevised) are signed unit vectors and are
+// never materialized. xB holds the actual value of each basic variable —
+// not a transformed right-hand side — which keeps the bookkeeping correct
+// when nonbasic variables rest at nonzero upper bounds.
 //
 // Per pivot the engine performs:
 //
@@ -41,18 +39,15 @@ import (
 // in KernelStats.ForcedRefactors — when a spike fails the update's stability
 // tolerance. Numerical drift is controlled exactly as documented in the
 // package comment: the reduced-cost row is refreshed periodically and before
-// any optimality claim, and a conclusion of dual infeasibility is only
-// accepted after a full refactorization plus a basic-value resync confirms
-// it.
+// any optimality claim, and an Infeasible verdict is only accepted after a
+// full refactorization plus a basic-value resync confirms it.
 type revised struct {
-	n         int // structural variables
-	m         int // materialized rows
-	rowsBuilt int // Problem rows incorporated (including presolved-away ones)
-	epoch     int // Problem.removeEpoch this state last synchronized with
+	n     int // structural variables
+	m     int // rows; engine row i is Problem row i
+	epoch int // Problem.removeEpoch this state last synchronized with
 
-	// Constraint matrix, sign-normalized per row (rows with negative rhs
-	// are flipped at build time; warm-appended GE rows are negated so their
-	// slack keeps a +1 coefficient).
+	// Constraint matrix: cold-built rows as given, warm-appended rows
+	// negated so their single slack keeps a +1 coefficient.
 	rowCols [][]int32
 	rowVals [][]float64
 	rowRun  [][]alphaRun // run-compressed mirror of rowCols/rowVals
@@ -62,30 +57,26 @@ type revised struct {
 	colVals [][]float64
 
 	logRow  []int32   // per logical column (index col-n): owning row
-	logSign []float64 // +1 slack/artificial, -1 surplus
+	logSign []float64 // +1 slack/pad, -1 surplus
 
-	f           factor  // factorized basis: LU + Forrest–Tomlin updates (see factor.go)
-	factorStale bool    // basis structure changed; refactorize before solving
-	broken      bool    // refactorization failed; only IterLimit may be reported
-	probRow     []int32 // per Problem row: engine row, or -1 if presolved away
+	f           factor // factorized basis: LU + Forrest–Tomlin updates (see factor.go)
+	factorStale bool   // basis structure changed; refactorize before solving
+	broken      bool   // refactorization failed; only IterLimit may be reported
 
 	basis []int     // basic column of each basis position
 	xB    []float64 // value of the basic variable at each position
 
 	// Per-column state, structural columns first, then logical columns in
-	// materialization order.
+	// materialization order. cost[:n] and upper[:n] double as the snapshot
+	// of the Problem's objective and bounds that a warm re-solve checks.
 	cost       []float64
 	upper      []float64
 	atUpper    []bool
-	isArt      []bool
+	pad        []bool // the never-basic second logical of a cold-built row
 	inBasis    []bool
 	whereBasic []int // basis row of the column, -1 when nonbasic
 
-	probUpper []float64 // the Problem's structural bounds as of construction
-	//                     (upper may be tighter after singleton presolve)
-
-	curCost []float64 // cost vector of the current phase
-	red     []float64 // persistent reduced-cost row for curCost
+	red []float64 // persistent reduced-cost row
 
 	// Scratch reused across pivots so steady-state pivoting is
 	// allocation-free.
@@ -138,10 +129,6 @@ type revised struct {
 	// are exactly the surviving rows of the old one).
 	dseW     []float64
 	dseStale bool // exact FG maintenance lost; devex max-form updates from here on
-	// Partial primal pricing: a managed candidate list plus the cyclic
-	// rotor position the next refill scan starts from.
-	candList  []int32
-	candRotor int
 
 	pivots          int // lifetime pivot count
 	pivotsAtCall    int // pivot count when the current ResolveFrom began
@@ -154,14 +141,6 @@ type revised struct {
 
 // Pricing constants.
 const (
-	// candListMax bounds the partial-pricing candidate list: a refill
-	// scan stops as soon as this many attractive columns are collected,
-	// so steady-state primal pricing touches a managed window of columns
-	// instead of all of them. A full cyclic wrap that collects nothing is
-	// the (only) way partial pricing concludes no attractive column
-	// exists, which keeps its optimality claims identical to a full
-	// scan's.
-	candListMax = 64
 	// dseWeightFloor keeps incrementally updated weights positive when
 	// cancellation in the FG update rounds a tiny weight below zero.
 	dseWeightFloor = 1e-10
@@ -177,65 +156,26 @@ const (
 	devexResetAbove = 1e10
 )
 
-// newRevised builds the initial state. Singleton "a*x_j <= b" rows with
-// a > 0, b >= 0 are presolved into the variable's upper bound (and vacuous
-// singleton <= rows dropped) rather than materialized, so box constraints
-// cost nothing regardless of how the caller expressed them.
+// newRevised builds the initial state at the all-slack dual basis. Each
+// row a·x ≥ b is stored as given with two logical columns: its surplus
+// (coefficient −1), basic, and a pad column (+1). Every structural rests at
+// its lower bound, which its nonnegative cost prefers, so the basis is dual
+// feasible; it is a signed permutation, so every inverse row has norm
+// exactly 1 and the dual steepest-edge weights start exact.
+//
+// A pad column never enters the basis: the dual ratio test and
+// checkDualFeasible skip it. It stays because logical column indices feed
+// the final tie-break of the dual ratio test (dualCandBefore), and with
+// one logical per row every later column index, and so the pivot sequence,
+// would change.
 func newRevised(p *Problem) *revised {
 	m, n := len(p.rows), p.numVars
-	bound := make([]float64, n)
-	if p.upper != nil {
-		copy(bound, p.upper)
-	} else {
-		for j := range bound {
-			bound[j] = math.Inf(1)
-		}
-	}
-	type rowKind struct {
-		rel  Relation
-		flip bool
-		skip bool
-	}
-	kinds := make([]rowKind, m)
-	nRows, nLog := 0, 0
-	for i := range p.rows {
-		rel, b := p.rel[i], p.b[i]
-		if rel == LE && b >= 0 {
-			if col, coef, single := singleton(p.rows[i]); single {
-				if coef > 0 {
-					if u := b / coef; u < bound[col] {
-						bound[col] = u
-					}
-				}
-				// coef <= 0 (or empty row): vacuous given x >= 0, b >= 0.
-				kinds[i].skip = true
-				continue
-			}
-		}
-		flip := b < 0
-		if flip {
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		kinds[i] = rowKind{rel: rel, flip: flip}
-		nRows++
-		switch rel {
-		case LE, EQ:
-			nLog++
-		case GE:
-			nLog += 2 // surplus + artificial
-		}
-	}
-	nTotal := n + nLog
+	nTotal := n + 2*m
 	colCap := nTotal + nTotal/4 + 16 // headroom for appended cut columns
-	rowCap := nRows + nRows/4 + 16
+	rowCap := m + m/4 + 16
 	t := &revised{
 		n:          n,
-		rowsBuilt:  m,
+		m:          m,
 		epoch:      p.removeEpoch,
 		rowCols:    make([][]int32, 0, rowCap),
 		rowVals:    make([][]float64, 0, rowCap),
@@ -246,102 +186,64 @@ func newRevised(p *Problem) *revised {
 		colVals:    make([][]float64, n),
 		logRow:     make([]int32, 0, colCap-n),
 		logSign:    make([]float64, 0, colCap-n),
-		probRow:    make([]int32, 0, rowCap),
 		basis:      make([]int, 0, rowCap),
 		xB:         make([]float64, 0, rowCap),
 		cost:       make([]float64, nTotal, colCap),
 		upper:      make([]float64, nTotal, colCap),
 		atUpper:    make([]bool, nTotal, colCap),
-		isArt:      make([]bool, nTotal, colCap),
+		pad:        make([]bool, nTotal, colCap),
 		inBasis:    make([]bool, nTotal, colCap),
 		whereBasic: make([]int, nTotal, colCap),
-		curCost:    make([]float64, nTotal, colCap),
 		red:        make([]float64, nTotal, colCap),
 		alpha:      make([]float64, nTotal, colCap),
-		w:          make([]float64, nRows, rowCap),
-		rho:        make([]float64, nRows, rowCap),
-		y:          make([]float64, nRows, rowCap),
-		flipAcc:    make([]float64, nRows, rowCap),
-		flipSol:    make([]float64, nRows, rowCap),
-		tau:        make([]float64, nRows, rowCap),
+		w:          make([]float64, m, rowCap),
+		rho:        make([]float64, m, rowCap),
+		y:          make([]float64, m, rowCap),
+		flipAcc:    make([]float64, m, rowCap),
+		flipSol:    make([]float64, m, rowCap),
+		tau:        make([]float64, m, rowCap),
 		touched:    make([]int32, 0, colCap),
-		dseW:       make([]float64, nRows, rowCap),
-		inRowList:  make([]bool, nRows, rowCap),
+		dseW:       make([]float64, m, rowCap),
+		inRowList:  make([]bool, m, rowCap),
 		pivotHook:  p.pivotHook,
 	}
 	t.f.forceDense = p.denseKernels
 	t.f.stats = &t.kstats
-	// The initial all-logical basis is a signed permutation, so every row
-	// of its inverse has norm exactly 1: the weight set starts exact.
 	for i := range t.dseW {
 		t.dseW[i] = 1
 	}
 	copy(t.cost, p.c)
-	copy(t.upper, bound)
-	for j := n; j < nTotal; j++ {
+	for j := range t.upper {
 		t.upper[j] = math.Inf(1)
+	}
+	if p.upper != nil {
+		copy(t.upper, p.upper)
 	}
 	for j := range t.whereBasic {
 		t.whereBasic[j] = -1
 	}
-	t.probUpper = make([]float64, n)
-	if p.upper != nil {
-		copy(t.probUpper, p.upper)
-	} else {
-		for j := range t.probUpper {
-			t.probUpper[j] = math.Inf(1)
-		}
-	}
-	logCol := n
-	for i := range p.rows {
-		if kinds[i].skip {
-			t.probRow = append(t.probRow, -1)
-			continue
-		}
-		sign := 1.0
-		if kinds[i].flip {
-			sign = -1.0
-		}
-		cols, vals := normalizeEntries(p.rows[i], sign)
-		r := t.m
+	for i, row := range p.rows {
+		cols, vals := normalizeEntries(row, 1)
 		for k, c := range cols {
-			t.colRows[c] = append(t.colRows[c], int32(r))
+			t.colRows[c] = append(t.colRows[c], int32(i))
 			t.colVals[c] = append(t.colVals[c], vals[k])
 		}
 		t.rowCols = append(t.rowCols, cols)
 		t.rowVals = append(t.rowVals, vals)
 		t.rowRun = append(t.rowRun, compressRuns(cols, vals))
-		t.rhs = append(t.rhs, sign*p.b[i])
-		var logs []int32
-		var bas int
-		addLog := func(s float64, art bool) int {
-			c := logCol
-			logCol++
-			t.logRow = append(t.logRow, int32(r))
-			t.logSign = append(t.logSign, s)
-			t.isArt[c] = art
-			logs = append(logs, int32(c))
-			return c
-		}
-		switch kinds[i].rel {
-		case LE:
-			bas = addLog(1, false)
-		case GE:
-			addLog(-1, false)
-			bas = addLog(1, true)
-		case EQ:
-			bas = addLog(1, true)
-		}
-		t.rowLogs = append(t.rowLogs, logs)
-		t.probRow = append(t.probRow, int32(r))
-		t.basis = append(t.basis, bas)
-		t.xB = append(t.xB, sign*p.b[i])
-		t.inBasis[bas] = true
-		t.whereBasic[bas] = r
-		t.m++
+		t.rhs = append(t.rhs, p.b[i])
+		surplus := n + 2*i
+		t.logRow = append(t.logRow, int32(i), int32(i))
+		t.logSign = append(t.logSign, -1, 1)
+		t.pad[surplus+1] = true
+		t.rowLogs = append(t.rowLogs, []int32{int32(surplus), int32(surplus + 1)})
+		t.basis = append(t.basis, surplus)
+		t.xB = append(t.xB, -p.b[i])
+		t.inBasis[surplus] = true
+		t.whereBasic[surplus] = i
 	}
-	// The initial all-logical basis factorizes trivially; do it lazily at
-	// the first solve entry like any other structural change.
+	// The initial basis factorizes trivially; do it lazily at the first
+	// solve entry like any other structural change.
 	t.factorStale = true
 	return t
 }
@@ -473,24 +375,6 @@ func siftDualCand(c []dualCand, i int) {
 // such pivots keeps the inverse healthy in the first place.
 const pivTol = 1e-7
 
-// singleton reports whether the row references a single variable (after
-// summing duplicate columns and ignoring zero coefficients); col is -1 for
-// an empty row.
-func singleton(row []entry) (col int, coef float64, ok bool) {
-	col = -1
-	for _, e := range row {
-		if e.val == 0 {
-			continue
-		}
-		if col >= 0 && e.col != col {
-			return 0, 0, false
-		}
-		col = e.col
-		coef += e.val
-	}
-	return col, coef, true
-}
-
 // normalizeEntries returns the row's structural entries scaled by sign, with
 // duplicate columns summed and zero coefficients dropped, sorted by column.
 func normalizeEntries(row []entry, sign float64) ([]int32, []float64) {
@@ -536,24 +420,6 @@ func normalizeEntries(row []entry, sign float64) ([]int32, []float64) {
 	return cols[:out], vals[:out]
 }
 
-// setPhaseCost loads the working cost vector: artificial costs for phase 1,
-// the problem objective for phase 2.
-func (t *revised) setPhaseCost(phase1 bool) {
-	nTotal := len(t.cost)
-	t.curCost = t.curCost[:nTotal]
-	if phase1 {
-		for j := range t.curCost {
-			if t.isArt[j] {
-				t.curCost[j] = 1
-			} else {
-				t.curCost[j] = 0
-			}
-		}
-	} else {
-		copy(t.curCost, t.cost)
-	}
-}
-
 // refreshRed recomputes the basic values and the reduced-cost row from the
 // factorized basis: xB = B⁻¹(b − N·x_N) by FTRAN, then the duals
 // y = c_B·B⁻¹ by BTRAN, then red_j = c_j - y·A_j via one sweep over the
@@ -565,12 +431,11 @@ func (t *revised) refreshRed() {
 		return
 	}
 	t.refreshXB()
-	nTotal := len(t.curCost)
-	t.red = t.red[:nTotal]
-	copy(t.red, t.curCost)
+	t.red = t.red[:len(t.cost)]
+	copy(t.red, t.cost)
 	y := t.y[:t.m]
 	for i := 0; i < t.m; i++ {
-		y[i] = t.curCost[t.basis[i]]
+		y[i] = t.cost[t.basis[i]]
 	}
 	t.f.btran(y) // dense by design: c_B is a dense right-hand side
 	t.kstats.noteBtran(false, 0)
@@ -1006,11 +871,10 @@ func (t *revised) clearAlpha() {
 // pre-pivot pivot row, and the leaving variable settles at its upper bound
 // when toUpper is true, else at zero.
 //
-// t.w must hold the FTRAN of the entering column. When alphaReady is true
-// the caller has already filled t.alpha/t.touched from the pivot row (the
-// dual path computes it for the ratio test); otherwise applyPivot computes
-// it with a BTRAN. Either way the accumulator is drained before returning.
-func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool, alphaReady bool) {
+// t.w must hold the FTRAN of the entering column and t.alpha/t.touched the
+// pivot row the ratio test priced; the accumulator is drained before
+// returning.
+func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool) {
 	if t.pivotHook != nil {
 		t.pivotHook(row, col)
 	}
@@ -1044,10 +908,6 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool, alp
 		enterVal += t.upper[col]
 	}
 
-	if !alphaReady {
-		t.btranRho(row)
-		t.pivotRowAlpha()
-	}
 	if f := t.red[col]; f != 0 {
 		scale := f / w[row]
 		red := t.red
@@ -1109,26 +969,19 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool, alp
 	}
 }
 
-// accumulateFlip records a bound flip of column col (moving by u in
-// direction dir) in the row-space accumulator; applyFlips folds every
+// accumulateFlip records a bound flip of structural column col (moving by
+// u in direction dir) in the row-space accumulator; applyFlips folds every
 // recorded flip into the basic values with a single B⁻¹ application.
+// Logical columns have no finite upper bound, so they never flip.
 func (t *revised) accumulateFlip(col int, dir, u float64) {
 	d := dir * u
-	if col < t.n {
-		rows, vals := t.colRows[col], t.colVals[col]
-		for k, r := range rows {
-			if t.flipAcc[r] == 0 {
-				t.flipInd = append(t.flipInd, r)
-			}
-			t.flipAcc[r] += d * vals[k]
+	rows, vals := t.colRows[col], t.colVals[col]
+	for k, r := range rows {
+		if t.flipAcc[r] == 0 {
+			t.flipInd = append(t.flipInd, r)
 		}
-		return
+		t.flipAcc[r] += d * vals[k]
 	}
-	r := t.logRow[col-t.n]
-	if t.flipAcc[r] == 0 {
-		t.flipInd = append(t.flipInd, r)
-	}
-	t.flipAcc[r] += d * t.logSign[col-t.n]
 }
 
 // applyFlips applies xB -= B⁻¹·flipAcc with one FTRAN and clears the
@@ -1170,187 +1023,6 @@ func (t *revised) applyFlips() {
 		}
 	}
 	t.flipInd = t.flipInd[:0]
-}
-
-// boundFlip moves nonbasic column col across its (finite) range to the
-// opposite bound without a basis change. t.w must hold the column's FTRAN.
-func (t *revised) boundFlip(col int, dir float64) {
-	if u := t.upper[col]; u > 0 {
-		w := t.w[:t.m]
-		if t.wSparse {
-			for _, i32 := range t.wInd {
-				if wi := w[i32]; wi != 0 {
-					t.xB[i32] -= dir * wi * u
-				}
-			}
-		} else {
-			for i := range w {
-				if wi := w[i]; wi != 0 {
-					t.xB[i] -= dir * wi * u
-				}
-			}
-		}
-	}
-	t.atUpper[col] = !t.atUpper[col]
-}
-
-// primalScore is a column's attractiveness under the current reduced
-// costs: the rate of objective decrease per unit of movement off its bound.
-// Zero (or negative) means the column may not enter.
-func (t *revised) primalScore(j int, phase1 bool) float64 {
-	if t.inBasis[j] || (!phase1 && t.isArt[j]) {
-		return 0
-	}
-	if t.atUpper[j] {
-		return t.red[j]
-	}
-	return -t.red[j]
-}
-
-// pickPartial is the partial-pricing entering-column choice: it first
-// drains the managed candidate list — re-scoring each member against the
-// live reduced costs, dropping the no-longer-attractive, and returning the
-// best — and only when the list yields nothing does it refill by scanning
-// columns cyclically from the rotor until candListMax fresh candidates are
-// collected or the scan wraps. Steady-state pricing therefore touches a
-// bounded window of columns per pivot instead of all of them, while the
-// full-wrap-empty case is exactly full pricing's "no attractive column"
-// conclusion, so optimality claims are unchanged (and are still confirmed
-// against a fresh reduced-cost row by the caller).
-func (t *revised) pickPartial(phase1 bool) int {
-	best, col := eps, -1
-	out := 0
-	for _, j32 := range t.candList {
-		j := int(j32)
-		s := t.primalScore(j, phase1)
-		if s <= eps {
-			continue
-		}
-		t.candList[out] = j32
-		out++
-		if s > best {
-			best, col = s, j
-		}
-	}
-	t.candList = t.candList[:out]
-	if col >= 0 {
-		return col
-	}
-	t.candList = t.candList[:0]
-	ncols := len(t.red)
-	j := t.candRotor
-	if j >= ncols {
-		j = 0
-	}
-	for scanned := 0; scanned < ncols && len(t.candList) < candListMax; scanned++ {
-		if s := t.primalScore(j, phase1); s > eps {
-			t.candList = append(t.candList, int32(j))
-			if s > best {
-				best, col = s, j
-			}
-		}
-		j++
-		if j == ncols {
-			j = 0
-		}
-	}
-	t.candRotor = j
-	return col
-}
-
-// primalIterate runs bounded-variable primal simplex iterations with the
-// current phase's cost vector until optimal, unbounded, or the pivot budget
-// is exhausted. Outside phase 1, artificial columns may not enter.
-func (t *revised) primalIterate(phase1 bool, budget *int) Status {
-	t.setPhaseCost(phase1)
-	t.refreshRed()
-	t.ensureWeights()
-	blandFrom := *budget / 2 // switch to Bland's rule for the second half
-	for iter := 0; ; iter++ {
-		if *budget <= 0 || t.broken {
-			return IterLimit
-		}
-		*budget--
-		if t.sinceRefresh >= refreshEvery {
-			t.refreshRed()
-		}
-		red := t.red
-		col := -1
-		if iter >= blandFrom {
-			for j := range red {
-				if t.inBasis[j] || (!phase1 && t.isArt[j]) {
-					continue
-				}
-				if t.atUpper[j] {
-					if red[j] > eps {
-						col = j
-						break
-					}
-				} else if red[j] < -eps {
-					col = j
-					break
-				}
-			}
-		} else {
-			col = t.pickPartial(phase1)
-		}
-		if col < 0 {
-			// Never certify optimality against a stale reduced-cost row:
-			// refresh and re-price once if any pivots happened since the
-			// last full recompute (refreshRed zeroes sinceRefresh, so this
-			// retries at most once per pivot).
-			if t.sinceRefresh > 0 {
-				t.refreshRed()
-				continue
-			}
-			return Optimal
-		}
-		dir := 1.0
-		if t.atUpper[col] {
-			dir = -1.0
-		}
-		t.ftran(col)
-		w := t.w[:t.m]
-		// Ratio test over basic bounds, capped by the entering variable's
-		// own range (a bound flip).
-		row := -1
-		toUpper := false
-		bestRatio := t.upper[col]
-		for i := range w {
-			wi := dir * w[i]
-			if wi > eps {
-				ratio := t.xB[i] / wi
-				if ratio < 0 {
-					ratio = 0
-				}
-				if ratio < bestRatio-eps ||
-					(ratio < bestRatio+eps && row >= 0 && t.basis[i] < t.basis[row]) {
-					row, bestRatio, toUpper = i, ratio, false
-				}
-			} else if wi < -eps {
-				ub := t.upper[t.basis[i]]
-				if math.IsInf(ub, 1) {
-					continue
-				}
-				ratio := (ub - t.xB[i]) / -wi
-				if ratio < 0 {
-					ratio = 0
-				}
-				if ratio < bestRatio-eps ||
-					(ratio < bestRatio+eps && row >= 0 && t.basis[i] < t.basis[row]) {
-					row, bestRatio, toUpper = i, ratio, true
-				}
-			}
-		}
-		if row < 0 {
-			if math.IsInf(bestRatio, 1) {
-				return Unbounded
-			}
-			t.boundFlip(col, dir)
-			continue
-		}
-		t.applyPivot(row, col, dir, bestRatio, toUpper, false)
-	}
 }
 
 // dualViolation reports position i's bound violation magnitude (zero when
@@ -1445,20 +1117,20 @@ func (t *revised) pickDualRow() (int, bool) {
 	}
 }
 
-// dualIterate restores primal feasibility (basic values pushed outside
-// their bounds by newly appended rows) while maintaining dual feasibility,
-// using the bounded-variable dual simplex. It assumes the state was optimal
-// before the rows were appended. A pivot may land the entering variable
-// beyond its own finite bound; that surfaces as a fresh infeasibility
-// repaired by a later iteration. Like the primal loop, it falls back from
-// most-infeasible-row selection to lowest-index selection for the second
-// half of the pivot budget as an anti-cycling safeguard.
+// dualIterate restores primal feasibility (basic values outside their
+// bounds: the surpluses of a cold start, the slacks of newly appended rows)
+// while maintaining dual feasibility, using the bounded-variable dual
+// simplex. It assumes the state is dual feasible: the all-slack start, or
+// an optimum before rows were appended. A pivot may land the entering
+// variable beyond its own finite bound; that surfaces as a fresh
+// infeasibility repaired by a later iteration. For the second half of the
+// pivot budget it falls back from steepest-edge row selection to the
+// lowest violated position (Bland's rule) as an anti-cycling safeguard.
 //
 // A conclusion of Infeasible is never accepted from drifted state: the
 // engine refactorizes the basis inverse, resyncs basic values and reduced
 // costs, and re-tries once before reporting it.
 func (t *revised) dualIterate(budget *int) Status {
-	t.setPhaseCost(false)
 	t.refreshRed()
 	t.ensureWeights()
 	blandFrom := *budget / 2
@@ -1513,7 +1185,7 @@ func (t *revised) dualIterate(budget *int) Status {
 		cands := t.cands[:0]
 		for _, j32 := range t.touched {
 			j := int(j32)
-			if t.inBasis[j] || t.isArt[j] {
+			if t.inBasis[j] || t.pad[j] {
 				continue
 			}
 			a := sign * t.alpha[j]
@@ -1628,157 +1300,47 @@ func (t *revised) dualIterate(budget *int) Status {
 			delta = 0
 		}
 		t.ftran(col)
-		t.applyPivot(row, col, colDir, delta, above, true)
+		t.applyPivot(row, col, colDir, delta, above)
 	}
 }
 
-// coldSolve builds a fresh engine state for p and solves from scratch. It
-// first tries the dual-feasible cold start: when every negative-cost
-// structural column has a finite upper bound, resting each structural on the
-// bound its cost sign prefers makes the all-logical basis (slack for LE,
-// surplus for GE, the artificial pinned to [0,0] as an exact equality slack
-// for EQ) dual feasible outright, and the bounded dual simplex drives the
-// primal violations out with no phase 1, no artificial costs, and — the
-// all-logical basis being a signed permutation — an exactly initialized
-// steepest-edge weight set. Covering masters are the textbook case: minimize
-// Σy over y ≤ 1 with a·y ≥ b rows is dual feasible at y = 0.
-//
-// Only a verified-able Optimal is accepted from that start: any other
-// verdict — in particular an Infeasible claim, which from the float dual
-// simplex can be a pivot-tolerance artifact — is re-derived on a fresh
-// state by the classic two-phase solve, whose phase-1 verdict remains the
-// engine's only cold infeasibility certificate. The discarded attempt's
-// pivots still count toward the returned state's per-call totals. When
-// some negative-cost column has an infinite bound, two-phase runs
-// directly.
-func coldSolve(p *Problem, budget *int) (*revised, Status) {
-	t := newRevised(p)
-	if t.dualColdStart() {
-		st := t.dualIterate(budget)
-		if st == Optimal {
-			st = t.primalIterate(false, budget)
-		}
-		if st == Optimal {
-			return t, st
-		}
-		spentPivots, spentRefactors := t.pivots, t.refactors
-		spentKernel := t.kstats
-		t = newRevised(p)
-		t.pivotsAtCall = -spentPivots
-		t.refactorsAtCall = -spentRefactors
-		t.kstatsAtCall = KernelStats{}.minus(spentKernel)
+// solve runs the dual simplex from the current dual feasible state — the
+// all-slack start of newRevised, or a warm optimum with rows and columns
+// spliced in — then checks the optimum it reaches and verifies it against
+// p's rows.
+func (t *revised) solve(p *Problem, budget *int) Status {
+	st := t.dualIterate(budget)
+	if st == Optimal {
+		st = t.checkDualFeasible()
 	}
-	return t, t.runTwoPhase(budget)
+	if st == Optimal {
+		st = t.verifyOptimal(p, budget)
+	}
+	return st
 }
 
-// dualColdStart installs the dual-feasible all-logical starting basis
-// described at runCold, reporting false (with the state untouched) when a
-// negative-cost column's infinite upper bound makes it inapplicable.
-func (t *revised) dualColdStart() bool {
-	for j := 0; j < t.n; j++ {
-		if t.cost[j] < 0 && math.IsInf(t.upper[j], 1) {
-			return false
-		}
+// checkDualFeasible confirms an optimum the dual simplex reached. It first
+// re-derives the basic values and reduced costs from the factors; the next
+// warm re-solve starts from these values. It then reports IterLimit if the
+// refactorization failed or a nonbasic column sits off the bound its
+// reduced cost prefers (red < −eps at the lower bound, red > eps at the
+// upper). The dual simplex keeps every reduced cost on its dual-feasible
+// side, so only numerical drift can trip the check. Pad columns are never
+// candidates and are not checked.
+func (t *revised) checkDualFeasible() Status {
+	t.refreshRed()
+	if t.broken {
+		return IterLimit
 	}
-	for r := 0; r < t.m; r++ {
-		logs := t.rowLogs[r]
-		bas := int(logs[0])
-		for _, lc := range logs {
-			if !t.isArt[lc] {
-				bas = int(lc)
-				break
-			}
-		}
-		if t.isArt[bas] {
-			// An EQ row's artificial is its pinned slack: forcing it back
-			// into [0,0] is exactly the equality.
-			t.upper[bas] = 0
-		}
-		old := t.basis[r]
-		if old != bas {
-			t.inBasis[old] = false
-			t.whereBasic[old] = -1
-			t.atUpper[old] = false
-			t.basis[r] = bas
-			t.inBasis[bas] = true
-			t.whereBasic[bas] = r
-		}
-	}
-	for j := 0; j < t.n; j++ {
-		t.atUpper[j] = t.cost[j] < 0
-	}
-	// The installed basis is a signed permutation: every inverse row has
-	// norm exactly 1, so the weight set starts exact.
-	for i := range t.dseW {
-		t.dseW[i] = 1
-	}
-	t.dseStale = false
-	t.factorStale = true
-	return true
-}
-
-// runTwoPhase executes the cold two-phase solve.
-func (t *revised) runTwoPhase(budget *int) Status {
-	hasArt := false
-	for j := range t.isArt {
-		if t.isArt[j] {
-			hasArt = true
-			break
-		}
-	}
-	if hasArt {
-		st := t.primalIterate(true, budget)
-		if st != Optimal {
-			return st
-		}
-		// Infeasible if any artificial remains basic at positive value.
-		var artSum float64
-		for i := 0; i < t.m; i++ {
-			if t.isArt[t.basis[i]] {
-				artSum += t.xB[i]
-			}
-		}
-		if artSum > 1e-7 {
-			return Infeasible
-		}
-		t.driveOutArtificials()
-	}
-	return t.primalIterate(false, budget)
-}
-
-// driveOutArtificials removes zero-valued artificials from the basis after
-// phase 1 via degenerate swaps (the point does not move: the entering
-// column keeps its current bound value). A row with no eligible entering
-// column is linearly dependent on the others; its artificial stays basic
-// with its bound pinned to [0,0], which keeps the basis square while
-// enforcing the redundant constraint exactly.
-func (t *revised) driveOutArtificials() {
-	for i := 0; i < t.m; i++ {
-		if !t.isArt[t.basis[i]] {
+	for j, r := range t.red {
+		if t.inBasis[j] || t.pad[j] {
 			continue
 		}
-		t.btranRho(i)
-		t.pivotRowAlpha()
-		slices.Sort(t.touched)
-		col := -1
-		for _, j32 := range t.touched {
-			j := int(j32)
-			if t.isArt[j] || t.inBasis[j] {
-				continue
-			}
-			if a := t.alpha[j]; a > eps || a < -eps {
-				col = j
-				break
-			}
+		if t.atUpper[j] && r > eps || !t.atUpper[j] && r < -eps {
+			return IterLimit
 		}
-		if col < 0 {
-			t.clearAlpha()
-			t.upper[t.basis[i]] = 0 // redundant row
-			continue
-		}
-		t.ftran(col)
-		t.applyPivot(i, col, 1, 0, false, true)
 	}
+	return Optimal
 }
 
 // resync refactorizes the basis from scratch — the row etas and updated U,
@@ -1813,7 +1375,7 @@ func (t *revised) verifyOptimal(p *Problem, budget *int) Status {
 		}
 		st := t.dualIterate(budget)
 		if st == Optimal {
-			st = t.primalIterate(false, budget)
+			st = t.checkDualFeasible()
 		}
 		if st != Optimal {
 			return st
@@ -1822,7 +1384,8 @@ func (t *revised) verifyOptimal(p *Problem, budget *int) Status {
 }
 
 // consistent reports whether the current point satisfies the problem's
-// rows and the basic variables their bounds, all within tol.
+// rows (all a·x ≥ b; ResolveFrom admits no other) and the basic variables
+// their bounds, all within tol.
 func (t *revised) consistent(p *Problem, tol float64) bool {
 	for i := 0; i < t.m; i++ {
 		v := t.xB[i]
@@ -1839,45 +1402,31 @@ func (t *revised) consistent(p *Problem, tol float64) bool {
 		for _, e := range row {
 			ax += e.val * x[e.col]
 		}
-		switch p.rel[i] {
-		case LE:
-			if ax > p.b[i]+tol {
-				return false
-			}
-		case GE:
-			if ax < p.b[i]-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(ax-p.b[i]) > tol {
-				return false
-			}
+		if ax < p.b[i]-tol {
+			return false
 		}
 	}
 	return true
 }
 
 // refreshXB recomputes every basic value from the inverse:
-// x_B = B⁻¹·(rhs − Σ_{j nonbasic at upper} A_j·u_j).
+// x_B = B⁻¹·(rhs − Σ_{j nonbasic at upper} A_j·u_j). Only structural
+// columns can rest at an upper bound; logical columns have none.
 func (t *revised) refreshXB() {
 	m := t.m
 	r := t.y[:m] // scratch; refreshRed reloads it before use
 	copy(r, t.rhs)
-	for j, up := range t.atUpper {
-		if !up || t.inBasis[j] {
+	for j := 0; j < t.n; j++ {
+		if !t.atUpper[j] || t.inBasis[j] {
 			continue
 		}
 		u := t.upper[j]
 		if u == 0 {
 			continue
 		}
-		if j < t.n {
-			rows, vals := t.colRows[j], t.colVals[j]
-			for k, ri := range rows {
-				r[ri] -= vals[k] * u
-			}
-		} else {
-			r[t.logRow[j-t.n]] -= t.logSign[j-t.n] * u
+		rows, vals := t.colRows[j], t.colVals[j]
+		for k, ri := range rows {
+			r[ri] -= vals[k] * u
 		}
 	}
 	t.f.ftran(r) // dense by design: the bound-adjusted rhs is dense
@@ -1926,11 +1475,10 @@ func (t *revised) growCols(k int) {
 	}
 	t.cost = growF(t.cost, 0)
 	t.upper = growF(t.upper, math.Inf(1))
-	t.curCost = growF(t.curCost, 0)
 	t.red = growF(t.red, 0)
 	t.alpha = growF(t.alpha, 0)
 	t.atUpper = growB(t.atUpper)
-	t.isArt = growB(t.isArt)
+	t.pad = growB(t.pad)
 	t.inBasis = growB(t.inBasis)
 	if cap(t.whereBasic) < nt {
 		s2 := make([]int, len(t.whereBasic), nt+nt/4+16)
@@ -1978,12 +1526,11 @@ func (t *revised) growRows() {
 // rowLogs) is remapped; logRow/logSign are indexed relative to n and need
 // no rewrite. The new columns enter nonbasic at their lower bound with the
 // bounds and costs the caller shaped after AddColumns; their reduced costs
-// are derived from the persistent dual row at the refactorization this
-// splice schedules (factorStale), so the next dual/primal pass prices them
-// exactly — a new column appearing in no tight row simply keeps red = c_j,
-// and one that prices attractively is entered by the primal clean-up.
-// Nothing in row space moves: basic values, pricing weights and the dual
-// working set stay valid; only the column-indexed pricing scratch restarts.
+// are derived at the refactorization this splice schedules (factorStale).
+// A new column appears in no existing row, so its reduced cost is its cost,
+// c_j ≥ 0, and the basis stays dual feasible. Nothing in row space moves:
+// basic values, pricing weights and the dual working set stay valid; only
+// the column-indexed pricing scratch restarts.
 func (t *revised) appendProblemCols(p *Problem) {
 	k := p.numVars - t.n
 	if k <= 0 {
@@ -1999,10 +1546,9 @@ func (t *revised) appendProblemCols(p *Problem) {
 		d := j + k
 		t.cost[d] = t.cost[j]
 		t.upper[d] = t.upper[j]
-		t.curCost[d] = t.curCost[j]
 		t.red[d] = t.red[j]
 		t.atUpper[d] = t.atUpper[j]
-		t.isArt[d] = t.isArt[j]
+		t.pad[d] = t.pad[j]
 		t.inBasis[d] = t.inBasis[j]
 		t.whereBasic[d] = t.whereBasic[j]
 	}
@@ -2013,13 +1559,11 @@ func (t *revised) appendProblemCols(p *Problem) {
 			u = p.upper[j]
 		}
 		t.upper[j] = u
-		t.curCost[j] = 0
 		t.red[j] = 0
 		t.atUpper[j] = false
-		t.isArt[j] = false
+		t.pad[j] = false
 		t.inBasis[j] = false
 		t.whereBasic[j] = -1
-		t.probUpper = append(t.probUpper, u)
 	}
 	t.colRows = append(t.colRows, make([][]int32, k)...)
 	t.colVals = append(t.colVals, make([][]float64, k)...)
@@ -2034,10 +1578,8 @@ func (t *revised) appendProblemCols(p *Problem) {
 		}
 	}
 	t.n = p.numVars
-	// Column indices shifted: the partial-pricing candidate list and the
-	// touched-column scratch may hold stale indices.
-	t.candList = t.candList[:0]
-	t.candRotor = 0
+	// Column indices shifted: the touched-column scratch may hold stale
+	// indices.
 	t.touched = t.touched[:0]
 	t.factorStale = true
 }
@@ -2050,31 +1592,27 @@ func (t *revised) appendProblemCols(p *Problem) {
 // factorization is rebuilt once at the new dimension before the next solve
 // — appends introduce no compounding transformation error.
 func (t *revised) appendProblemRows(p *Problem) {
-	if t.rowsBuilt == len(p.rows) {
+	m0 := t.m
+	if m0 == len(p.rows) {
 		return
 	}
 	xs := t.structuralX()
-	for r := t.rowsBuilt; r < len(p.rows); r++ {
-		t.appendRow(p.rows[r], p.rel[r], p.b[r], xs)
+	for r := m0; r < len(p.rows); r++ {
+		t.appendRow(p.rows[r], p.b[r], xs)
 	}
-	t.rowsBuilt = len(p.rows)
 	t.factorStale = true
 }
 
-func (t *revised) appendRow(row []entry, rel Relation, b float64, xs []float64) {
-	sign := 1.0
-	if rel == GE {
-		sign = -1.0 // negate so the slack keeps a +1 coefficient
-	}
+// appendRow stores the row a·x ≥ b negated, as −a·x + s = −b, so its one
+// logical column is a slack with a +1 coefficient.
+func (t *revised) appendRow(row []entry, b float64, xs []float64) {
+	const sign = -1.0
 	cols, vals := normalizeEntries(row, sign)
 	i := t.m
 	s := len(t.cost)
 	t.growCols(1)
 	t.logRow = append(t.logRow, int32(i))
 	t.logSign = append(t.logSign, 1)
-	if rel == EQ {
-		t.upper[s] = 0
-	}
 	t.rowCols = append(t.rowCols, cols)
 	t.rowVals = append(t.rowVals, vals)
 	t.rowRun = append(t.rowRun, compressRuns(cols, vals))
@@ -2102,16 +1640,15 @@ func (t *revised) appendRow(row []entry, rel Relation, b float64, xs []float64) 
 	}
 	t.xB = append(t.xB, sign*b-ax)
 	t.basis = append(t.basis, s)
-	t.probRow = append(t.probRow, int32(i))
 	t.inBasis[s] = true
 	t.whereBasic[s] = i
 	t.dseW = append(t.dseW, -1) // priced lazily by ensureWeights
 	t.m++
 }
 
-// removeRows excises the given problem rows from the live simplex state in
-// place. Legal only for rows whose slack/surplus/artificial column is
-// currently basic — for a zero-cost unit column e_r to be basic its dual
+// removeRows excises the given rows from the live simplex state in place.
+// Legal only for rows whose slack or surplus column is currently basic —
+// for a zero-cost unit column e_r to be basic its dual
 // price must be zero (red = 0 − y_r), so dropping constraint row r together
 // with that basis member changes neither the remaining duals nor any
 // remaining basic value, and the cofactor expansion of det(B) along the
@@ -2120,39 +1657,29 @@ func (t *revised) appendRow(row []entry, rel Relation, b float64, xs []float64) 
 // must be rebuilt, which the next solve does once.
 //
 // A row that is strictly slack at the current optimum always qualifies: a
-// nonbasic logical rests at a bound (zero, or a pinned upper of zero), so a
-// positive slack value forces the logical into the basis.
+// nonbasic logical rests at zero, so a positive slack value forces the
+// logical into the basis.
 func (t *revised) removeRows(drop []int) error {
 	// Validate every drop before mutating anything.
-	deadProb := make([]bool, len(t.probRow))
 	deadRow := make([]bool, t.m)
 	deadPos := make([]bool, t.m)
 	deadCol := make([]bool, len(t.cost))
-	for _, pr := range drop {
-		if pr < 0 || pr >= len(t.probRow) {
-			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", pr, len(t.probRow))
+	for _, r := range drop {
+		if r < 0 || r >= t.m {
+			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", r, t.m)
 		}
-		if deadProb[pr] {
+		if deadRow[r] {
 			continue
 		}
-		deadProb[pr] = true
-		er := t.probRow[pr]
-		if er < 0 {
-			continue // presolved away: nothing materialized to excise
+		// A row's first logical is its slack or surplus; a pad never
+		// enters the basis.
+		slack := int(t.rowLogs[r][0])
+		if !t.inBasis[slack] {
+			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", r)
 		}
-		basicLog := -1
-		for _, lc := range t.rowLogs[er] {
-			if t.inBasis[int(lc)] {
-				basicLog = int(lc)
-				break
-			}
-		}
-		if basicLog < 0 {
-			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", pr)
-		}
-		deadRow[er] = true
-		deadPos[t.whereBasic[basicLog]] = true
-		for _, lc := range t.rowLogs[er] {
+		deadRow[r] = true
+		deadPos[t.whereBasic[slack]] = true
+		for _, lc := range t.rowLogs[r] {
 			deadCol[int(lc)] = true
 		}
 	}
@@ -2230,11 +1757,10 @@ func (t *revised) removeRows(drop []int) error {
 		t.logSign[nc-t.n] = t.logSign[j-t.n]
 		t.cost[nc] = t.cost[j]
 		t.upper[nc] = t.upper[j]
-		t.curCost[nc] = t.curCost[j]
 		t.red[nc] = t.red[j]
 		t.alpha[nc] = t.alpha[j]
 		t.atUpper[nc] = t.atUpper[j]
-		t.isArt[nc] = t.isArt[j]
+		t.pad[nc] = t.pad[j]
 		t.inBasis[nc] = t.inBasis[j]
 		nc++
 	}
@@ -2242,11 +1768,10 @@ func (t *revised) removeRows(drop []int) error {
 	t.logSign = t.logSign[:nc-t.n]
 	t.cost = t.cost[:nc]
 	t.upper = t.upper[:nc]
-	t.curCost = t.curCost[:nc]
 	t.red = t.red[:nc]
 	t.alpha = t.alpha[:nc]
 	t.atUpper = t.atUpper[:nc]
-	t.isArt = t.isArt[:nc]
+	t.pad = t.pad[:nc]
 	t.inBasis = t.inBasis[:nc]
 
 	// Basis positions: drop the removed rows' basic logicals, keep every
@@ -2268,12 +1793,8 @@ func (t *revised) removeRows(drop []int) error {
 	t.basis = t.basis[:np]
 	t.xB = t.xB[:np]
 	t.dseW = t.dseW[:np]
-	// Logical column indices shifted; the candidate list may hold stale
-	// ones, so partial pricing restarts from an empty list. Basis positions
-	// shifted too, so the dual working set and the kernel scratch supports
-	// restart likewise.
-	t.candList = t.candList[:0]
-	t.candRotor = 0
+	// Basis positions shifted, so the dual working set and the kernel
+	// scratch supports restart.
 	t.rowList = t.rowList[:0]
 	for i := range t.inRowList {
 		t.inRowList[i] = false
@@ -2287,132 +1808,8 @@ func (t *revised) removeRows(drop []int) error {
 	for p, c := range t.basis {
 		t.whereBasic[c] = p
 	}
-
-	// Problem-row mapping.
-	npr := 0
-	for pr := range t.probRow {
-		if deadProb[pr] {
-			continue
-		}
-		er := t.probRow[pr]
-		if er >= 0 {
-			er = rowMap[er]
-		}
-		t.probRow[npr] = er
-		npr++
-	}
-	t.probRow = t.probRow[:npr]
-	t.rowsBuilt = npr
 	t.factorStale = true
 	return nil
-}
-
-// newCrashRevised builds a fresh engine state for p whose starting basis is
-// seeded ("crashed") from the surviving columns of a failed warm state:
-// every structural column basic in the warm basis is installed as the basic
-// column of its problem row's fresh engine row, warm rows resting on one of
-// their logicals keep a non-artificial logical basic (surplus/slack role is
-// preserved across the differing materializations — a warm-appended GE cut
-// carries one slack on the negated row, the fresh build a surplus on the
-// original, and both measure a·x − b), and nonbasic structural columns
-// inherit their bound status. The fresh state shares none of the warm
-// state's numerical history — the basis is factorized from verbatim rows —
-// so it escapes whatever drift or budget exhaustion broke the warm solve
-// while skipping the all-logical two-phase restart that would re-derive a
-// near-identical basis one pivot at a time. Returns nil when the seeded
-// basis is numerically singular; the caller then falls back to the plain
-// two-phase cold solve.
-func newCrashRevised(p *Problem, warm *revised) *revised {
-	if warm == nil || warm.n != p.numVars || warm.rowsBuilt != len(p.rows) {
-		return nil
-	}
-	t := newRevised(p)
-	// Warm engine row -> problem row (warm rows can be a permuted subset
-	// after earlier appends and removals; problem-row indices are the
-	// shared coordinate system).
-	rowOf := make([]int32, warm.m)
-	for i := range rowOf {
-		rowOf[i] = -1
-	}
-	for pr, er := range warm.probRow {
-		if er >= 0 {
-			rowOf[er] = int32(pr)
-		}
-	}
-	for i := 0; i < warm.m; i++ {
-		pr := rowOf[i]
-		if pr < 0 {
-			continue
-		}
-		er := int(t.probRow[pr])
-		if er < 0 {
-			continue // presolved away in the fresh build
-		}
-		wc := warm.basis[i]
-		nc := wc
-		if wc >= warm.n {
-			// The warm row rested on one of its logicals; adopt the fresh
-			// row's non-artificial logical (the artificial only for EQ
-			// rows, whose sole logical it is).
-			logs := t.rowLogs[er]
-			nc = int(logs[0])
-			for _, lc := range logs {
-				if !t.isArt[lc] {
-					nc = int(lc)
-					break
-				}
-			}
-		}
-		old := t.basis[er]
-		if nc == old || t.inBasis[nc] {
-			continue
-		}
-		t.inBasis[old] = false
-		t.whereBasic[old] = -1
-		t.atUpper[old] = false
-		t.basis[er] = nc
-		t.inBasis[nc] = true
-		t.whereBasic[nc] = er
-	}
-	for j := 0; j < t.n; j++ {
-		if !t.inBasis[j] && !math.IsInf(t.upper[j], 1) {
-			t.atUpper[j] = warm.atUpper[j] && !warm.inBasis[j]
-		}
-	}
-	if !t.factorizeNow() {
-		return nil
-	}
-	// A crash basis is not all-logical, so the steepest-edge weight set
-	// cannot start exact; devex carries the pricing for this state.
-	t.dseStale = true
-	return t
-}
-
-// crashPrep readies a crash state for the dual simplex: with the phase-2
-// reduced costs freshly derived, every nonbasic column with a finite upper
-// bound is rested on its dual-feasible bound (red < 0 ⟹ upper, red > 0 ⟹
-// lower — bound flips are free in bounded simplex), and the basic values
-// are re-derived against the flipped bound states. Columns with infinite
-// upper bounds and negative reduced costs remain dual infeasible; the
-// primal clean-up pass after the dual repair absorbs them, and the verify
-// layer guards the result like every other solve.
-func (t *revised) crashPrep() {
-	t.setPhaseCost(false)
-	t.refreshRed()
-	if t.broken {
-		return
-	}
-	for j := range t.red {
-		if t.inBasis[j] || t.isArt[j] || math.IsInf(t.upper[j], 1) {
-			continue
-		}
-		if t.red[j] < -eps {
-			t.atUpper[j] = true
-		} else if t.red[j] > eps {
-			t.atUpper[j] = false
-		}
-	}
-	t.refreshXB()
 }
 
 // structuralX extracts the structural variable values from the basis and

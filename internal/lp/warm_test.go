@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -92,8 +93,7 @@ func TestWarmResolveMatchesExactOnCutSequences(t *testing.T) {
 }
 
 // TestWarmResolveMatchesColdSolve checks that the warm path lands on the
-// same optimum as a cold Solve of the identical problem, including after an
-// objective change between re-solves (allowed by the contract).
+// same optimum as a cold Solve of the identical problem.
 func TestWarmResolveMatchesColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -104,10 +104,6 @@ func TestWarmResolveMatchesColdSolve(t *testing.T) {
 			cols, vals, rhs := randCut(rng, p)
 			if err := p.AddSparse(cols, vals, GE, rhs); err != nil {
 				t.Fatal(err)
-			}
-			if c == 3 {
-				// Objective change mid-sequence.
-				p.SetObjective(rng.Intn(n), float64(1+rng.Intn(6)))
 			}
 			warm, nextBasis, err := p.ResolveFrom(basis)
 			if err != nil {
@@ -133,39 +129,6 @@ func TestWarmResolveMatchesColdSolve(t *testing.T) {
 	}
 }
 
-// TestWarmResolveEquality exercises the EQ append path (slack fixed to
-// [0,0]) through the dual simplex.
-func TestWarmResolveEquality(t *testing.T) {
-	// min x0 + x1, x0 + x1 >= 2 -> obj 2; then force x0 - x1 == 1.
-	p := NewProblem(2)
-	p.SetObjective(0, 1)
-	p.SetObjective(1, 1)
-	p.SetUpper(0, 5)
-	p.SetUpper(1, 5)
-	if err := p.AddDense([]float64{1, 1}, GE, 2); err != nil {
-		t.Fatal(err)
-	}
-	sol, basis, err := p.ResolveFrom(nil)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("cold: %v %v", err, sol.Status)
-	}
-	if math.Abs(sol.Objective-2) > 1e-9 {
-		t.Fatalf("cold objective %v, want 2", sol.Objective)
-	}
-	if err := p.AddDense([]float64{1, -1}, EQ, 1); err != nil {
-		t.Fatal(err)
-	}
-	sol, _, err = p.ResolveFrom(basis)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("warm: %v %v", err, sol.Status)
-	}
-	// Optimum now x = (1.5, 0.5).
-	if math.Abs(sol.Objective-2) > 1e-9 ||
-		math.Abs(sol.X[0]-1.5) > 1e-9 || math.Abs(sol.X[1]-0.5) > 1e-9 {
-		t.Fatalf("warm solution %v obj %v, want (1.5,0.5) obj 2", sol.X, sol.Objective)
-	}
-}
-
 // TestWarmResolveInfeasibleCut checks that a cut no point satisfies turns
 // the master infeasible through the dual simplex rather than wedging it.
 func TestWarmResolveInfeasibleCut(t *testing.T) {
@@ -174,14 +137,14 @@ func TestWarmResolveInfeasibleCut(t *testing.T) {
 		p.SetObjective(j, 1)
 		p.SetUpper(j, 1)
 	}
-	if err := p.AddDense([]float64{1, 1}, GE, 1); err != nil {
+	if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 1); err != nil {
 		t.Fatal(err)
 	}
 	sol, basis, err := p.ResolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold: %v %v", err, sol.Status)
 	}
-	if err := p.AddDense([]float64{1, 1}, GE, 3); err != nil { // max attainable is 2
+	if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 3); err != nil { // max attainable is 2
 		t.Fatal(err)
 	}
 	sol, next, err := p.ResolveFrom(basis)
@@ -196,19 +159,21 @@ func TestWarmResolveInfeasibleCut(t *testing.T) {
 	}
 }
 
-// TestSetUpperBoundsEnforced checks native bounds against the equivalent
-// explicit-row formulation.
+// TestSetUpperBoundsEnforced checks that native bounds bind: the covering
+// row alone would put all of its weight on the cheaper x0.
 func TestSetUpperBoundsEnforced(t *testing.T) {
-	// max x (min -x) with x <= 2.5 expressed as a native bound.
-	p := NewProblem(1)
-	p.SetObjective(0, -1)
+	// min x0 + 3 x1 s.t. x0 + x1 >= 4, x0 <= 2.5. Opt at (2.5, 1.5): 7.
+	p := NewProblem(2)
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 3)
 	p.SetUpper(0, 2.5)
+	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 4))
 	sol, err := Solve(p)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("%v %v", err, sol.Status)
 	}
-	if math.Abs(sol.X[0]-2.5) > 1e-9 {
-		t.Fatalf("x = %v, want 2.5", sol.X[0])
+	if math.Abs(sol.X[0]-2.5) > 1e-9 || math.Abs(sol.X[1]-1.5) > 1e-9 || math.Abs(sol.Objective-7) > 1e-9 {
+		t.Fatalf("x = %v obj %v, want (2.5, 1.5) obj 7", sol.X, sol.Objective)
 	}
 	// Negative upper bound: infeasible.
 	q := NewProblem(1)
@@ -217,27 +182,6 @@ func TestSetUpperBoundsEnforced(t *testing.T) {
 	sol, err = Solve(q)
 	if err != nil || sol.Status != Infeasible {
 		t.Fatalf("negative bound: %v %v, want infeasible", err, sol.Status)
-	}
-}
-
-// TestSingletonRowPresolve checks that "a*x <= b" rows become bounds (same
-// optimum, fewer tableau rows is unobservable here, but the vacuous-row and
-// duplicate-column paths must stay correct).
-func TestSingletonRowPresolve(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjective(0, -3)
-	p.SetObjective(1, -2)
-	check(t, p.AddSparse([]int{0, 0}, []float64{1, 1}, LE, 4)) // 2*x0 <= 4
-	check(t, p.AddSparse([]int{1}, []float64{-1}, LE, 7))      // vacuous
-	check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, LE, 3)) // real row
-	check(t, p.AddSparse([]int{1}, []float64{2}, LE, 5))       // x1 <= 2.5
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	// Opt: x0 = 2 (bound), x1 = 1 (row): obj -8.
-	if math.Abs(sol.Objective-(-8)) > 1e-6 {
-		t.Fatalf("objective %v, want -8 (x=%v)", sol.Objective, sol.X)
 	}
 }
 
@@ -257,7 +201,7 @@ func TestIterationsCountsPivotsOnly(t *testing.T) {
 	if sol.Iterations != 0 {
 		t.Fatalf("origin-optimal solve reports %d pivots, want 0", sol.Iterations)
 	}
-	if err := p.AddDense([]float64{1, 1, 1}, GE, 1); err != nil {
+	if err := p.AddSparse([]int{0, 1, 2}, []float64{1, 1, 1}, GE, 1); err != nil {
 		t.Fatal(err)
 	}
 	sol2, _, err := p.ResolveFrom(basis)
@@ -313,36 +257,49 @@ func TestWarmResolveAllocBound(t *testing.T) {
 	})
 	// Each run: cut slices (~12 from append growth + AddSparse row), one
 	// appended tableau row, occasional growCols reallocation, Solution + X.
-	// Dozens of dual/primal pivots happen per run; a per-pivot allocation
-	// would blow far past this bound.
+	// Dozens of dual pivots happen per run; a per-pivot allocation would
+	// blow far past this bound.
 	if allocs > 40 {
 		t.Errorf("warm re-solve allocates %.0f objects per cut round; pricing loop is supposed to be allocation-free", allocs)
 	}
 }
 
-// TestWarmResolveRejectsBoundChange: changing a bound between re-solves is
-// outside the warm-start contract and must fail loudly, not return a
-// solution against the stale bound.
+// TestWarmResolveRejectsBoundChange: changing the bound or the objective
+// of a column the basis has seen is outside the warm-start contract and
+// must fail loudly, not return a solution against the stale value. Both
+// changes fail the same way, and a cold solve picks up the new value.
 func TestWarmResolveRejectsBoundChange(t *testing.T) {
-	p := NewProblem(2)
-	for j := 0; j < 2; j++ {
-		p.SetObjective(j, 1)
-		p.SetUpper(j, 1)
-	}
-	if err := p.AddDense([]float64{1, 1}, GE, 1); err != nil {
-		t.Fatal(err)
-	}
-	sol, basis, err := p.ResolveFrom(nil)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("cold: %v %v", err, sol.Status)
-	}
-	p.SetUpper(0, 3)
-	if _, _, err := p.ResolveFrom(basis); err == nil {
-		t.Fatal("bound change accepted by warm re-solve")
-	}
-	// A cold solve picks up the new bound.
-	sol, _, err = p.ResolveFrom(nil)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("cold after bound change: %v %v", err, sol.Status)
+	for _, change := range []struct {
+		name  string
+		apply func(p *Problem)
+		obj   float64 // cold optimum after the change
+	}{
+		{"bound", func(p *Problem) { p.SetUpper(0, 3) }, 1},
+		{"objective", func(p *Problem) { p.SetObjective(1, 4) }, 3},
+	} {
+		p := NewProblem(2)
+		for j := 0; j < 2; j++ {
+			p.SetObjective(j, 1)
+			p.SetUpper(j, 1)
+		}
+		if err := p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddSparse([]int{0, 1}, []float64{1, 2}, GE, 2); err != nil {
+			t.Fatal(err)
+		}
+		sol, basis, err := p.ResolveFrom(nil)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("%s: cold: %v %v", change.name, err, sol.Status)
+		}
+		change.apply(p)
+		_, _, err = p.ResolveFrom(basis)
+		if err == nil || !strings.Contains(err.Error(), "changed since the basis was captured") {
+			t.Fatalf("%s change: warm re-solve returned %v, want a changed-since-captured error", change.name, err)
+		}
+		sol, _, err = p.ResolveFrom(nil)
+		if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-change.obj) > 1e-9 {
+			t.Fatalf("cold after %s change: %v %v obj %v, want %v", change.name, err, sol.Status, sol.Objective, change.obj)
+		}
 	}
 }
