@@ -67,13 +67,14 @@
 //     decisions so far plus the fractional future) still completes every
 //     job, which keeps the opened set feasible by induction and within
 //     2·LP.
-//  4. One max flow checks the opened slots and Assign extracts the
+//  4. Assign runs one integral max flow over the opened slots, the only
+//     one that starts from zero: it both checks them and extracts the
 //     schedule. An opened set that fails the check returns
 //     ErrRoundingInfeasible and is never patched.
 //
-// MinimalFeasible (Theorem 1, ≤ 3·OPT) closes slots one at a time on the
-// same flow-carrying checker, so a full sweep runs exactly one max flow
-// from zero.
+// MinimalFeasible (Theorem 1, ≤ 3·OPT) closes slots one at a time on a
+// flow-carrying checker, so a full sweep runs exactly one max flow from
+// zero.
 //
 // # Where the gates live
 //

@@ -192,8 +192,8 @@ func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64
 // CheckFeasible reports whether all jobs of the instance can be scheduled
 // using only the given open slots. It builds a one-shot network; callers
 // that probe many slot sets against the same jobs (the minimal-feasible
-// closing loop, the rounding prefix checks) use the reusable feasChecker
-// instead, which Resets and re-capacitates one persistent network.
+// closing loop, the exact search) use the reusable feasChecker instead,
+// which re-capacitates one persistent network.
 func CheckFeasible(in *core.Instance, open []core.Time) bool {
 	got, _ := feasibleFlow(in.G, in.Jobs, open, false)
 	return got == in.TotalLength()
@@ -211,10 +211,10 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // excess along the rest of each affected source→job→slot→sink path
 // (PushBack) — cheap because every path in this bipartite network has
 // length 3 — leaving a valid sub-maximal flow from which feasible() lets
-// Dinic augment only the difference. The minimal-feasible closing loop, the
-// rounding prefix checks and the exact search's DFS toggles therefore never
-// recompute a flow from scratch: coldFlows counts the from-zero solves
-// (exactly one, the first query) and is the counter the scaling gates pin.
+// Dinic augment only the difference. The minimal-feasible closing loop and
+// the exact search's DFS toggles therefore never recompute a flow from
+// scratch: coldFlows counts the from-zero solves (exactly one, the first
+// query) and is the counter the scaling gates pin.
 type feasChecker struct {
 	g         int
 	jobs      []core.Job

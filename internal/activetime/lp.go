@@ -1,6 +1,7 @@
 package activetime
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -154,13 +155,14 @@ func jobSetKey(A []bool) string {
 // rewritten before re-running max-flow.
 //
 // In incremental mode (every solve pipeline; see loadIncremental) the
-// previous round's flow survives re-capacitation: only edges whose capacity
-// shrank below their flow are repaired — the excess cancelled along the
-// rest of its source→job→slot→sink path, which is cheap because every path
-// in this bipartite network has length 3 — and Max then augments from the
-// repaired residual state, routing just the difference instead of the full
-// demand P over a ~T-node network every round. Fresh mode (load) rebuilds
-// the flow from zero and is kept as the equivalence-test reference.
+// previous round's flow survives re-capacitation: only the slots whose y
+// moved are re-capacitated, only edges whose capacity shrank below their
+// flow are repaired — the excess cancelled along the rest of its
+// source→job→slot→sink path, which is cheap because every path in this
+// bipartite network has length 3 — and Max then augments from the repaired
+// residual state, routing just the difference instead of the full demand P
+// over a ~T-node network every round. Fresh mode (load) rebuilds the flow
+// from zero and is kept as the equivalence-test reference.
 //
 // The network also survives instance deltas (Session): jobNode/slotNode map
 // job positions and slots to their flow-network nodes, so growth appends
@@ -180,6 +182,15 @@ type separator struct {
 	slotJobs    [][]slotRef              // transpose of jobEdges: per slot, incoming job edges
 	total       float64
 	incremental bool
+	// loaded[t] is the y that loadIncremental last wrote into slot t+1's
+	// edges, the one value all of them hold, so a load visits only the
+	// slots whose y moved. addSlots appends 0 (the new edges' capacity);
+	// addJob marks its window slots NaN, which equals no y, so its
+	// zero-capacity edges are written by the next load.
+	loaded []float64
+	// cov is cutFor's per-slot coverage scratch (index t-1), all zero
+	// between calls.
+	cov []int32
 	// serialWalks pins separateAll's residual walks to the sequential
 	// path; the parallel-vs-serial equality test flips it to assert the
 	// fan-out is a pure wall-time optimization.
@@ -215,6 +226,8 @@ func newSeparator(in *core.Instance) *separator {
 		slotEdges: make([]flow.EdgeID[float64], T),
 		jobEdges:  carve[flow.EdgeID[float64]](nJobs, func(i int) int { return deg[1+i] - 1 }),
 		slotJobs:  carve[slotRef](T, func(k int) int { return deg[1+nJobs+k] - 1 }),
+		loaded:    make([]float64, T),
+		cov:       make([]int32, T),
 	}
 	for t := 1; t <= T; t++ {
 		s.slotEdges[t-1] = s.net.AddEdge(s.slotNode[t-1], s.sink, 0)
@@ -241,14 +254,17 @@ func (s *separator) addSlots(newT int) {
 		s.slotNode = append(s.slotNode, node)
 		s.slotEdges = append(s.slotEdges, s.net.AddEdge(node, s.sink, 0))
 		s.slotJobs = append(s.slotJobs, nil)
+		s.loaded = append(s.loaded, 0)
+		s.cov = append(s.cov, 0)
 	}
 }
 
 // addJob splices a new job (at position len(jobNode)) into the live network:
 // one node, a supply edge carrying its length, and zero-capacity window
-// edges. The job's demand is routed by the next load's Max augmentation on
-// top of the surviving flow. The slot axis must already cover the job's
-// window (addSlots).
+// edges, whose slots it marks unloaded (NaN in loaded) so that the next
+// load writes y into them even where y has not moved. The job's demand is
+// routed by that load's Max augmentation on top of the surviving flow. The
+// slot axis must already cover the job's window (addSlots).
 func (s *separator) addJob(j core.Job) {
 	i := len(s.jobNode)
 	node := s.net.AddNode()
@@ -259,6 +275,7 @@ func (s *separator) addJob(j core.Job) {
 	for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
 		ids = append(ids, s.net.AddEdge(node, s.slotNode[t-1], 0))
 		s.slotJobs[t-1] = append(s.slotJobs[t-1], slotRef{int32(i), int32(k)})
+		s.loaded[t-1] = math.NaN()
 	}
 	s.jobEdges = append(s.jobEdges, ids)
 }
@@ -349,26 +366,39 @@ func (s *separator) load(y []float64) bool {
 // slot's inflow matches its new outflow. After the repair pass the flow is
 // again a valid (sub-maximal) flow of the re-capacitated network, so
 // continuing Dinic from the residual state yields a true maximum flow and
-// the same unique min-cut value a fresh solve finds. Edges whose capacity
-// is unchanged from the previous round — the common case, since successive
-// master optima move few y_t — are skipped entirely.
+// the same unique min-cut value a fresh solve finds.
+//
+// Only the slots whose y differs from loaded are visited — the common case
+// moves few of them, since successive master optima (and successive
+// rounding decisions) change few y_t — and within them only the edges
+// whose capacity differs. The visits keep the order of a scan over every
+// edge: first the job→slot edges (slot by slot, each slot's jobs in job
+// order), then the slot→sink edges. Every edge therefore sees the same
+// SetCapacityKeepFlow/PushBack sequence, so the flow is the same to the
+// last bit.
 func (s *separator) loadIncremental(y []float64) bool {
 	g := float64(s.in.G)
-	for i, j := range s.in.Jobs {
-		ids := s.jobEdges[i]
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			c := y[t-1]
-			if c == s.net.Capacity(ids[k]) {
+	for t, c := range y {
+		if c == s.loaded[t] {
+			continue
+		}
+		for _, ref := range s.slotJobs[t] {
+			id := s.jobEdges[ref.job][ref.k]
+			if c == s.net.Capacity(id) {
 				continue
 			}
-			if ex := s.net.SetCapacityKeepFlow(ids[k], c); ex > 0 {
-				s.net.PushBack(s.srcEdges[i], ex)
-				s.net.PushBack(s.slotEdges[t-1], ex)
+			if ex := s.net.SetCapacityKeepFlow(id, c); ex > 0 {
+				s.net.PushBack(s.srcEdges[ref.job], ex)
+				s.net.PushBack(s.slotEdges[t], ex)
 			}
 		}
 	}
-	for t := range y {
-		c := g * y[t]
+	for t, yt := range y {
+		if yt == s.loaded[t] {
+			continue
+		}
+		s.loaded[t] = yt
+		c := g * yt
 		if c == s.net.Capacity(s.slotEdges[t]) {
 			continue
 		}
@@ -541,30 +571,35 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 	return out
 }
 
-// cutFor builds the canonical cut for job subset A:
-// Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j.
-func cutFor(in *core.Instance, A []bool) (cols []int, vals []float64, rhs float64) {
-	T := int(in.Horizon())
-	cov := make([]int, T+1)
-	for i, j := range in.Jobs {
+// cutFor builds the canonical cut for job subset A of the separator's
+// instance: Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j. It counts coverage in
+// the cov scratch over the span of A's windows only, allocates cols and
+// vals at their exact length, and zeroes the scratch as it emits them.
+func (s *separator) cutFor(A []bool) (cols []int, vals []float64, rhs float64) {
+	cov := s.cov
+	lo, hi, n := len(cov), -1, 0
+	for i, j := range s.in.Jobs {
 		if !A[i] {
 			continue
 		}
 		rhs += float64(j.Length)
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
+		first, last := int(j.FirstSlot())-1, int(j.LastSlot())-1
+		for t := first; t <= last; t++ {
+			if cov[t] == 0 {
+				n++
+			}
 			cov[t]++
 		}
+		lo, hi = min(lo, first), max(hi, last)
 	}
-	for t := 1; t <= T; t++ {
-		c := cov[t]
-		if c == 0 {
-			continue
+	cols, vals = make([]int, 0, n), make([]float64, 0, n)
+	g := int32(s.in.G)
+	for t := lo; t <= hi; t++ {
+		if c := cov[t]; c != 0 {
+			cov[t] = 0
+			cols = append(cols, t)
+			vals = append(vals, float64(min(c, g)))
 		}
-		if c > in.G {
-			c = in.G
-		}
-		cols = append(cols, t-1)
-		vals = append(vals, float64(c))
 	}
 	return cols, vals, rhs
 }

@@ -86,7 +86,7 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 				continue
 			}
 			seen[key] = true
-			cols, vals, rhs := cutFor(in, A)
+			cols, vals, rhs := sep.cutFor(A)
 			if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 				return nil, err
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -35,9 +34,11 @@ type RoundingResult struct {
 	FlowChecks   int
 	ProxyCarries int
 	Repairs      int
-	// ColdFlows counts feasibility solves that started from zero routed
-	// flow. The rounding sweep's checker is flow-carrying, so this stays at
-	// most 1 regardless of T; a from-scratch regression shows up here.
+	// ColdFlows counts integral max flows that started from zero routed
+	// flow: exactly 1, Assign's, which both checks the opened slots and
+	// extracts the schedule. The sweep's hybrid checks carry their flow
+	// from one close to the next and are counted in FlowChecks; a
+	// from-scratch regression shows up here.
 	ColdFlows int
 	// DroppedMass is fractional proxy mass the sweep could not place in any
 	// slot (segment exhausted and the carried proxy's slot already open) and
@@ -49,9 +50,10 @@ type RoundingResult struct {
 	// ever failed (never expected; tests assert false).
 	InvariantViolated bool
 	// Per-phase wall time in milliseconds: LP solve (zero when the caller
-	// supplied a precomputed LP), right shift, rounding sweep, the final
-	// feasibility check of the opened slots, and assignment extraction.
-	LPMillis, ShiftMillis, SweepMillis, VerifyMillis, AssignMillis float64
+	// supplied a precomputed LP), right shift, rounding sweep, and the
+	// assignment flow that checks the opened slots and extracts the
+	// schedule.
+	LPMillis, ShiftMillis, SweepMillis, AssignMillis float64
 }
 
 const (
@@ -146,39 +148,22 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	hy := shifted[1:]
 	mix := newSeparator(in)
 	mix.incremental = true
-	// Jobs sorted by deadline for prefix feasibility checks.
-	jobsByDeadline := make([]core.Job, len(in.Jobs))
-	copy(jobsByDeadline, in.Jobs)
-	sortJobsByDeadline(jobsByDeadline)
-
-	// Persistent integral feasibility network: jobs switch on as the
-	// deadline prefix grows, slots switch on as they are opened. The sweep
-	// itself never queries it (close decisions are certified against the
-	// hybrid vector above) — it exists for the final check, whose single
-	// query is the rounding pass's one cold flow.
-	fc := newFeasChecker(in.G, jobsByDeadline)
 	opened := make(map[core.Time]bool)
 	var openList []core.Time
 	openSlot := func(t core.Time) {
 		if !opened[t] {
 			opened[t] = true
 			openList = append(openList, t)
-			fc.setSlot(t, true)
 		}
 	}
 	var cumY, cumComp float64
 	proxyVal := 0.0
 	var proxyPtr core.Time
 	haveProxyPtr := false
-	prefix := 0 // jobsByDeadline[:prefix] have deadline <= current
 	invSlack := math.Max(1e-6, tol)
 
 	for i, d := range deadlines {
 		cumY, cumComp = kahanAdd(cumY, cumComp, segY[i])
-		for prefix < len(jobsByDeadline) && jobsByDeadline[prefix].Deadline <= d {
-			fc.setJob(prefix, true)
-			prefix++
-		}
 		yi := segY[i] + proxyVal
 		hadProxy := proxyVal > tol
 		oldPtr, hadPtr := proxyPtr, haveProxyPtr
@@ -265,21 +250,15 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	}
 	res.SweepMillis = float64(time.Since(phase).Microseconds()) / 1000
 	phase = time.Now()
-	// Check the opened slots on the persistent checker (every job is
-	// switched on once the deadline sweep finishes). The hybrid close
-	// certificates make a failure unreachable for an optimal LP solution in
-	// exact arithmetic, so a failure is reported, never patched. Only then
-	// is the one-shot assignment network built, exactly once.
-	if !fc.feasible() {
-		return nil, fmt.Errorf("%w: %d opened slots", ErrRoundingInfeasible, len(openList))
-	}
-	res.ColdFlows = fc.coldFlows
-	res.VerifyMillis = float64(time.Since(phase).Microseconds()) / 1000
-	phase = time.Now()
+	// One integral max flow over the opened slots both checks them and
+	// extracts the schedule. The hybrid close certificates make a failure
+	// unreachable for an optimal LP solution in exact arithmetic, so a
+	// failure is reported, never patched.
 	sched, err := Assign(in, openList)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrRoundingInfeasible, err)
+		return nil, fmt.Errorf("%w: %d opened slots", ErrRoundingInfeasible, len(openList))
 	}
+	res.ColdFlows = 1
 	res.AssignMillis = float64(time.Since(phase).Microseconds()) / 1000
 	res.Schedule = sched
 	res.Opened = len(openList)
@@ -353,13 +332,4 @@ func RightShiftedY(in *core.Instance, lpres *LPResult) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-func sortJobsByDeadline(jobs []core.Job) {
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Deadline != jobs[b].Deadline {
-			return jobs[a].Deadline < jobs[b].Deadline
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
 }

@@ -85,7 +85,7 @@ func compareSeparators(t *testing.T, inc, fresh *separator, y []float64, cap int
 	// Every harvested set must be genuinely violated by this y: the cut
 	// inequality Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j must fail.
 	for k, A := range append(append([][]bool{}, bInc...), bFresh...) {
-		cols, vals, rhs := cutFor(inc.in, A)
+		cols, vals, rhs := inc.cutFor(A)
 		lhs := 0.0
 		for i, c := range cols {
 			lhs += vals[i] * y[c]
@@ -139,7 +139,7 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 					if reg.inMaster(A) {
 						continue
 					}
-					cols, vals, rhs := cutFor(in, A)
+					cols, vals, rhs := inc.cutFor(A)
 					if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 						t.Fatal(err)
 					}

@@ -185,7 +185,7 @@ func (s *Session) Solve() (*LPResult, error) {
 			if s.reg.inMaster(A) {
 				continue
 			}
-			cols, vals, rhs := cutFor(s.in, A)
+			cols, vals, rhs := s.sep.cutFor(A)
 			if err := s.prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 				return nil, err
 			}

@@ -19,7 +19,13 @@ import (
 // column ordering (basis columns processed in ascending nonzero count, which
 // claims the unit logical columns first — on covering masters they are the
 // bulk of the basis and generate no fill) and partial pivoting by largest
-// residual magnitude within the column. Two index spaces meet here: basis
+// residual magnitude within the column. Each column pays only for its
+// reach: the steps that claimed a row of its scattered pattern, closed over
+// the claimed rows their L columns touch (always later steps), popped in
+// ascending step order from the bitReach mirror. Those are exactly the
+// steps whose pivot row can be nonzero, so the updates run in the order and
+// with the float operations of a scan over every earlier step, at the cost
+// of the few that apply. Two index spaces meet here: basis
 // *positions* (which slot of the basis a column occupies — the space xB and
 // FTRAN results live in) and engine *rows* (the constraint-row space BTRAN
 // results and right-hand sides live in). perm maps elimination step to the
@@ -112,13 +118,15 @@ type factor struct {
 	reach   []int32 // reach worklist scratch, elimination steps
 
 	// Bit mirrors of the reach and result-support memberships, kept
-	// all-zero between solves. They exist purely for sorted emission:
+	// all-zero between uses. They exist purely for sorted emission:
 	// sweeping ⌈m/64⌉ words ascending replaces the comparison sorts the
 	// bit-identity contract demands (reaches must be processed in
 	// elimination-step order, supports returned ascending) at O(m/64 + k)
 	// instead of O(k log k). Every exit path restores the all-zero state —
 	// sweepBits clears as it emits, fallbacks clear through the list.
-	bitReach []uint64 // step-space mirror of f.reach membership
+	// refactorize sizes both and borrows bitReach as each column's reach,
+	// popping every bit before it pivots (the singular bail included).
+	bitReach []uint64 // step-space mirror of f.reach, or of a refactorized column's reach
 	bitOut   []uint64 // position/row-space mirror of a result support
 
 	// denseRun counts consecutive dense-outcome FTRANs per caller class.
@@ -341,28 +349,52 @@ func (f *factor) refactorize(m int, src basisMatrix) bool {
 		counts[c]++
 	}
 
-	x := f.xwork
+	// Bit mirrors hold the all-zero invariant between uses, so growth can
+	// reallocate without copying the old words.
+	if nw := (m + 63) / 64; len(f.bitReach) < nw {
+		f.bitReach = make([]uint64, nw+nw/4+8)
+		f.bitOut = make([]uint64, len(f.bitReach))
+	}
+	x, bs := f.xwork, f.bitReach
 	for _, p32 := range order {
 		p := int(p32)
 		k := len(f.perm)
-		// Scatter the column, engine-row indexed.
+		// Scatter the column, engine-row indexed, and seed the reach with
+		// the steps that claimed its rows.
 		f.patt = src.scatterBasisColumn(p, x, f.patt[:0])
-		// Apply the completed elimination steps in order. Updates can only
-		// introduce nonzeros at rows claimed by later steps, which this
-		// forward sweep has yet to read, so a single ordered pass suffices.
-		for q := 0; q < k; q++ {
-			zq := x[f.perm[q]]
-			if zq == 0 {
-				continue
+		lo, hi := k, -1
+		for _, r := range f.patt {
+			if q := int(f.rowStep[r]); q >= 0 {
+				bs[q>>6] |= 1 << (uint(q) & 63)
+				lo, hi = min(lo, q), max(hi, q)
 			}
-			f.uStep = append(f.uStep, int32(q))
-			f.uVal = append(f.uVal, zq)
-			for e := f.lOff[q]; e < f.lOff[q+1]; e++ {
-				r := f.lRow[e]
-				if x[r] == 0 {
-					f.patt = append(f.patt, r)
+		}
+		// Apply the completed elimination steps in the column's reach, in
+		// step order (see the package comment). A step's update marks the
+		// claimed rows of its L column, all at later steps, so the ascending
+		// sweep pops them after it; popping clears the mirror as it goes.
+		for w := lo >> 6; w <= hi>>6; w++ {
+			for bs[w] != 0 {
+				b := bits.TrailingZeros64(bs[w])
+				bs[w] &^= 1 << uint(b)
+				q := w<<6 | b
+				zq := x[f.perm[q]]
+				if zq == 0 {
+					continue
 				}
-				x[r] -= f.lVal[e] * zq
+				f.uStep = append(f.uStep, int32(q))
+				f.uVal = append(f.uVal, zq)
+				for e := f.lOff[q]; e < f.lOff[q+1]; e++ {
+					r := f.lRow[e]
+					if x[r] == 0 {
+						f.patt = append(f.patt, r)
+					}
+					x[r] -= f.lVal[e] * zq
+					if s := int(f.rowStep[r]); s >= 0 {
+						bs[s>>6] |= 1 << (uint(s) & 63)
+						hi = max(hi, s)
+					}
+				}
 			}
 		}
 		f.uOff = append(f.uOff, int32(len(f.uStep)))
@@ -510,12 +542,6 @@ func (f *factor) buildReachAdjacency() {
 	// A fresh factorization drops the row etas, so every class gets a
 	// fresh shot at the hyper path.
 	f.denseRun = [ftranClasses]int{}
-	// Bit mirrors hold the all-zero invariant between solves, so growth
-	// can reallocate without copying the old words.
-	if nw := (m + 63) / 64; len(f.bitReach) < nw {
-		f.bitReach = make([]uint64, nw+nw/4+8)
-		f.bitOut = make([]uint64, len(f.bitReach))
-	}
 }
 
 // sweepBits rebuilds list as the ascending set bits of bs, clearing bs as
