@@ -32,8 +32,8 @@
 // batch that covers its own mutation. Results are cached across tenants by
 // an order-independent instance fingerprint. Every cold escape hatch is
 // counted and logged — lp-level warm-basis fallbacks (coldFallbacks) and
-// session master rebuilds on tight-row removals (coldRebuilds) — never
-// silent.
+// removals that hit a tight row and leave the next re-solve cold
+// (coldRebuilds) — never silent.
 package main
 
 import (
@@ -86,7 +86,7 @@ type server struct {
 	overloads     atomic.Int64 // tenant lock not acquired within deadline
 	deadlines     atomic.Int64 // solve outlived the request deadline
 	coldFallbacks atomic.Int64 // lp-level warm-basis abandonments
-	coldRebuilds  atomic.Int64 // session master rebuilds on removal
+	coldRebuilds  atomic.Int64 // removals whose next re-solve starts cold
 }
 
 func newServer(cfg serverConfig) *server {
@@ -219,13 +219,14 @@ func (s *server) solveLoop(t *tenant) {
 }
 
 // noteRebuilds must run with the tenant lock held, after a mutation: any
-// new counted cold rebuild is promoted to the server metrics and the log.
+// new counted cold restart (Session.Stats().ColdRebuilds) is promoted to
+// the server metrics and the log.
 func (s *server) noteRebuilds(t *tenant) {
 	if st := t.sess.Stats(); st.ColdRebuilds > t.coldRebuilds {
 		d := st.ColdRebuilds - t.coldRebuilds
 		t.coldRebuilds = st.ColdRebuilds
 		s.coldRebuilds.Add(int64(d))
-		s.cfg.Logf("activeserve: removal hit a tight row; master rebuilt cold (%d total for tenant)", st.ColdRebuilds)
+		s.cfg.Logf("activeserve: removal hit a tight row; next re-solve starts cold (%d total for tenant)", st.ColdRebuilds)
 	}
 }
 

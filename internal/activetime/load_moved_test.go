@@ -166,7 +166,7 @@ func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
 			if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 				t.Fatal(err)
 			}
-			reg.add(A, cols, vals, rhs)
+			reg.add(A)
 			added++
 		}
 		if added == 0 {

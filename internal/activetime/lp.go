@@ -54,17 +54,22 @@ func newMaster(in *core.Instance) (*lp.Problem, error) {
 		prob.SetUpper(t-1, 1)
 	}
 	for _, j := range in.Jobs {
-		var cols []int
-		var vals []float64
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			cols = append(cols, int(t)-1)
-			vals = append(vals, 1)
-		}
-		if err := prob.AddSparse(cols, vals, lp.GE, float64(j.Length)); err != nil {
+		if err := addSeedCut(prob, j); err != nil {
 			return nil, err
 		}
 	}
 	return prob, nil
+}
+
+// addSeedCut appends job j's seed covering cut Σ_{t∈win(j)} y_t >= p_j.
+func addSeedCut(prob *lp.Problem, j core.Job) error {
+	n := int(j.LastSlot()-j.FirstSlot()) + 1
+	cols, vals := make([]int, 0, n), make([]float64, 0, n)
+	for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
+		cols = append(cols, int(t)-1)
+		vals = append(vals, 1)
+	}
+	return prob.AddSparse(cols, vals, lp.GE, float64(j.Length))
 }
 
 // SolveLP computes an optimal solution of LP1:
@@ -133,20 +138,6 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 		return nil, err
 	}
 	return s.Solve()
-}
-
-// jobSetKey packs a job subset into a compact map key. The hot-path
-// registry dedup no longer uses it (hashJobSet + witness compares are
-// allocation-free; see cutRegistry); it remains for the exact engine's
-// small-instance cut map and the separation tests' set comparisons.
-func jobSetKey(A []bool) string {
-	b := make([]byte, (len(A)+7)/8)
-	for i, a := range A {
-		if a {
-			b[i/8] |= 1 << (i % 8)
-		}
-	}
-	return string(b)
 }
 
 // separator is the reusable Benders separation oracle: the fractional

@@ -62,7 +62,7 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	// the incremental-repair code path it cross-checks.
 	sep := newSeparator(in)
 	res := &ExactLPResult{Cuts: len(in.Jobs)}
-	seen := make(map[string]bool)
+	reg := newCutRegistry(len(in.Jobs))
 	var basis *lp.RatBasis
 	maxRounds := 20*T + 200
 	for round := 0; round < maxRounds; round++ {
@@ -81,15 +81,14 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 		y := sol.Float64s()
 		added := 0
 		for _, A := range sep.separateAll(y, maxBatchCuts) {
-			key := jobSetKey(A)
-			if seen[key] {
+			if reg.inMaster(A) {
 				continue
 			}
-			seen[key] = true
 			cols, vals, rhs := sep.cutFor(A)
 			if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 				return nil, err
 			}
+			reg.add(A)
 			added++
 		}
 		if added == 0 {

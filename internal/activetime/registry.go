@@ -9,8 +9,8 @@ import (
 const (
 	// purgeSlackTol is the slack beyond which a cut counts as inactive for
 	// a round. It is far above the solver's 1e-6 feasibility tolerance, so
-	// every purged row provably has its slack column basic — the
-	// precondition of lp.Problem.RemoveRows (a nonbasic slack rests at
+	// every purged row provably has its surplus column basic — the
+	// precondition of lp.Problem.RemoveRows (a nonbasic surplus rests at
 	// exactly zero).
 	purgeSlackTol = 1e-5
 	// purgeAfterRounds is how many consecutive inactive rounds a cut must
@@ -106,7 +106,8 @@ func witnessMatches(wit []byte, A []bool) bool {
 	return true
 }
 
-// cutRecord is the lifecycle state of one Benders cut. slackRounds is the
+// cutRecord is the identity and lifecycle state of one Benders cut; its
+// row data lives only in the master (lp.Problem). slackRounds is the
 // registry's age-in-inactivity counter: it measures how long the cut has
 // been continuously slack, which by complementary slackness is exactly how
 // long its dual price has been zero — one counter carries the age, slack
@@ -116,9 +117,6 @@ func witnessMatches(wit []byte, A []bool) bool {
 type cutRecord struct {
 	hash        uint64
 	wit         []byte // canonical packed job set (collision witness)
-	cols        []int
-	vals        []float64
-	rhs         float64
 	inMaster    bool
 	slackRounds int  // consecutive rounds with slack > purgeSlackTol
 	everPurged  bool // purged once already; pinned forever if re-added
@@ -141,7 +139,7 @@ type rowRef struct {
 // slackness a cut with positive slack has dual price zero, so
 // "slack > tol for purgeAfterRounds consecutive rounds" is precisely "no
 // dual activity for that long". Purging goes through
-// lp.Problem.RemoveRows against the live basis — the slack columns of
+// lp.Problem.RemoveRows against the live basis — the surplus columns of
 // purged rows are basic, so the simplex state stays optimal and the next
 // re-solve pays one refactorization instead of the reverted
 // purge-and-rebuild's cold solve.
@@ -199,12 +197,13 @@ func (cr *cutRegistry) inMaster(A []bool) bool {
 }
 
 // add records the cut for job set A as appended to the master (the caller
-// has just AddSparse'd it as the last row).
-func (cr *cutRegistry) add(A []bool, cols []int, vals []float64, rhs float64) {
+// has just AddSparse'd it as the last row). A record purged earlier is
+// reused, so its pin survives.
+func (cr *cutRegistry) add(A []bool) {
 	rec := cr.lookup(A)
 	if rec == nil {
 		h := cr.hashOf(A)
-		rec = &cutRecord{hash: h, wit: packJobSet(A), cols: cols, vals: vals, rhs: rhs}
+		rec = &cutRecord{hash: h, wit: packJobSet(A)}
 		cr.byHash[h] = append(cr.byHash[h], rec)
 	}
 	rec.inMaster = true
@@ -219,18 +218,16 @@ func (cr *cutRegistry) addSeedRow(jobPos int) {
 }
 
 // observeX updates every live cut's slack streak against the round's
-// optimal point (solver variable order: x[t-1] is slot t).
-func (cr *cutRegistry) observeX(x []float64) {
-	for _, rr := range cr.rows {
+// optimal point (solver variable order: x[t-1] is slot t), reading each
+// cut's slack from its master row: cr.rows is in master-row order, so the
+// mirror's index is the row's index in prob.
+func (cr *cutRegistry) observeX(prob *lp.Problem, x []float64) {
+	for i, rr := range cr.rows {
 		rec := rr.rec
 		if rec == nil {
 			continue
 		}
-		slack := -rec.rhs
-		for k, c := range rec.cols {
-			slack += rec.vals[k] * x[c]
-		}
-		if slack > purgeSlackTol {
+		if prob.RowSlack(i, x) > purgeSlackTol {
 			rec.slackRounds++
 		} else {
 			rec.slackRounds = 0

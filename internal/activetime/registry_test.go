@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/lp"
 )
 
 // TestCutPurgingMatchesReferences locks the lifecycle management end to end
@@ -117,7 +118,7 @@ func TestRegistryPinsRepurgedCuts(t *testing.T) {
 	reg := newCutRegistry(0)
 	n := purgeMinCuts + 2
 	pinned := setOf(n, 0)
-	reg.add(pinned, []int{0}, []float64{1}, 1)
+	reg.add(pinned)
 	rec := reg.lookup(pinned)
 	if rec == nil {
 		t.Fatal("added cut not found by lookup")
@@ -125,7 +126,7 @@ func TestRegistryPinsRepurgedCuts(t *testing.T) {
 	rec.everPurged = true // as if it had been purged and re-added
 	rec.slackRounds = purgeAfterRounds + 5
 	for i := 1; i <= purgeMinCuts; i++ { // clear the small-master floor
-		reg.add(setOf(n, i), []int{0}, []float64{1}, 1)
+		reg.add(setOf(n, i))
 	}
 	if n := reg.purge(nil, nil); n != 0 {
 		t.Fatalf("pinned cut purged (%d rows removed)", n)
@@ -169,7 +170,7 @@ func TestRegistryKeyEquivalence(t *testing.T) {
 				t.Fatalf("trial %d step %d: inMaster = %v, reference %v (set %v)", trial, step, got, want, A)
 			}
 			if !ref[refKey(A)] && rng.Intn(2) == 0 {
-				reg.add(A, []int{0}, []float64{1}, 1)
+				reg.add(A)
 				ref[refKey(A)] = true
 			}
 		}
@@ -200,7 +201,7 @@ func TestRegistryHashCollisions(t *testing.T) {
 		if reg.inMaster(A) {
 			t.Fatalf("set %d reported present before add", i)
 		}
-		reg.add(A, []int{0}, []float64{1}, 1)
+		reg.add(A)
 		if !reg.inMaster(A) {
 			t.Fatalf("set %d not found after add", i)
 		}
@@ -224,9 +225,9 @@ func TestRegistryHashCollisions(t *testing.T) {
 // surviving records answer under their remapped position sets.
 func TestRegistryRemapJobs(t *testing.T) {
 	reg := newCutRegistry(4) // seed rows for jobs 0..3
-	reg.add(setOf(4, 0, 2), []int{0}, []float64{1}, 1)
-	reg.add(setOf(4, 1, 3), []int{1}, []float64{1}, 1)
-	reg.add(setOf(4, 3), []int{2}, []float64{1}, 1)
+	reg.add(setOf(4, 0, 2))
+	reg.add(setOf(4, 1, 3))
+	reg.add(setOf(4, 3))
 	// Remove job 1 (position 1): its seed row (row 1) and the cut {1,3}
 	// (row 5) leave the master.
 	dead := make([]bool, len(reg.rows))
@@ -258,5 +259,56 @@ func TestRegistryRemapJobs(t *testing.T) {
 	}
 	if seeds != 3 {
 		t.Errorf("%d seed rows survive, want 3", seeds)
+	}
+}
+
+// TestRowSlackMatchesCutLoop keeps observeX's purge decisions unchanged now
+// that a cut's row lives only in the master: lp.Problem.RowSlack on a
+// cutFor row must equal, bit for bit, the loop the registry ran over its
+// own copy of the row (−rhs, then += vals[k]·x[c] in cutFor's order).
+func TestRowSlackMatchesCutLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for seed := int64(0); seed < 4; seed++ {
+		in := gen.LargeHorizon(gen.RandomConfig{N: 32, Horizon: 256, MaxLen: 16, G: 4, Seed: seed})
+		T := int(in.Horizon())
+		sep := newSeparator(in)
+		prob := lp.NewProblem(T)
+		x := make([]float64, T)
+		for cut := 0; cut < 40; cut++ {
+			A := make([]bool, len(in.Jobs))
+			A[rng.Intn(len(A))] = true
+			for i := range A {
+				if rng.Intn(4) == 0 {
+					A[i] = true
+				}
+			}
+			cols, vals, rhs := sep.cutFor(A)
+			if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
+				t.Fatal(err)
+			}
+			for k := range x {
+				switch rng.Intn(3) {
+				case 0:
+					x[k] = 0
+				case 1:
+					x[k] = 1
+				default:
+					x[k] = rng.Float64()
+				}
+			}
+			want := -rhs
+			for k, c := range cols {
+				want += vals[k] * x[c]
+			}
+			got := prob.RowSlack(prob.NumConstraints()-1, x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d cut %d: RowSlack = %v, the cut loop gives %v", seed, cut, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d rows checked", checked)
 	}
 }

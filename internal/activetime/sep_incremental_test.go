@@ -21,6 +21,19 @@ func (s *separator) flowValue() float64 {
 	return v
 }
 
+// jobSetKey packs a job subset into a comparable string: the bitmask over
+// every position of A, so sets over different job counts never compare
+// equal.
+func jobSetKey(A []bool) string {
+	b := make([]byte, (len(A)+7)/8)
+	for i, a := range A {
+		if a {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
+	return string(b)
+}
+
 // sameJobSets reports whether two harvested batches are equivalent: the
 // leading entry — the source side of the minimum cut, which is canonical
 // (residual reachability from the source is the same for every maximum
@@ -143,7 +156,7 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 					if err := prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 						t.Fatal(err)
 					}
-					reg.add(A, cols, vals, rhs)
+					reg.add(A)
 					added++
 				}
 				if added == 0 {

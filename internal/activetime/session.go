@@ -22,8 +22,9 @@ type SessionStats struct {
 	DeltaPivots int
 	// ColdRebuilds counts RemoveJobs calls that could not excise the dead
 	// rows from the live basis (a departed job's row was tight, or the
-	// basis was out of sync with unsolved structural edits) and rebuilt the
-	// master instead, surrendering the warm start.
+	// basis was out of sync with unsolved structural edits). Those calls
+	// remove the rows from the master alone and drop the basis, so the
+	// next Solve starts cold, surrendering the warm start.
 	ColdRebuilds int
 	// ColdFallbacks sums the lp-level warm-basis abandonments
 	// (lp.Solution.ColdFallbacks) across all of the session's solves.
@@ -34,13 +35,15 @@ type SessionStats struct {
 // departures between solves without rebuilding its state. It owns a master
 // problem whose basis survives mutations, an incremental separation network
 // patched via SetCapacityKeepFlow instead of reconstruction, and the cut
-// registry that mirrors the master's rows — so a re-solve after a delta
-// pays for the delta, not for the instance.
+// registry that mirrors the master's row order (which job or cut each row
+// is; the rows themselves live only in the master) — so a re-solve after a
+// delta pays for the delta, not for the instance.
 //
 // AddJobs appends slot columns (priced into the live basis by the engine's
 // column splice) and seed covering rows; RemoveJobs drops the departed
-// jobs' rows from the live basis when they are slack and takes a counted
-// cold rebuild when one is tight. The column space is monotone: slots a
+// jobs' rows from the live basis when they are slack, and when one is tight
+// edits the master in place and drops the basis, so the next Solve starts
+// cold (counted in ColdRebuilds). The column space is monotone: slots a
 // removal strands beyond the current horizon keep their columns, which no
 // surviving row references, so they rest at zero and the objective equals a
 // cold solve of the mutated instance — the delta-vs-cold metamorphic suite
@@ -50,8 +53,7 @@ type SessionStats struct {
 // access per tenant.
 type Session struct {
 	in      *core.Instance // owned deep copy; mutated by deltas
-	cols    int            // master column count: the max horizon ever seen
-	prob    *lp.Problem
+	prob    *lp.Problem    // its column count is the max horizon ever seen
 	basis   *lp.Basis
 	sep     *separator
 	reg     *cutRegistry
@@ -83,14 +85,14 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	prob.SetDenseKernels(opts.denseKernels)
+	prob.SetPivotHook(opts.pivotHook)
 	s := &Session{
 		in:      own,
-		cols:    int(own.Horizon()),
 		prob:    prob,
 		opts:    opts,
 		posByID: make(map[int]int, len(own.Jobs)),
 	}
-	s.applyOpts()
 	s.sep = newSeparator(own)
 	s.sep.incremental = true
 	s.reg = newCutRegistry(prob.NumConstraints())
@@ -98,11 +100,6 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 		s.posByID[j.ID] = i
 	}
 	return s, nil
-}
-
-func (s *Session) applyOpts() {
-	s.prob.SetDenseKernels(s.opts.denseKernels)
-	s.prob.SetPivotHook(s.opts.pivotHook)
 }
 
 // Stats returns the session's lifetime delta counters.
@@ -177,7 +174,7 @@ func (s *Session) Solve() (*LPResult, error) {
 		}
 		y := sol.X
 		if s.opts.purge {
-			s.reg.observeX(y)
+			s.reg.observeX(s.prob, y)
 			res.Purged += s.reg.purge(s.prob, s.basis)
 		}
 		added := 0
@@ -189,7 +186,7 @@ func (s *Session) Solve() (*LPResult, error) {
 			if err := s.prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
 				return nil, err
 			}
-			s.reg.add(A, cols, vals, rhs)
+			s.reg.add(A)
 			added++
 		}
 		if added == 0 {
@@ -244,27 +241,20 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 	if !CheckFeasible(prosp, AllSlots(prosp)) {
 		return ErrInfeasible
 	}
-	if newT := int(prosp.Horizon()); newT > s.cols {
-		j0 := s.prob.AddColumns(newT - s.cols)
+	if cols, newT := s.prob.NumVars(), int(prosp.Horizon()); newT > cols {
+		j0 := s.prob.AddColumns(newT - cols)
 		for j := j0; j < newT; j++ {
 			s.prob.SetObjective(j, 1)
 			s.prob.SetUpper(j, 1)
 		}
 		s.sep.addSlots(newT)
-		s.cols = newT
 	}
 	for _, j := range jobs {
 		pos := len(s.in.Jobs)
 		s.in.Jobs = append(s.in.Jobs, j)
 		s.posByID[j.ID] = pos
 		s.sep.addJob(j)
-		var cols []int
-		var vals []float64
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			cols = append(cols, int(t)-1)
-			vals = append(vals, 1)
-		}
-		if err := s.prob.AddSparse(cols, vals, lp.GE, float64(j.Length)); err != nil {
+		if err := addSeedCut(s.prob, j); err != nil {
 			return fmt.Errorf("activetime: AddJobs seed row: %w", err)
 		}
 		s.reg.addSeedRow(pos)
@@ -278,11 +268,11 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 // unknown IDs an error before anything mutates; emptying the instance is
 // rejected). The departed jobs' seed rows and every cut whose job set
 // touches them leave the master: excised from the live basis in place when
-// all of them are slack, or — the counted escape hatch, never silent — by
-// rebuilding the master from the registry mirror when one is tight
-// (ColdRebuilds), surrendering the warm basis for the next Solve. The
-// separation network cancels only the departed jobs' flow; the registry
-// remaps every surviving cut into the compacted job positions.
+// all of them are slack, or — the counted escape hatch, never silent — when
+// one is tight, removed from the master alone with the basis dropped
+// (ColdRebuilds), so the next Solve starts cold from the surviving rows in
+// their order. The separation network cancels only the departed jobs' flow;
+// the registry remaps every surviving cut into the compacted job positions.
 func (s *Session) RemoveJobs(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -309,12 +299,15 @@ func (s *Session) RemoveJobs(ids []int) error {
 			drop = append(drop, i)
 		}
 	}
-	rebuilt := false
 	if err := s.prob.RemoveRows(drop, s.basis); err != nil {
 		// A dead row is tight in the live basis (or the basis is out of
-		// sync): removal cannot stay warm. Nothing was mutated; fall back
-		// to rebuilding the master below, after the mirrors compact.
-		rebuilt = true
+		// sync): removal cannot stay warm. Nothing was mutated; edit the
+		// master alone and let the next Solve start cold.
+		if err := s.prob.RemoveRows(drop, nil); err != nil {
+			return fmt.Errorf("activetime: RemoveJobs: %w", err)
+		}
+		s.basis = nil
+		s.stats.ColdRebuilds++
 	}
 	s.reg.dropRows(mask)
 	s.sep.removeJobs(dead)
@@ -333,44 +326,7 @@ func (s *Session) RemoveJobs(ids []int) error {
 	}
 	s.in.Jobs = s.in.Jobs[:out]
 	s.reg.remapJobs(posMap, out)
-	if rebuilt {
-		if err := s.rebuildMaster(); err != nil {
-			return err
-		}
-		s.basis = nil
-		s.stats.ColdRebuilds++
-	}
 	s.stats.RemoveCalls++
 	s.solved = false
-	return nil
-}
-
-// rebuildMaster reconstructs the master from the registry's row mirror at
-// the session's monotone column width, preserving the surviving row order,
-// after an in-place row removal was refused.
-func (s *Session) rebuildMaster() error {
-	prob := lp.NewProblem(s.cols)
-	for t := 0; t < s.cols; t++ {
-		prob.SetObjective(t, 1)
-		prob.SetUpper(t, 1)
-	}
-	for _, rr := range s.reg.rows {
-		if rr.rec == nil {
-			j := s.in.Jobs[rr.job]
-			var cols []int
-			var vals []float64
-			for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-				cols = append(cols, int(t)-1)
-				vals = append(vals, 1)
-			}
-			if err := prob.AddSparse(cols, vals, lp.GE, float64(j.Length)); err != nil {
-				return fmt.Errorf("activetime: rebuildMaster: %w", err)
-			}
-		} else if err := prob.AddSparse(rr.rec.cols, rr.rec.vals, lp.GE, rr.rec.rhs); err != nil {
-			return fmt.Errorf("activetime: rebuildMaster: %w", err)
-		}
-	}
-	s.prob = prob
-	s.applyOpts()
 	return nil
 }

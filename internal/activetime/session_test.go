@@ -2,6 +2,7 @@ package activetime
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,11 +114,20 @@ func checkSlotJobs(t *testing.T, s *separator) {
 // basis (ColdFallbacks stays zero; counted cold rebuilds on tight-row
 // removals are allowed, silent fallbacks are not). After every delta the
 // separator's slot lists must still index exactly the live window edges
-// (checkSlotJobs).
+// (checkSlotJobs), and the registry must mirror every master row, since
+// observeX reads the master by the mirror's row indices. The run must take
+// the refused-removal path (a tight departed row: the master is edited in
+// place and the next Solve starts cold) at least once.
 func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 	const seedsPerFamily = 6
 	const steps = 4
-	checked := 0
+	checked, removals, rebuilds := 0, 0, 0
+	mirrored := func(sess *Session, where string) {
+		t.Helper()
+		if got, want := len(sess.reg.rows), sess.prob.NumConstraints(); got != want {
+			t.Fatalf("%s: registry mirrors %d rows, the master has %d", where, got, want)
+		}
+	}
 	for _, fam := range sessionFamilies {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
 			in := fam.make(seed)
@@ -135,10 +145,12 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				mutateSession(t, sess, rng, fam.make, seed, step)
 				checkSlotJobs(t, sess.sep)
+				mirrored(sess, fmt.Sprintf("%s seed %d step %d after the delta", fam.name, seed, step))
 				got, err := sess.Solve()
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: Solve: %v", fam.name, seed, step, err)
 				}
+				mirrored(sess, fmt.Sprintf("%s seed %d step %d after Solve", fam.name, seed, step))
 				cold, err := SolveLP(sess.Instance())
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: cold SolveLP: %v", fam.name, seed, step, err)
@@ -153,10 +165,16 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 				}
 				checked++
 			}
+			removals += sess.Stats().RemoveCalls
+			rebuilds += sess.Stats().ColdRebuilds
 		}
 	}
+	t.Logf("%d delta-vs-cold checks; %d of %d removals refused warm", checked, rebuilds, removals)
 	if checked < 100 {
 		t.Fatalf("only %d delta-vs-cold checks ran; want >= 100 (generator drift?)", checked)
+	}
+	if rebuilds == 0 {
+		t.Fatal("no removal took the refused-removal path; the cold restart after a tight departure went unexercised")
 	}
 }
 

@@ -76,7 +76,7 @@ func e20Headline(quick bool) (T int) {
 type DeltaSummary struct {
 	MaxObjDelta      float64 `json:"maxObjDelta"`      // worst |session - cold| objective gap
 	ColdFallbacks    int     `json:"coldFallbacks"`    // warm-start fallbacks across every solve (must be 0)
-	RemoveRebuilds   int     `json:"removeRebuilds"`   // counted master rebuilds on the removal path
+	RemoveRebuilds   int     `json:"removeRebuilds"`   // removals refused warm (Session ColdRebuilds)
 	RejectedDeltas   int     `json:"rejectedDeltas"`   // arrivals refused atomically as infeasible
 	HeadlineT        int     `json:"headlineT"`        // horizon of the pivot-ratio cell
 	HeadlineAddRatio float64 `json:"headlineAddRatio"` // cold pivots / delta pivots on the headline arrival

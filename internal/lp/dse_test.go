@@ -110,11 +110,7 @@ func TestDSEWeightsExactAcrossPivots(t *testing.T) {
 			if round%3 == 2 {
 				x := sol.X
 				for i := 0; i < p.NumConstraints(); i++ {
-					slack := 0.0
-					for _, e := range p.rows[i] {
-						slack += e.val * x[e.col]
-					}
-					if p.rel[i] == GE && slack > p.b[i]+1e-4 {
+					if p.RowSlack(i, x) > 1e-4 {
 						if err := p.RemoveRows([]int{i}, basis); err != nil {
 							t.Fatalf("seed %d round %d: remove: %v", seed, round, err)
 						}

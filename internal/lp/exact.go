@@ -66,7 +66,7 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 		if prev.t.n != p.numVars {
 			return nil, nil, fmt.Errorf("lp: exact basis has %d variables, problem has %d", prev.t.n, p.numVars)
 		}
-		if prev.rowsBuilt > len(p.rows) {
+		if prev.rowsBuilt > len(p.b) {
 			return nil, nil, errors.New("lp: problem has fewer rows than the exact basis (rows were removed)")
 		}
 		if prev.epoch != p.removeEpoch {
@@ -83,7 +83,7 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 			if sol.Status != Optimal {
 				return sol, nil, nil
 			}
-			prev.rowsBuilt = len(p.rows)
+			prev.rowsBuilt = len(p.b)
 			return sol, prev, nil
 		}
 		// Fall through to a cold solve; the wasted warm pivots are carried
@@ -111,7 +111,7 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 	if p.upper != nil {
 		copy(upper, p.upper)
 	}
-	return sol, &RatBasis{t: t, rowsBuilt: len(p.rows), epoch: p.removeEpoch, upper: upper}, nil
+	return sol, &RatBasis{t: t, rowsBuilt: len(p.b), epoch: p.removeEpoch, upper: upper}, nil
 }
 
 // resolveExactWarm incorporates the rows appended since prev was captured
@@ -121,11 +121,11 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 // for them.
 func (p *Problem) resolveExactWarm(prev *RatBasis) (sol *RatSolution, ok bool, spent int, err error) {
 	t := prev.t
-	for r := prev.rowsBuilt; r < len(p.rows); r++ {
+	for r := prev.rowsBuilt; r < len(p.b); r++ {
 		if p.rel[r] == EQ {
 			return nil, false, 0, nil // only the covering shapes warm-start
 		}
-		if err := t.appendRow(p.rows[r], p.rel[r], p.b[r]); err != nil {
+		if err := t.appendRow(p.rowCols[r], p.rowVals[r], p.rel[r], p.b[r]); err != nil {
 			return nil, false, 0, nil
 		}
 	}
@@ -180,21 +180,21 @@ func boundsAsRows(p *Problem) *Problem {
 	if finite == 0 {
 		return p
 	}
+	m := len(p.b)
 	q := &Problem{
 		numVars: p.numVars,
 		c:       p.c,
-		rows:    make([][]entry, len(p.rows), len(p.rows)+finite),
-		rel:     make([]Relation, len(p.rel), len(p.rel)+finite),
-		b:       make([]float64, len(p.b), len(p.b)+finite),
+		rowCols: append(make([][]int32, 0, m+finite), p.rowCols...),
+		rowVals: append(make([][]float64, 0, m+finite), p.rowVals...),
+		rel:     append(make([]Relation, 0, m+finite), p.rel...),
+		b:       append(make([]float64, 0, m+finite), p.b...),
 	}
-	copy(q.rows, p.rows)
-	copy(q.rel, p.rel)
-	copy(q.b, p.b)
 	for j, u := range p.upper {
 		if math.IsInf(u, 1) {
 			continue
 		}
-		q.rows = append(q.rows, []entry{{j, 1}})
+		q.rowCols = append(q.rowCols, []int32{int32(j)})
+		q.rowVals = append(q.rowVals, []float64{1})
 		q.rel = append(q.rel, LE)
 		q.b = append(q.b, u)
 	}
@@ -237,14 +237,14 @@ func (t *ratTableau) isBarred(j int) bool {
 }
 
 func newRatTableau(p *Problem) (*ratTableau, error) {
-	m, n := len(p.rows), p.numVars
+	m, n := len(p.b), p.numVars
 	type rowKind struct {
 		rel  Relation
 		flip bool
 	}
 	kinds := make([]rowKind, m)
 	nSlack, nArt := 0, 0
-	for i := range p.rows {
+	for i := range p.b {
 		rel, b := p.rel[i], p.b[i]
 		flip := b < 0
 		if flip {
@@ -288,7 +288,7 @@ func newRatTableau(p *Problem) (*ratTableau, error) {
 		t.cost[j] = cj
 	}
 	slack, art := n, t.firstArt
-	for i := range p.rows {
+	for i := range p.b {
 		row := make([]*big.Rat, t.nTotal)
 		for j := range row {
 			row[j] = new(big.Rat)
@@ -298,12 +298,12 @@ func newRatTableau(p *Problem) (*ratTableau, error) {
 			sign = -1
 		}
 		signRat := new(big.Rat).SetInt64(sign)
-		for _, e := range p.rows[i] {
-			v, err := rat(e.val)
+		for k, c := range p.rowCols[i] {
+			v, err := rat(p.rowVals[i][k])
 			if err != nil {
 				return nil, err
 			}
-			row[e.col].Add(row[e.col], new(big.Rat).Mul(signRat, v))
+			row[c].Mul(signRat, v)
 		}
 		bi, err := rat(p.b[i])
 		if err != nil {
@@ -339,7 +339,7 @@ func newRatTableau(p *Problem) (*ratTableau, error) {
 // exactly when the current point violates the row, which is what the dual
 // simplex then repairs. The new logical is a plain slack/surplus, never an
 // artificial, so it stays eligible for pivoting in later rounds.
-func (t *ratTableau) appendRow(row []entry, rel Relation, b float64) error {
+func (t *ratTableau) appendRow(cols []int32, vals []float64, rel Relation, b float64) error {
 	// Grow every existing row by the new logical column. The column block
 	// layout ([structural | slack | artificial]) is not preserved for
 	// appended logicals — they land after the artificials, which is safe
@@ -360,12 +360,12 @@ func (t *ratTableau) appendRow(row []entry, rel Relation, b float64) error {
 		sign = -1 // -a·x + s = -b: the slack keeps a +1 coefficient
 	}
 	signRat := new(big.Rat).SetInt64(sign)
-	for _, e := range row {
-		v, err := rat(e.val)
+	for k, c := range cols {
+		v, err := rat(vals[k])
 		if err != nil {
 			return err
 		}
-		newRow[e.col].Add(newRow[e.col], new(big.Rat).Mul(signRat, v))
+		newRow[c].Mul(signRat, v)
 	}
 	newRow[col].SetInt64(1)
 	bi, err := rat(b)

@@ -25,9 +25,13 @@
 //
 // # Sparse representation and factorized basis
 //
-// Constraint rows are kept verbatim in compressed sparse form (a per-row
-// column/value list, mirrored by a per-column view), and logical columns
-// are signed unit vectors that are never materialized. All pivoting state
+// Each constraint row is stored once, in the Problem: AddSparse normalizes
+// it (columns ascending, duplicates summed, zeros dropped) into a per-row
+// column/value list that both engines read in place. The float engine adds
+// only the views pivots need, a run-compressed copy of each row and a
+// per-column transpose, and every row enters it as given, a·x − s = b with
+// a surplus s. Logical columns are signed unit vectors that are never
+// materialized. All pivoting state
 // lives in a factorized basis representation (factor.go): a sparse LU of
 // the basis — refactorized with a static Markowitz-style column ordering
 // and threshold partial pivoting — kept current across basis changes by
@@ -115,10 +119,12 @@
 // # Warm-start contract
 //
 // ResolveFrom keeps the factorized state alive between calls. A *Basis it
-// returns stays valid for the same Problem as long as only these changes
-// happen between calls:
+// returns belongs to the Problem that produced it, whose rows its engine
+// reads in place: ResolveFrom and RemoveRows return an error for a Basis of
+// another Problem. It stays valid as long as only these changes happen
+// between calls:
 //   - new covering rows are appended (AddSparse): each enters with its own
-//     basic slack, which keeps the old basis dual feasible, and the dual
+//     basic surplus, which keeps the old basis dual feasible, and the dual
 //     simplex repairs the violated ones after one refactorization at the
 //     new dimension;
 //   - new structural columns are appended (AddColumns) and shaped with
@@ -163,6 +169,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Relation is the sense of a linear constraint.
@@ -219,7 +226,12 @@ type Problem struct {
 	numVars int
 	c       []float64
 	upper   []float64 // nil means all +Inf
-	rows    [][]entry
+	// Row i is rowCols[i]/rowVals[i], normalized by AddSparse (ascending
+	// columns, no duplicates, no zeros, cap == len), with sense rel[i] and
+	// right-hand side b[i]. These are the only copy of the rows: both
+	// engines read them in place.
+	rowCols [][]int32
+	rowVals [][]float64
 	rel     []Relation
 	b       []float64
 	// removeEpoch counts RemoveRows calls. Engine states snapshot it so a
@@ -236,11 +248,6 @@ type Problem struct {
 	pivotHook    func(row, col int)
 }
 
-type entry struct {
-	col int
-	val float64
-}
-
 // NewProblem returns a problem with n variables and zero objective.
 func NewProblem(n int) *Problem {
 	return &Problem{numVars: n, c: make([]float64, n)}
@@ -250,7 +257,7 @@ func NewProblem(n int) *Problem {
 func (p *Problem) NumVars() int { return p.numVars }
 
 // NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
+func (p *Problem) NumConstraints() int { return len(p.b) }
 
 // SetObjective sets the cost coefficient of variable j.
 func (p *Problem) SetObjective(j int, cost float64) {
@@ -343,24 +350,80 @@ func (p *Problem) AddColumns(k int) int {
 }
 
 // AddSparse adds the constraint sum_k vals[k] * x[cols[k]] rel rhs.
-// Coefficient columns must be valid variable indices; duplicate columns are
-// summed. The float engine accepts only covering rows (rel GE, vals and rhs
-// nonnegative); the exact engine accepts any.
+// Coefficient columns must be valid variable indices. The row is stored
+// once, normalized: columns ascending, the values of a duplicate column
+// summed in float64 in the order given, and zero coefficients (also sums
+// that cancel to zero) dropped. Both engines solve the normalized row, so
+// the exact engine sees a duplicate column's float64 sum, not the exact sum
+// of its parts. The float engine accepts only covering rows (rel GE, vals
+// and rhs nonnegative); the exact engine accepts any.
 func (p *Problem) AddSparse(cols []int, vals []float64, rel Relation, rhs float64) error {
 	if len(cols) != len(vals) {
 		return fmt.Errorf("lp: %d columns but %d values", len(cols), len(vals))
 	}
-	row := make([]entry, 0, len(cols))
+	rc := make([]int32, len(cols))
+	rv := make([]float64, len(vals))
+	sorted := true
 	for k, c := range cols {
 		if c < 0 || c >= p.numVars {
 			return fmt.Errorf("lp: column %d out of range [0,%d)", c, p.numVars)
 		}
-		row = append(row, entry{c, vals[k]})
+		if k > 0 && c <= cols[k-1] {
+			sorted = false
+		}
+		rc[k] = int32(c)
 	}
-	p.rows = append(p.rows, row)
+	copy(rv, vals)
+	if !sorted {
+		sort.Stable(sparseRow{rc, rv})
+	}
+	// Merge duplicates (adjacent now, in the order given), then drop zeros.
+	out := 0
+	for k := range rc {
+		if out > 0 && rc[out-1] == rc[k] {
+			rv[out-1] += rv[k]
+			continue
+		}
+		rc[out], rv[out] = rc[k], rv[k]
+		out++
+	}
+	nz := 0
+	for k := 0; k < out; k++ {
+		if rv[k] != 0 {
+			rc[nz], rv[nz] = rc[k], rv[k]
+			nz++
+		}
+	}
+	p.rowCols = append(p.rowCols, rc[:nz:nz])
+	p.rowVals = append(p.rowVals, rv[:nz:nz])
 	p.rel = append(p.rel, rel)
 	p.b = append(p.b, rhs)
 	return nil
+}
+
+// sparseRow sorts a row's parallel column and value slices by column.
+type sparseRow struct {
+	cols []int32
+	vals []float64
+}
+
+func (r sparseRow) Len() int           { return len(r.cols) }
+func (r sparseRow) Less(a, b int) bool { return r.cols[a] < r.cols[b] }
+func (r sparseRow) Swap(a, b int) {
+	r.cols[a], r.cols[b] = r.cols[b], r.cols[a]
+	r.vals[a], r.vals[b] = r.vals[b], r.vals[a]
+}
+
+// RowSlack returns a_i·x − b_i for constraint row i: the amount by which x
+// over-satisfies a >= row. It accumulates from −b_i over the stored row in
+// ascending column order.
+func (p *Problem) RowSlack(i int, x []float64) float64 {
+	s := -p.b[i]
+	vals := p.rowVals[i]
+	for k, c := range p.rowCols[i] {
+		s += vals[k] * x[c]
+	}
+	return s
 }
 
 // RemoveRows deletes the constraint rows at the given indices (indices into
@@ -373,25 +436,29 @@ func (p *Problem) AddSparse(cols []int, vals []float64, rel Relation, rhs float6
 // remove-then-append from append-only). With the
 // basis of this problem's latest Optimal (re)solve, the rows are also
 // excised from the live simplex state in place: this is legal only for rows
-// that are strictly slack at that optimum (their slack column is basic), in
-// which case the remaining state is still optimal for the reduced problem
+// that are strictly slack at that optimum (their surplus column is basic),
+// in which case the remaining state is still optimal for the reduced problem
 // and the next ResolveFrom only pays one refactorization. Attempting to
-// remove a tight row fails with an error before anything is mutated.
+// remove a tight row, or passing a basis of another Problem, fails with an
+// error before anything is mutated.
 //
 // This is the primitive behind Benders cut purging: a persistently slack
-// cut has a basic slack by definition, so purging between rounds never
+// cut has a basic surplus by definition, so purging between rounds never
 // pays the purge-and-rebuild cost of a cold re-solve.
 func (p *Problem) RemoveRows(drop []int, basis *Basis) error {
 	if len(drop) == 0 {
 		return nil
 	}
 	for _, i := range drop {
-		if i < 0 || i >= len(p.rows) {
-			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", i, len(p.rows))
+		if i < 0 || i >= len(p.b) {
+			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", i, len(p.b))
 		}
 	}
 	if basis != nil && basis.t != nil {
-		if basis.t.m != len(p.rows) {
+		if basis.t.p != p {
+			return errForeignBasis
+		}
+		if basis.t.m != len(p.b) {
 			return errors.New("lp: basis is out of sync with the problem; re-solve before removing rows")
 		}
 		if err := basis.t.removeRows(drop); err != nil {
@@ -402,23 +469,29 @@ func (p *Problem) RemoveRows(drop []int, basis *Basis) error {
 	if basis != nil && basis.t != nil {
 		basis.t.epoch = p.removeEpoch // this basis saw the removal
 	}
-	dead := make([]bool, len(p.rows))
+	dead := make([]bool, len(p.b))
 	for _, i := range drop {
 		dead[i] = true
 	}
 	out := 0
-	for i := range p.rows {
+	for i := range p.b {
 		if dead[i] {
 			continue
 		}
-		p.rows[out], p.rel[out], p.b[out] = p.rows[i], p.rel[i], p.b[i]
+		p.rowCols[out], p.rowVals[out] = p.rowCols[i], p.rowVals[i]
+		p.rel[out], p.b[out] = p.rel[i], p.b[i]
 		out++
 	}
-	p.rows = p.rows[:out]
+	p.rowCols = p.rowCols[:out]
+	p.rowVals = p.rowVals[:out]
 	p.rel = p.rel[:out]
 	p.b = p.b[:out]
 	return nil
 }
+
+// errForeignBasis rejects a Basis captured by another Problem: its engine
+// reads that Problem's rows in place.
+var errForeignBasis = errors.New("lp: basis belongs to another problem")
 
 // Solution is the result of a float64 solve.
 type Solution struct {
@@ -582,7 +655,8 @@ const (
 
 // Basis is an opaque snapshot of the simplex working state, enabling warm
 // re-solves via ResolveFrom. A Basis is tied to the Problem that produced
-// it and is consumed (mutated in place) by the next ResolveFrom call.
+// it (ResolveFrom and RemoveRows reject it for any other) and is consumed
+// (mutated in place) by the next ResolveFrom call.
 type Basis struct {
 	t *revised
 }
@@ -625,13 +699,16 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 			return nil, nil, err
 		}
 		t = newRevised(p)
-		status = t.solve(p, &budget)
+		status = t.solve(&budget)
 	} else {
 		t = prev.t
+		if t.p != p {
+			return nil, nil, errForeignBasis
+		}
 		if t.n > p.numVars {
 			return nil, nil, fmt.Errorf("lp: basis has %d variables, problem has %d (columns cannot be removed)", t.n, p.numVars)
 		}
-		if t.m > len(p.rows) {
+		if t.m > len(p.b) {
 			return nil, nil, errors.New("lp: problem has fewer rows than the basis (rows were removed)")
 		}
 		if t.epoch != p.removeEpoch {
@@ -655,18 +732,18 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 		t.refactorsAtCall = t.refactors
 		t.kstatsAtCall = t.kstats
 		newCols := p.numVars - t.n
-		t.appendProblemCols(p)
-		t.appendProblemRows(p)
+		t.appendProblemCols()
+		t.appendProblemRows()
 		// A warm repair of freshly appended rows needs tens of pivots; give
 		// it a budget proportional to the rows and appended columns rather
 		// than the global ceiling, so a degenerate stall falls back to the
 		// (verified) cold solve quickly. Half the budget is also where
 		// dualIterate switches to Bland's rule, so this formula fixes the
 		// pivot sequence of long repairs.
-		if wb := 4*len(p.rows) + 4*newCols + 400; wb < budget {
+		if wb := 4*len(p.b) + 4*newCols + 400; wb < budget {
 			budget = wb
 		}
-		status = t.solve(p, &budget)
+		status = t.solve(&budget)
 		if status != Optimal {
 			// The warm path certifies only optima: a warm claim of
 			// infeasibility (or an exhausted pivot budget, or an optimum
@@ -686,7 +763,7 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 			warmKernel := t.kstats.minus(t.kstatsAtCall)
 			budget = maxPivots
 			t = newRevised(p)
-			status = t.solve(p, &budget)
+			status = t.solve(&budget)
 			fallbackVerdict = fmt.Sprintf("warm re-solve ended %v; recovered via cold solve (status %v)", warmStatus, status)
 			t.pivotsAtCall = -warmPivots
 			t.refactorsAtCall = -warmRefactors
@@ -723,16 +800,16 @@ func (p *Problem) coveringErr(from int) error {
 			return fmt.Errorf("lp: variable %d has cost %v; the float engine needs costs >= 0", j, c)
 		}
 	}
-	for i := from; i < len(p.rows); i++ {
+	for i := from; i < len(p.b); i++ {
 		if p.rel[i] != GE {
 			return fmt.Errorf("lp: row %d is a %v row; the float engine solves only >= rows", i, p.rel[i])
 		}
 		if !(p.b[i] >= 0) {
 			return fmt.Errorf("lp: row %d has right-hand side %v; the float engine needs b >= 0", i, p.b[i])
 		}
-		for _, e := range p.rows[i] {
-			if !(e.val >= 0) {
-				return fmt.Errorf("lp: row %d has coefficient %v on variable %d; the float engine needs a >= 0", i, e.val, e.col)
+		for k, v := range p.rowVals[i] {
+			if !(v >= 0) {
+				return fmt.Errorf("lp: row %d has coefficient %v on variable %d; the float engine needs a >= 0", i, v, p.rowCols[i][k])
 			}
 		}
 	}

@@ -211,6 +211,40 @@ func TestAddSparseValidation(t *testing.T) {
 	}
 }
 
+// TestAddSparseNormalizesRow pins the one stored form of a row: a row given
+// unsorted, with duplicate columns and zeros, is stored with its columns
+// ascending, each duplicate summed, zeros (given or cancelled) dropped, and
+// cap == len; both engines solve it to the same optimum.
+func TestAddSparseNormalizesRow(t *testing.T) {
+	p := NewProblem(5)
+	for j := 0; j < 5; j++ {
+		p.SetObjective(j, float64(1+j%3))
+		p.SetUpper(j, 4)
+	}
+	// Column 3 sums to 3; column 1's 2 and −2 cancel; column 4 is a given
+	// zero.
+	check(t, p.AddSparse([]int{3, 1, 0, 4, 3, 2, 1, 0}, []float64{1, 2, 0.5, 0, 2, 1, -2, 1}, GE, 6))
+	check(t, p.AddSparse([]int{4, 2}, []float64{1, 1}, GE, 2))
+	wantCols, wantVals := []int32{0, 2, 3}, []float64{1.5, 1, 3}
+	cols, vals := p.rowCols[0], p.rowVals[0]
+	if len(cols) != len(wantCols) || len(vals) != len(wantVals) {
+		t.Fatalf("row 0 stored as %v / %v, want %v / %v", cols, vals, wantCols, wantVals)
+	}
+	for k := range wantCols {
+		if cols[k] != wantCols[k] || vals[k] != wantVals[k] {
+			t.Fatalf("row 0 stored as %v / %v, want %v / %v", cols, vals, wantCols, wantVals)
+		}
+	}
+	if cap(cols) != len(cols) || cap(vals) != len(vals) {
+		t.Errorf("row 0 has cap %d/%d for %d entries", cap(cols), cap(vals), len(cols))
+	}
+	sol := mustSolve(t, p)
+	exact := mustSolveExact(t, p)
+	if exact.Status != Optimal || math.Abs(sol.Objective-ratFloat(exact.Objective)) > 1e-9 {
+		t.Errorf("float objective %v, exact %v (%v)", sol.Objective, exact.Objective, exact.Status)
+	}
+}
+
 func TestSolveTrivialAtOrigin(t *testing.T) {
 	// All-positive costs and only <= constraints: optimum is x = 0.
 	p := NewProblem(3)

@@ -36,7 +36,7 @@ func TestRemoveRowsPreservesOptimum(t *testing.T) {
 			if c >= 2 && rng.Intn(2) == 0 && basis != nil {
 				var drop []int
 				for i := 0; i < p.NumConstraints(); i++ {
-					if rowSlack(p, i, lastX) > 1e-7 && rng.Intn(2) == 0 {
+					if p.RowSlack(i, lastX) > 1e-7 && rng.Intn(2) == 0 {
 						drop = append(drop, i)
 					}
 				}
@@ -123,14 +123,63 @@ func TestRemoveRowsNilBasisInvalidates(t *testing.T) {
 	}
 }
 
-// rowSlack computes a·x − b for a GE row (the amount by which the point
-// over-satisfies it).
-func rowSlack(p *Problem, i int, x []float64) float64 {
-	ax := 0.0
-	for _, e := range p.rows[i] {
-		ax += e.val * x[e.col]
+// TestResolveFromRejectsForeignBasis pins that a Basis is tied to the
+// Problem that produced it. q has p's shape (row count, removal epoch,
+// bounds and costs), so p's basis passes every other warm-start check, but
+// its engine reads p's rows in place: q.ResolveFrom and q.RemoveRows must
+// both refuse it, and mutate nothing while refusing.
+func TestResolveFromRejectsForeignBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, rows = 12, 6
+	p := coveringProblem(rng, n, rows)
+	q := coveringProblem(rng, n, rows)
+	pSol, pBasis, err := p.ResolveFrom(nil)
+	if err != nil || pSol.Status != Optimal {
+		t.Fatalf("p cold: %v %v", err, pSol)
 	}
-	return ax - p.b[i]
+	qSol := mustSolve(t, q)
+	// A row strictly slack at p's optimum: p itself may remove it through
+	// pBasis, so only the basis's owner stands in q's way.
+	drop := -1
+	for i := 0; i < rows; i++ {
+		if p.RowSlack(i, pSol.X) > 1e-6 {
+			drop = i
+			break
+		}
+	}
+	if drop < 0 {
+		t.Fatal("no strictly slack row at p's optimum; pick another seed")
+	}
+	if _, _, err := q.ResolveFrom(pBasis); err == nil {
+		t.Error("q.ResolveFrom accepted p's basis")
+	}
+	if err := q.RemoveRows([]int{drop}, pBasis); err == nil {
+		t.Error("q.RemoveRows accepted p's basis")
+	}
+	if got := q.NumConstraints(); got != rows {
+		t.Fatalf("q has %d rows after the refused removal, want %d", got, rows)
+	}
+	same := func(who string, got, want *Solution) {
+		t.Helper()
+		if got.Status != Optimal || got.Objective != want.Objective {
+			t.Errorf("%s: %v objective %v, want optimal %v", who, got.Status, got.Objective, want.Objective)
+			return
+		}
+		for j := range want.X {
+			if got.X[j] != want.X[j] {
+				t.Errorf("%s: x[%d] = %v, want %v", who, j, got.X[j], want.X[j])
+			}
+		}
+	}
+	pWarm, _, err := p.ResolveFrom(pBasis)
+	if err != nil {
+		t.Fatalf("p warm after the refusals: %v", err)
+	}
+	same("p warm", pWarm, pSol)
+	if pWarm.Iterations != 0 {
+		t.Errorf("p warm re-solve of an unchanged problem took %d pivots", pWarm.Iterations)
+	}
+	same("q cold", mustSolve(t, q), qSol)
 }
 
 // TestRemoveRowsRejectsTightRow pins the contract: removing a binding row
@@ -190,7 +239,7 @@ func TestRemoveRowsThenAppend(t *testing.T) {
 			}
 			var drop []int
 			for i := 0; i < p.NumConstraints(); i++ {
-				if rowSlack(p, i, sol.X) > 1e-6 {
+				if p.RowSlack(i, sol.X) > 1e-6 {
 					drop = append(drop, i)
 					break // one per round, like a conservative purge
 				}

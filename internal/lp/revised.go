@@ -3,18 +3,19 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // revised is the sparse dual-simplex working state of the float engine.
 //
-// The constraint matrix is never transformed: rows are stored once in
-// compressed sparse form (plus a per-column view for FTRAN), and all
+// The constraint matrix is never transformed: the state reads its
+// Problem's rows and right-hand sides in place (engine row i is Problem row
+// i) and keeps only the views pivots need — a run-compressed copy of each
+// row for the pivot-row scatter and a per-column view for FTRAN. All
 // pivoting state lives in the factorized basis representation f — a sparse
 // LU of the basis as of the last refactorization, kept current by
-// Forrest–Tomlin updates (see factor.go). Logical columns (surpluses,
-// slacks and pad columns; see newRevised) are signed unit vectors and are
-// never materialized. xB holds the actual value of each basic variable —
+// Forrest–Tomlin updates (see factor.go). Logical columns (surpluses and pad
+// columns; see newRevised) are signed unit vectors and are never
+// materialized. xB holds the actual value of each basic variable —
 // not a transformed right-hand side — which keeps the bookkeeping correct
 // when nonbasic variables rest at nonzero upper bounds.
 //
@@ -42,22 +43,19 @@ import (
 // any optimality claim, and an Infeasible verdict is only accepted after a
 // full refactorization plus a basic-value resync confirms it.
 type revised struct {
-	n     int // structural variables
-	m     int // rows; engine row i is Problem row i
-	epoch int // Problem.removeEpoch this state last synchronized with
+	p     *Problem // owner of the rows; a Basis of another Problem is rejected
+	n     int      // structural variables
+	m     int      // rows; engine row i is Problem row i
+	epoch int      // Problem.removeEpoch this state last synchronized with
 
-	// Constraint matrix: cold-built rows as given, warm-appended rows
-	// negated so their single slack keeps a +1 coefficient.
-	rowCols [][]int32
-	rowVals [][]float64
-	rowRun  [][]alphaRun // run-compressed mirror of rowCols/rowVals
+	// Views of the Problem's rows, which every row enters as given.
+	rowRun  [][]alphaRun // run-compressed copy of each row
 	rowLogs [][]int32    // logical columns belonging to each row (1 or 2)
-	rhs     []float64    // normalized right-hand sides
 	colRows [][]int32    // per structural column: rows with a nonzero entry
 	colVals [][]float64
 
 	logRow  []int32   // per logical column (index col-n): owning row
-	logSign []float64 // +1 slack/pad, -1 surplus
+	logSign []float64 // -1 surplus, +1 pad
 
 	f           factor // factorized basis: LU + Forrest–Tomlin updates (see factor.go)
 	factorStale bool   // basis structure changed; refactorize before solving
@@ -157,8 +155,9 @@ const (
 )
 
 // newRevised builds the initial state at the all-slack dual basis. Each
-// row a·x ≥ b is stored as given with two logical columns: its surplus
-// (coefficient −1), basic, and a pad column (+1). Every structural rests at
+// row a·x ≥ b of p enters as given, read in place, with two logical
+// columns: its surplus (coefficient −1), basic, and a pad column (+1); a row
+// appended later gets the surplus alone (appendRow). Every structural rests at
 // its lower bound, which its nonnegative cost prefers, so the basis is dual
 // feasible; it is a signed permutation, so every inverse row has norm
 // exactly 1 and the dual steepest-edge weights start exact.
@@ -169,19 +168,17 @@ const (
 // one logical per row every later column index, and so the pivot sequence,
 // would change.
 func newRevised(p *Problem) *revised {
-	m, n := len(p.rows), p.numVars
+	m, n := len(p.b), p.numVars
 	nTotal := n + 2*m
 	colCap := nTotal + nTotal/4 + 16 // headroom for appended cut columns
 	rowCap := m + m/4 + 16
 	t := &revised{
+		p:          p,
 		n:          n,
 		m:          m,
 		epoch:      p.removeEpoch,
-		rowCols:    make([][]int32, 0, rowCap),
-		rowVals:    make([][]float64, 0, rowCap),
 		rowRun:     make([][]alphaRun, 0, rowCap),
 		rowLogs:    make([][]int32, 0, rowCap),
-		rhs:        make([]float64, 0, rowCap),
 		colRows:    make([][]int32, n),
 		colVals:    make([][]float64, n),
 		logRow:     make([]int32, 0, colCap-n),
@@ -222,16 +219,13 @@ func newRevised(p *Problem) *revised {
 	for j := range t.whereBasic {
 		t.whereBasic[j] = -1
 	}
-	for i, row := range p.rows {
-		cols, vals := normalizeEntries(row, 1)
+	for i, cols := range p.rowCols {
+		vals := p.rowVals[i]
 		for k, c := range cols {
 			t.colRows[c] = append(t.colRows[c], int32(i))
 			t.colVals[c] = append(t.colVals[c], vals[k])
 		}
-		t.rowCols = append(t.rowCols, cols)
-		t.rowVals = append(t.rowVals, vals)
 		t.rowRun = append(t.rowRun, compressRuns(cols, vals))
-		t.rhs = append(t.rhs, p.b[i])
 		surplus := n + 2*i
 		t.logRow = append(t.logRow, int32(i), int32(i))
 		t.logSign = append(t.logSign, -1, 1)
@@ -375,51 +369,6 @@ func siftDualCand(c []dualCand, i int) {
 // such pivots keeps the inverse healthy in the first place.
 const pivTol = 1e-7
 
-// normalizeEntries returns the row's structural entries scaled by sign, with
-// duplicate columns summed and zero coefficients dropped, sorted by column.
-func normalizeEntries(row []entry, sign float64) ([]int32, []float64) {
-	cols := make([]int32, 0, len(row))
-	vals := make([]float64, 0, len(row))
-	sorted := true
-	for _, e := range row {
-		if e.val == 0 {
-			continue
-		}
-		if len(cols) > 0 && int32(e.col) <= cols[len(cols)-1] {
-			sorted = false
-		}
-		cols = append(cols, int32(e.col))
-		vals = append(vals, sign*e.val)
-	}
-	if !sorted && len(cols) > 1 {
-		order := make([]int, len(cols))
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(a, b int) bool { return cols[order[a]] < cols[order[b]] })
-		oc := make([]int32, 0, len(cols))
-		ov := make([]float64, 0, len(vals))
-		for _, k := range order {
-			if len(oc) > 0 && oc[len(oc)-1] == cols[k] {
-				ov[len(ov)-1] += vals[k]
-			} else {
-				oc = append(oc, cols[k])
-				ov = append(ov, vals[k])
-			}
-		}
-		cols, vals = oc, ov
-	}
-	// Drop entries that cancelled to zero.
-	out := 0
-	for k := range cols {
-		if vals[k] != 0 {
-			cols[out], vals[out] = cols[k], vals[k]
-			out++
-		}
-	}
-	return cols[:out], vals[:out]
-}
-
 // refreshRed recomputes the basic values and the reduced-cost row from the
 // factorized basis: xB = B⁻¹(b − N·x_N) by FTRAN, then the duals
 // y = c_B·B⁻¹ by BTRAN, then red_j = c_j - y·A_j via one sweep over the
@@ -444,7 +393,7 @@ func (t *revised) refreshRed() {
 		if yi == 0 {
 			continue
 		}
-		cols, vals := t.rowCols[i], t.rowVals[i]
+		cols, vals := t.p.rowCols[i], t.p.rowVals[i]
 		red := t.red
 		for k, c := range cols {
 			red[c] -= yi * vals[k]
@@ -729,7 +678,7 @@ func (t *revised) pivotRowAlpha() {
 		for _, i32 := range t.rhoInd {
 			i := int(i32)
 			if rho[i] != 0 {
-				vol += len(t.rowCols[i]) + len(t.rowLogs[i])
+				vol += len(t.p.rowCols[i]) + len(t.rowLogs[i])
 			}
 		}
 		if vol >= nc {
@@ -752,7 +701,7 @@ func (t *revised) pivotRowAlpha() {
 	}
 	for i := 0; i < t.m; i++ {
 		if rho[i] != 0 {
-			vol += len(t.rowCols[i]) + len(t.rowLogs[i])
+			vol += len(t.p.rowCols[i]) + len(t.rowLogs[i])
 		}
 	}
 	if vol >= nc {
@@ -1118,7 +1067,7 @@ func (t *revised) pickDualRow() (int, bool) {
 }
 
 // dualIterate restores primal feasibility (basic values outside their
-// bounds: the surpluses of a cold start, the slacks of newly appended rows)
+// bounds: the surpluses of a cold start or of newly appended rows)
 // while maintaining dual feasibility, using the bounded-variable dual
 // simplex. It assumes the state is dual feasible: the all-slack start, or
 // an optimum before rows were appended. A pivot may land the entering
@@ -1307,14 +1256,14 @@ func (t *revised) dualIterate(budget *int) Status {
 // solve runs the dual simplex from the current dual feasible state — the
 // all-slack start of newRevised, or a warm optimum with rows and columns
 // spliced in — then checks the optimum it reaches and verifies it against
-// p's rows.
-func (t *revised) solve(p *Problem, budget *int) Status {
+// the Problem's rows.
+func (t *revised) solve(budget *int) Status {
 	st := t.dualIterate(budget)
 	if st == Optimal {
 		st = t.checkDualFeasible()
 	}
 	if st == Optimal {
-		st = t.verifyOptimal(p, budget)
+		st = t.verifyOptimal(budget)
 	}
 	return st
 }
@@ -1358,16 +1307,16 @@ func (t *revised) resync() bool {
 }
 
 // verifyOptimal confirms a claimed optimum against the problem data itself:
-// the structural point must satisfy every constraint row of p within an
+// the structural point must satisfy every constraint row within an
 // absolute 1e-6 and every basic value its bounds. The check is ground
 // truth — it reads the caller's rows, not any engine state derived from
 // the (possibly drifted) inverse. On violation the engine refactorizes the
 // basis, resyncs, and re-optimizes, a bounded number of times; persistent
 // failure is reported as IterLimit so no caller ever consumes an
 // infeasible "optimum" (the warm path then falls back to a cold solve).
-func (t *revised) verifyOptimal(p *Problem, budget *int) Status {
+func (t *revised) verifyOptimal(budget *int) Status {
 	for tries := 0; ; tries++ {
-		if t.consistent(p, 1e-6) {
+		if t.consistent(1e-6) {
 			return Optimal
 		}
 		if tries == 2 || !t.resync() {
@@ -1386,7 +1335,7 @@ func (t *revised) verifyOptimal(p *Problem, budget *int) Status {
 // consistent reports whether the current point satisfies the problem's
 // rows (all a·x ≥ b; ResolveFrom admits no other) and the basic variables
 // their bounds, all within tol.
-func (t *revised) consistent(p *Problem, tol float64) bool {
+func (t *revised) consistent(tol float64) bool {
 	for i := 0; i < t.m; i++ {
 		v := t.xB[i]
 		if v < -tol {
@@ -1397,10 +1346,12 @@ func (t *revised) consistent(p *Problem, tol float64) bool {
 		}
 	}
 	x := t.structuralX()
-	for i, row := range p.rows {
+	p := t.p
+	for i, cols := range p.rowCols {
+		vals := p.rowVals[i]
 		ax := 0.0
-		for _, e := range row {
-			ax += e.val * x[e.col]
+		for k, c := range cols {
+			ax += vals[k] * x[c]
 		}
 		if ax < p.b[i]-tol {
 			return false
@@ -1415,7 +1366,7 @@ func (t *revised) consistent(p *Problem, tol float64) bool {
 func (t *revised) refreshXB() {
 	m := t.m
 	r := t.y[:m] // scratch; refreshRed reloads it before use
-	copy(r, t.rhs)
+	copy(r, t.p.b)
 	for j := 0; j < t.n; j++ {
 		if !t.atUpper[j] || t.inBasis[j] {
 			continue
@@ -1531,7 +1482,8 @@ func (t *revised) growRows() {
 // c_j ≥ 0, and the basis stays dual feasible. Nothing in row space moves:
 // basic values, pricing weights and the dual working set stay valid; only
 // the column-indexed pricing scratch restarts.
-func (t *revised) appendProblemCols(p *Problem) {
+func (t *revised) appendProblemCols() {
+	p := t.p
 	k := p.numVars - t.n
 	if k <= 0 {
 		return
@@ -1585,39 +1537,35 @@ func (t *revised) appendProblemCols(p *Problem) {
 }
 
 // appendProblemRows incorporates rows added to the problem since the state
-// was last solved. Each row gets a fresh slack column that enters the basis
-// immediately, with its value computed from the current structural point,
-// so a violated cut simply surfaces as a bound-infeasible basic slack for
-// the dual simplex to repair. Appended rows are stored verbatim and the
-// factorization is rebuilt once at the new dimension before the next solve
-// — appends introduce no compounding transformation error.
-func (t *revised) appendProblemRows(p *Problem) {
-	m0 := t.m
-	if m0 == len(p.rows) {
+// was last solved. Each row gets a fresh surplus column that enters the
+// basis immediately, with its value computed from the current structural
+// point, so a violated cut simply surfaces as a bound-infeasible basic
+// surplus for the dual simplex to repair. The factorization is rebuilt once
+// at the new dimension before the next solve — appends introduce no
+// compounding transformation error.
+func (t *revised) appendProblemRows() {
+	if t.m == len(t.p.b) {
 		return
 	}
 	xs := t.structuralX()
-	for r := m0; r < len(p.rows); r++ {
-		t.appendRow(p.rows[r], p.b[r], xs)
+	for t.m < len(t.p.b) {
+		t.appendRow(xs)
 	}
 	t.factorStale = true
 }
 
-// appendRow stores the row a·x ≥ b negated, as −a·x + s = −b, so its one
-// logical column is a slack with a +1 coefficient.
-func (t *revised) appendRow(row []entry, b float64, xs []float64) {
-	const sign = -1.0
-	cols, vals := normalizeEntries(row, sign)
+// appendRow splices Problem row t.m, a·x ≥ b, into the state as given,
+// a·x − s = b, like a cold row but without the pad: its one logical column
+// is a surplus (coefficient −1), basic at a·x − b.
+func (t *revised) appendRow(xs []float64) {
 	i := t.m
+	cols, vals := t.p.rowCols[i], t.p.rowVals[i]
 	s := len(t.cost)
 	t.growCols(1)
 	t.logRow = append(t.logRow, int32(i))
-	t.logSign = append(t.logSign, 1)
-	t.rowCols = append(t.rowCols, cols)
-	t.rowVals = append(t.rowVals, vals)
+	t.logSign = append(t.logSign, -1)
 	t.rowRun = append(t.rowRun, compressRuns(cols, vals))
 	t.rowLogs = append(t.rowLogs, []int32{int32(s)})
-	t.rhs = append(t.rhs, sign*b)
 	for k, c := range cols {
 		// Grow column slices with explicit headroom: repeated cut appends
 		// touch the same columns round after round, and Go's small-slice
@@ -1638,7 +1586,7 @@ func (t *revised) appendRow(row []entry, b float64, xs []float64) {
 	for k, c := range cols {
 		ax += vals[k] * xs[c]
 	}
-	t.xB = append(t.xB, sign*b-ax)
+	t.xB = append(t.xB, ax-t.p.b[i])
 	t.basis = append(t.basis, s)
 	t.inBasis[s] = true
 	t.whereBasic[s] = i
@@ -1647,9 +1595,9 @@ func (t *revised) appendRow(row []entry, b float64, xs []float64) {
 }
 
 // removeRows excises the given rows from the live simplex state in place.
-// Legal only for rows whose slack or surplus column is currently basic —
-// for a zero-cost unit column e_r to be basic its dual
-// price must be zero (red = 0 − y_r), so dropping constraint row r together
+// Legal only for rows whose surplus column is currently basic — for a
+// zero-cost unit column −e_r to be basic its dual price must be zero
+// (red = 0 + y_r), so dropping constraint row r together
 // with that basis member changes neither the remaining duals nor any
 // remaining basic value, and the cofactor expansion of det(B) along the
 // unit column shows the reduced basis stays nonsingular. The state is
@@ -1657,7 +1605,7 @@ func (t *revised) appendRow(row []entry, b float64, xs []float64) {
 // must be rebuilt, which the next solve does once.
 //
 // A row that is strictly slack at the current optimum always qualifies: a
-// nonbasic logical rests at zero, so a positive slack value forces the
+// nonbasic logical rests at zero, so a positive surplus value forces the
 // logical into the basis.
 func (t *revised) removeRows(drop []int) error {
 	// Validate every drop before mutating anything.
@@ -1671,14 +1619,14 @@ func (t *revised) removeRows(drop []int) error {
 		if deadRow[r] {
 			continue
 		}
-		// A row's first logical is its slack or surplus; a pad never
-		// enters the basis.
-		slack := int(t.rowLogs[r][0])
-		if !t.inBasis[slack] {
+		// A row's first logical is its surplus; a pad never enters the
+		// basis.
+		surplus := int(t.rowLogs[r][0])
+		if !t.inBasis[surplus] {
 			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", r)
 		}
 		deadRow[r] = true
-		deadPos[t.whereBasic[slack]] = true
+		deadPos[t.whereBasic[surplus]] = true
 		for _, lc := range t.rowLogs[r] {
 			deadCol[int(lc)] = true
 		}
@@ -1720,18 +1668,12 @@ func (t *revised) removeRows(drop []int) error {
 		for k, lc := range logs {
 			logs[k] = colMap[lc]
 		}
-		t.rowCols[nr] = t.rowCols[r]
-		t.rowVals[nr] = t.rowVals[r]
 		t.rowRun[nr] = t.rowRun[r]
 		t.rowLogs[nr] = logs
-		t.rhs[nr] = t.rhs[r]
 		nr++
 	}
-	t.rowCols = t.rowCols[:nr]
-	t.rowVals = t.rowVals[:nr]
 	t.rowRun = t.rowRun[:nr]
 	t.rowLogs = t.rowLogs[:nr]
-	t.rhs = t.rhs[:nr]
 
 	// Per-structural-column row lists.
 	for j := 0; j < t.n; j++ {
