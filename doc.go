@@ -74,7 +74,12 @@
 //
 // MinimalFeasible (Theorem 1, ≤ 3·OPT) closes slots one at a time on a
 // flow-carrying checker, so a full sweep runs exactly one max flow from
-// zero.
+// zero. The checker gives one node to each elementary interval, a run of
+// slots that lie in the same job windows, with capacities scaled by the
+// interval's open-slot count; its verdicts equal the per-slot network's.
+// A close that the interval's routed flow already fits needs no flow, and
+// once a close in an interval fails, the sweep keeps that interval's other
+// slots open without one. Assign then extracts the per-slot schedule.
 //
 // # Where the gates live
 //

@@ -74,27 +74,33 @@ func lastWindowSlot(jobs []core.Job) core.Time {
 // arcs included, so that flow.NewNetworkDegrees can carve every adjacency
 // list out of one exactly sized array. The three builders (feasibleFlow,
 // feasChecker and the LP separator) share the source → job → slot → sink
-// shape and its numbering: source 0, job i at node 1+i, nSlots slot nodes
+// shape and its numbering: source 0, job i at node 1+i, nNodes slot nodes
 // after the jobs, the sink last. They differ only in which slots get a
 // node, which slotNode gives by slot, with 0 (the source) for a slot that
-// has none. A slot node holds its sink arc and one arc per job whose window
-// covers it; a job node holds its supply arc and one arc per window slot
-// with a node. Windows are cut at slot 1, as windowSlots cuts them.
-func gfeasDegrees(jobs []core.Job, slotNode []int, nSlots int) []int {
+// has none. feasibleFlow and the separator give each slot its own node;
+// feasChecker gives one node to each elementary interval, a run of slots
+// that all lie in the same job windows. A slot node holds its sink arc and
+// one arc per job whose window covers it; a job node holds its supply arc
+// and one arc per distinct node along its window. Windows are cut at slot
+// 1, as windowSlots cuts them.
+func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
 	n := len(jobs)
-	deg := make([]int, 2+n+nSlots)
+	deg := make([]int, 2+n+nNodes)
 	deg[0] = n
-	for v := 1 + n; v <= n+nSlots; v++ {
+	for v := 1 + n; v <= n+nNodes; v++ {
 		deg[v] = 1
 	}
-	deg[1+n+nSlots] = nSlots
+	deg[1+n+nNodes] = nNodes
 	for i, j := range jobs {
 		deg[1+i]++
+		prev := 0
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			if v := slotNode[t]; v != 0 {
+			v := slotNode[t]
+			if v != 0 && v != prev {
 				deg[1+i]++
 				deg[v]++
 			}
+			prev = v
 		}
 	}
 	return deg
@@ -122,14 +128,15 @@ func carve[T any](n int, count func(k int) int) [][]T {
 // resulting integral assignment.
 //
 // The package deliberately keeps three builders of the Gfeas topology:
-// feasibleFlow (one-shot, smallest network over just the open slots, and
-// the only one that extracts assignments), feasChecker (persistent int64
-// network over every window slot, re-capacitated per query), and the LP
-// separator in lp.go (persistent float64 network with y-scaled
-// capacities). They share the node numbering and arc counts
-// (gfeasDegrees), not the build: collapsing the one-shot path onto
-// feasChecker would pay for the full-universe build plus a toggle pass
-// where constructing the trimmed network directly suffices.
+// feasibleFlow (one-shot, one node per open slot, and the only one that
+// extracts a per-slot assignment), feasChecker (persistent int64 network
+// with one node per elementary interval of the window slots,
+// re-capacitated per query), and the LP separator in lp.go (persistent
+// float64 network with one node per slot and y-scaled capacities). They
+// share the node numbering and arc counts (gfeasDegrees), not the build:
+// collapsing the one-shot path onto feasChecker would pay for the
+// full-universe build plus a toggle pass, and would still have to deal
+// each interval's flow out to its slots.
 func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
 	// Nodes: 0 = source, 1..len(jobs) = jobs, then open slots, then sink.
 	// slotNode is indexed by slot up to the last window slot, so an open
@@ -200,149 +207,202 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 }
 
 // feasChecker answers repeated "does this slot set carry these jobs?"
-// max-flow queries over one persistent Gfeas network. The network spans
-// every slot inside some job window; slots and jobs start switched off
-// (capacity 0) and are toggled with setSlot/setJob, which only re-capacitate
-// the affected edge.
+// max-flow queries over one persistent network. Slots and jobs start
+// switched off and are toggled with setSlot/setJob, which only
+// re-capacitate the affected arcs.
+//
+// The network is Gfeas with its slots grouped into elementary intervals:
+// maximal runs of window slots that no release or deadline splits, so that
+// every slot of a run lies in the same job windows. Each interval I has one
+// node and carries its open-slot count k: job → I capacity k, I → sink
+// capacity g·k. This network carries all jobs exactly when the per-slot
+// Gfeas does. Summing a per-slot flow over each interval gives an interval
+// flow. Conversely, take an integral interval flow routing f_{j,I} ≤ k
+// units of job j into I, with Σ_j f_{j,I} ≤ g·k, and deal its units
+// round-robin over I's k open slots, job by job and slot after slot: no
+// job's f_{j,I} consecutive units reach one slot twice, and no slot gets
+// more than ⌈Σ_j f_{j,I} / k⌉ ≤ g units. So every verdict matches the
+// per-slot network's, on far fewer nodes and arcs.
 //
 // The checker is flow-carrying: the max flow routed by earlier queries
 // survives every mutation. Capacity increases keep their flow verbatim
 // (SetCapacityKeepFlow); capacity decreases clamp the flow and cancel the
-// excess along the rest of each affected source→job→slot→sink path
+// excess along the rest of each affected source→job→interval→sink path
 // (PushBack) — cheap because every path in this bipartite network has
 // length 3 — leaving a valid sub-maximal flow from which feasible() lets
-// Dinic augment only the difference. The minimal-feasible closing loop and
-// the exact search's DFS toggles therefore never recompute a flow from
-// scratch: coldFlows counts the from-zero solves (exactly one, the first
-// query) and is the counter the scaling gates pin.
+// Dinic augment only the difference. A trial close whose interval already
+// fits its routed flow with one slot fewer cancels nothing and needs no
+// solve at all. The minimal-feasible closing loop and the exact search's
+// DFS toggles therefore never recompute a flow from scratch: coldFlows
+// counts the solves that start from zero routed flow which no repair
+// drained (exactly one, the first query) and is the counter the scaling
+// gates pin.
 type feasChecker struct {
 	g         int
 	jobs      []core.Job
 	net       *flow.Network[int64]
 	src, sink int
-	jobEdges  []flow.EdgeID[int64]
-	slotEdges []flow.EdgeID[int64] // index t: slot t → sink (window slots only)
-	slotIn    [][]jobSlotRef       // index t: incoming job→slot edges; empty outside every window
-	jobWins   [][]jobWinRef        // per job, its window edges with slot times
+	jobEdges  []flow.EdgeID[int64] // per job: source → job
+	slotIval  []int32              // index t: slot t's interval, -1 outside every window
+	slotOpen  []bool               // index t: slot t is open
+	ivals     []elemInterval       // per interval, in slot order
+	ivalArcs  [][]jobArc           // per interval: its incoming job arcs, in job order
+	jobArcs   [][]jobArc           // per job: its interval arcs, along its window
 	total     int64                // sum of lengths of switched-on jobs
 	flow      int64                // flow currently routed (always a valid flow)
+	drained   bool                 // flow is zero because repairs cancelled every unit
 	// Counters for the incremental-flow gates: augments is the number of
 	// Dinic continuation calls, coldFlows how many of them started from zero
-	// routed flow, freeCloses the trial closes answered without any solve.
+	// routed flow that was not drained, freeCloses the trial closes answered
+	// without any solve.
 	augments, coldFlows, freeCloses int
 }
 
-// jobSlotRef locates one job→slot edge from the slot side, with the job
-// index needed to cancel excess on the job's supply edge.
-type jobSlotRef struct {
-	job int32
-	id  flow.EdgeID[int64]
+// elemInterval is one elementary interval: its open-slot count k and its
+// sink arc, of capacity g·k.
+type elemInterval struct {
+	open int64
+	sink flow.EdgeID[int64]
 }
 
-// jobWinRef locates one job→slot edge from the job side, with the slot time
-// needed to cancel excess on the slot's sink edge.
-type jobWinRef struct {
-	t  core.Time
-	id flow.EdgeID[int64]
+// jobArc is one job → interval arc with both of its ends, so that excess
+// cancelled on it can be cancelled on the job's supply arc and the
+// interval's sink arc too.
+type jobArc struct {
+	job, ival int32
+	id        flow.EdgeID[int64]
 }
 
 // newFeasChecker builds the persistent network with all jobs and all slots
-// switched off. Slot nodes follow the jobs in ascending slot order; only
-// slots inside some job window get one. The network's arcs, the slotIn
-// lists and the jobWins lists are each carved out of one exactly sized
-// array.
+// switched off. Interval nodes follow the jobs in slot order. The network's
+// arcs, the ivalArcs lists and the jobArcs lists are each carved out of one
+// exactly sized array, so the build makes the same number of allocations at
+// any horizon.
 func newFeasChecker(g int, jobs []core.Job) *feasChecker {
-	universe := windowSlots(jobs)
-	slotNode := make([]int, len(universe))
-	nSlots := 0
-	for t, ok := range universe {
+	covered := windowSlots(jobs)
+	// cut[t]: some window starts at slot t or ends at slot t-1. A window
+	// slot starts a new interval exactly there; the first slot after a gap
+	// is always a window start.
+	cut := make([]bool, len(covered)+1)
+	for _, j := range jobs {
+		if lo, hi := max(j.FirstSlot(), 1), j.LastSlot(); lo <= hi {
+			cut[lo], cut[hi+1] = true, true
+		}
+	}
+	slotIval := make([]int32, len(covered))
+	slotNode := make([]int, len(covered))
+	nIvals := 0
+	for t, ok := range covered {
+		slotIval[t] = -1
 		if ok {
-			slotNode[t] = 1 + len(jobs) + nSlots
-			nSlots++
-		}
-	}
-	deg := gfeasDegrees(jobs, slotNode, nSlots)
-	fc := &feasChecker{
-		g:         g,
-		jobs:      jobs,
-		net:       flow.NewNetworkDegrees[int64](deg, 0),
-		src:       0,
-		sink:      len(deg) - 1,
-		jobEdges:  make([]flow.EdgeID[int64], len(jobs)),
-		slotEdges: make([]flow.EdgeID[int64], len(universe)),
-		slotIn: carve[jobSlotRef](len(universe), func(t int) int {
-			if v := slotNode[t]; v != 0 {
-				return deg[v] - 1
+			if cut[t] {
+				nIvals++
 			}
-			return 0
-		}),
-		jobWins: carve[jobWinRef](len(jobs), func(i int) int { return deg[1+i] - 1 }),
-	}
-	for t, v := range slotNode {
-		if v != 0 {
-			fc.slotEdges[t] = fc.net.AddEdge(v, fc.sink, 0)
+			slotIval[t] = int32(nIvals - 1)
+			slotNode[t] = len(jobs) + nIvals
 		}
+	}
+	deg := gfeasDegrees(jobs, slotNode, nIvals)
+	fc := &feasChecker{
+		g:        g,
+		jobs:     jobs,
+		net:      flow.NewNetworkDegrees[int64](deg, 0),
+		src:      0,
+		sink:     len(deg) - 1,
+		jobEdges: make([]flow.EdgeID[int64], len(jobs)),
+		slotIval: slotIval,
+		slotOpen: make([]bool, len(covered)),
+		ivals:    make([]elemInterval, nIvals),
+		ivalArcs: carve[jobArc](nIvals, func(k int) int { return deg[1+len(jobs)+k] - 1 }),
+		jobArcs:  carve[jobArc](len(jobs), func(i int) int { return deg[1+i] - 1 }),
+	}
+	for k := range fc.ivals {
+		fc.ivals[k].sink = fc.net.AddEdge(1+len(jobs)+k, fc.sink, 0)
 	}
 	for i, j := range jobs {
 		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, 0)
+		prev := int32(-1)
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			id := fc.net.AddEdge(1+i, slotNode[t], 1)
-			fc.jobWins[i] = append(fc.jobWins[i], jobWinRef{t, id})
-			fc.slotIn[t] = append(fc.slotIn[t], jobSlotRef{int32(i), id})
+			if k := slotIval[t]; k != prev {
+				a := jobArc{int32(i), k, fc.net.AddEdge(1+i, slotNode[t], 0)}
+				fc.jobArcs[i] = append(fc.jobArcs[i], a)
+				fc.ivalArcs[k] = append(fc.ivalArcs[k], a)
+				prev = k
+			}
 		}
 	}
 	return fc
 }
 
-// slotEdge returns slot t's sink edge; ok is false for a slot outside every
-// job window (slot 0, a gap between windows, or past the last deadline),
-// which has no node in the network.
-func (fc *feasChecker) slotEdge(t core.Time) (id flow.EdgeID[int64], ok bool) {
-	if t < 0 || int(t) >= len(fc.slotIn) || len(fc.slotIn[t]) == 0 {
-		return id, false
+// ival returns slot t's interval, or -1 for a slot outside every job window
+// (slot 0, a gap between windows, or past the last deadline), which has no
+// node in the network.
+func (fc *feasChecker) ival(t core.Time) int32 {
+	if t < 0 || int(t) >= len(fc.slotIval) {
+		return -1
 	}
-	return fc.slotEdges[t], true
+	return fc.slotIval[t]
 }
 
-// setSlot opens or closes a slot (capacity g or 0 on its sink edge),
-// preserving the routed flow; closing a slot that carries flow cancels the
-// excess along the slot's incoming job edges and their supply edges. Slots
-// outside every job window are ignored: they can never carry work, so their
-// state cannot change feasibility.
-func (fc *feasChecker) setSlot(t core.Time, open bool) {
-	id, ok := fc.slotEdge(t)
-	if !ok {
-		return
+// markSlot records slot t as open or closed in its interval's count and
+// returns the interval, or -1 when nothing changed: the slot lies outside
+// every window, or is already in that state.
+func (fc *feasChecker) markSlot(t core.Time, open bool) int32 {
+	k := fc.ival(t)
+	if k < 0 || fc.slotOpen[t] == open {
+		return -1
 	}
-	var c int64
+	fc.slotOpen[t] = open
 	if open {
-		c = int64(fc.g)
+		fc.ivals[k].open++
+	} else {
+		fc.ivals[k].open--
 	}
-	if fc.net.Capacity(id) == c {
-		return
+	return k
+}
+
+// setSlot opens or closes a slot, preserving the routed flow. Slots outside
+// every job window are ignored: they can never carry work, so their state
+// cannot change feasibility.
+func (fc *feasChecker) setSlot(t core.Time, open bool) {
+	if k := fc.markSlot(t, open); k >= 0 {
+		fc.resize(k)
 	}
-	ex := fc.net.SetCapacityKeepFlow(id, c)
-	for _, ref := range fc.slotIn[t] {
+}
+
+// resize re-capacitates interval k's arcs to its open count c, preserving
+// the routed flow: every job arc to c, the sink arc to g·c. On a shrink it
+// first clamps each job arc, cancelling the excess on the job's supply arc
+// and on the sink arc, then clamps the sink arc, cancelling its excess
+// across the interval's job arcs in job order and on their supply arcs.
+func (fc *feasChecker) resize(k int32) {
+	iv := &fc.ivals[k]
+	for _, a := range fc.ivalArcs[k] {
+		if ex := fc.net.SetCapacityKeepFlow(a.id, iv.open); ex > 0 {
+			fc.net.PushBack(fc.jobEdges[a.job], ex)
+			fc.net.PushBack(iv.sink, ex)
+			fc.cancel(ex)
+		}
+	}
+	ex := fc.net.SetCapacityKeepFlow(iv.sink, int64(fc.g)*iv.open)
+	for _, a := range fc.ivalArcs[k] {
 		if ex == 0 {
 			break
 		}
-		f := fc.net.Flow(ref.id)
+		f := min(fc.net.Flow(a.id), ex)
 		if f <= 0 {
 			continue
 		}
-		if f > ex {
-			f = ex
-		}
-		fc.net.PushBack(ref.id, f)
-		fc.net.PushBack(fc.jobEdges[ref.job], f)
-		fc.flow -= f
+		fc.net.PushBack(a.id, f)
+		fc.net.PushBack(fc.jobEdges[a.job], f)
+		fc.cancel(f)
 		ex -= f
 	}
 }
 
 // setJob switches a job's demand on or off and keeps the demand total in
 // step, preserving the routed flow (switching a flow-carrying job off
-// cancels its flow along the window edges and their sink edges). Toggling an
+// cancels its flow along its interval arcs and their sink arcs). Toggling an
 // already-switched job is a no-op.
 func (fc *feasChecker) setJob(i int, on bool) {
 	var c int64
@@ -353,20 +413,17 @@ func (fc *feasChecker) setJob(i int, on bool) {
 		return
 	}
 	ex := fc.net.SetCapacityKeepFlow(fc.jobEdges[i], c)
-	for _, ref := range fc.jobWins[i] {
+	for _, a := range fc.jobArcs[i] {
 		if ex == 0 {
 			break
 		}
-		f := fc.net.Flow(ref.id)
+		f := min(fc.net.Flow(a.id), ex)
 		if f <= 0 {
 			continue
 		}
-		if f > ex {
-			f = ex
-		}
-		fc.net.PushBack(ref.id, f)
-		fc.net.PushBack(fc.slotEdges[ref.t], f)
-		fc.flow -= f
+		fc.net.PushBack(a.id, f)
+		fc.net.PushBack(fc.ivals[a.ival].sink, f)
+		fc.cancel(f)
 		ex -= f
 	}
 	if on {
@@ -384,32 +441,44 @@ func (fc *feasChecker) feasible() bool {
 	if fc.flow == fc.total {
 		return true
 	}
-	if fc.flow == 0 {
+	if fc.flow == 0 && !fc.drained {
 		fc.coldFlows++
 	}
 	fc.augments++
 	fc.flow += fc.net.Max(fc.src, fc.sink)
+	fc.drained = fc.drained && fc.flow == 0
 	return fc.flow == fc.total
+}
+
+// cancel books d routed units cancelled by a repair. A repair that cancels
+// every routed unit — a trial close of the one slot that carries the whole
+// demand — leaves the flow drained, not cold: the next solve reroutes just
+// the cancelled units, as every other continuation does.
+func (fc *feasChecker) cancel(d int64) {
+	fc.flow -= d
+	fc.drained = fc.flow == 0
 }
 
 // trialCloseSlot attempts to close slot t, assuming the current flow is
 // maximal and meets the demand (the closing loops' invariant). When the
-// slot carries no flow the max flow survives verbatim and the close is free
-// — no solve at all. Otherwise the close is repaired and Dinic reroutes
-// just the cancelled units; if they cannot be rerouted the slot is reopened
-// and the max flow restored before returning false, so the invariant holds
-// on exit either way.
+// slot's interval already fits its routed flow with one slot fewer — at
+// most g·(k−1) units on the sink arc and at most k−1 on every job arc — the
+// close cancels nothing, the max flow survives verbatim and the close is
+// free: no solve at all. Otherwise Dinic reroutes just the cancelled units;
+// if they cannot be rerouted the slot is reopened and the max flow restored
+// before returning false, so the invariant holds on exit either way.
+// Closing a slot that is closed or outside every window succeeds and
+// changes nothing.
 func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
-	id, ok := fc.slotEdge(t)
-	if !ok {
-		return true // outside every window: closing cannot affect feasibility
+	k := fc.markSlot(t, false)
+	if k < 0 {
+		return true
 	}
-	if fc.net.Flow(id) == 0 {
-		fc.net.SetCapacityKeepFlow(id, 0)
+	fc.resize(k)
+	if fc.flow == fc.total {
 		fc.freeCloses++
 		return true
 	}
-	fc.setSlot(t, false)
 	if fc.feasible() {
 		return true
 	}
@@ -419,14 +488,19 @@ func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
 }
 
 // fullChecker builds a feasChecker with every job switched on and the given
-// slots open — the starting state of the slot-closing loops.
+// slots open — the starting state of the slot-closing loops. No flow is
+// routed yet, so it counts the open slots first and sizes each interval
+// once.
 func fullChecker(in *core.Instance, open []core.Time) *feasChecker {
 	fc := newFeasChecker(in.G, in.Jobs)
 	for i := range in.Jobs {
 		fc.setJob(i, true)
 	}
 	for _, t := range open {
-		fc.setSlot(t, true)
+		fc.markSlot(t, true)
+	}
+	for k := range fc.ivals {
+		fc.resize(int32(k))
 	}
 	return fc
 }
@@ -480,11 +554,15 @@ type MinimalResult struct {
 	// Probes is the number of trial-closed slots (= |AllSlots|).
 	Probes int
 	// FreeCloses counts probes answered without any flow solve because the
-	// slot carried no flow.
+	// slot's elementary interval already fit its routed flow with one open
+	// slot fewer. A probe answered "keep open" because its interval failed
+	// an earlier close counts neither here nor in FlowAugments.
 	FreeCloses int
 	// FlowAugments counts Dinic continuation calls (incremental re-solves).
 	FlowAugments int
-	// ColdFlows counts flow solves that started from zero routed flow.
+	// ColdFlows counts flow solves that started from zero routed flow,
+	// other than a trial close's re-solve after cancelling every routed
+	// unit (possible only when one slot carries the whole demand).
 	ColdFlows int
 }
 
@@ -502,12 +580,20 @@ func MinimalFeasible(in *core.Instance, opts MinimalOptions) (*core.ActiveSchedu
 
 // MinimalFeasibleStats is MinimalFeasible plus the incremental-flow
 // counters. The closing loop carries one max flow across all trial closes:
-// each probe either closes a zero-flow slot for free, or cancels the
-// closed slot's length-3 flow paths and asks Dinic to reroute just the
-// cancelled units (reopening and re-augmenting on failure). The closing
-// decisions are identical to recomputing a fresh max flow per probe — the
-// max-flow value does not depend on which maximal flow is currently routed
-// — so the produced schedule matches the historical from-scratch loop.
+// each probe either closes a slot for free, when its elementary interval
+// already fits its routed flow with one slot fewer, or cancels the excess
+// along length-3 flow paths and asks Dinic to reroute just the cancelled
+// units (reopening and re-augmenting on failure). The closing decisions
+// are identical to recomputing a fresh per-slot max flow per probe — the
+// max-flow value depends neither on which maximal flow is currently routed
+// nor on grouping slots into intervals — so the produced schedule matches
+// the historical from-scratch loop.
+//
+// Once a close in an interval fails, every later probe of a slot in that
+// interval keeps it open without a flow. The loop only ever closes slots,
+// so a later probe asks about an open set with no more open slots in any
+// interval than the one that failed, and feasibility is monotone in the
+// per-interval counts.
 func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -517,24 +603,21 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 	if !fc.feasible() {
 		return nil, ErrInfeasible
 	}
-	order := closeOrder(open, opts)
-	isOpen := make([]bool, open[len(open)-1]+1) // index t: slot t
-	for _, t := range open {
-		isOpen[t] = true
-	}
+	stuck := make([]bool, len(fc.ivals)) // per interval: a close there failed
 	probes := 0
-	for _, t := range order {
-		if t < 0 || int(t) >= len(isOpen) || !isOpen[t] {
+	for _, t := range closeOrder(open, opts) {
+		k := fc.ival(t)
+		if k < 0 || !fc.slotOpen[t] {
 			continue
 		}
 		probes++
-		if fc.trialCloseSlot(t) {
-			isOpen[t] = false
+		if !stuck[k] && !fc.trialCloseSlot(t) {
+			stuck[k] = true
 		}
 	}
 	current := make([]core.Time, 0, len(open))
 	for _, t := range open {
-		if isOpen[t] {
+		if fc.slotOpen[t] {
 			current = append(current, t)
 		}
 	}
@@ -553,16 +636,26 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 
 // IsMinimalFeasible reports whether the open set is feasible and no single
 // slot can be closed while preserving feasibility. Like the closing loop it
-// carries one max flow across the per-slot probes instead of recomputing.
+// carries one max flow across the per-slot probes instead of recomputing,
+// and it probes each elementary interval only until one of its slots fails
+// to close: every failed probe reopens its slot, so all probes ask about
+// the same open set, in which the slots of one interval are
+// interchangeable.
 func IsMinimalFeasible(in *core.Instance, open []core.Time) bool {
 	fc := fullChecker(in, open)
 	if !fc.feasible() {
 		return false
 	}
+	stuck := make([]bool, len(fc.ivals))
 	for _, t := range open {
+		k := fc.ival(t)
+		if k >= 0 && stuck[k] {
+			continue
+		}
 		if fc.trialCloseSlot(t) {
 			return false
 		}
+		stuck[k] = true // k >= 0: a slot outside every window always closes
 	}
 	return true
 }

@@ -37,7 +37,10 @@ type ExactOptions struct {
 // All pruning max-flows run on one persistent feasibility checker whose
 // slot set is toggled incrementally along the DFS (closing a slot before
 // the "closed" branch, restoring it after), so no search node builds a
-// network.
+// network. Unlike the closing loops, the search keeps no marks of
+// elementary intervals that failed a close: it reopens slots on the way
+// back up, so a verdict reached under one open set says nothing about the
+// larger ones it later visits.
 func SolveExact(in *core.Instance, opts ExactOptions) (*core.ActiveSchedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package activetime
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -98,6 +99,80 @@ func FuzzSolveLP(f *testing.F) {
 				t.Fatalf("kernel paths diverged at pivot %d: hypersparse (%d,%d), dense (%d,%d)",
 					i, trace[i].row, trace[i].col, denseTrace[i].row, denseTrace[i].col)
 			}
+		}
+	})
+}
+
+// FuzzMinimalFeasible drives the Theorem 1 closing loop from raw instance
+// bytes and a shuffle seed. Any input that decodes and validates must give
+// the open set that a per-slot fresh-flow sweep gives in the same order —
+// one one-shot CheckFeasible per probe, no interval nodes, no carried flow
+// and no skipped intervals — and that set must pass VerifyActive and
+// IsMinimalFeasible after exactly one cold max flow. The size bounds are
+// FuzzSolveLP's; the last seed routes the whole demand through one slot,
+// whose trial close cancels every routed unit.
+func FuzzMinimalFeasible(f *testing.F) {
+	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
+	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(2))
+	f.Add([]byte(`{"g":3,"jobs":[{"id":0,"release":0,"deadline":6,"length":1},{"id":1,"release":2,"deadline":5,"length":3},{"id":2,"release":1,"deadline":4,"length":2}]}`), int64(3))
+	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":1,"length":1},{"id":1,"release":0,"deadline":1,"length":1}]}`), int64(4))
+	f.Add(fuzzHardnessChain(), int64(5))
+	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":1,"length":1}]}`), int64(6))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		in, err := core.ReadInstance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(in.Jobs) > 96 || in.Horizon() > 96 || in.G > 8 {
+			return
+		}
+		opts := MinimalOptions{Shuffle: true, Seed: seed}
+		res, err := MinimalFeasibleStats(in, opts)
+		all := AllSlots(in)
+		if err == ErrInfeasible {
+			if CheckFeasible(in, all) {
+				t.Fatal("closing loop reports infeasible, but every window slot open carries all jobs")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("MinimalFeasibleStats: %v", err)
+		}
+		isOpen := make(map[core.Time]bool, len(all))
+		for _, s := range all {
+			isOpen[s] = true
+		}
+		for _, s := range closeOrder(all, opts) {
+			if !isOpen[s] {
+				continue
+			}
+			rest := make([]core.Time, 0, len(all))
+			for _, u := range all {
+				if isOpen[u] && u != s {
+					rest = append(rest, u)
+				}
+			}
+			if CheckFeasible(in, rest) {
+				isOpen[s] = false
+			}
+		}
+		var want []core.Time
+		for _, s := range all {
+			if isOpen[s] {
+				want = append(want, s)
+			}
+		}
+		if !slices.Equal(res.Schedule.Open, want) {
+			t.Fatalf("closing loop keeps %v open, fresh-flow sweep keeps %v", res.Schedule.Open, want)
+		}
+		if err := core.VerifyActive(in, res.Schedule); err != nil {
+			t.Fatalf("minimal schedule invalid: %v", err)
+		}
+		if !IsMinimalFeasible(in, res.Schedule.Open) {
+			t.Fatal("closing loop's open set is not minimal")
+		}
+		if res.ColdFlows != 1 {
+			t.Fatalf("%d cold flows, want exactly 1", res.ColdFlows)
 		}
 	})
 }

@@ -16,14 +16,19 @@ import (
 )
 
 // TestTrialCloseMatchesFreshFlow is the equivalence property behind the
-// flow-carrying rewrite of the closing loops: on every family, a closing
-// sweep that carries one max flow across all trial closes must make exactly
-// the same close/keep decision at every slot as the historical loop that
-// recomputed a fresh max flow per probe. The decisions agree because the
-// max-flow *value* does not depend on which maximal flow happens to be
-// routed — this test is the executable form of that argument.
+// closing loops: on every family and under every order closeOrder can
+// produce, a sweep on the flow-carrying interval checker, skipping
+// intervals whose close already failed exactly as the loops do, must make
+// the same close/keep decision at every probe as a fresh per-slot max flow
+// over the remaining open set. The decisions agree because the max-flow
+// value depends neither on which maximal flow happens to be routed nor on
+// grouping identically covered slots into one node, and because
+// feasibility is monotone in the open set — this test is the executable
+// form of those arguments. The First order repeats a slot and names one
+// outside every window, which the loops skip without a probe.
 func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 	const seedsPerFamily = 8
+	stuckProbes := 0
 	for _, fam := range lpFamilies {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
 			in := fam.make(seed)
@@ -31,49 +36,85 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 			if !CheckFeasible(in, open) {
 				continue
 			}
-			fc := fullChecker(in, open)
-			if !fc.feasible() {
-				t.Fatalf("%s seed %d: checker disagrees with CheckFeasible on the full slot set", fam.name, seed)
+			mid := open[len(open)/2]
+			orders := []struct {
+				name string
+				opts MinimalOptions
+			}{
+				{"right to left", MinimalOptions{Strategy: CloseRightToLeft}},
+				{"left to right", MinimalOptions{Strategy: CloseLeftToRight}},
+				{"shuffled", MinimalOptions{Shuffle: true, Seed: seed}},
+				{"first", MinimalOptions{Strategy: CloseRightToLeft, First: []core.Time{mid, open[len(open)-1] + 1, mid, open[0]}}},
 			}
-			isOpen := make(map[core.Time]bool, len(open))
-			for _, s := range open {
-				isOpen[s] = true
-			}
-			for _, s := range open {
-				// Fresh-flow oracle: close s iff the remaining open set still
-				// carries all jobs, computed on a brand-new one-shot network.
-				rest := make([]core.Time, 0, len(open))
-				for _, u := range open {
-					if isOpen[u] && u != s {
-						rest = append(rest, u)
+			for _, o := range orders {
+				fc := fullChecker(in, open)
+				if !fc.feasible() {
+					t.Fatalf("%s seed %d: checker disagrees with CheckFeasible on the full slot set", fam.name, seed)
+				}
+				isOpen := make(map[core.Time]bool, len(open))
+				for _, s := range open {
+					isOpen[s] = true
+				}
+				stuck := make([]bool, len(fc.ivals))
+				for _, s := range closeOrder(open, o.opts) {
+					k := fc.ival(s)
+					if k < 0 || !isOpen[s] {
+						continue
+					}
+					// Fresh-flow oracle: close s iff the remaining open set
+					// still carries all jobs, computed on a brand-new
+					// one-shot per-slot network.
+					rest := make([]core.Time, 0, len(open))
+					for _, u := range open {
+						if isOpen[u] && u != s {
+							rest = append(rest, u)
+						}
+					}
+					want := CheckFeasible(in, rest)
+					got := false
+					if stuck[k] {
+						stuckProbes++
+					} else if got = fc.trialCloseSlot(s); !got {
+						stuck[k] = true
+					}
+					if got != want {
+						t.Fatalf("%s seed %d %s slot %d: interval close=%v (stuck %v), fresh-flow close=%v",
+							fam.name, seed, o.name, s, got, stuck[k], want)
+					}
+					if want {
+						isOpen[s] = false
 					}
 				}
-				want := CheckFeasible(in, rest)
-				if got := fc.trialCloseSlot(s); got != want {
-					t.Fatalf("%s seed %d slot %d: incremental close=%v, fresh-flow close=%v",
-						fam.name, seed, s, got, want)
+				for _, s := range open {
+					if fc.slotOpen[s] != isOpen[s] {
+						t.Fatalf("%s seed %d %s: checker has slot %d open=%v, sweep has %v",
+							fam.name, seed, o.name, s, fc.slotOpen[s], isOpen[s])
+					}
 				}
-				if want {
-					isOpen[s] = false
+				if fc.coldFlows != 1 {
+					t.Errorf("%s seed %d %s: %d cold flows across the sweep, want exactly 1",
+						fam.name, seed, o.name, fc.coldFlows)
 				}
-			}
-			if fc.coldFlows != 1 {
-				t.Errorf("%s seed %d: %d cold flows across the sweep, want exactly 1", fam.name, seed, fc.coldFlows)
 			}
 		}
+	}
+	if stuckProbes == 0 {
+		t.Error("no probe was answered from a stuck interval; that path went untested")
 	}
 }
 
 // TestFeasCheckerToggleEquivalence drives the flow-carrying checker through
 // adversarial slot and job toggle sequences — including reopening slots and
 // switching jobs off and back on — and checks every feasibility verdict
-// against a fresh one-shot max flow over the same configuration. This is
-// the state-corruption net for SetCapacityKeepFlow/PushBack bookkeeping:
-// any excess mis-cancelled on a capacity decrease shows up as a verdict
-// mismatch within a few toggles. After every toggle it also opens, closes
-// and trial-closes a slot outside every window (slot 0, one past the last
-// deadline, or a gap between windows): each must be a no-op that leaves
-// every edge as it was, and the trial close must succeed.
+// against a fresh one-shot per-slot max flow over the same configuration.
+// This is the state-corruption net for the SetCapacityKeepFlow/PushBack
+// bookkeeping of the interval arcs: any excess mis-cancelled on a capacity
+// decrease shows up as a verdict mismatch within a few toggles. After
+// every toggle it repeats that toggle, then opens, closes and trial-closes
+// a slot outside every window (slot 0, one past the last deadline, or a
+// gap between windows): each must be a no-op that leaves every arc's
+// capacity and flow and every interval's open count as they were, and the
+// trial close must succeed.
 func TestFeasCheckerToggleEquivalence(t *testing.T) {
 	const seedsPerFamily = 6
 	gaps := 0
@@ -92,21 +133,24 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 				}
 			}
 			gaps += len(outside) - 2
-			// state lists every edge's capacity and flow plus the checker's
-			// totals and counters.
+			// state lists every arc's capacity and flow, every interval's
+			// open count, and the checker's totals and counters.
 			ids := append([]flow.EdgeID[int64](nil), fc.jobEdges...)
-			for _, s := range slots {
-				ids = append(ids, fc.slotEdges[s])
+			for _, iv := range fc.ivals {
+				ids = append(ids, iv.sink)
 			}
-			for _, wins := range fc.jobWins {
-				for _, w := range wins {
-					ids = append(ids, w.id)
+			for _, arcs := range fc.jobArcs {
+				for _, a := range arcs {
+					ids = append(ids, a.id)
 				}
 			}
 			state := func() []int64 {
 				out := []int64{fc.flow, fc.total, int64(fc.augments), int64(fc.coldFlows), int64(fc.freeCloses)}
 				for _, id := range ids {
 					out = append(out, fc.net.Capacity(id), fc.net.Flow(id))
+				}
+				for _, iv := range fc.ivals {
+					out = append(out, iv.open)
 				}
 				return out
 			}
@@ -120,17 +164,24 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			}
 			rng := newRand(seed * 7731)
 			for step := 0; step < 60; step++ {
+				var repeat func()
 				if len(in.Jobs) > 0 && rng.Intn(4) == 0 {
 					i := rng.Intn(len(in.Jobs))
 					jobOn[i] = !jobOn[i]
 					fc.setJob(i, jobOn[i])
+					repeat = func() { fc.setJob(i, jobOn[i]) }
 				} else {
 					s := slots[rng.Intn(len(slots))]
 					slotOpen[s] = !slotOpen[s]
 					fc.setSlot(s, slotOpen[s])
+					repeat = func() { fc.setSlot(s, slotOpen[s]) }
+				}
+				before := state()
+				repeat()
+				if !slices.Equal(before, state()) {
+					t.Fatalf("%s seed %d step %d: repeating a toggle changed the checker", fam.name, seed, step)
 				}
 				s := outside[step%len(outside)]
-				before := state()
 				fc.setSlot(s, step%2 == 0)
 				fc.setSlot(s, step%2 != 0)
 				if !fc.trialCloseSlot(s) {
@@ -171,7 +222,8 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 // TestMinimalFeasibleStatsCounters pins the incremental-flow contract of
 // the closing loop on every family: exactly one cold (from-zero) max flow
 // per feasible run no matter how many slots are probed, every window slot
-// probed exactly once, and a result that is verified feasible and minimal.
+// probed exactly once, and a result that is verified feasible and minimal,
+// which no longer holds once any closed slot is reopened.
 func TestMinimalFeasibleStatsCounters(t *testing.T) {
 	const seedsPerFamily = 6
 	for _, fam := range lpFamilies {
@@ -198,6 +250,13 @@ func TestMinimalFeasibleStatsCounters(t *testing.T) {
 			}
 			if !IsMinimalFeasible(in, res.Schedule.Open) {
 				t.Errorf("%s seed %d: MinimalFeasibleStats output is not minimal", fam.name, seed)
+			}
+			// Reopening any closed slot leaves a set that one close returns
+			// to the feasible minimal one, so it is not minimal.
+			for _, s := range AllSlots(in) {
+				if !slices.Contains(res.Schedule.Open, s) && IsMinimalFeasible(in, append(slices.Clone(res.Schedule.Open), s)) {
+					t.Errorf("%s seed %d: minimal set plus closed slot %d reported minimal", fam.name, seed, s)
+				}
 			}
 		}
 	}

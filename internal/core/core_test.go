@@ -205,6 +205,17 @@ func TestVerifyActive(t *testing.T) {
 	}
 }
 
+// TestVerifyActiveRejectsUnknownJob feeds the verifier a schedule that
+// assigns a unit to a job the instance does not have. That unit puts two
+// units in slot 1 at g = 1, so accepting it would accept an over-full slot.
+func TestVerifyActiveRejectsUnknownJob(t *testing.T) {
+	in := &Instance{G: 1, Jobs: []Job{{ID: 0, Release: 0, Deadline: 2, Length: 2}}}
+	s := &ActiveSchedule{Open: []Time{1, 2}, Assign: map[int][]Time{0: {1, 2}, 5: {1}}}
+	if err := VerifyActive(in, s); err == nil {
+		t.Error("schedule assigning unknown job 5 accepted")
+	}
+}
+
 func TestVerifyBusy(t *testing.T) {
 	in := &Instance{G: 2, Jobs: []Job{
 		{ID: 0, Release: 0, Deadline: 4, Length: 4},

@@ -41,6 +41,16 @@ func VerifyActive(in *Instance, s *ActiveSchedule) error {
 			load[t]++
 		}
 	}
+	// Every job has its key by now, so with distinct job IDs (as Validate
+	// requires) any further key is a job the instance does not have, whose
+	// units the loads above leave out.
+	if len(s.Assign) != len(in.Jobs) {
+		for id := range s.Assign {
+			if _, ok := in.JobByID(id); !ok {
+				return fmt.Errorf("core: schedule assigns unknown job %d", id)
+			}
+		}
+	}
 	for t, n := range load {
 		if n > in.G {
 			return fmt.Errorf("core: slot %d holds %d units, capacity g=%d", t, n, in.G)

@@ -26,6 +26,10 @@ func FuzzVerifyActive(f *testing.F) {
 		[]byte(`{"Open":[1],"Assign":{"0":[1,1]}}`),
 	)
 	f.Add(
+		[]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2}]}`),
+		[]byte(`{"Open":[1,2],"Assign":{"0":[1,2],"5":[1]}}`),
+	)
+	f.Add(
 		[]byte(`{"g":2,"jobs":[{"id":7,"release":3,"deadline":9,"length":3}]}`),
 		[]byte(`not json`),
 	)

@@ -56,3 +56,40 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimalFlowWorkPinned pins the deterministic work of the end-to-end
+// benchmark's minimal-flow op on its first input (largeHorizonBench): the
+// right-to-left MinimalFeasibleStats counters and the Theorem 1
+// certificate that activebench digests. The cost, probes, cold flows, mass
+// bound and witness are the closing loop's decisions and must never move
+// without a change to which slots it closes; the free-close and augment
+// counts move only when the checker routes its flow differently. The
+// values were measured on linux/amd64 with go1.24.
+func TestMinimalFlowWorkPinned(t *testing.T) {
+	in := largeHorizonBench()
+	res, err := activetime.MinimalFeasibleStats(in, activetime.MinimalOptions{Strategy: activetime.CloseRightToLeft})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := activetime.BuildTheorem1Certificate(in, res.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"cost", int(res.Schedule.Cost()), 184},
+		{"probes", res.Probes, 2048},
+		{"free closes", res.FreeCloses, 1561},
+		{"flow augments", res.FlowAugments, 526},
+		{"cold flows", res.ColdFlows, 1},
+		{"mass bound", int(cert.MassBound), 160},
+		{"witness jobs", len(cert.Witness), 6},
+		{"witness length", int(cert.WitnessMass), 48},
+	} {
+		if c.got != c.want {
+			t.Errorf("minimal-flow %s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
