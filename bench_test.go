@@ -210,6 +210,31 @@ func BenchmarkMinimalFeasible(b *testing.B) {
 	}
 }
 
+// BenchmarkTheorem1Certificate measures the Theorem 1 certificate alone on
+// the end-to-end benchmark's first minimal-flow input: the right-to-left
+// minimal schedule is computed once, and every op certifies a fresh deep
+// copy of it, since the certificate rewrites its schedule in place.
+func BenchmarkTheorem1Certificate(b *testing.B) {
+	in := largeHorizonBench()
+	sched, err := activetime.MinimalFeasible(in, activetime.MinimalOptions{Strategy: activetime.CloseRightToLeft})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cp := &core.ActiveSchedule{Open: append([]core.Time(nil), sched.Open...), Assign: make(map[int][]core.Time, len(sched.Assign))}
+		for id, slots := range sched.Assign {
+			cp.Assign[id] = append([]core.Time(nil), slots...)
+		}
+		b.StartTimer()
+		if _, err := activetime.BuildTheorem1Certificate(in, cp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkUnitExact(b *testing.B) {
 	in := gen.RandomUnit(gen.RandomConfig{N: 200, Horizon: 150, Slack: 8, G: 4, Seed: 5})
 	b.ResetTimer()

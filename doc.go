@@ -79,7 +79,10 @@
 // interval's open-slot count; its verdicts equal the per-slot network's.
 // A close that the interval's routed flow already fits needs no flow, and
 // once a close in an interval fails, the sweep keeps that interval's other
-// slots open without one. Assign then extracts the per-slot schedule.
+// slots open without one. The per-slot schedule is dealt round-robin out
+// of the interval flow the sweep ends with, so the one max flow includes
+// it. BuildTheorem1Certificate then replays Lemmas 1–2 of the proof on
+// that schedule, over slices indexed by slot and by job position.
 //
 // # Where the gates live
 //

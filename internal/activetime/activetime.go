@@ -128,15 +128,16 @@ func carve[T any](n int, count func(k int) int) [][]T {
 // resulting integral assignment.
 //
 // The package deliberately keeps three builders of the Gfeas topology:
-// feasibleFlow (one-shot, one node per open slot, and the only one that
-// extracts a per-slot assignment), feasChecker (persistent int64 network
+// feasibleFlow (one-shot, one node per open slot, so its flow is a
+// per-slot assignment as it stands), feasChecker (persistent int64 network
 // with one node per elementary interval of the window slots,
-// re-capacitated per query), and the LP separator in lp.go (persistent
-// float64 network with one node per slot and y-scaled capacities). They
-// share the node numbering and arc counts (gfeasDegrees), not the build:
-// collapsing the one-shot path onto feasChecker would pay for the
-// full-universe build plus a toggle pass, and would still have to deal
-// each interval's flow out to its slots.
+// re-capacitated per query; its schedule method deals an interval flow out
+// to the slots), and the LP separator in lp.go (persistent float64 network
+// with one node per slot and y-scaled capacities). They share the node
+// numbering and arc counts (gfeasDegrees), not the build. The closing loop
+// takes its schedule from the checker it already holds; routing the
+// one-shot callers (Assign, CheckFeasible) through feasChecker would pay
+// for its full-universe build plus a toggle pass.
 func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
 	// Nodes: 0 = source, 1..len(jobs) = jobs, then open slots, then sink.
 	// slotNode is indexed by slot up to the last window slot, so an open
@@ -223,6 +224,10 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // job's f_{j,I} consecutive units reach one slot twice, and no slot gets
 // more than ⌈Σ_j f_{j,I} / k⌉ ≤ g units. So every verdict matches the
 // per-slot network's, on far fewer nodes and arcs.
+//
+// schedule turns a flow that meets the demand into a per-slot schedule by
+// exactly this deal, so a closing loop that ends on a feasible open set
+// already holds its schedule.
 //
 // The checker is flow-carrying: the max flow routed by earlier queries
 // survives every mutation. Capacity increases keep their flow verbatim
@@ -505,8 +510,62 @@ func fullChecker(in *core.Instance, open []core.Time) *feasChecker {
 	return fc
 }
 
+// schedule deals the routed flow out to the open slots, which is the
+// round-robin argument of the type's comment made concrete. It walks the
+// intervals in slot order; within one it takes the job arcs in job order
+// and deals each arc's f ≤ k units over the interval's k open slots in
+// ascending order, continuing where the previous job stopped. So a job's
+// units land in distinct slots, and no slot gets more than g. The walk
+// appends the wrapped-around part of a job's turn first, so every job's
+// slot list comes out ascending. The routed flow must meet the switched-on
+// demand, as it does between the closing loops' probes; anything else is a
+// bug in the caller.
+func (fc *feasChecker) schedule() (*core.ActiveSchedule, error) {
+	if fc.flow != fc.total {
+		return nil, fmt.Errorf("activetime: dealing a flow of %d units for a demand of %d (bug)", fc.flow, fc.total)
+	}
+	var nOpen int64
+	for _, iv := range fc.ivals {
+		nOpen += iv.open
+	}
+	open := make([]core.Time, 0, nOpen)
+	slots := carve[core.Time](len(fc.jobs), func(i int) int { return int(fc.jobs[i].Length) })
+	for t := 0; t < len(fc.slotIval); {
+		k := fc.slotIval[t]
+		if k < 0 {
+			t++
+			continue
+		}
+		lo := len(open)
+		for ; t < len(fc.slotIval) && fc.slotIval[t] == k; t++ {
+			if fc.slotOpen[t] {
+				open = append(open, core.Time(t))
+			}
+		}
+		ival := open[lo:]
+		next := 0
+		for _, a := range fc.ivalArcs[k] {
+			f := int(fc.net.Flow(a.id))
+			if f == 0 { // always so in an interval with no open slot
+				continue
+			}
+			wrap := max(next+f-len(ival), 0)
+			slots[a.job] = append(append(slots[a.job], ival[:wrap]...), ival[next:next+f-wrap]...)
+			next = (next + f) % len(ival)
+		}
+	}
+	assign := make(map[int][]core.Time, len(fc.jobs))
+	for i, j := range fc.jobs {
+		assign[j.ID] = slots[i]
+	}
+	return &core.ActiveSchedule{Open: open, Assign: assign}, nil
+}
+
 // Assign computes an integral assignment of all jobs to the given open
-// slots, or ErrInfeasible.
+// slots, or ErrInfeasible, from one from-zero max flow on a one-shot
+// per-slot network. It is the schedule path of RoundLP, SolveExact and
+// SolveUnitExact; the minimal-feasible closing loop deals its schedule out
+// of the flow it already carries instead.
 func Assign(in *core.Instance, open []core.Time) (*core.ActiveSchedule, error) {
 	got, assign := feasibleFlow(in.G, in.Jobs, open, true)
 	if got != in.TotalLength() || assign == nil {
@@ -547,8 +606,9 @@ type MinimalOptions struct {
 // MinimalResult is a minimal feasible schedule plus the flow-effort
 // counters of the closing loop. ColdFlows is the number of max-flow solves
 // that started from zero routed flow — exactly 1 on any feasible instance,
-// and the quantity the scaling gates pin (wall time is too noisy on the
-// bench box; a from-scratch regression shows up here as O(T) cold flows).
+// schedule included, and the quantity the scaling gates pin (wall time is
+// too noisy on the bench box; a from-scratch regression shows up here as
+// O(T) cold flows).
 type MinimalResult struct {
 	Schedule *core.ActiveSchedule
 	// Probes is the number of trial-closed slots (= |AllSlots|).
@@ -562,7 +622,9 @@ type MinimalResult struct {
 	FlowAugments int
 	// ColdFlows counts flow solves that started from zero routed flow,
 	// other than a trial close's re-solve after cancelling every routed
-	// unit (possible only when one slot carries the whole demand).
+	// unit (possible only when one slot carries the whole demand). The
+	// schedule is dealt out of the carried flow, so a sweep runs exactly
+	// one.
 	ColdFlows int
 }
 
@@ -586,8 +648,10 @@ func MinimalFeasible(in *core.Instance, opts MinimalOptions) (*core.ActiveSchedu
 // units (reopening and re-augmenting on failure). The closing decisions
 // are identical to recomputing a fresh per-slot max flow per probe — the
 // max-flow value depends neither on which maximal flow is currently routed
-// nor on grouping slots into intervals — so the produced schedule matches
-// the historical from-scratch loop.
+// nor on grouping slots into intervals — so the open set matches the
+// historical from-scratch loop's. The per-slot assignment does not: it is
+// dealt out of the flow the loop ends with (feasChecker.schedule), not
+// recomputed by Assign.
 //
 // Once a close in an interval fails, every later probe of a slot in that
 // interval keeps it open without a flow. The loop only ever closes slots,
@@ -615,15 +679,9 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 			stuck[k] = true
 		}
 	}
-	current := make([]core.Time, 0, len(open))
-	for _, t := range open {
-		if fc.slotOpen[t] {
-			current = append(current, t)
-		}
-	}
-	sched, err := Assign(in, current)
+	sched, err := fc.schedule()
 	if err != nil {
-		return nil, fmt.Errorf("activetime: minimal solution lost feasibility: %w", err)
+		return nil, err
 	}
 	return &MinimalResult{
 		Schedule:     sched,

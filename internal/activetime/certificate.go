@@ -2,7 +2,7 @@ package activetime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/intervals"
@@ -33,18 +33,26 @@ type Theorem1Certificate struct {
 
 // BuildTheorem1Certificate transforms a minimal feasible schedule per
 // Lemma 1 (moving units out of non-full slots until each hosts a
-// non-full-rigid job; if a slot empties the solution was not minimal and an
-// error is returned) and extracts the Lemma 2 witness set. The schedule is
+// non-full-rigid job) and extracts the Lemma 2 witness set. An open slot
+// that hosts no unit, or that empties during the moves, shows that the
+// schedule was not minimal, and is returned as an error. The schedule is
 // modified in place to σ'.
 func BuildTheorem1Certificate(in *core.Instance, sched *core.ActiveSchedule) (*Theorem1Certificate, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if err := core.VerifyActive(in, sched); err != nil {
 		return nil, err
 	}
-	if err := lemma1Transform(in, sched); err != nil {
+	idx, err := newSchedIndex(in, sched)
+	if err != nil {
 		return nil, err
 	}
-	full, nonFull := splitByLoad(in, sched)
-	witness := lemma2Witness(in, sched, nonFull)
+	if err := idx.lemma1Transform(); err != nil {
+		return nil, err
+	}
+	full, nonFull := idx.splitByLoad()
+	witness := idx.lemma2Witness(nonFull)
 	cert := &Theorem1Certificate{
 		FullSlots:    full,
 		NonFullSlots: nonFull,
@@ -97,108 +105,134 @@ func (c *Theorem1Certificate) TwoTrackSplit() (j1, j2 []core.Job) {
 	return j1, j2
 }
 
-// schedIndex is a mutable view of an active schedule maintained
-// incrementally by the Lemma 1 movement process. The historical
-// implementation recomputed Load(), the slot occupancy and each job's
-// assigned set from sched.Assign on every probe — O(total units) map work
-// per query, quadratic over a transform run and a hard wall at T >= 4096.
-// The index pays that cost once and each unit move updates it in O(1) map
-// operations (plus a degree-bounded occupancy edit).
+// schedIndex is the mutable view of an active schedule that the Lemma 1
+// movement process edits and the Lemma 2 extraction reads. Everything is
+// indexed by slot or by job position in in.Jobs, never through a map: per
+// slot its load, whether it is open, and the jobs it hosts; per job its
+// slot list, which is the schedule's own Assign list, kept ascending and
+// edited in place. Rigidity is one lockstep walk of a job's window against
+// its slot list, and a unit move costs O(g) plus the shift of one slot
+// list. The slices span slots 0..Horizon: VerifyActive puts every unit in
+// an open slot of its job's window, and newSchedIndex rejects an open slot
+// that hosts no unit, so every slot the index touches lies in [1, Horizon].
 type schedIndex struct {
-	in       *core.Instance
-	sched    *core.ActiveSchedule
-	load     map[core.Time]int
-	slotJobs map[core.Time][]int // hosted job IDs per slot, ascending
-	assigned map[int]map[core.Time]bool
-	open     map[core.Time]bool
+	g      int
+	jobs   []core.Job
+	open   []core.Time   // the schedule's open slots, in its order
+	slots  [][]core.Time // per job: its slots, ascending; the schedule's Assign list
+	load   []int         // index t: units in slot t
+	isOpen []bool        // index t: slot t is open
+	hosted [][]int32     // index t: the jobs slot t hosts, by ascending ID
 }
 
-func newSchedIndex(in *core.Instance, sched *core.ActiveSchedule) *schedIndex {
+// newSchedIndex indexes a schedule that VerifyActive accepted for a valid
+// instance. It sorts any unsorted Assign list in place, and it rejects an
+// open slot that hosts no unit: that slot could close, so the schedule is
+// not minimal.
+func newSchedIndex(in *core.Instance, sched *core.ActiveSchedule) (*schedIndex, error) {
+	h := in.Horizon()
 	idx := &schedIndex{
-		in:       in,
-		sched:    sched,
-		load:     sched.Load(),
-		slotJobs: make(map[core.Time][]int, len(sched.Open)),
-		assigned: make(map[int]map[core.Time]bool, len(sched.Assign)),
-		open:     sched.OpenSet(),
+		g:      in.G,
+		jobs:   in.Jobs,
+		open:   sched.Open,
+		slots:  make([][]core.Time, len(in.Jobs)),
+		load:   make([]int, h+1),
+		isOpen: make([]bool, h+1),
 	}
-	ids := make([]int, 0, len(sched.Assign))
-	for id := range sched.Assign {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		set := make(map[core.Time]bool, len(sched.Assign[id]))
-		for _, t := range sched.Assign[id] {
-			set[t] = true
-			idx.slotJobs[t] = append(idx.slotJobs[t], id)
+	for i, j := range in.Jobs {
+		own := sched.Assign[j.ID]
+		if !slices.IsSorted(own) {
+			slices.Sort(own)
 		}
-		idx.assigned[id] = set
+		idx.slots[i] = own
+		for _, t := range own {
+			idx.load[t]++
+		}
 	}
-	return idx
+	for _, t := range sched.Open {
+		if t < 1 || t > h || idx.load[t] == 0 {
+			return nil, fmt.Errorf("activetime: open slot %d hosts no unit; input was not minimal feasible", t)
+		}
+		idx.isOpen[t] = true
+	}
+	idx.hosted = carve[int32](len(idx.load), func(t int) int { return idx.load[t] })
+	for i, own := range idx.slots {
+		for _, t := range own {
+			idx.host(t, int32(i))
+		}
+	}
+	return idx, nil
 }
 
 // nonFull reports whether t is an open slot with spare capacity.
 func (idx *schedIndex) nonFull(t core.Time) bool {
-	return idx.open[t] && idx.load[t] < idx.in.G
+	return idx.isOpen[t] && idx.load[t] < idx.g
 }
 
-// isNonFullRigid reports whether job j occupies every non-full open slot of
+// isNonFullRigid reports whether job p occupies every non-full open slot of
 // its window (Definition 5).
-func (idx *schedIndex) isNonFullRigid(j core.Job) bool {
-	set := idx.assigned[j.ID]
+func (idx *schedIndex) isNonFullRigid(p int32) bool {
+	j, own := idx.jobs[p], idx.slots[p]
+	k := 0
 	for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-		if idx.nonFull(t) && !set[t] {
+		if k < len(own) && own[k] == t {
+			k++
+		} else if idx.nonFull(t) {
 			return false
 		}
 	}
 	return true
 }
 
-// move relocates one unit of job id from slot s to slot u, updating the
-// schedule and every index.
-func (idx *schedIndex) move(id int, s, u core.Time) {
-	slots := idx.sched.Assign[id]
-	for k, v := range slots {
-		if v == s {
-			slots[k] = u
-			break
-		}
+// host adds job p to slot t's hosted jobs, keeping them in ascending ID
+// order. A slot hosts at most g jobs, so the insertion is O(g).
+func (idx *schedIndex) host(t core.Time, p int32) {
+	list := append(idx.hosted[t], p)
+	k := len(list) - 1
+	for ; k > 0 && idx.jobs[list[k-1]].ID > idx.jobs[p].ID; k-- {
+		list[k] = list[k-1]
 	}
-	core.SortSlots(slots)
-	idx.assigned[id][u] = true
-	delete(idx.assigned[id], s)
-	idx.load[s]--
-	idx.load[u]++
-	hosted := idx.slotJobs[s]
-	for k, v := range hosted {
-		if v == id {
-			idx.slotJobs[s] = append(hosted[:k], hosted[k+1:]...)
-			break
-		}
-	}
-	at := sort.SearchInts(idx.slotJobs[u], id)
-	idx.slotJobs[u] = append(idx.slotJobs[u], 0)
-	copy(idx.slotJobs[u][at+1:], idx.slotJobs[u][at:])
-	idx.slotJobs[u][at] = id
+	list[k] = p
+	idx.hosted[t] = list
 }
 
-// moveUnitOut moves one unit out of slot s to another live, open, non-full
-// slot where the job is not already scheduled, trying hosted jobs in
-// ascending ID order (the historical map-ordered scan was nondeterministic).
-// It returns the moved job's ID, or ok=false if no job in s can move.
-func (idx *schedIndex) moveUnitOut(s core.Time) (moved int, ok bool) {
-	for _, id := range idx.slotJobs[s] {
-		j, _ := idx.in.JobByID(id)
+// move relocates one unit of job p from slot s to slot u, updating the
+// schedule and every index.
+func (idx *schedIndex) move(p int32, s, u core.Time) {
+	own := idx.slots[p]
+	k := slices.Index(own, s)
+	for ; k+1 < len(own) && own[k+1] < u; k++ {
+		own[k] = own[k+1]
+	}
+	for ; k > 0 && own[k-1] > u; k-- {
+		own[k] = own[k-1]
+	}
+	own[k] = u
+	idx.load[s]--
+	idx.load[u]++
+	at := slices.Index(idx.hosted[s], p)
+	idx.hosted[s] = slices.Delete(idx.hosted[s], at, at+1)
+	idx.host(u, p)
+}
+
+// moveUnitOut moves one unit out of slot s to the first other open,
+// non-full slot of the job's window where the job is not already
+// scheduled, trying the hosted jobs in ascending ID order. It reports
+// false if no job in s can move.
+func (idx *schedIndex) moveUnitOut(s core.Time) bool {
+	for _, p := range idx.hosted[s] {
+		j, own := idx.jobs[p], idx.slots[p]
+		k := 0
 		for u := j.FirstSlot(); u <= j.LastSlot(); u++ {
-			if u == s || !idx.nonFull(u) || idx.assigned[id][u] {
-				continue
+			if k < len(own) && own[k] == u {
+				k++ // s itself is one of these
+			} else if idx.nonFull(u) {
+				idx.move(p, s, u)
+				return true
 			}
-			idx.move(id, s, u)
-			return id, true
 		}
 	}
-	return 0, false
+	return false
 }
 
 // lemma1Transform implements the movement process of Lemma 1: while some
@@ -206,37 +240,32 @@ func (idx *schedIndex) moveUnitOut(s core.Time) (moved int, ok bool) {
 // another live, active, non-full slot. Minimality guarantees the slot never
 // empties; a budget guards against implementation bugs.
 //
-// The scan memoizes anchors: once slot t is seen to host a non-full-rigid
-// job a, the pair stays valid until a itself moves a unit — moves never add
-// slots to the non-full set (only the move target can change fullness, by
-// filling up), so every other job's rigidity is monotone under the
-// transform. Each round therefore skips previously anchored slots in O(1)
-// and re-derives only what the last move could have changed, instead of
-// re-deriving every slot's anchor from scratch.
-func lemma1Transform(in *core.Instance, sched *core.ActiveSchedule) error {
-	budget := len(in.Jobs)*len(sched.Open)*4 + 64
-	idx := newSchedIndex(in, sched)
-	nonFull := make([]core.Time, 0, len(sched.Open))
-	for _, t := range sched.Open { // sched.Open is sorted
+// The scan memoizes anchors: once a non-full slot is seen to host a
+// non-full-rigid job, it stays anchored for the rest of the transform.
+// Moves never add slots to the non-full set (only the move target can
+// change fullness, by filling up), so a job that does not move stays
+// non-full-rigid once it is. And a non-full-rigid job never moves: units
+// only leave a slot that hosts no non-full-rigid job. Each round therefore
+// skips the anchored slots in O(1) and examines only the rest.
+func (idx *schedIndex) lemma1Transform() error {
+	budget := len(idx.jobs)*len(idx.open)*4 + 64
+	var nonFull []core.Time
+	for _, t := range idx.open {
 		if idx.nonFull(t) {
 			nonFull = append(nonFull, t)
 		}
 	}
-	anchor := make(map[core.Time]int, len(nonFull))
+	anchored := make([]bool, len(nonFull)) // per non-full slot
 	for {
 		slot, found := core.Time(0), false
 	scan:
-		for _, t := range nonFull {
-			if !idx.nonFull(t) { // filled up by an earlier move target
+		for i, t := range nonFull {
+			if anchored[i] || !idx.nonFull(t) { // anchored, or filled up by a move
 				continue
 			}
-			if _, ok := anchor[t]; ok {
-				continue
-			}
-			for _, id := range idx.slotJobs[t] {
-				j, _ := in.JobByID(id)
-				if idx.isNonFullRigid(j) {
-					anchor[t] = id
+			for _, p := range idx.hosted[t] {
+				if idx.isNonFullRigid(p) {
+					anchored[i] = true
 					continue scan
 				}
 			}
@@ -250,29 +279,22 @@ func lemma1Transform(in *core.Instance, sched *core.ActiveSchedule) error {
 			return fmt.Errorf("activetime: Lemma 1 transform did not converge")
 		}
 		budget--
-		moved, ok := idx.moveUnitOut(slot)
-		if !ok {
+		if !idx.moveUnitOut(slot) {
 			// No job in the slot can move, yet none is non-full-rigid:
-			// impossible for a feasible schedule (every stuck job is by
-			// definition non-full-rigid).
+			// impossible for a feasible schedule whose every open slot hosts
+			// a unit (every stuck job is by definition non-full-rigid).
 			return fmt.Errorf("activetime: slot %d stuck without a non-full-rigid job (bug)", slot)
 		}
-		if len(idx.slotJobs[slot]) == 0 {
+		if len(idx.hosted[slot]) == 0 {
 			return fmt.Errorf("activetime: slot %d emptied; input was not minimal feasible", slot)
-		}
-		for t, a := range anchor {
-			if a == moved {
-				delete(anchor, t)
-			}
 		}
 	}
 }
 
-// splitByLoad partitions open slots into full (load == g) and non-full.
-func splitByLoad(in *core.Instance, sched *core.ActiveSchedule) (full, nonFull []core.Time) {
-	load := sched.Load()
-	for _, t := range sched.Open {
-		if load[t] >= in.G {
+// splitByLoad partitions the open slots into full (load == g) and non-full.
+func (idx *schedIndex) splitByLoad() (full, nonFull []core.Time) {
+	for _, t := range idx.open {
+		if idx.load[t] >= idx.g {
 			full = append(full, t)
 		} else {
 			nonFull = append(nonFull, t)
@@ -285,19 +307,16 @@ func splitByLoad(in *core.Instance, sched *core.ActiveSchedule) (full, nonFull [
 // pruned so that no window contains another and at most two windows overlap
 // anywhere (via the same frontier selection as the Theorem 5 proof, which
 // preserves coverage of the union of windows).
-func lemma2Witness(in *core.Instance, sched *core.ActiveSchedule, nonFull []core.Time) []core.Job {
-	idx := newSchedIndex(in, sched)
-	seen := make(map[int]bool)
+func (idx *schedIndex) lemma2Witness(nonFull []core.Time) []core.Job {
+	seen := make([]bool, len(idx.jobs))
 	var rigid []core.Job
 	for _, t := range nonFull {
-		for _, id := range idx.slotJobs[t] {
-			if seen[id] {
-				continue
-			}
-			j, _ := in.JobByID(id)
-			if idx.isNonFullRigid(j) {
-				seen[id] = true
-				rigid = append(rigid, j)
+		for _, p := range idx.hosted[t] {
+			if !seen[p] {
+				seen[p] = true
+				if idx.isNonFullRigid(p) {
+					rigid = append(rigid, idx.jobs[p])
+				}
 			}
 		}
 	}

@@ -108,7 +108,10 @@ func FuzzSolveLP(f *testing.F) {
 // the open set that a per-slot fresh-flow sweep gives in the same order —
 // one one-shot CheckFeasible per probe, no interval nodes, no carried flow
 // and no skipped intervals — and that set must pass VerifyActive and
-// IsMinimalFeasible after exactly one cold max flow. The size bounds are
+// IsMinimalFeasible after exactly one cold max flow. The Theorem 1
+// certificate must then succeed, bound the cost, and equal the map-based
+// reference's, both on the schedule the loop deals out of its flow and on
+// Assign's schedule for the same open set. The size bounds are
 // FuzzSolveLP's; the last seed routes the whole demand through one slot,
 // whose trial close cancels every routed unit.
 func FuzzMinimalFeasible(f *testing.F) {
@@ -173,6 +176,23 @@ func FuzzMinimalFeasible(f *testing.F) {
 		}
 		if res.ColdFlows != 1 {
 			t.Fatalf("%d cold flows, want exactly 1", res.ColdFlows)
+		}
+		assigned, err := Assign(in, res.Schedule.Open)
+		if err != nil {
+			t.Fatalf("Assign on the minimal open set: %v", err)
+		}
+		for _, c := range []struct {
+			name  string
+			sched *core.ActiveSchedule
+		}{{"dealt", res.Schedule}, {"Assign's", assigned}} {
+			cert, err := certificateMatchesReference(in, c.sched)
+			if err != nil {
+				t.Fatalf("certificate on the %s schedule: %v", c.name, err)
+			}
+			if cost := c.sched.Cost(); cost > cert.MassBound+cert.WitnessMass {
+				t.Fatalf("certificate on the %s schedule: cost %d > mass bound %d + witness mass %d",
+					c.name, cost, cert.MassBound, cert.WitnessMass)
+			}
 		}
 	})
 }

@@ -60,14 +60,25 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 // TestMinimalFlowWorkPinned pins the deterministic work of the end-to-end
 // benchmark's minimal-flow op on its first input (largeHorizonBench): the
 // right-to-left MinimalFeasibleStats counters and the Theorem 1
-// certificate that activebench digests. The cost, probes, cold flows, mass
-// bound and witness are the closing loop's decisions and must never move
-// without a change to which slots it closes; the free-close and augment
-// counts move only when the checker routes its flow differently. The
-// values were measured on linux/amd64 with go1.24.
+// certificate that activebench digests. The cost, probes, cold flows and
+// mass bound are the closing loop's decisions and must never move without
+// a change to which slots it closes; the free-close and augment counts
+// move only when the checker routes its flow differently. The witness
+// follows the per-slot assignment as well as the open set, so it is pinned
+// twice: on the schedule the loop deals out of its interval flow, and on
+// Assign's schedule for the same open set, which no change to the deal can
+// move. The values were measured on linux/amd64 with go1.24.
 func TestMinimalFlowWorkPinned(t *testing.T) {
 	in := largeHorizonBench()
 	res, err := activetime.MinimalFeasibleStats(in, activetime.MinimalOptions{Strategy: activetime.CloseRightToLeft})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assigned, err := activetime.Assign(in, res.Schedule.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assignedCert, err := activetime.BuildTheorem1Certificate(in, assigned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +96,10 @@ func TestMinimalFlowWorkPinned(t *testing.T) {
 		{"flow augments", res.FlowAugments, 526},
 		{"cold flows", res.ColdFlows, 1},
 		{"mass bound", int(cert.MassBound), 160},
-		{"witness jobs", len(cert.Witness), 6},
-		{"witness length", int(cert.WitnessMass), 48},
+		{"witness jobs", len(cert.Witness), 7},
+		{"witness length", int(cert.WitnessMass), 53},
+		{"Assign witness jobs", len(assignedCert.Witness), 6},
+		{"Assign witness length", int(assignedCert.WitnessMass), 48},
 	} {
 		if c.got != c.want {
 			t.Errorf("minimal-flow %s = %d, want %d", c.name, c.got, c.want)
