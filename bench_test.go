@@ -187,6 +187,9 @@ func BenchmarkRoundLP(b *testing.B) {
 	}
 }
 
+// BenchmarkMinimalFeasible times the right-to-left closing loop and
+// reports its work per op next to the time: probes, the probes closed
+// without a flow, and the Dinic continuations.
 func BenchmarkMinimalFeasible(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -199,13 +202,19 @@ func BenchmarkMinimalFeasible(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var res *activetime.MinimalResult
 			for i := 0; i < b.N; i++ {
-				if _, err := activetime.MinimalFeasible(c.in, activetime.MinimalOptions{
+				var err error
+				res, err = activetime.MinimalFeasibleStats(c.in, activetime.MinimalOptions{
 					Strategy: activetime.CloseRightToLeft,
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.Probes), "probes")
+			b.ReportMetric(float64(res.FreeCloses), "free-closes")
+			b.ReportMetric(float64(res.FlowAugments), "augments")
 		})
 	}
 }

@@ -21,6 +21,9 @@
 //     capacities. Networks are built once and re-solved; re-capacitation
 //     with SetCapacityKeepFlow/PushBack keeps a valid flow, so a re-solve
 //     augments only the difference and routes the same flow as a cold one.
+//     MaxFrom is such a re-solve for a caller that lists the source arcs
+//     that may still carry flow; its phases walk only those, not all of
+//     the source's arcs, and route the same flow on every edge.
 //   - internal/lp: a sparse dual simplex for covering LPs (costs ≥ 0, rows
 //     a·x ≥ b with a, b ≥ 0; anything else is an error), with a sparse LU
 //     and Forrest–Tomlin updates, hypersparse FTRAN/BTRAN, dual
@@ -79,10 +82,13 @@
 // interval's open-slot count; its verdicts equal the per-slot network's.
 // A close that the interval's routed flow already fits needs no flow, and
 // once a close in an interval fails, the sweep keeps that interval's other
-// slots open without one. The per-slot schedule is dealt round-robin out
-// of the interval flow the sweep ends with, so the one max flow includes
-// it. BuildTheorem1Certificate then replays Lemmas 1–2 of the proof on
-// that schedule, over slices indexed by slot and by job position.
+// slots open without one. Any other close cancels the excess units and
+// reroutes them with MaxFrom, starting from the jobs it cancelled them on
+// rather than from every supply arc. The per-slot schedule is dealt
+// round-robin out of the interval flow the sweep ends with, so the one max
+// flow includes it. BuildTheorem1Certificate then replays Lemmas 1–2 of
+// the proof on that schedule, over slices indexed by slot and by job
+// position.
 //
 // # Where the gates live
 //

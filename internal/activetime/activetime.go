@@ -242,6 +242,16 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // counts the solves that start from zero routed flow which no repair
 // drained (exactly one, the first query) and is the counter the scaling
 // gates pin.
+//
+// A continuation starts from the jobs a repair shorted, not from all n
+// supply arcs. Every PushBack on a supply arc and every job switched on
+// puts the job on the short list, once; feasible() hands the list to
+// MaxFrom, whose phases then walk only those source arcs, and empties it
+// once the flow meets the demand, when every supply arc is saturated. A
+// solve that falls short keeps the list: the deficient jobs are on it.
+// Since no Dinic path re-enters the source, a supply arc off the list stays
+// saturated through a solve, so the list always covers every supply arc
+// with residual capacity, as MaxFrom requires.
 type feasChecker struct {
 	g         int
 	jobs      []core.Job
@@ -256,6 +266,9 @@ type feasChecker struct {
 	total     int64                // sum of lengths of switched-on jobs
 	flow      int64                // flow currently routed (always a valid flow)
 	drained   bool                 // flow is zero because repairs cancelled every unit
+	short     []flow.EdgeID[int64] // supply arcs of the shorted jobs, each once (cap n)
+	listed    []uint64             // per job: == epoch while its supply arc is on short
+	epoch     uint64               // bumped whenever short is emptied
 	// Counters for the incremental-flow gates: augments is the number of
 	// Dinic continuation calls, coldFlows how many of them started from zero
 	// routed flow that was not drained, freeCloses the trial closes answered
@@ -315,6 +328,9 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 		src:      0,
 		sink:     len(deg) - 1,
 		jobEdges: make([]flow.EdgeID[int64], len(jobs)),
+		short:    make([]flow.EdgeID[int64], 0, len(jobs)),
+		listed:   make([]uint64, len(jobs)),
+		epoch:    1,
 		slotIval: slotIval,
 		slotOpen: make([]bool, len(covered)),
 		ivals:    make([]elemInterval, nIvals),
@@ -384,7 +400,7 @@ func (fc *feasChecker) resize(k int32) {
 	iv := &fc.ivals[k]
 	for _, a := range fc.ivalArcs[k] {
 		if ex := fc.net.SetCapacityKeepFlow(a.id, iv.open); ex > 0 {
-			fc.net.PushBack(fc.jobEdges[a.job], ex)
+			fc.pushBackSupply(a.job, ex)
 			fc.net.PushBack(iv.sink, ex)
 			fc.cancel(ex)
 		}
@@ -399,9 +415,24 @@ func (fc *feasChecker) resize(k int32) {
 			continue
 		}
 		fc.net.PushBack(a.id, f)
-		fc.net.PushBack(fc.jobEdges[a.job], f)
+		fc.pushBackSupply(a.job, f)
 		fc.cancel(f)
 		ex -= f
+	}
+}
+
+// pushBackSupply cancels d units on job i's supply arc and puts the job on
+// the short list.
+func (fc *feasChecker) pushBackSupply(i int32, d int64) {
+	fc.net.PushBack(fc.jobEdges[i], d)
+	fc.shorten(i)
+}
+
+// shorten puts job i's supply arc on the short list unless it is there.
+func (fc *feasChecker) shorten(i int32) {
+	if fc.listed[i] != fc.epoch {
+		fc.listed[i] = fc.epoch
+		fc.short = append(fc.short, fc.jobEdges[i])
 	}
 }
 
@@ -433,6 +464,7 @@ func (fc *feasChecker) setJob(i int, on bool) {
 	}
 	if on {
 		fc.total += fc.jobs[i].Length
+		fc.shorten(int32(i))
 	} else {
 		fc.total -= fc.jobs[i].Length
 	}
@@ -441,18 +473,24 @@ func (fc *feasChecker) setJob(i int, on bool) {
 // feasible reports whether the switched-on jobs fit in the open slots. The
 // routed flow can never exceed the switched-on demand, so a flow already at
 // total is maximal and the query costs nothing; otherwise Dinic continues
-// from the kept flow's residual state and augments only the difference.
+// from the kept flow's residual state, starting from the shorted jobs, and
+// augments only the difference. A flow that meets the demand saturates
+// every supply arc, so the short list is emptied then.
 func (fc *feasChecker) feasible() bool {
-	if fc.flow == fc.total {
-		return true
+	if fc.flow != fc.total {
+		if fc.flow == 0 && !fc.drained {
+			fc.coldFlows++
+		}
+		fc.augments++
+		fc.flow += fc.net.MaxFrom(fc.src, fc.sink, fc.short)
+		fc.drained = fc.drained && fc.flow == 0
+		if fc.flow != fc.total {
+			return false
+		}
 	}
-	if fc.flow == 0 && !fc.drained {
-		fc.coldFlows++
-	}
-	fc.augments++
-	fc.flow += fc.net.Max(fc.src, fc.sink)
-	fc.drained = fc.drained && fc.flow == 0
-	return fc.flow == fc.total
+	fc.short = fc.short[:0]
+	fc.epoch++
+	return true
 }
 
 // cancel books d routed units cancelled by a repair. A repair that cancels
@@ -618,7 +656,8 @@ type MinimalResult struct {
 	// slot fewer. A probe answered "keep open" because its interval failed
 	// an earlier close counts neither here nor in FlowAugments.
 	FreeCloses int
-	// FlowAugments counts Dinic continuation calls (incremental re-solves).
+	// FlowAugments counts Dinic continuation calls (incremental re-solves),
+	// each started from the shorted jobs' supply arcs.
 	FlowAugments int
 	// ColdFlows counts flow solves that started from zero routed flow,
 	// other than a trial close's re-solve after cancelling every routed
@@ -645,13 +684,15 @@ func MinimalFeasible(in *core.Instance, opts MinimalOptions) (*core.ActiveSchedu
 // each probe either closes a slot for free, when its elementary interval
 // already fits its routed flow with one slot fewer, or cancels the excess
 // along length-3 flow paths and asks Dinic to reroute just the cancelled
-// units (reopening and re-augmenting on failure). The closing decisions
-// are identical to recomputing a fresh per-slot max flow per probe — the
-// max-flow value depends neither on which maximal flow is currently routed
-// nor on grouping slots into intervals — so the open set matches the
-// historical from-scratch loop's. The per-slot assignment does not: it is
-// dealt out of the flow the loop ends with (feasChecker.schedule), not
-// recomputed by Assign.
+// units (reopening and re-augmenting on failure). That continuation starts
+// from the supply arcs of the jobs the cancel shorted, usually one or two,
+// not from all n, and routes the same flow as one that scans them all. The
+// closing decisions are identical to recomputing a fresh per-slot max flow
+// per probe — the max-flow value depends neither on which maximal flow is
+// currently routed nor on grouping slots into intervals — so the open set
+// matches the historical from-scratch loop's. The per-slot assignment does
+// not: it is dealt out of the flow the loop ends with
+// (feasChecker.schedule), not recomputed by Assign.
 //
 // Once a close in an interval fails, every later probe of a slot in that
 // interval keeps it open without a flow. The loop only ever closes slots,

@@ -128,11 +128,7 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	tol := roundingTol(len(lpres.Y) - 1)
 	phase := time.Now()
 	deadlines := in.Deadlines()
-	segY, segStart, err := rightShiftSegments(in, lpres.Y, deadlines)
-	if err != nil {
-		return nil, err
-	}
-	shifted, err := RightShiftedY(in, lpres)
+	segY, segStart, shifted, err := rightShift(lpres.Y, deadlines)
 	if err != nil {
 		return nil, err
 	}
@@ -265,13 +261,18 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	return res, nil
 }
 
-// rightShiftSegments computes, per deadline segment, the LP mass Y_i and the
-// first slot of the segment. Segment i covers slots
-// (d_{i-1}, d_i], with d_0 one slot before the earliest fractionally open
-// slot (the paper's dummy deadline t_{d0}). Per-segment sums are
-// compensated so segment masses stay exact to the last bit even when a
-// segment spans tens of thousands of slots.
-func rightShiftSegments(in *core.Instance, y []float64, deadlines []core.Time) (segY []float64, segStart []core.Time, err error) {
+// rightShift computes the right-shifted LP solution of Lemma 3: per
+// deadline segment, the LP mass Y_i and the first slot of the segment, and
+// the vector with each Y_i packed into its segment's rightmost slots.
+// Segment i covers slots (d_{i-1}, d_i], with d_0 one slot before the
+// earliest fractionally open slot (the paper's dummy deadline t_{d0}).
+// Per-segment sums are compensated so segment masses stay exact to the last
+// bit even when a segment spans tens of thousands of slots. Residues below
+// the segment tolerance are snapped — a leftover of ~1e-16 from the
+// repeated subtraction must not materialize as an "open" slot that
+// downstream tolerance scans disagree about, and a slot within tolerance of
+// 1 is emitted as exactly 1.
+func rightShift(y []float64, deadlines []core.Time) (segY []float64, segStart []core.Time, shifted []float64, err error) {
 	T := core.Time(len(y) - 1)
 	tol := roundingTol(int(T))
 	first := core.Time(0)
@@ -282,16 +283,17 @@ func rightShiftSegments(in *core.Instance, y []float64, deadlines []core.Time) (
 		}
 	}
 	if first == 0 {
-		return nil, nil, fmt.Errorf("activetime: LP solution has no open slots")
+		return nil, nil, nil, fmt.Errorf("activetime: LP solution has no open slots")
 	}
 	if len(deadlines) == 0 {
-		return nil, nil, fmt.Errorf("activetime: no deadlines")
+		return nil, nil, nil, fmt.Errorf("activetime: no deadlines")
 	}
 	if first > deadlines[0] {
-		return nil, nil, fmt.Errorf("activetime: first fractional slot %d after earliest deadline %d", first, deadlines[0])
+		return nil, nil, nil, fmt.Errorf("activetime: first fractional slot %d after earliest deadline %d", first, deadlines[0])
 	}
 	segY = make([]float64, len(deadlines))
 	segStart = make([]core.Time, len(deadlines))
+	shifted = make([]float64, len(y))
 	prev := first - 1
 	for i, d := range deadlines {
 		segStart[i] = prev + 1
@@ -300,36 +302,22 @@ func rightShiftSegments(in *core.Instance, y []float64, deadlines []core.Time) (
 			sum, comp = kahanAdd(sum, comp, y[t])
 		}
 		segY[i] = sum
-		prev = d
-	}
-	return segY, segStart, nil
-}
-
-// RightShiftedY materializes the right-shifted LP solution of Lemma 3 (used
-// by tests to confirm it remains LP-feasible): within each deadline segment
-// the mass Y_i is packed into the rightmost slots. Residues below the
-// segment tolerance are snapped — a leftover of ~1e-16 from the repeated
-// subtraction must not materialize as an "open" slot that downstream
-// tolerance scans disagree about, and a slot within tolerance of 1 is
-// emitted as exactly 1.
-func RightShiftedY(in *core.Instance, lpres *LPResult) ([]float64, error) {
-	deadlines := in.Deadlines()
-	segY, segStart, err := rightShiftSegments(in, lpres.Y, deadlines)
-	if err != nil {
-		return nil, err
-	}
-	tol := roundingTol(len(lpres.Y) - 1)
-	out := make([]float64, len(lpres.Y))
-	for i, d := range deadlines {
-		yi := segY[i]
-		for t := d; t >= segStart[i] && yi > tol; t-- {
+		for t, yi := d, sum; t >= segStart[i] && yi > tol; t-- {
 			v := math.Min(1, yi)
 			if v > 1-tol {
 				v = 1
 			}
-			out[t] = v
+			shifted[t] = v
 			yi -= v
 		}
+		prev = d
 	}
-	return out, nil
+	return segY, segStart, shifted, nil
+}
+
+// RightShiftedY materializes the right-shifted LP solution of Lemma 3 (used
+// by tests to confirm it remains LP-feasible, and by the charging ledger).
+func RightShiftedY(in *core.Instance, lpres *LPResult) ([]float64, error) {
+	_, _, shifted, err := rightShift(lpres.Y, in.Deadlines())
+	return shifted, err
 }

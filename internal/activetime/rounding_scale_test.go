@@ -114,7 +114,10 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 // a slot outside every window (slot 0, one past the last deadline, or a
 // gap between windows): each must be a no-op that leaves every arc's
 // capacity and flow and every interval's open count as they were, and the
-// trial close must succeed.
+// trial close must succeed. After every toggle and every verdict it checks
+// the short list MaxFrom trusts: each job whose supply arc has residual
+// capacity is on it exactly once, no job is on it twice, and a verdict of
+// "fits" leaves it empty.
 func TestFeasCheckerToggleEquivalence(t *testing.T) {
 	const seedsPerFamily = 6
 	gaps := 0
@@ -162,6 +165,23 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			for i := range jobOn {
 				jobOn[i] = true
 			}
+			// shortListed checks the short list against the residual of
+			// every supply arc.
+			shortListed := func(step int, when string) {
+				t.Helper()
+				on := make(map[flow.EdgeID[int64]]int, len(fc.short))
+				for _, id := range fc.short {
+					if on[id]++; on[id] > 1 {
+						t.Fatalf("%s seed %d step %d, %s: supply arc %+v is on the short list twice", fam.name, seed, step, when, id)
+					}
+				}
+				for i, id := range fc.jobEdges {
+					if r := fc.net.Residual(id); r > 0 && on[id] == 0 {
+						t.Fatalf("%s seed %d step %d, %s: job %d's supply arc has residual %d but is not on the short list", fam.name, seed, step, when, i, r)
+					}
+				}
+			}
+			shortListed(-1, "after the build")
 			rng := newRand(seed * 7731)
 			for step := 0; step < 60; step++ {
 				var repeat func()
@@ -176,6 +196,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 					fc.setSlot(s, slotOpen[s])
 					repeat = func() { fc.setSlot(s, slotOpen[s]) }
 				}
+				shortListed(step, "after the toggle")
 				before := state()
 				repeat()
 				if !slices.Equal(before, state()) {
@@ -210,7 +231,10 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 				if want, have := got == total, fc.feasible(); have != want {
 					t.Fatalf("%s seed %d step %d: incremental feasible=%v, fresh flow says %v (%d jobs on, %d slots open)",
 						fam.name, seed, step, have, want, len(jobs), len(open))
+				} else if have && len(fc.short) != 0 {
+					t.Fatalf("%s seed %d step %d: the flow meets the demand but %d supply arcs are still on the short list", fam.name, seed, step, len(fc.short))
 				}
+				shortListed(step, "after the verdict")
 			}
 		}
 	}

@@ -30,6 +30,16 @@
 // arrays) is owned by the Network and reused, so a Reset+Max cycle performs
 // no allocations.
 //
+// A continuation whose caller knows which arcs of the source can still carry
+// flow runs MaxFrom instead of Max, handing it those arcs; every arc of s it
+// leaves out must be saturated. Dinic's paths never re-enter the source, so
+// a solve only lowers source-arc residuals: a caller that lists each source
+// arc it re-capacitated upwards or pushed flow back on, and drops the list
+// once a solve saturates every source arc, meets the contract without
+// inspecting the rest. Listing a saturated arc is harmless. The
+// minimal-feasible checker keeps such a list of the jobs its repairs
+// shorted.
+//
 // A network whose shape is known before it is built takes its arc counts
 // up front: NewNetworkDegrees carves every adjacency list out of one array
 // sized by the counts (an edge counts once at each endpoint), so the build
@@ -52,7 +62,17 @@
 // every edge, as full-labelling Dinic's: nodes at or past the sink's level
 // lie on no shortest augmenting path, so labelling them changes no path the
 // blocking flow finds.
+//
+// Under Max, every phase's BFS and blocking flow also walk all deg(s) arcs
+// of the source, saturated or not. Under MaxFrom they walk only the listed
+// arcs, so a phase costs the listed arcs plus the region it labels. On a
+// bipartite network whose source has one arc per job, a continuation after
+// a repair that shorted one or two jobs skips the other n − 2 supply arcs
+// in every phase. The flow is the same on every edge: a saturated source
+// arc labels no node and starts no path, whichever list it is on.
 package flow
+
+import "slices"
 
 // Capacity is the constraint satisfied by capacity types. It is restricted
 // to the exact types int64 and float64 (not named variants) so that internal
@@ -236,23 +256,44 @@ func (g *Network[C]) ensureScratch() {
 }
 
 // bfs labels nodes with their residual distance from s and reports whether
-// t is reachable. It stops as soon as it labels t: every augmenting path of
-// the phase has exactly level[t] edges, so no node at level ≥ level[t] other
-// than t lies on one, and augment walks the same edges in the same order
-// whether or not those nodes carry a label. Only the nodes the previous pass
-// queued are cleared first; every other node already holds −1.
-func (g *Network[C]) bfs(s, t int) bool {
-	level := g.level
+// t is reachable. It labels level 1 from the source arcs the solve walks —
+// every arc of s, or only from's — and stops as soon as it labels t: every
+// augmenting path of the phase has exactly level[t] edges, so no node at
+// level ≥ level[t] other than t lies on one, and the blocking flow walks the
+// same edges in the same order whether or not those nodes carry a label.
+// Only the nodes the previous pass queued are cleared first; every other
+// node already holds −1.
+func (g *Network[C]) bfs(s, t int, from []EdgeID[C], all bool) bool {
+	adj, level, eps := g.adj, g.level, g.eps
 	for _, v := range g.queue {
 		level[v] = -1
 	}
 	queue := append(g.queue[:0], s)
 	level[s] = 0
-	for head := 0; head < len(queue); head++ {
+	src, n := adj[s], len(from)
+	if all {
+		n = len(src)
+	}
+	for k := 0; k < n; k++ {
+		a := k
+		if !all {
+			a = from[k].idx
+		}
+		if e := &src[a]; e.cap > eps && level[e.to] < 0 {
+			level[e.to] = 1
+			queue = append(queue, e.to)
+			if e.to == t {
+				g.queue = queue
+				return true
+			}
+		}
+	}
+	for head := 1; head < len(queue); head++ {
 		u := queue[head]
-		for _, e := range g.adj[u] {
-			if e.cap > g.eps && level[e.to] < 0 {
-				level[e.to] = level[u] + 1
+		next := level[u] + 1
+		for _, e := range adj[u] {
+			if e.cap > eps && level[e.to] < 0 {
+				level[e.to] = next
 				queue = append(queue, e.to)
 				if e.to == t {
 					g.queue = queue
@@ -265,53 +306,51 @@ func (g *Network[C]) bfs(s, t int) bool {
 	return false
 }
 
-// augment finds one augmenting path from s to t in the current level graph
-// and pushes its bottleneck flow, using an explicit stack instead of
-// recursion. It returns the amount pushed (0 when the level graph admits no
-// further path). Per-node edge iterators (g.iter) persist across calls
-// within a phase, giving the standard O(VE) blocking-flow bound.
-func (g *Network[C]) augment(s, t int) C {
+// augment finds one augmenting path from the level-1 node v to t in the
+// current level graph and pushes its bottleneck along it, using an explicit
+// stack instead of recursion. limit is the residual of the source arc that
+// reached v: it caps the bottleneck, and the caller pushes the same amount
+// on that arc. It returns the amount pushed, or 0 when v turns out to be a
+// dead end. Per-node edge iterators (g.iter) persist across calls within a
+// phase, giving the standard O(VE) blocking-flow bound.
+func (g *Network[C]) augment(v, t int, limit C) C {
+	adj, level, iter, eps := g.adj, g.level, g.iter, g.eps
 	path := g.path[:0]
-	u := s
-	for {
-		if u == t {
-			// Bottleneck along the path, then push.
-			var bottle C
-			for k, v := range path {
-				c := g.adj[v][g.iter[v]].cap
-				if k == 0 || c < bottle {
-					bottle = c
-				}
-			}
-			for _, v := range path {
-				e := &g.adj[v][g.iter[v]]
-				e.cap -= bottle
-				g.adj[e.to][e.rev].cap += bottle
-			}
-			g.path = path
-			return bottle
-		}
-		advanced := false
-		for ; g.iter[u] < len(g.adj[u]); g.iter[u]++ {
-			e := &g.adj[u][g.iter[u]]
-			if e.cap > g.eps && g.level[e.to] == g.level[u]+1 {
-				path = append(path, u)
-				u = e.to
-				advanced = true
+	for u := v; u != t; {
+		arcs, i, next := adj[u], iter[u], level[u]+1
+		for ; i < len(arcs); i++ {
+			if e := &arcs[i]; e.cap > eps && level[e.to] == next {
 				break
 			}
 		}
-		if !advanced {
-			g.level[u] = -2 // dead end; skip for the rest of this phase
-			if u == s {
-				g.path = path
-				return 0
-			}
-			u = path[len(path)-1]
-			path = path[:len(path)-1]
-			g.iter[u]++ // move past the dead edge
+		iter[u] = i
+		if i < len(arcs) {
+			path = append(path, u)
+			u = arcs[i].to
+			continue
+		}
+		level[u] = -2 // dead end; skip for the rest of this phase
+		if len(path) == 0 {
+			g.path = path
+			return 0
+		}
+		u = path[len(path)-1]
+		path = path[:len(path)-1]
+		iter[u]++ // move past the dead edge
+	}
+	bottle := limit
+	for _, u := range path {
+		if c := adj[u][iter[u]].cap; c < bottle {
+			bottle = c
 		}
 	}
+	for _, u := range path {
+		e := &adj[u][iter[u]]
+		e.cap -= bottle
+		adj[e.to][e.rev].cap += bottle
+	}
+	g.path = path
+	return bottle
 }
 
 // Max computes the maximum flow from s to t, mutating the residual network.
@@ -326,21 +365,57 @@ func (g *Network[C]) augment(s, t int) C {
 // of the residual graph: both find the same augmenting paths in the same
 // order.
 func (g *Network[C]) Max(s, t int) C {
+	return g.maxFrom(s, t, nil, true)
+}
+
+// MaxFrom is Max for a continuation that knows which arcs of s may still
+// carry flow: from lists them, and every arc of s that it does not list must
+// be saturated. Each phase's BFS and its level-1 DFS then walk only the
+// listed arcs, in adjacency order, instead of all deg(s) of them, and the
+// routed flow equals Max's on every edge. A list may hold saturated arcs
+// too; an empty one on a saturated source routes nothing. MaxFrom sorts
+// from in place.
+func (g *Network[C]) MaxFrom(s, t int, from []EdgeID[C]) C {
+	slices.SortFunc(from, func(a, b EdgeID[C]) int { return a.idx - b.idx })
+	return g.maxFrom(s, t, from, false)
+}
+
+// maxFrom is Dinic for Max (all set: every arc of s) and MaxFrom (only
+// from's arcs, sorted). A phase's blocking flow takes the source arcs in
+// adjacency order and augments along each one while it has residual and its
+// head is a live level-1 node. An arc of s that is saturated when a solve
+// starts stays saturated: Dinic's paths never re-enter s, so no push raises
+// a source arc's residual.
+func (g *Network[C]) maxFrom(s, t int, from []EdgeID[C], all bool) C {
 	if s == t {
 		return 0
 	}
 	g.ensureScratch()
+	adj, level, iter, eps := g.adj, g.level, g.iter, g.eps
+	src, n := adj[s], len(from)
+	if all {
+		n = len(src)
+	}
 	var total C
-	for g.bfs(s, t) {
+	for g.bfs(s, t, from, all) {
 		for _, v := range g.queue {
-			g.iter[v] = 0
+			iter[v] = 0
 		}
-		for {
-			f := g.augment(s, t)
-			if f <= g.eps {
-				break
+		for k := 0; k < n; k++ {
+			a := k
+			if !all {
+				a = from[k].idx
 			}
-			total += f
+			e := &src[a]
+			for e.cap > eps && level[e.to] == 1 {
+				f := g.augment(e.to, t, e.cap)
+				if f == 0 {
+					break
+				}
+				e.cap -= f
+				adj[e.to][e.rev].cap += f
+				total += f
+			}
 		}
 	}
 	return total
