@@ -52,17 +52,30 @@ func BenchmarkE13_FlexiblePipeline(b *testing.B)    { benchExperiment(b, "E13") 
 
 // --- substrate microbenchmarks ---
 
+// BenchmarkDinicFeasibility times CheckFeasible with every window slot open
+// on two input shapes: RandomFlexible, where the elementary intervals are
+// 70–80 % as many as the window slots (478 of 585 at n = 500), and the
+// end-to-end benchmark's LargeHorizon input, where 2048 window slots
+// collapse to 307 intervals.
 func BenchmarkDinicFeasibility(b *testing.B) {
+	type feasCase struct {
+		name string
+		in   *core.Instance
+	}
+	var cases []feasCase
 	for _, size := range []struct{ n, T int }{{50, 80}, {200, 300}, {500, 600}} {
-		b.Run(fmt.Sprintf("n=%d,T=%d", size.n, size.T), func(b *testing.B) {
-			in := gen.RandomFlexible(gen.RandomConfig{
-				N: size.n, Horizon: size.T, MaxLen: 6, Slack: 6, G: 4, Seed: 1,
-			})
-			open := activetime.AllSlots(in)
+		cases = append(cases, feasCase{fmt.Sprintf("n=%d,T=%d", size.n, size.T), gen.RandomFlexible(gen.RandomConfig{
+			N: size.n, Horizon: size.T, MaxLen: 6, Slack: 6, G: 4, Seed: 1,
+		})})
+	}
+	cases = append(cases, feasCase{"LargeHorizon,n=256,T=2048", largeHorizonBench()})
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			open := activetime.AllSlots(c.in)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				activetime.CheckFeasible(in, open)
+				activetime.CheckFeasible(c.in, open)
 			}
 		})
 	}

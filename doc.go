@@ -70,10 +70,11 @@
 //     decisions so far plus the fractional future) still completes every
 //     job, which keeps the opened set feasible by induction and within
 //     2·LP.
-//  4. Assign runs one integral max flow over the opened slots, the only
-//     one that starts from zero: it both checks them and extracts the
-//     schedule. An opened set that fails the check returns
-//     ErrRoundingInfeasible and is never patched.
+//  4. Assign builds the interval checker described below over the opened
+//     slots and runs its one integral max flow, the only one that starts
+//     from zero: it both checks them and is dealt out into the schedule.
+//     An opened set that fails the check returns ErrRoundingInfeasible and
+//     is never patched.
 //
 // MinimalFeasible (Theorem 1, ≤ 3·OPT) closes slots one at a time on a
 // flow-carrying checker, so a full sweep runs exactly one max flow from
@@ -88,7 +89,11 @@
 // round-robin out of the interval flow the sweep ends with, so the one max
 // flow includes it. BuildTheorem1Certificate then replays Lemmas 1–2 of
 // the proof on that schedule, over slices indexed by slot and by job
-// position.
+// position. This checker is the only integral Gfeas network: CheckFeasible
+// and Assign run one solve on a new one, and the exact search toggles one
+// along its DFS. The LP's float separator, one node per slot, is the
+// other Gfeas network; it carries its flow from one load to the next on
+// the solve's own goroutine.
 //
 // # Where the gates live
 //

@@ -72,17 +72,16 @@ func lastWindowSlot(jobs []core.Job) core.Time {
 
 // gfeasDegrees counts the arcs each node of a Gfeas network holds, reverse
 // arcs included, so that flow.NewNetworkDegrees can carve every adjacency
-// list out of one exactly sized array. The three builders (feasibleFlow,
-// feasChecker and the LP separator) share the source → job → slot → sink
-// shape and its numbering: source 0, job i at node 1+i, nNodes slot nodes
-// after the jobs, the sink last. They differ only in which slots get a
-// node, which slotNode gives by slot, with 0 (the source) for a slot that
-// has none. feasibleFlow and the separator give each slot its own node;
-// feasChecker gives one node to each elementary interval, a run of slots
-// that all lie in the same job windows. A slot node holds its sink arc and
-// one arc per job whose window covers it; a job node holds its supply arc
-// and one arc per distinct node along its window. Windows are cut at slot
-// 1, as windowSlots cuts them.
+// list out of one exactly sized array. The two builders (feasChecker and the
+// LP separator) share the source → job → slot → sink shape and its
+// numbering: source 0, job i at node 1+i, nNodes slot nodes after the jobs,
+// the sink last. They differ only in which slots get a node, which slotNode
+// gives by slot, with 0 (the source) for a slot that has none. The
+// separator gives each slot its own node; feasChecker gives one node to
+// each elementary interval, a run of slots that all lie in the same job
+// windows. A slot node holds its sink arc and one arc per job whose window
+// covers it; a job node holds its supply arc and one arc per distinct node
+// along its window. Windows are cut at slot 1, as windowSlots cuts them.
 func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
 	n := len(jobs)
 	deg := make([]int, 2+n+nNodes)
@@ -123,94 +122,19 @@ func carve[T any](n int, count func(k int) int) [][]T {
 	return lists
 }
 
-// feasibleFlow runs the Gfeas max-flow for the given jobs restricted to the
-// given open slots. It returns the flow value and, if extract is true, the
-// resulting integral assignment.
-//
-// The package deliberately keeps three builders of the Gfeas topology:
-// feasibleFlow (one-shot, one node per open slot, so its flow is a
-// per-slot assignment as it stands), feasChecker (persistent int64 network
-// with one node per elementary interval of the window slots,
-// re-capacitated per query; its schedule method deals an interval flow out
-// to the slots), and the LP separator in lp.go (persistent float64 network
-// with one node per slot and y-scaled capacities). They share the node
-// numbering and arc counts (gfeasDegrees), not the build. The closing loop
-// takes its schedule from the checker it already holds; routing the
-// one-shot callers (Assign, CheckFeasible) through feasChecker would pay
-// for its full-universe build plus a toggle pass.
-func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
-	// Nodes: 0 = source, 1..len(jobs) = jobs, then open slots, then sink.
-	// slotNode is indexed by slot up to the last window slot, so an open
-	// slot outside every window gets a node with only its sink arc; a slot
-	// listed twice gets two nodes, and the jobs use the last.
-	slotNode := make([]int, lastWindowSlot(jobs)+1)
-	for k, t := range open {
-		if t >= 1 && int(t) < len(slotNode) {
-			slotNode[t] = 1 + len(jobs) + k
-		}
-	}
-	deg := gfeasDegrees(jobs, slotNode, len(open))
-	n := flow.NewNetworkDegrees[int64](deg, 0)
-	src, sink := 0, len(deg)-1
-	for k := range open {
-		n.AddEdge(1+len(jobs)+k, sink, int64(g))
-	}
-	type jobEdge struct {
-		job  int // index into jobs
-		slot core.Time
-		id   flow.EdgeID[int64]
-	}
-	var jes []jobEdge
-	if extract {
-		arcs := 0
-		for i := range jobs {
-			arcs += deg[1+i] - 1
-		}
-		jes = make([]jobEdge, 0, arcs)
-	}
-	var total int64
-	for i, j := range jobs {
-		n.AddEdge(src, 1+i, j.Length)
-		total += j.Length
-		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			if node := slotNode[t]; node != 0 {
-				id := n.AddEdge(1+i, node, 1)
-				if extract {
-					jes = append(jes, jobEdge{i, t, id})
-				}
-			}
-		}
-	}
-	got := n.Max(src, sink)
-	if !extract || got != total {
-		return got, nil
-	}
-	assign := make(map[int][]core.Time, len(jobs))
-	for _, je := range jes {
-		if n.Flow(je.id) > 0 {
-			assign[jobs[je.job].ID] = append(assign[jobs[je.job].ID], je.slot)
-		}
-	}
-	for id := range assign {
-		core.SortSlots(assign[id])
-	}
-	return got, assign
-}
-
 // CheckFeasible reports whether all jobs of the instance can be scheduled
-// using only the given open slots. It builds a one-shot network; callers
-// that probe many slot sets against the same jobs (the minimal-feasible
-// closing loop, the exact search) use the reusable feasChecker instead,
-// which re-capacitates one persistent network.
+// using only the given open slots: one max flow from zero on a newly built
+// feasChecker. Slots outside every job window, and repeats, change nothing.
 func CheckFeasible(in *core.Instance, open []core.Time) bool {
-	got, _ := feasibleFlow(in.G, in.Jobs, open, false)
-	return got == in.TotalLength()
+	return newFeasChecker(in, open).feasible()
 }
 
-// feasChecker answers repeated "does this slot set carry these jobs?"
-// max-flow queries over one persistent network. Slots and jobs start
-// switched off and are toggled with setSlot/setJob, which only
-// re-capacitate the affected arcs.
+// feasChecker answers repeated "does this slot set carry all jobs?"
+// max-flow queries over one persistent network. Every job is always on;
+// only slots toggle, with setSlot and trialCloseSlot, which re-capacitate
+// just the arcs of the slot's interval. It is the package's one integral
+// Gfeas builder: CheckFeasible and Assign run one solve on a new checker,
+// and the closing loops and the exact search probe one checker many times.
 //
 // The network is Gfeas with its slots grouped into elementary intervals:
 // maximal runs of window slots that no release or deadline splits, so that
@@ -244,8 +168,8 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // gates pin.
 //
 // A continuation starts from the jobs a repair shorted, not from all n
-// supply arcs. Every PushBack on a supply arc and every job switched on
-// puts the job on the short list, once; feasible() hands the list to
+// supply arcs. The build lists every job, and every PushBack on a supply
+// arc puts the job on the short list, once; feasible() hands the list to
 // MaxFrom, whose phases then walk only those source arcs, and empties it
 // once the flow meets the demand, when every supply arc is saturated. A
 // solve that falls short keeps the list: the deficient jobs are on it.
@@ -262,8 +186,7 @@ type feasChecker struct {
 	slotOpen  []bool               // index t: slot t is open
 	ivals     []elemInterval       // per interval, in slot order
 	ivalArcs  [][]jobArc           // per interval: its incoming job arcs, in job order
-	jobArcs   [][]jobArc           // per job: its interval arcs, along its window
-	total     int64                // sum of lengths of switched-on jobs
+	total     int64                // sum of the job lengths
 	flow      int64                // flow currently routed (always a valid flow)
 	drained   bool                 // flow is zero because repairs cancelled every unit
 	short     []flow.EdgeID[int64] // supply arcs of the shorted jobs, each once (cap n)
@@ -283,20 +206,23 @@ type elemInterval struct {
 	sink flow.EdgeID[int64]
 }
 
-// jobArc is one job → interval arc with both of its ends, so that excess
-// cancelled on it can be cancelled on the job's supply arc and the
-// interval's sink arc too.
+// jobArc is one job → interval arc with its job, so that excess cancelled
+// on it can be cancelled on the job's supply arc too.
 type jobArc struct {
-	job, ival int32
-	id        flow.EdgeID[int64]
+	job int32
+	id  flow.EdgeID[int64]
 }
 
-// newFeasChecker builds the persistent network with all jobs and all slots
-// switched off. Interval nodes follow the jobs in slot order. The network's
-// arcs, the ivalArcs lists and the jobArcs lists are each carved out of one
-// exactly sized array, so the build makes the same number of allocations at
-// any horizon.
-func newFeasChecker(g int, jobs []core.Job) *feasChecker {
+// newFeasChecker builds the persistent network in the state every caller
+// starts from: all jobs on, the given slots open, and every job on the
+// short list, since no flow is routed yet. Slots outside every job window,
+// and repeats, change nothing. It counts the open slots per interval first,
+// so each arc is added at its final capacity. Interval nodes follow the
+// jobs in slot order. The network's arcs and the ivalArcs lists are each
+// carved out of one exactly sized array, so the build makes the same number
+// of allocations at any horizon.
+func newFeasChecker(in *core.Instance, open []core.Time) *feasChecker {
+	jobs := in.Jobs
 	covered := windowSlots(jobs)
 	// cut[t]: some window starts at slot t or ends at slot t-1. A window
 	// slot starts a new interval exactly there; the first slot after a gap
@@ -322,7 +248,7 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 	}
 	deg := gfeasDegrees(jobs, slotNode, nIvals)
 	fc := &feasChecker{
-		g:        g,
+		g:        in.G,
 		jobs:     jobs,
 		net:      flow.NewNetworkDegrees[int64](deg, 0),
 		src:      0,
@@ -335,18 +261,22 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 		slotOpen: make([]bool, len(covered)),
 		ivals:    make([]elemInterval, nIvals),
 		ivalArcs: carve[jobArc](nIvals, func(k int) int { return deg[1+len(jobs)+k] - 1 }),
-		jobArcs:  carve[jobArc](len(jobs), func(i int) int { return deg[1+i] - 1 }),
+	}
+	for _, t := range open {
+		fc.markSlot(t, true)
 	}
 	for k := range fc.ivals {
-		fc.ivals[k].sink = fc.net.AddEdge(1+len(jobs)+k, fc.sink, 0)
+		iv := &fc.ivals[k]
+		iv.sink = fc.net.AddEdge(1+len(jobs)+k, fc.sink, int64(fc.g)*iv.open)
 	}
 	for i, j := range jobs {
-		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, 0)
+		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, j.Length)
+		fc.total += j.Length
+		fc.shorten(int32(i))
 		prev := int32(-1)
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
 			if k := slotIval[t]; k != prev {
-				a := jobArc{int32(i), k, fc.net.AddEdge(1+i, slotNode[t], 0)}
-				fc.jobArcs[i] = append(fc.jobArcs[i], a)
+				a := jobArc{int32(i), fc.net.AddEdge(1+i, slotNode[t], fc.ivals[k].open)}
 				fc.ivalArcs[k] = append(fc.ivalArcs[k], a)
 				prev = k
 			}
@@ -436,46 +366,12 @@ func (fc *feasChecker) shorten(i int32) {
 	}
 }
 
-// setJob switches a job's demand on or off and keeps the demand total in
-// step, preserving the routed flow (switching a flow-carrying job off
-// cancels its flow along its interval arcs and their sink arcs). Toggling an
-// already-switched job is a no-op.
-func (fc *feasChecker) setJob(i int, on bool) {
-	var c int64
-	if on {
-		c = fc.jobs[i].Length
-	}
-	if fc.net.Capacity(fc.jobEdges[i]) == c {
-		return
-	}
-	ex := fc.net.SetCapacityKeepFlow(fc.jobEdges[i], c)
-	for _, a := range fc.jobArcs[i] {
-		if ex == 0 {
-			break
-		}
-		f := min(fc.net.Flow(a.id), ex)
-		if f <= 0 {
-			continue
-		}
-		fc.net.PushBack(a.id, f)
-		fc.net.PushBack(fc.ivals[a.ival].sink, f)
-		fc.cancel(f)
-		ex -= f
-	}
-	if on {
-		fc.total += fc.jobs[i].Length
-		fc.shorten(int32(i))
-	} else {
-		fc.total -= fc.jobs[i].Length
-	}
-}
-
-// feasible reports whether the switched-on jobs fit in the open slots. The
-// routed flow can never exceed the switched-on demand, so a flow already at
-// total is maximal and the query costs nothing; otherwise Dinic continues
-// from the kept flow's residual state, starting from the shorted jobs, and
-// augments only the difference. A flow that meets the demand saturates
-// every supply arc, so the short list is emptied then.
+// feasible reports whether the jobs fit in the open slots. The routed flow
+// can never exceed the demand, so a flow already at total is maximal and
+// the query costs nothing; otherwise Dinic continues from the kept flow's
+// residual state, starting from the shorted jobs, and augments only the
+// difference. A flow that meets the demand saturates every supply arc, so
+// the short list is emptied then.
 func (fc *feasChecker) feasible() bool {
 	if fc.flow != fc.total {
 		if fc.flow == 0 && !fc.drained {
@@ -530,24 +426,6 @@ func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
 	return false
 }
 
-// fullChecker builds a feasChecker with every job switched on and the given
-// slots open — the starting state of the slot-closing loops. No flow is
-// routed yet, so it counts the open slots first and sizes each interval
-// once.
-func fullChecker(in *core.Instance, open []core.Time) *feasChecker {
-	fc := newFeasChecker(in.G, in.Jobs)
-	for i := range in.Jobs {
-		fc.setJob(i, true)
-	}
-	for _, t := range open {
-		fc.markSlot(t, true)
-	}
-	for k := range fc.ivals {
-		fc.resize(int32(k))
-	}
-	return fc
-}
-
 // schedule deals the routed flow out to the open slots, which is the
 // round-robin argument of the type's comment made concrete. It walks the
 // intervals in slot order; within one it takes the job arcs in job order
@@ -555,9 +433,9 @@ func fullChecker(in *core.Instance, open []core.Time) *feasChecker {
 // ascending order, continuing where the previous job stopped. So a job's
 // units land in distinct slots, and no slot gets more than g. The walk
 // appends the wrapped-around part of a job's turn first, so every job's
-// slot list comes out ascending. The routed flow must meet the switched-on
-// demand, as it does between the closing loops' probes; anything else is a
-// bug in the caller.
+// slot list comes out ascending. The routed flow must meet the demand, as it
+// does after a feasible verdict and between the closing loops' probes;
+// anything else is a bug in the caller.
 func (fc *feasChecker) schedule() (*core.ActiveSchedule, error) {
 	if fc.flow != fc.total {
 		return nil, fmt.Errorf("activetime: dealing a flow of %d units for a demand of %d (bug)", fc.flow, fc.total)
@@ -600,20 +478,34 @@ func (fc *feasChecker) schedule() (*core.ActiveSchedule, error) {
 }
 
 // Assign computes an integral assignment of all jobs to the given open
-// slots, or ErrInfeasible, from one from-zero max flow on a one-shot
-// per-slot network. It is the schedule path of RoundLP, SolveExact and
-// SolveUnitExact; the minimal-feasible closing loop deals its schedule out
-// of the flow it already carries instead.
+// slots, or ErrInfeasible. It runs one max flow from zero on a newly built
+// feasChecker and deals that flow out to the slots with schedule. It is
+// the schedule path of RoundLP, SolveExact and SolveUnitExact; the
+// minimal-feasible closing loop deals its schedule out of the flow it
+// already carries instead. The schedule opens the given slots, sorted, even
+// those that carry no work: the open set is the caller's solution. An
+// instance that fails Validate, or a slot given twice, is an error.
 func Assign(in *core.Instance, open []core.Time) (*core.ActiveSchedule, error) {
-	got, assign := feasibleFlow(in.G, in.Jobs, open, true)
-	if got != in.TotalLength() || assign == nil {
-		return nil, ErrInfeasible
+	if err := in.Validate(); err != nil {
+		return nil, err
 	}
 	sorted := append([]core.Time(nil), open...)
 	core.SortSlots(sorted)
-	// Drop open slots that carry no work? No: the open set is the solution;
-	// callers minimize it themselves. Keep as given.
-	return &core.ActiveSchedule{Open: sorted, Assign: assign}, nil
+	for k := 1; k < len(sorted); k++ {
+		if sorted[k] == sorted[k-1] {
+			return nil, fmt.Errorf("activetime: slot %d is open twice", sorted[k])
+		}
+	}
+	fc := newFeasChecker(in, sorted)
+	if !fc.feasible() {
+		return nil, ErrInfeasible
+	}
+	sched, err := fc.schedule()
+	if err != nil {
+		return nil, err
+	}
+	sched.Open = sorted
+	return sched, nil
 }
 
 // CloseStrategy determines the order in which MinimalFeasible attempts to
@@ -704,7 +596,7 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 		return nil, err
 	}
 	open := AllSlots(in)
-	fc := fullChecker(in, open)
+	fc := newFeasChecker(in, open)
 	if !fc.feasible() {
 		return nil, ErrInfeasible
 	}
@@ -741,7 +633,7 @@ func MinimalFeasibleStats(in *core.Instance, opts MinimalOptions) (*MinimalResul
 // the same open set, in which the slots of one interval are
 // interchangeable.
 func IsMinimalFeasible(in *core.Instance, open []core.Time) bool {
-	fc := fullChecker(in, open)
+	fc := newFeasChecker(in, open)
 	if !fc.feasible() {
 		return false
 	}

@@ -3,6 +3,7 @@ package activetime
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func randInstance(rng *rand.Rand, maxN, maxT, maxG int) *core.Instance {
 }
 
 // bruteOPT enumerates all subsets of useful slots and returns the minimum
-// feasible open count, or -1 if infeasible.
+// open count the per-slot oracle finds feasible, or -1 if none is.
 func bruteOPT(in *core.Instance) int {
 	slots := AllSlots(in)
 	if len(slots) > 18 {
@@ -43,7 +44,7 @@ func bruteOPT(in *core.Instance) int {
 				open = append(open, t)
 			}
 		}
-		if CheckFeasible(in, open) {
+		if perSlotFeasible(in, open) {
 			best = pc
 		}
 	}
@@ -67,18 +68,48 @@ func TestCheckFeasibleBasic(t *testing.T) {
 	}
 }
 
+// TestAssignProducesValidSchedule checks that Assign's schedule passes
+// VerifyActive and opens exactly the given slots, sorted, an idle one past
+// every window included; and that an instance Validate rejects, or an open
+// list that repeats a slot, is an error rather than a schedule VerifyActive
+// would reject.
 func TestAssignProducesValidSchedule(t *testing.T) {
 	in := &core.Instance{G: 2, Jobs: []core.Job{
 		{ID: 0, Release: 0, Deadline: 4, Length: 3},
 		{ID: 1, Release: 1, Deadline: 3, Length: 2},
 		{ID: 2, Release: 0, Deadline: 2, Length: 1},
 	}}
-	sched, err := Assign(in, []core.Time{1, 2, 3, 4})
+	sched, err := Assign(in, []core.Time{4, 2, 6, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := core.VerifyActive(in, sched); err != nil {
 		t.Errorf("invalid schedule: %v", err)
+	}
+	if want := []core.Time{1, 2, 3, 4, 6}; !slices.Equal(sched.Open, want) {
+		t.Errorf("schedule opens %v, want %v", sched.Open, want)
+	}
+	for _, c := range []struct {
+		name string
+		in   *core.Instance
+		open []core.Time
+	}{
+		{"duplicate job ID", &core.Instance{G: 2, Jobs: []core.Job{
+			{ID: 7, Release: 0, Deadline: 2, Length: 2},
+			{ID: 7, Release: 0, Deadline: 2, Length: 1},
+		}}, []core.Time{1, 2}},
+		{"negative release", &core.Instance{G: 1, Jobs: []core.Job{
+			{ID: 0, Release: -1, Deadline: 2, Length: 1},
+		}}, []core.Time{1, 2}},
+		{"zero length", &core.Instance{G: 1, Jobs: []core.Job{
+			{ID: 0, Release: 0, Deadline: 2, Length: 0},
+			{ID: 1, Release: 0, Deadline: 2, Length: 1},
+		}}, []core.Time{1, 2}},
+		{"repeated slot", in, []core.Time{1, 2, 3, 2, 4}},
+	} {
+		if sched, err := Assign(c.in, c.open); err == nil {
+			t.Errorf("%s: Assign returned %+v and no error", c.name, sched)
+		}
 	}
 }
 
@@ -241,7 +272,7 @@ func TestRightShiftStaysFeasible(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Lemma 3: the right-shifted solution is still LP-feasible.
-		if _, violated := newSeparator(in).separate(shifted[1:]); violated {
+		if violated := newSeparator(in).load(shifted[1:]); violated {
 			t.Errorf("trial %d: right-shifted solution violates a cut (instance %+v, y=%v)",
 				trial, in, shifted)
 		}

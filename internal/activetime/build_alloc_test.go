@@ -9,20 +9,21 @@ import (
 )
 
 // TestGfeasBuildAllocs gates counted construction: building each Gfeas
-// network — the checker, the separator and the one-shot CheckFeasible —
-// makes as many allocations at T = 2048 as at T = 256, because every
-// adjacency list and every edge-reference list is carved out of one exactly
-// sized array. A builder that grows its lists one arc at a time, or whose
-// counts fall short of the arcs it adds, allocates more at the larger
-// horizon. The collector is off while counting: a cycle started by the
-// builds' own garbage allocates too, and would count against them.
+// network — the checker and the separator, and CheckFeasible's checker
+// plus its one solve — makes as many allocations at T = 2048 as at
+// T = 256, because every adjacency list and every edge-reference list is
+// carved out of one exactly sized array. A builder that grows its lists one
+// arc at a time, or whose counts fall short of the arcs it adds, allocates
+// more at the larger horizon. The collector is off while counting: a cycle
+// started by the builds' own garbage allocates too, and would count against
+// them.
 func TestGfeasBuildAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	builds := []struct {
 		name  string
 		build func(in *core.Instance, open []core.Time)
 	}{
-		{"newFeasChecker", func(in *core.Instance, _ []core.Time) { newFeasChecker(in.G, in.Jobs) }},
+		{"newFeasChecker", func(in *core.Instance, open []core.Time) { newFeasChecker(in, open) }},
 		{"newSeparator", func(in *core.Instance, _ []core.Time) { newSeparator(in) }},
 		{"CheckFeasible", func(in *core.Instance, open []core.Time) { CheckFeasible(in, open) }},
 	}

@@ -50,7 +50,7 @@ func SolveExact(in *core.Instance, opts ExactOptions) (*core.ActiveSchedule, err
 		maxNodes = 5_000_000
 	}
 	slots := AllSlots(in)
-	fc := fullChecker(in, slots)
+	fc := newFeasChecker(in, slots)
 	if !fc.feasible() {
 		return nil, ErrInfeasible
 	}
@@ -95,8 +95,8 @@ type exactSearch struct {
 // indices greater than idx. The persistent checker's open set mirrors
 // committedOpen ∪ slots[:idx+1] on entry: the "closed" branch toggles one
 // slot off for its subtree and restores it, and the "open" branch inherits
-// the state unchanged, so each node's pruning max-flow is one Reset+solve
-// with no network construction.
+// the state unchanged, so each node's pruning max flow continues the
+// carried flow, with no network construction.
 func (s *exactSearch) dfs(idx int, committedOpen []core.Time) {
 	if s.nodesExceeded || len(s.best) <= s.lb {
 		return

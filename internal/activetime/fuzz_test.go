@@ -2,6 +2,7 @@ package activetime
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -106,14 +107,14 @@ func FuzzSolveLP(f *testing.F) {
 // FuzzMinimalFeasible drives the Theorem 1 closing loop from raw instance
 // bytes and a shuffle seed. Any input that decodes and validates must give
 // the open set that a per-slot fresh-flow sweep gives in the same order —
-// one one-shot CheckFeasible per probe, no interval nodes, no carried flow
+// one per-slot oracle flow per probe, no interval nodes, no carried flow
 // and no skipped intervals — and that set must pass VerifyActive and
 // IsMinimalFeasible after exactly one cold max flow. The Theorem 1
 // certificate must then succeed, bound the cost, and equal the map-based
-// reference's, both on the schedule the loop deals out of its flow and on
-// Assign's schedule for the same open set. The size bounds are
-// FuzzSolveLP's; the last seed routes the whole demand through one slot,
-// whose trial close cancels every routed unit.
+// reference's on three schedules for the same open set: the one the loop
+// deals out of its flow, Assign's, and the per-slot oracle's. The size
+// bounds are FuzzSolveLP's; the last seed routes the whole demand through
+// one slot, whose trial close cancels every routed unit.
 func FuzzMinimalFeasible(f *testing.F) {
 	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
 	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(2))
@@ -133,7 +134,7 @@ func FuzzMinimalFeasible(f *testing.F) {
 		res, err := MinimalFeasibleStats(in, opts)
 		all := AllSlots(in)
 		if err == ErrInfeasible {
-			if CheckFeasible(in, all) {
+			if perSlotFeasible(in, all) {
 				t.Fatal("closing loop reports infeasible, but every window slot open carries all jobs")
 			}
 			return
@@ -155,7 +156,7 @@ func FuzzMinimalFeasible(f *testing.F) {
 					rest = append(rest, u)
 				}
 			}
-			if CheckFeasible(in, rest) {
+			if perSlotFeasible(in, rest) {
 				isOpen[s] = false
 			}
 		}
@@ -181,10 +182,15 @@ func FuzzMinimalFeasible(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Assign on the minimal open set: %v", err)
 		}
+		_, perSlot := feasibleFlow(in.G, in.Jobs, res.Schedule.Open, true)
 		for _, c := range []struct {
 			name  string
 			sched *core.ActiveSchedule
-		}{{"dealt", res.Schedule}, {"Assign's", assigned}} {
+		}{
+			{"dealt", res.Schedule},
+			{"Assign's", assigned},
+			{"per-slot oracle's", &core.ActiveSchedule{Open: res.Schedule.Open, Assign: perSlot}},
+		} {
 			cert, err := certificateMatchesReference(in, c.sched)
 			if err != nil {
 				t.Fatalf("certificate on the %s schedule: %v", c.name, err)
@@ -193,6 +199,67 @@ func FuzzMinimalFeasible(f *testing.F) {
 				t.Fatalf("certificate on the %s schedule: cost %d > mass bound %d + witness mass %d",
 					c.name, cost, cert.MassBound, cert.WitnessMass)
 			}
+		}
+	})
+}
+
+// FuzzRoundLP drives the Theorem 2 pipeline from raw instance bytes: any
+// input that decodes and validates must round to a schedule that passes
+// VerifyActive and opens at most 2·LP slots, or fail with ErrInfeasible
+// exactly when the per-slot oracle finds no feasible slot set. Small
+// instances (≤ 8 jobs, horizon ≤ 24) must also have an LP value within
+// 1e-6 of the exact rational engine's, and LP ≤ SolveExact's cost ≤
+// Opened, unless the exact search runs out of its node budget. The size
+// tiers and seeds are FuzzSolveLP's.
+func FuzzRoundLP(f *testing.F) {
+	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`))
+	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`))
+	f.Add([]byte(`{"g":3,"jobs":[{"id":0,"release":0,"deadline":6,"length":1},{"id":1,"release":2,"deadline":5,"length":3},{"id":2,"release":1,"deadline":4,"length":2}]}`))
+	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":1,"length":1},{"id":1,"release":0,"deadline":1,"length":1}]}`))
+	f.Add(fuzzHardnessChain())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := core.ReadInstance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(in.Jobs) > 96 || in.Horizon() > 96 || in.G > 8 {
+			return
+		}
+		res, err := RoundLP(in)
+		if err == ErrInfeasible {
+			if perSlotFeasible(in, AllSlots(in)) {
+				t.Fatal("RoundLP reports infeasible, but every window slot open carries all jobs")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("RoundLP: %v", err)
+		}
+		if err := core.VerifyActive(in, res.Schedule); err != nil {
+			t.Fatalf("rounded schedule invalid: %v", err)
+		}
+		if float64(res.Opened) > 2*res.LPValue+1e-6 {
+			t.Fatalf("opened %d > 2·LP = %.9f", res.Opened, 2*res.LPValue)
+		}
+		if len(in.Jobs) > 8 || in.Horizon() > 24 {
+			return
+		}
+		exact, err := SolveLPExact(in)
+		if err != nil {
+			t.Fatalf("RoundLP succeeded but SolveLPExact: %v", err)
+		}
+		if want, _ := exact.Objective.Float64(); math.Abs(res.LPValue-want) > 1e-6 {
+			t.Fatalf("LP value %.9f, exact %.9f", res.LPValue, want)
+		}
+		opt, err := SolveExact(in, ExactOptions{})
+		if errors.Is(err, ErrSearchBudget) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("RoundLP succeeded but SolveExact: %v", err)
+		}
+		if cost := float64(opt.Cost()); res.LPValue > cost+1e-6 || opt.Cost() > core.Time(res.Opened) {
+			t.Fatalf("want LP %.9f <= OPT %d <= opened %d", res.LPValue, opt.Cost(), res.Opened)
 		}
 	})
 }

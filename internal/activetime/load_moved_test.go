@@ -10,9 +10,10 @@ import (
 	"repro/internal/lp"
 )
 
-// loadFullScan is the reference loader that loadIncremental replaced: it
-// tests every job→slot edge, job by job, then every slot→sink edge, and
-// re-capacitates each whose capacity differs from y with the same repair.
+// loadFullScan is the reference loader that load's moved-slot visits
+// replaced: it tests every job→slot edge, job by job, then every slot→sink
+// edge, and re-capacitates each whose capacity differs from y with the same
+// repair.
 func loadFullScan(s *separator, y []float64) bool {
 	g := float64(s.in.G)
 	for i, j := range s.in.Jobs {
@@ -71,9 +72,7 @@ type loadPair struct {
 }
 
 func newLoadPair(t *testing.T, in *core.Instance, name string) *loadPair {
-	got := newSeparator(in)
-	got.incremental = true
-	return &loadPair{got: got, want: newSeparator(in), name: name, t: t}
+	return &loadPair{got: newSeparator(in), want: newSeparator(in), name: name, t: t}
 }
 
 // sepEdges lists every edge the separator references, plus the retired ones.
@@ -145,7 +144,6 @@ func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
 		t.Fatal(err)
 	}
 	steer := newSeparator(in)
-	steer.incremental = true
 	reg := newCutRegistry(prob.NumConstraints())
 	cap := adaptiveBatchCap(in)
 	var ys [][]float64

@@ -2,10 +2,7 @@ package activetime
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/flow"
@@ -145,47 +142,42 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 // round only the y-dependent capacities (slot→sink g·y_t, job→slot y_t) are
 // rewritten before re-running max-flow.
 //
-// In incremental mode (every solve pipeline; see loadIncremental) the
-// previous round's flow survives re-capacitation: only the slots whose y
-// moved are re-capacitated, only edges whose capacity shrank below their
-// flow are repaired — the excess cancelled along the rest of its
-// source→job→slot→sink path, which is cheap because every path in this
+// The previous round's flow survives re-capacitation (see load): only the
+// slots whose y moved are re-capacitated, only edges whose capacity shrank
+// below their flow are repaired — the excess cancelled along the rest of
+// its source→job→slot→sink path, which is cheap because every path in this
 // bipartite network has length 3 — and Max then augments from the repaired
 // residual state, routing just the difference instead of the full demand P
-// over a ~T-node network every round. Fresh mode (load) rebuilds the flow
-// from zero and is kept as the equivalence-test reference.
+// over a ~T-node network every round. A newly built separator carries no
+// flow, so its first load is a solve from zero; that is the reference the
+// equivalence tests hold the carried flow to.
 //
 // The network also survives instance deltas (Session): jobNode/slotNode map
 // job positions and slots to their flow-network nodes, so growth appends
 // nodes past the original sink (addSlots, addJob) and job removal
 // (removeJobs) cancels the departed jobs' routed flow edge-locally with the
-// same SetCapacityKeepFlow+PushBack repair the incremental loads use,
-// leaving the surviving flow intact instead of rebuilding the network.
+// same SetCapacityKeepFlow+PushBack repair the loads use, leaving the
+// surviving flow intact instead of rebuilding the network.
 type separator struct {
-	in          *core.Instance
-	net         *flow.Network[float64]
-	src, sink   int
-	jobNode     []int                    // index i: flow node of job i
-	slotNode    []int                    // index t-1: flow node of slot t
-	srcEdges    []flow.EdgeID[float64]   // index i: source → job i
-	slotEdges   []flow.EdgeID[float64]   // index t-1: slot t → sink
-	jobEdges    [][]flow.EdgeID[float64] // per job, per window slot offset
-	slotJobs    [][]slotRef              // transpose of jobEdges: per slot, incoming job edges
-	total       float64
-	incremental bool
-	// loaded[t] is the y that loadIncremental last wrote into slot t+1's
-	// edges, the one value all of them hold, so a load visits only the
-	// slots whose y moved. addSlots appends 0 (the new edges' capacity);
+	in        *core.Instance
+	net       *flow.Network[float64]
+	src, sink int
+	jobNode   []int                    // index i: flow node of job i
+	slotNode  []int                    // index t-1: flow node of slot t
+	srcEdges  []flow.EdgeID[float64]   // index i: source → job i
+	slotEdges []flow.EdgeID[float64]   // index t-1: slot t → sink
+	jobEdges  [][]flow.EdgeID[float64] // per job, per window slot offset
+	slotJobs  [][]slotRef              // transpose of jobEdges: per slot, incoming job edges
+	total     float64
+	// loaded[t] is the y that load last wrote into slot t+1's edges, the one
+	// value all of them hold, so a load visits only the slots whose y moved.
+	// A new separator holds 0, its edges' capacity; addSlots appends 0 too;
 	// addJob marks its window slots NaN, which equals no y, so its
 	// zero-capacity edges are written by the next load.
 	loaded []float64
 	// cov is cutFor's per-slot coverage scratch (index t-1), all zero
 	// between calls.
 	cov []int32
-	// serialWalks pins separateAll's residual walks to the sequential
-	// path; the parallel-vs-serial equality test flips it to assert the
-	// fan-out is a pure wall-time optimization.
-	serialWalks bool
 }
 
 // slotRef locates one job→slot edge from the slot side: jobEdges[job][k].
@@ -274,7 +266,7 @@ func (s *separator) addJob(j core.Job) {
 // removeJobs detaches the masked jobs from the live network without touching
 // anyone else's flow: each dead job's window edges are clamped to zero
 // capacity with the excess cancelled along the rest of its length-3 paths
-// (the loadIncremental repair), its supply edge closed, and the per-job
+// (the load repair), its supply edge closed, and the per-job
 // arrays compacted to the surviving positions. Must run before the caller
 // compacts its job slice — the dead jobs' windows are still read here. The
 // dead nodes stay in the network, unreachable behind zero capacities.
@@ -325,30 +317,10 @@ func (s *separator) removeJobs(dead []bool) {
 }
 
 // load solves the feasibility subproblem for y, reporting whether y is
-// infeasible (max flow short of the total demand). Incremental mode reuses
-// the previous round's flow; fresh mode rebuilds it from zero.
-func (s *separator) load(y []float64) bool {
-	if s.incremental {
-		return s.loadIncremental(y)
-	}
-	s.net.Reset()
-	g := float64(s.in.G)
-	for t := range y {
-		s.net.SetCapacity(s.slotEdges[t], g*y[t])
-	}
-	for i, j := range s.in.Jobs {
-		ids := s.jobEdges[i]
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			s.net.SetCapacity(ids[k], y[t-1])
-		}
-	}
-	got := s.net.Max(s.src, s.sink)
-	return got < s.total-1e-6
-}
-
-// loadIncremental re-capacitates the y-dependent edges while keeping the
-// flow routed in earlier rounds, repairs conservation where a capacity
-// shrank below its flow, and lets Max augment only the difference.
+// infeasible (max flow short of the total demand). It re-capacitates the
+// y-dependent edges while keeping the flow routed in earlier loads, repairs
+// conservation where a capacity shrank below its flow, and lets Max augment
+// only the difference.
 //
 // Every flow path here is source→job→slot→sink, so each repair is local:
 // clamping a job→slot edge cancels the excess on that job's supply edge and
@@ -367,7 +339,7 @@ func (s *separator) load(y []float64) bool {
 // order), then the slot→sink edges. Every edge therefore sees the same
 // SetCapacityKeepFlow/PushBack sequence, so the flow is the same to the
 // last bit.
-func (s *separator) loadIncremental(y []float64) bool {
+func (s *separator) load(y []float64) bool {
 	g := float64(s.in.G)
 	for t, c := range y {
 		if c == s.loaded[t] {
@@ -419,21 +391,6 @@ func (s *separator) loadIncremental(y []float64) bool {
 	return got < s.total-1e-6
 }
 
-// separate solves the fractional feasibility subproblem for y and, if the
-// max flow falls short of P, returns the source-side job set A of a minimum
-// cut.
-func (s *separator) separate(y []float64) (A []bool, violated bool) {
-	if !s.load(y) {
-		return nil, false
-	}
-	side := s.net.MinCutSource(s.src)
-	A = make([]bool, len(s.in.Jobs))
-	for i := range s.in.Jobs {
-		A[i] = side[s.jobNode[i]]
-	}
-	return A, true
-}
-
 // separateAll solves the feasibility subproblem once and, when y is
 // infeasible, harvests every violated job set the single max-flow probe
 // surfaces:
@@ -451,7 +408,9 @@ func (s *separator) separate(y []float64) (A []bool, violated bool) {
 // standard cut-accounting argument shows its canonical cut is violated by
 // at least that job's deficiency — every returned set yields a valid
 // violated cut, and the batch localizes the deficiency per job instead of
-// aggregating it into one coarse cut per round.
+// aggregating it into one coarse cut per round. The residual walks run
+// one at a time, in deficit order, each when the replay reaches a job that
+// no earlier set covers, so a covered job costs no walk.
 //
 // cap bounds the job sets harvested per probe (the global min cut plus up
 // to cap−1 per-job violators). Uncapped batching floods the master — the
@@ -461,11 +420,6 @@ func (s *separator) separate(y []float64) (A []bool, violated bool) {
 // adaptiveBatchCap), down to single-cut behavior at tiny T where extra
 // rows only pad an already-cheap master.
 const maxBatchCuts = 32
-
-// maxParallelWalks bounds the residual walks separateAll precomputes in
-// parallel per probe: twice the cut cap, since covered-filter skips mean the
-// replay can consume deficits beyond the first maxBatchCuts.
-const maxParallelWalks = 2 * maxBatchCuts
 
 func (s *separator) separateAll(y []float64, cap int) [][]bool {
 	if !s.load(y) {
@@ -498,58 +452,14 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 		return short[a].job < short[b].job
 	})
 	covered := make([]bool, nJobs)
-	// Fan the residual walks out across goroutines: once the max flow has
-	// settled, ReachableFrom only reads the residual adjacency and keeps
-	// all visit state local, so the walks for distinct deficient jobs are
-	// mutually independent. The covered-filter replay below stays
-	// sequential and consumes the precomputed walks in exactly the order
-	// the serial loop takes them, so the harvested sets are byte-identical
-	// — the fan-out changes wall time, never output (the strict
-	// set-equality incremental-vs-fresh harness and FuzzSeparation lock
-	// this). Walks whose job an earlier set covers are discarded, so only
-	// the maxParallelWalks deepest deficits are precomputed; in the rare
-	// round that skips past the window, the replay falls back to computing
-	// the remaining walks on demand.
-	walks := len(short)
-	if walks > maxParallelWalks {
-		walks = maxParallelWalks
-	}
-	var reaches [][]bool
-	if workers := runtime.GOMAXPROCS(0); walks >= 2 && workers > 1 && !s.serialWalks {
-		if workers > walks {
-			workers = walks
-		}
-		reaches = make([][]bool, walks)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= walks {
-						return
-					}
-					reaches[i] = s.net.ReachableFrom(s.jobNode[short[i].job], s.src)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for di, d := range short {
+	for _, d := range short {
 		if len(out) >= cap {
 			break
 		}
 		if covered[d.job] {
 			continue
 		}
-		var reach []bool
-		if di < len(reaches) {
-			reach = reaches[di]
-		} else {
-			reach = s.net.ReachableFrom(s.jobNode[d.job], s.src)
-		}
+		reach := s.net.ReachableFrom(s.jobNode[d.job], s.src)
 		B := make([]bool, nJobs)
 		for k := 0; k < nJobs; k++ {
 			if reach[s.jobNode[k]] {

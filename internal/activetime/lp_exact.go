@@ -56,11 +56,6 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The exact pipeline keeps the fresh-per-round separation oracle: its
-	// cost is negligible next to the rational master solves, and it keeps
-	// one pipeline of the cross-solver metamorphic suite independent of
-	// the incremental-repair code path it cross-checks.
-	sep := newSeparator(in)
 	res := &ExactLPResult{Cuts: len(in.Jobs)}
 	reg := newCutRegistry(len(in.Jobs))
 	var basis *lp.RatBasis
@@ -79,6 +74,12 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 		}
 		res.Pivots += sol.Iterations
 		y := sol.Float64s()
+		// Each round separates on a newly built network, so its max flow
+		// starts from zero: the cost is negligible next to the rational
+		// master solves, and it keeps one pipeline of the cross-solver
+		// metamorphic suite independent of the carried-flow repairs it
+		// cross-checks.
+		sep := newSeparator(in)
 		added := 0
 		for _, A := range sep.separateAll(y, maxBatchCuts) {
 			if reg.inMaster(A) {

@@ -1,0 +1,77 @@
+package activetime
+
+import (
+	"repro/internal/core"
+	"repro/internal/flow"
+)
+
+// feasibleFlow is the per-slot oracle for feasChecker: it runs the Gfeas
+// max flow for the given jobs restricted to the given open slots on a
+// one-shot network with one node per open slot, no interval nodes and no
+// carried flow. It returns the flow value and, if extract is true, the
+// resulting integral assignment.
+func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
+	// Nodes: 0 = source, 1..len(jobs) = jobs, then open slots, then sink.
+	// slotNode is indexed by slot up to the last window slot, so an open
+	// slot outside every window gets a node with only its sink arc; a slot
+	// listed twice gets two nodes, and the jobs use the last.
+	slotNode := make([]int, lastWindowSlot(jobs)+1)
+	for k, t := range open {
+		if t >= 1 && int(t) < len(slotNode) {
+			slotNode[t] = 1 + len(jobs) + k
+		}
+	}
+	deg := gfeasDegrees(jobs, slotNode, len(open))
+	n := flow.NewNetworkDegrees[int64](deg, 0)
+	src, sink := 0, len(deg)-1
+	for k := range open {
+		n.AddEdge(1+len(jobs)+k, sink, int64(g))
+	}
+	type jobEdge struct {
+		job  int // index into jobs
+		slot core.Time
+		id   flow.EdgeID[int64]
+	}
+	var jes []jobEdge
+	if extract {
+		arcs := 0
+		for i := range jobs {
+			arcs += deg[1+i] - 1
+		}
+		jes = make([]jobEdge, 0, arcs)
+	}
+	var total int64
+	for i, j := range jobs {
+		n.AddEdge(src, 1+i, j.Length)
+		total += j.Length
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			if node := slotNode[t]; node != 0 {
+				id := n.AddEdge(1+i, node, 1)
+				if extract {
+					jes = append(jes, jobEdge{i, t, id})
+				}
+			}
+		}
+	}
+	got := n.Max(src, sink)
+	if !extract || got != total {
+		return got, nil
+	}
+	assign := make(map[int][]core.Time, len(jobs))
+	for _, je := range jes {
+		if n.Flow(je.id) > 0 {
+			assign[jobs[je.job].ID] = append(assign[jobs[je.job].ID], je.slot)
+		}
+	}
+	for id := range assign {
+		core.SortSlots(assign[id])
+	}
+	return got, assign
+}
+
+// perSlotFeasible reports whether the per-slot oracle carries all of the
+// instance's jobs in the open slots.
+func perSlotFeasible(in *core.Instance, open []core.Time) bool {
+	got, _ := feasibleFlow(in.G, in.Jobs, open, false)
+	return got == in.TotalLength()
+}

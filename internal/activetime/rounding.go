@@ -143,7 +143,6 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	// re-capacitating only the slots a decision touched.
 	hy := shifted[1:]
 	mix := newSeparator(in)
-	mix.incremental = true
 	opened := make(map[core.Time]bool)
 	var openList []core.Time
 	openSlot := func(t core.Time) {
@@ -313,11 +312,4 @@ func rightShift(y []float64, deadlines []core.Time) (segY []float64, segStart []
 		prev = d
 	}
 	return segY, segStart, shifted, nil
-}
-
-// RightShiftedY materializes the right-shifted LP solution of Lemma 3 (used
-// by tests to confirm it remains LP-feasible, and by the charging ledger).
-func RightShiftedY(in *core.Instance, lpres *LPResult) ([]float64, error) {
-	_, _, shifted, err := rightShift(lpres.Y, in.Deadlines())
-	return shifted, err
 }

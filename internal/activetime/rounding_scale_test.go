@@ -33,7 +33,7 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
 			in := fam.make(seed)
 			open := AllSlots(in)
-			if !CheckFeasible(in, open) {
+			if !perSlotFeasible(in, open) {
 				continue
 			}
 			mid := open[len(open)/2]
@@ -47,9 +47,9 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 				{"first", MinimalOptions{Strategy: CloseRightToLeft, First: []core.Time{mid, open[len(open)-1] + 1, mid, open[0]}}},
 			}
 			for _, o := range orders {
-				fc := fullChecker(in, open)
+				fc := newFeasChecker(in, open)
 				if !fc.feasible() {
-					t.Fatalf("%s seed %d: checker disagrees with CheckFeasible on the full slot set", fam.name, seed)
+					t.Fatalf("%s seed %d: checker disagrees with the per-slot oracle on the full slot set", fam.name, seed)
 				}
 				isOpen := make(map[core.Time]bool, len(open))
 				for _, s := range open {
@@ -70,7 +70,7 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 							rest = append(rest, u)
 						}
 					}
-					want := CheckFeasible(in, rest)
+					want := perSlotFeasible(in, rest)
 					got := false
 					if stuck[k] {
 						stuckProbes++
@@ -104,18 +104,20 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 }
 
 // TestFeasCheckerToggleEquivalence drives the flow-carrying checker through
-// adversarial slot and job toggle sequences — including reopening slots and
-// switching jobs off and back on — and checks every feasibility verdict
-// against a fresh one-shot per-slot max flow over the same configuration.
-// This is the state-corruption net for the SetCapacityKeepFlow/PushBack
-// bookkeeping of the interval arcs: any excess mis-cancelled on a capacity
-// decrease shows up as a verdict mismatch within a few toggles. After
-// every toggle it repeats that toggle, then opens, closes and trial-closes
-// a slot outside every window (slot 0, one past the last deadline, or a
-// gap between windows): each must be a no-op that leaves every arc's
-// capacity and flow and every interval's open count as they were, and the
-// trial close must succeed. After every toggle and every verdict it checks
-// the short list MaxFrom trusts: each job whose supply arc has residual
+// adversarial slot toggle sequences — closing and reopening slots at random
+// — and checks every feasibility verdict against a fresh one-shot per-slot
+// max flow over the same open set. This is the state-corruption net for
+// the SetCapacityKeepFlow/PushBack bookkeeping of the interval arcs: any
+// excess mis-cancelled on a capacity decrease shows up as a verdict
+// mismatch within a few toggles. At each verdict CheckFeasible must agree
+// with the oracle too, and when the set is feasible, Assign's schedule must
+// pass VerifyActive and open exactly that set. After every toggle it
+// repeats that toggle, then opens, closes and trial-closes a slot outside
+// every window (slot 0, one past the last deadline, or a gap between
+// windows): each must be a no-op that leaves every arc's capacity and flow
+// and every interval's open count as they were, and the trial close must
+// succeed. After the build, every toggle and every verdict it checks the
+// short list MaxFrom trusts: each job whose supply arc has residual
 // capacity is on it exactly once, no job is on it twice, and a verdict of
 // "fits" leaves it empty.
 func TestFeasCheckerToggleEquivalence(t *testing.T) {
@@ -125,7 +127,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 		for seed := int64(0); seed < seedsPerFamily; seed++ {
 			in := fam.make(seed)
 			slots := AllSlots(in)
-			fc := fullChecker(in, slots)
+			fc := newFeasChecker(in, slots)
 			last := slots[len(slots)-1]
 			outside := []core.Time{0, last + 1}
 			for s, k := slots[0], 0; s < last; s++ {
@@ -142,7 +144,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			for _, iv := range fc.ivals {
 				ids = append(ids, iv.sink)
 			}
-			for _, arcs := range fc.jobArcs {
+			for _, arcs := range fc.ivalArcs {
 				for _, a := range arcs {
 					ids = append(ids, a.id)
 				}
@@ -160,10 +162,6 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			slotOpen := make(map[core.Time]bool, len(slots))
 			for _, s := range slots {
 				slotOpen[s] = true
-			}
-			jobOn := make([]bool, len(in.Jobs))
-			for i := range jobOn {
-				jobOn[i] = true
 			}
 			// shortListed checks the short list against the residual of
 			// every supply arc.
@@ -184,38 +182,23 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			shortListed(-1, "after the build")
 			rng := newRand(seed * 7731)
 			for step := 0; step < 60; step++ {
-				var repeat func()
-				if len(in.Jobs) > 0 && rng.Intn(4) == 0 {
-					i := rng.Intn(len(in.Jobs))
-					jobOn[i] = !jobOn[i]
-					fc.setJob(i, jobOn[i])
-					repeat = func() { fc.setJob(i, jobOn[i]) }
-				} else {
-					s := slots[rng.Intn(len(slots))]
-					slotOpen[s] = !slotOpen[s]
-					fc.setSlot(s, slotOpen[s])
-					repeat = func() { fc.setSlot(s, slotOpen[s]) }
-				}
+				s := slots[rng.Intn(len(slots))]
+				slotOpen[s] = !slotOpen[s]
+				fc.setSlot(s, slotOpen[s])
 				shortListed(step, "after the toggle")
 				before := state()
-				repeat()
+				fc.setSlot(s, slotOpen[s])
 				if !slices.Equal(before, state()) {
 					t.Fatalf("%s seed %d step %d: repeating a toggle changed the checker", fam.name, seed, step)
 				}
-				s := outside[step%len(outside)]
-				fc.setSlot(s, step%2 == 0)
-				fc.setSlot(s, step%2 != 0)
-				if !fc.trialCloseSlot(s) {
-					t.Fatalf("%s seed %d step %d: trial close of out-of-window slot %d failed", fam.name, seed, step, s)
+				u := outside[step%len(outside)]
+				fc.setSlot(u, step%2 == 0)
+				fc.setSlot(u, step%2 != 0)
+				if !fc.trialCloseSlot(u) {
+					t.Fatalf("%s seed %d step %d: trial close of out-of-window slot %d failed", fam.name, seed, step, u)
 				}
 				if !slices.Equal(before, state()) {
-					t.Fatalf("%s seed %d step %d: toggling out-of-window slot %d changed the checker", fam.name, seed, step, s)
-				}
-				var jobs []core.Job
-				for i, j := range in.Jobs {
-					if jobOn[i] {
-						jobs = append(jobs, j)
-					}
+					t.Fatalf("%s seed %d step %d: toggling out-of-window slot %d changed the checker", fam.name, seed, step, u)
 				}
 				var open []core.Time
 				for _, s := range slots {
@@ -223,18 +206,30 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 						open = append(open, s)
 					}
 				}
-				var total int64
-				for _, j := range jobs {
-					total += j.Length
-				}
-				got, _ := feasibleFlow(in.G, jobs, open, false)
-				if want, have := got == total, fc.feasible(); have != want {
-					t.Fatalf("%s seed %d step %d: incremental feasible=%v, fresh flow says %v (%d jobs on, %d slots open)",
-						fam.name, seed, step, have, want, len(jobs), len(open))
+				want := perSlotFeasible(in, open)
+				if have := fc.feasible(); have != want {
+					t.Fatalf("%s seed %d step %d: checker feasible=%v, per-slot oracle says %v (%d slots open)",
+						fam.name, seed, step, have, want, len(open))
 				} else if have && len(fc.short) != 0 {
 					t.Fatalf("%s seed %d step %d: the flow meets the demand but %d supply arcs are still on the short list", fam.name, seed, step, len(fc.short))
 				}
 				shortListed(step, "after the verdict")
+				if got := CheckFeasible(in, open); got != want {
+					t.Fatalf("%s seed %d step %d: CheckFeasible=%v, per-slot oracle says %v", fam.name, seed, step, got, want)
+				}
+				if !want {
+					continue
+				}
+				sched, err := Assign(in, open)
+				if err != nil {
+					t.Fatalf("%s seed %d step %d: Assign on a feasible set: %v", fam.name, seed, step, err)
+				}
+				if err := core.VerifyActive(in, sched); err != nil {
+					t.Fatalf("%s seed %d step %d: Assign's schedule invalid: %v", fam.name, seed, step, err)
+				}
+				if !slices.Equal(sched.Open, open) {
+					t.Fatalf("%s seed %d step %d: Assign opens %v, want %v", fam.name, seed, step, sched.Open, open)
+				}
 			}
 		}
 	}

@@ -67,33 +67,35 @@ func sameJobSets(a, b [][]bool) bool {
 	return true
 }
 
-// compareSeparators drives one y through a persistent incremental separator
-// and a persistent fresh-mode separator and asserts the flow-invariant
-// facts: the max-flow value (the min-cut value is unique across maximum
-// flows), the global min-cut source set (residual reachability from the
-// source is the same for every maximum flow), and that every harvested set
-// from either oracle is genuinely violated by y. With strict set it also
-// asserts the harvested collections are identical (unordered beyond the
-// canonical leading min cut): that holds along real Benders trajectories,
-// while adversarial capacity collapses can leave two equally maximal flows
-// distributing deficiency across jobs differently, changing which per-job
-// violators surface.
-func compareSeparators(t *testing.T, inc, fresh *separator, y []float64, cap int, strict bool, where string) {
+// compareSeparators drives one y through a persistent separator, which
+// carries its flow from load to load, and through a newly built one, whose
+// load solves from zero, and asserts the flow-invariant facts: the max-flow
+// value (the min-cut value is unique across maximum flows), the global
+// min-cut source set (residual reachability from the source is the same for
+// every maximum flow), and that every harvested set from either oracle is
+// genuinely violated by y. With strict set it also asserts the harvested
+// collections are identical (unordered beyond the canonical leading min
+// cut): that holds along real Benders trajectories, while adversarial
+// capacity collapses can leave two equally maximal flows distributing
+// deficiency across jobs differently, changing which per-job violators
+// surface.
+func compareSeparators(t *testing.T, inc *separator, y []float64, cap int, strict bool, where string) {
 	t.Helper()
+	fresh := newSeparator(inc.in)
 	bInc := inc.separateAll(y, cap)
 	bFresh := fresh.separateAll(y, cap)
 	vInc, vFresh := inc.flowValue(), fresh.flowValue()
 	if math.Abs(vInc-vFresh) > 1e-7 {
-		t.Fatalf("%s: incremental max flow %.12f, fresh %.12f", where, vInc, vFresh)
+		t.Fatalf("%s: carried max flow %.12f, fresh %.12f", where, vInc, vFresh)
 	}
 	if (len(bInc) == 0) != (len(bFresh) == 0) {
-		t.Fatalf("%s: incremental violated=%v, fresh violated=%v", where, len(bInc) > 0, len(bFresh) > 0)
+		t.Fatalf("%s: carried violated=%v, fresh violated=%v", where, len(bInc) > 0, len(bFresh) > 0)
 	}
 	if len(bInc) > 0 && jobSetKey(bInc[0]) != jobSetKey(bFresh[0]) {
 		t.Fatalf("%s: global min-cut source sets differ", where)
 	}
 	if strict && !sameJobSets(bInc, bFresh) {
-		t.Fatalf("%s: incremental harvested %d sets, fresh %d sets, or sets differ", where, len(bInc), len(bFresh))
+		t.Fatalf("%s: carried harvested %d sets, fresh %d sets, or sets differ", where, len(bInc), len(bFresh))
 	}
 	// Every harvested set must be genuinely violated by this y: the cut
 	// inequality Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j must fail.
@@ -109,13 +111,12 @@ func compareSeparators(t *testing.T, inc, fresh *separator, y []float64, cap int
 	}
 }
 
-// TestSeparatorIncrementalEquivalence locks the incremental (flow-reusing)
-// separation oracle against the fresh-per-round reference on every
+// TestSeparatorIncrementalEquivalence locks the flow-carrying separation
+// oracle against a from-zero solve on a newly built separator, on every
 // generator family: driven through the actual Benders y-trajectory of the
-// default pipeline — re-played against both oracles round by round — the
-// two must report identical min-cut values and identical violated-cut sets,
-// including across rounds where slot capacities shrink and the incremental
-// repair path has to cancel routed flow.
+// default pipeline, round by round, the two must report identical min-cut
+// values and identical violated-cut sets, including across rounds where
+// slot capacities shrink and the carried flow has to be cancelled.
 func TestSeparatorIncrementalEquivalence(t *testing.T) {
 	const seedsPerFamily = 20
 	rounds := 0
@@ -133,8 +134,6 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 			}
 			inc := newSeparator(in)
-			inc.incremental = true
-			fresh := newSeparator(in)
 			reg := newCutRegistry(prob.NumConstraints())
 			var basis *lp.Basis
 			cap := adaptiveBatchCap(in)
@@ -145,7 +144,7 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 				}
 				basis = nb
 				y := sol.X
-				compareSeparators(t, inc, fresh, y, cap, true, fam.name)
+				compareSeparators(t, inc, y, cap, true, fam.name)
 				rounds++
 				added := 0
 				for _, A := range inc.separateAll(y, cap) {
@@ -180,8 +179,6 @@ func TestSeparatorIncrementalShrink(t *testing.T) {
 		in := lpFamilies[int(seed)%len(lpFamilies)].make(seed)
 		T := int(in.Horizon())
 		inc := newSeparator(in)
-		inc.incremental = true
-		fresh := newSeparator(in)
 		y := make([]float64, T)
 		for step := 0; step < 25; step++ {
 			switch step % 3 {
@@ -200,69 +197,18 @@ func TestSeparatorIncrementalShrink(t *testing.T) {
 					y[rng.Intn(T)] = rng.Float64()
 				}
 			}
-			compareSeparators(t, inc, fresh, y, maxBatchCuts, false, "shrink")
+			compareSeparators(t, inc, y, maxBatchCuts, false, "shrink")
 		}
 	}
 }
 
-// TestSeparatorParallelWalkEquivalence locks the goroutine fan-out of the
-// per-deficient-job residual walks: two persistent incremental separators
-// driven through identical y sequences — one with the walks pinned serial —
-// must harvest positionally identical batches. Equality is exact, not
-// merely unordered: the parallel path precomputes the walks and replays
-// them through the covered filter in the serial loop's order, so
-// parallelism is required to be invisible in the output.
-func TestSeparatorParallelWalkEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed + 1000))
-		in := lpFamilies[int(seed)%len(lpFamilies)].make(seed)
-		T := int(in.Horizon())
-		par := newSeparator(in)
-		par.incremental = true
-		ser := newSeparator(in)
-		ser.incremental = true
-		ser.serialWalks = true
-		y := make([]float64, T)
-		for step := 0; step < 20; step++ {
-			switch step % 3 {
-			case 0:
-				for t2 := range y {
-					y[t2] = rng.Float64()
-				}
-			case 1:
-				lo := rng.Intn(T)
-				hi := lo + 1 + rng.Intn(T-lo)
-				for t2 := lo; t2 < hi; t2++ {
-					y[t2] = 0
-				}
-			case 2:
-				for k := 0; k < 3; k++ {
-					y[rng.Intn(T)] = rng.Float64()
-				}
-			}
-			bPar := par.separateAll(y, maxBatchCuts)
-			bSer := ser.separateAll(y, maxBatchCuts)
-			if len(bPar) != len(bSer) {
-				t.Fatalf("seed %d step %d: parallel harvested %d sets, serial %d",
-					seed, step, len(bPar), len(bSer))
-			}
-			for k := range bPar {
-				if jobSetKey(bPar[k]) != jobSetKey(bSer[k]) {
-					t.Fatalf("seed %d step %d: set %d differs between parallel and serial walks",
-						seed, step, k)
-				}
-			}
-		}
-	}
-}
-
-// FuzzSeparation fuzzes the incremental separation oracle against the
-// fresh-per-load reference: any decodable instance plus any seed-derived
-// sequence of y vectors must yield identical max-flow values, identical
-// global min-cut source sets, and only genuinely violated harvested sets
-// from a flow-reusing separator and a from-scratch one, at every step of
-// the sequence (the per-job violator collections themselves are
-// flow-dependent on adversarial sequences; see compareSeparators).
+// FuzzSeparation fuzzes the flow-carrying separation oracle against a
+// from-zero solve on a newly built separator at every load: any decodable
+// instance plus any seed-derived sequence of y vectors must yield identical
+// max-flow values, identical global min-cut source sets, and only genuinely
+// violated harvested sets, at every step of the sequence (the per-job
+// violator collections themselves are flow-dependent on adversarial
+// sequences; see compareSeparators).
 func FuzzSeparation(f *testing.F) {
 	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
 	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(7))
@@ -279,8 +225,6 @@ func FuzzSeparation(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		T := int(in.Horizon())
 		inc := newSeparator(in)
-		inc.incremental = true
-		fresh := newSeparator(in)
 		y := make([]float64, T)
 		for step := 0; step < 8; step++ {
 			for t2 := range y {
@@ -293,7 +237,7 @@ func FuzzSeparation(f *testing.F) {
 					y[t2] = rng.Float64()
 				}
 			}
-			compareSeparators(t, inc, fresh, y, maxBatchCuts, false, "fuzz")
+			compareSeparators(t, inc, y, maxBatchCuts, false, "fuzz")
 		}
 	})
 }

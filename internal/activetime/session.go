@@ -94,7 +94,6 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 		posByID: make(map[int]int, len(own.Jobs)),
 	}
 	s.sep = newSeparator(own)
-	s.sep.incremental = true
 	s.reg = newCutRegistry(prob.NumConstraints())
 	for i, j := range own.Jobs {
 		s.posByID[j.ID] = i
