@@ -145,7 +145,8 @@ func BenchmarkSolveLPCutGen(b *testing.B) {
 // BenchmarkSolveLPLargeHorizon measures the full LP1 pipeline on the
 // large-horizon laminar/nested family — the workload the factorized
 // revised simplex, batched cut separation and cut-registry purging exist
-// for. Separation rounds and purged cuts are reported alongside wall time.
+// for. Separation rounds, master rows (Cuts), purged cuts and simplex
+// pivots are reported alongside wall time.
 // The small-horizon end of the cut-cap policy is BenchmarkSolveLPSmall in
 // internal/activetime.
 func BenchmarkSolveLPLargeHorizon(b *testing.B) {
@@ -167,6 +168,7 @@ func BenchmarkSolveLPLargeHorizon(b *testing.B) {
 			b.ReportMetric(float64(res.Rounds), "rounds")
 			b.ReportMetric(float64(res.Cuts), "cuts")
 			b.ReportMetric(float64(res.Purged), "purged")
+			b.ReportMetric(float64(res.Pivots), "pivots")
 		})
 	}
 }

@@ -59,10 +59,15 @@
 // An active-time instance goes through four stages:
 //
 //  1. SolveLP builds a master LP over the slot variables y_t with one
-//     covering cut per job. Each round one max-flow probe of Gfeas either
-//     proves y feasible or yields violated cuts Σ_t min(g, cov_A(t))·y_t ≥
-//     P(A), which are appended and re-solved warm; persistently slack cuts
-//     are purged. The result is the LP1 optimum, a lower bound on OPT.
+//     covering cut per job. Each round separates in-out: one max flow of
+//     Gfeas at a probe between the master optimum y* and a center that
+//     LP1 admits (every slot open, at first) either meets the demand or
+//     yields violated cuts Σ_t min(g, cov_A(t))·y_t ≥ P(A), which are
+//     appended and re-solved warm. A probe that yields no new cut becomes
+//     the center if it met the demand, and the round then separates at y*
+//     itself; the loop ends when that finds no new cut either.
+//     Persistently slack cuts are purged. The result is the LP1 optimum, a
+//     lower bound on OPT.
 //  2. RoundLP right-shifts that optimum within each deadline segment
 //     (Lemma 3).
 //  3. It then rounds deadline by deadline. A barely open slot is closed only

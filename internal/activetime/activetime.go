@@ -10,7 +10,7 @@
 //   - MinimalFeasible, the 3-approximation of Theorem 1 (any minimal
 //     feasible set of slots);
 //   - SolveLP, the optimal value of the LP relaxation LP1, computed by
-//     Benders-style cut generation with min-cut separation;
+//     Benders-style cut generation with in-out min-cut separation;
 //   - RoundLP, the LP-rounding 2-approximation of Theorem 2 (right-shifted
 //     solution, per-deadline rounding with proxy slots);
 //   - SolveUnitExact, an exact polynomial algorithm for unit-length jobs

@@ -17,10 +17,18 @@ type LPResult struct {
 	Y []float64
 	// Objective is sum_t Y[t], a lower bound on the optimal active time.
 	Objective float64
-	// Cuts is the number of Benders cuts generated; Rounds the number of
-	// master solves; Pivots the total simplex pivots across all master
-	// solves (cold plus warm), the solver-effort figure experiments report.
+	// Cuts counts the master rows the solve held at its start (for a cold
+	// solve, the n seed covering rows) plus the Benders cuts it appended,
+	// so Cuts − Purged is the final master's row count; Rounds the
+	// number of master solves; Pivots the total simplex pivots across all
+	// master solves (cold plus warm), the solver-effort figure experiments
+	// report.
 	Cuts, Rounds, Pivots int
+	// MaxWarmPivots is the most pivots any single warm master re-solve
+	// spent (a cold fallback's pivots included): the largest repair the
+	// Benders loop asked of an inherited basis. A cold solve's first round
+	// starts from no basis and is not counted.
+	MaxWarmPivots int
 	// Purged counts cuts removed by the registry's lifecycle management
 	// (persistently slack rows excised from the live master); it is zero
 	// for pipelines that disable purging. Refactors counts the basis
@@ -88,20 +96,28 @@ func addSeedCut(prob *lp.Problem, j core.Job) error {
 // proves optimality or adds previously absent violated cuts, so the
 // procedure terminates.
 //
-// Separation is batched: every round runs one max-flow probe and harvests
+// Separation is batched: each separation runs one max flow and harvests
 // every violated job set it surfaces — the source side of a minimum cut
 // plus one Hall-style violator per uncovered deficient job (see
 // separateAll) — deduplicated against the cuts already in the master. At
 // large horizons this collapses the long single-cut tail (dozens of rounds
 // re-solving the master for one cut each) into a handful of rounds.
 //
+// Each round separates in-out (see Session.Solve): first at a probe on the
+// segment from an LP-feasible center, which starts at every slot open, to
+// the master optimum y*, and only when the probe yields no new cut at y*
+// itself. A cut violated at the probe is violated at y* too, so the probe
+// only deepens the cuts; the loop still stops exactly when separation at
+// y* finds nothing new, so the optimum is the one separating at y* alone
+// reaches. At T = 2048 the probe halves the master's pivots.
+//
 // The whole pipeline is incremental: y upper bounds live inside the simplex
 // (no constraint rows), each master re-solve warm-starts from the previous
 // optimal basis via lp.Problem.ResolveFrom (dual simplex on the appended
 // cuts), and the separation network is built once and only re-capacitated
-// on its y-dependent edges each round. Two lifecycle policies ride on top:
-// the per-round cut cap adapts to the horizon (single-cut at tiny T, the
-// full batch of 32 at T >= 4096 — see adaptiveBatchCap), and a cut
+// on its y-dependent edges at each load. Two lifecycle policies ride on
+// top: the per-round cut cap adapts to the horizon (single-cut at tiny T,
+// the full batch of 32 at T >= 4096 — see adaptiveBatchCap), and a cut
 // registry purges persistently slack cuts from the live master between
 // rounds (see cutRegistry), which keeps the row count — the axis per-pivot
 // cost scales on — near the working set the optimum actually binds.
@@ -122,6 +138,12 @@ type lpOptions struct {
 	// kernel paths and asserts identical pivot sequences.
 	denseKernels bool
 	pivotHook    func(row, col int)
+	// sepHook observes every separation of a Solve round: the round's
+	// master optimum y, the point separated (the probe, or y itself), the
+	// solve's center after the separation, and the job sets it appended to
+	// the master. The in-out suite checks the probe's cuts and the
+	// center's feasibility through it.
+	sepHook func(y, at, center []float64, added [][]bool)
 }
 
 // solveLP runs every one-shot pipeline through the session machinery: a
@@ -331,10 +353,12 @@ func (s *separator) removeJobs(dead []bool) {
 // continuing Dinic from the residual state yields a true maximum flow and
 // the same unique min-cut value a fresh solve finds.
 //
-// Only the slots whose y differs from loaded are visited — the common case
-// moves few of them, since successive master optima (and successive
-// rounding decisions) change few y_t — and within them only the edges
-// whose capacity differs. The visits keep the order of a scan over every
+// Only the slots whose y differs from loaded are visited, and within them
+// only the edges whose capacity differs. Successive rounding decisions
+// change few y_t. The Benders loop's loads alternate between a probe and
+// the master optimum, which differ wherever the optimum differs from the
+// center: on the end-to-end benchmark's first input a load moves 837 of
+// its 2048 slots on average. The visits keep the order of a scan over every
 // edge: first the job→slot edges (slot by slot, each slot's jobs in job
 // order), then the slot→sink edges. Every edge therefore sees the same
 // SetCapacityKeepFlow/PushBack sequence, so the flow is the same to the

@@ -20,8 +20,10 @@ type ExactLPResult struct {
 }
 
 // SolveLPExact computes the optimal value of LP1 in exact rational
-// arithmetic: the same batched Benders cut generation as SolveLP, but with
-// the master solved by the big.Rat simplex. Separation still uses the float
+// arithmetic: batched Benders cut generation like SolveLP's, but with the
+// master solved by the big.Rat simplex and every round separated at the
+// master optimum alone, without SolveLP's in-out probe, so the oracle's
+// cuts do not depend on the probe it cross-checks. Separation uses the float
 // max-flow oracle (capacities are converted from the rational master
 // solution), then the final master optimum is exact for the generated cut
 // set; a last float separation confirms no cut is violated beyond

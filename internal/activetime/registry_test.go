@@ -13,32 +13,42 @@ import (
 
 // TestCutPurgingMatchesReferences locks the lifecycle management end to end
 // on the scaling family: the default pipeline (adaptive cap + purging) must
-// agree with the never-purging single-cut reference to 1e-6 on every seed,
-// and purging must actually fire on this workload — a policy that never
-// triggers would vacuously "pass".
+// agree to 1e-6 on every seed with a never-purging reference — one cut per
+// round at T ∈ {512, 1024}, 32 per round at T = 2048, where a single-cut
+// reference needs over a thousand rounds — and purging must actually fire
+// on this workload, since a policy that never triggers would vacuously
+// "pass". Under in-out separation the T ≤ 1024 solves purge nothing, so
+// the T = 2048 leg is the one that exercises the purge.
 func TestCutPurgingMatchesReferences(t *testing.T) {
 	totalPurged := 0
+	check := func(T int, seed int64, refName string, refOpts lpOptions) {
+		t.Helper()
+		in := gen.LargeHorizon(gen.RandomConfig{N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: seed})
+		def, err := SolveLP(in)
+		if err != nil {
+			t.Fatalf("T=%d seed=%d: SolveLP: %v", T, seed, err)
+		}
+		ref, err := solveLP(in, refOpts)
+		if err != nil {
+			t.Fatalf("T=%d seed=%d: %s solveLP: %v", T, seed, refName, err)
+		}
+		if math.Abs(def.Objective-ref.Objective) > 1e-6 {
+			t.Errorf("T=%d seed=%d: purged pipeline LP %.9f != %s %.9f",
+				T, seed, def.Objective, refName, ref.Objective)
+		}
+		if ref.Purged != 0 {
+			t.Errorf("T=%d seed=%d: %s reference purged %d cuts; must never purge",
+				T, seed, refName, ref.Purged)
+		}
+		totalPurged += def.Purged
+	}
 	for _, T := range []int{512, 1024} {
 		for seed := int64(0); seed < 3; seed++ {
-			in := gen.LargeHorizon(gen.RandomConfig{N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: seed})
-			def, err := SolveLP(in)
-			if err != nil {
-				t.Fatalf("T=%d seed=%d: SolveLP: %v", T, seed, err)
-			}
-			single, err := solveLP(in, lpOptions{batchCap: 1})
-			if err != nil {
-				t.Fatalf("T=%d seed=%d: single-cut solveLP: %v", T, seed, err)
-			}
-			if math.Abs(def.Objective-single.Objective) > 1e-6 {
-				t.Errorf("T=%d seed=%d: purged pipeline LP %.9f != single-cut %.9f",
-					T, seed, def.Objective, single.Objective)
-			}
-			if single.Purged != 0 {
-				t.Errorf("T=%d seed=%d: single-cut reference purged %d cuts; must never purge",
-					T, seed, single.Purged)
-			}
-			totalPurged += def.Purged
+			check(T, seed, "single-cut", lpOptions{batchCap: 1})
 		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		check(2048, seed, "fixed-32", lpOptions{batchCap: 32})
 	}
 	if totalPurged == 0 {
 		t.Error("cut purging never fired across the scaling workload; lifecycle policy is dead code")

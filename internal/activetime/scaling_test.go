@@ -77,9 +77,17 @@ func checkKernelRegime(t *testing.T, res *LPResult, maxPivots, maxUsPerPivot int
 // runCanonicalEndurance is the shared body of the canonical-density
 // (n = T/8) endurance tests: solve the pinned scaling instance, check the
 // LP optimum against the demand lower bound, require the cut lifecycle to
-// be live, and gate the hypersparse kernel regime (pivot trajectory, kernel
-// counters, catastrophe µs/pivot ceiling).
-func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int) {
+// be live, gate the largest single warm repair, and gate the hypersparse
+// kernel regime (pivot trajectory, kernel counters, catastrophe µs/pivot
+// ceiling).
+//
+// maxWarmPivots bounds the most pivots one warm master re-solve may spend.
+// An aged basis stalls the dual simplex long before the total pivot
+// count notices: at T = 32768 the Kelley-separation loop spent 6,047
+// pivots on one warm repair and then 20,085 on a stalled one that fell
+// back cold, while its 96,339 total stayed under its 110,000 ceiling. A
+// change that merely moves a stall to another round shows here.
+func runCanonicalEndurance(t *testing.T, T, maxPivots, maxWarmPivots, maxUsPerPivot int) {
 	in := gen.LargeHorizon(*scalingInstance(T, 8))
 	start := time.Now()
 	def, err := SolveLP(in)
@@ -111,11 +119,15 @@ func runCanonicalEndurance(t *testing.T, T, maxPivots, maxUsPerPivot int) {
 		t.Errorf("warm-start fallback fired %d times at T=%d; verdicts:\n  %s",
 			def.ColdFallbacks, T, strings.Join(def.FallbackVerdicts, "\n  "))
 	}
+	if def.MaxWarmPivots > maxWarmPivots {
+		t.Errorf("largest warm repair spent %d pivots at T=%d, above the %d ceiling: the inherited basis is stalling",
+			def.MaxWarmPivots, T, maxWarmPivots)
+	}
 	checkKernelRegime(t, def, maxPivots, maxUsPerPivot, elapsed)
 	writeScalingRecord(t, T, len(in.Jobs), def, elapsed)
-	t.Logf("T=%d n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d refactors=%d in %v",
-		T, len(in.Jobs), def.Objective, def.Rounds, def.Cuts, def.Purged, def.Pivots, def.Refactors,
-		elapsed.Round(time.Millisecond))
+	t.Logf("T=%d n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d max-warm-pivots=%d refactors=%d in %v",
+		T, len(in.Jobs), def.Objective, def.Rounds, def.Cuts, def.Purged, def.Pivots, def.MaxWarmPivots,
+		def.Refactors, elapsed.Round(time.Millisecond))
 }
 
 // writeScalingRecord appends the endurance run's machine-readable digest to
@@ -133,6 +145,7 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 		N          int     `json:"n"`
 		Millis     float64 `json:"millis"`
 		Pivots     int     `json:"pivots"`
+		MaxWarm    int     `json:"maxWarmPivots"`
 		UsPerPivot float64 `json:"usPerPivot"`
 		Rounds     int     `json:"rounds"`
 		Cuts       int     `json:"cuts"`
@@ -153,6 +166,7 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 		T: T, N: n,
 		Millis:     float64(elapsed.Microseconds()) / 1000,
 		Pivots:     res.Pivots,
+		MaxWarm:    res.MaxWarmPivots,
 		UsPerPivot: float64(elapsed.Microseconds()) / float64(res.Pivots),
 		Rounds:     res.Rounds, Cuts: res.Cuts, Purged: res.Purged, Refactors: res.Refactors,
 		HyperShare: res.Kernel.HyperShare(),
@@ -174,20 +188,23 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 // scaling family must solve inside the CI scaling-job budget, which takes
 // steepest-edge pricing, the hypersparse FTRAN/BTRAN kernels, cut-row
 // working-set pricing and Forrest–Tomlin updates together. The known-good
-// trajectory spends 10719 pivots; the 45000 ceiling is a backstop against
-// a pricing or ordering change that drops the solve into a far worse basin.
-// It skips under the race detector, where the instruction-level slowdown
-// would turn minutes into the better part of an hour —
+// trajectory spends 2528 pivots over 55 rounds, none of its warm repairs
+// above 164. The 10600 ceiling keeps the 4.2× head-room that the
+// Kelley-separation loop's 45000 ceiling had over its 10719 pivots, so a
+// change that drifts back toward that basin fails, as does a pricing or
+// ordering change that drops the solve into a far worse one. It skips
+// under the race detector, where the instruction-level slowdown would
+// turn minutes into the better part of an hour —
 // TestSolveLPHorizon16kLight is the race-mode endurance run.
 func TestSolveLPHorizon16k(t *testing.T) {
 	if raceEnabled {
 		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
 	}
 	skipUnlessEndurance(t, 15*time.Minute)
-	// Calibration on the reference box: ~1.2 ms/pivot; the ceiling pads
-	// ~6× for slower runners while still catching a dense-everywhere or
-	// quadratic-pricing catastrophe.
-	runCanonicalEndurance(t, 16384, 45000, 8000)
+	// Calibration on a 2-vCPU Xeon: ~1.4 ms/pivot, separation included;
+	// the ceiling pads ~5.6× for slower runners while still catching a
+	// dense-everywhere or quadratic-pricing catastrophe.
+	runCanonicalEndurance(t, 16384, 10600, 1500, 8000)
 }
 
 // TestSolveLPHorizon32k doubles the endurance horizon to T = 32768 at the
@@ -200,9 +217,13 @@ func TestSolveLPHorizon32k(t *testing.T) {
 		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
 	}
 	skipUnlessEndurance(t, 30*time.Minute)
-	// The known-good trajectory spends 96339 pivots; the ceilings pad it
-	// as in the 16k run.
-	runCanonicalEndurance(t, 32768, 110000, 15000)
+	// The known-good trajectory spends 3421 pivots over 53 rounds (4693
+	// cuts, 333 purged, 243 refactors, about 7 s on a 2-vCPU Xeon) with no
+	// fallback, its largest warm repair 319 pivots. The 3900 ceiling keeps
+	// the 1.14× head-room that the Kelley-separation loop's 110000 ceiling
+	// had over its 96339 pivots; the warm-repair ceiling of 1500 is a
+	// quarter of that loop's 6,047-pivot repair before its stall.
+	runCanonicalEndurance(t, 32768, 3900, 1500, 15000)
 }
 
 // TestSolveLPHorizon16kLight runs at the light n = T/32 density: the full

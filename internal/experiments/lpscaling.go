@@ -10,9 +10,10 @@ import (
 )
 
 // E17LPScaling measures the LP1 pipeline at large horizons on the
-// laminar/nested scaling family (internal/gen.LargeHorizon): batched cut
-// separation (one max-flow probe harvesting the global minimum cut plus
-// per-deficient-job violators) on the factorized revised-simplex master.
+// laminar/nested scaling family (internal/gen.LargeHorizon): batched
+// in-out cut separation (each separation's max flow harvests the global
+// minimum cut plus per-deficient-job violators) on the factorized
+// revised-simplex master.
 //
 // At the smallest size the table also reports the exact rational master's
 // pivots both ways — warm re-solves from the previous round's rational

@@ -28,11 +28,11 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"pivots", lpres.Pivots, 551},
-		{"refactors", lpres.Refactors, 54},
-		{"cuts", lpres.Cuts, 433},
-		{"rounds", lpres.Rounds, 28},
-		{"purged", lpres.Purged, 137},
+		{"pivots", lpres.Pivots, 240},
+		{"refactors", lpres.Refactors, 26},
+		{"cuts", lpres.Cuts, 300},
+		{"rounds", lpres.Rounds, 15},
+		{"purged", lpres.Purged, 9},
 	} {
 		if c.got != c.want {
 			t.Errorf("SolveLP %s = %d, want %d", c.name, c.got, c.want)
@@ -46,9 +46,9 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"opened", res.Opened, 171},
-		{"flow checks", res.FlowChecks, 73},
-		{"proxy carries", res.ProxyCarries, 69},
+		{"opened", res.Opened, 169},
+		{"flow checks", res.FlowChecks, 48},
+		{"proxy carries", res.ProxyCarries, 46},
 		{"cold flows", res.ColdFlows, 1},
 	} {
 		if c.got != c.want {
