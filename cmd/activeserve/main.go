@@ -1,8 +1,7 @@
 // Command activeserve is a long-lived batching solve server for the
 // active-time LP: tenants register instances, stream job arrivals and
 // departures, and read back fresh LP optima, with each tenant held as a
-// live activetime.Session whose master basis and separation network survive
-// the deltas.
+// live activetime.Session whose master basis and cuts survive the deltas.
 //
 // Usage:
 //

@@ -18,9 +18,10 @@
 //     the verifiers (VerifyActive and friends). A schedule counts as
 //     correct only when a core verifier accepts it.
 //   - internal/flow: Dinic max flow, generic over int64 and float64
-//     capacities. Networks are built once and re-solved; re-capacitation
-//     with SetCapacityKeepFlow/PushBack keeps a valid flow, so a re-solve
-//     augments only the difference and routes the same flow as a cold one.
+//     capacities. Networks are built once, with their full topology, and
+//     re-solved; re-capacitation with SetCapacityKeepFlow/PushBack keeps a
+//     valid flow, so a re-solve augments only the difference and routes the
+//     same flow as a cold one.
 //     MaxFrom is such a re-solve for a caller that lists the source arcs
 //     that may still carry flow; its phases walk only those, not all of
 //     the source's arcs, and route the same flow on every edge.
@@ -37,8 +38,8 @@
 //   - internal/activetime: Sections 2–3 of the paper. SolveLP solves LP1
 //     by Benders cut generation over the feasibility network Gfeas;
 //     RoundLP is the Theorem 2 rounding; MinimalFeasible and its Theorem 1
-//     certificate; Session patches a solved LP1 in place as jobs arrive
-//     and depart. Exact engines (SolveLPExact, SolveExact, SolveUnitExact)
+//     certificate; Session keeps a solved LP1's master basis and cuts as
+//     jobs arrive and depart. Exact engines (SolveLPExact, SolveExact, SolveUnitExact)
 //     are the oracles the float pipeline is tested against.
 //   - internal/busytime and internal/intervals: Section 4 and the
 //     appendices (GreedyTracking, PairCover, FirstFit, the preemptive
@@ -60,10 +61,11 @@
 //
 //  1. SolveLP builds a master LP over the slot variables y_t with one
 //     covering cut per job. Each round separates in-out: one max flow of
-//     Gfeas at a probe between the master optimum y* and a center that
-//     LP1 admits (every slot open, at first) either meets the demand or
-//     yields violated cuts Σ_t min(g, cov_A(t))·y_t ≥ P(A), which are
-//     appended and re-solved warm. A probe that yields no new cut becomes
+//     Gfeas, on the elementary intervals described below with capacities
+//     Y_I = Σ_{t∈I} y_t, at a probe between the master optimum y* and a
+//     center that LP1 admits (every slot open, at first) either meets the
+//     demand or yields violated cuts Σ_t min(g, cov_A(t))·y_t ≥ P(A), which
+//     are appended and re-solved warm. A probe that yields no new cut becomes
 //     the center if it met the demand, and the round then separates at y*
 //     itself; the loop ends when that finds no new cut either.
 //     Persistently slack cuts are purged. The result is the LP1 optimum, a
@@ -96,9 +98,12 @@
 // the proof on that schedule, over slices indexed by slot and by job
 // position. This checker is the only integral Gfeas network: CheckFeasible
 // and Assign run one solve on a new one, and the exact search toggles one
-// along its DFS. The LP's float separator, one node per slot, is the
-// other Gfeas network; it carries its flow from one load to the next on
-// the solve's own goroutine.
+// along its DFS. The LP's float separator is the other Gfeas network. It
+// has the checker's nodes, but each interval carries its y-mass Y_I rather
+// than an open-slot count; its max flow and minimum cuts equal the
+// per-slot network's, while the master and its cuts keep one column per
+// slot. It carries its flow from one load to the next on the solve's own
+// goroutine.
 //
 // # Where the gates live
 //

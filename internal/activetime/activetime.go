@@ -72,16 +72,16 @@ func lastWindowSlot(jobs []core.Job) core.Time {
 
 // gfeasDegrees counts the arcs each node of a Gfeas network holds, reverse
 // arcs included, so that flow.NewNetworkDegrees can carve every adjacency
-// list out of one exactly sized array. The two builders (feasChecker and the
-// LP separator) share the source → job → slot → sink shape and its
-// numbering: source 0, job i at node 1+i, nNodes slot nodes after the jobs,
-// the sink last. They differ only in which slots get a node, which slotNode
-// gives by slot, with 0 (the source) for a slot that has none. The
-// separator gives each slot its own node; feasChecker gives one node to
-// each elementary interval, a run of slots that all lie in the same job
-// windows. A slot node holds its sink arc and one arc per job whose window
-// covers it; a job node holds its supply arc and one arc per distinct node
-// along its window. Windows are cut at slot 1, as windowSlots cuts them.
+// list out of one exactly sized array. Every Gfeas network has the source →
+// job → slot → sink shape and its numbering: source 0, job i at node 1+i,
+// nNodes slot nodes after the jobs, the sink last. Networks differ only in
+// which slots get a node, which slotNode gives by slot, with 0 (the source)
+// for a slot that has none. Both production builders, feasChecker and the
+// LP separator, take their nodes from newIvalLayout: one node per
+// elementary interval. The test oracles give each slot its own node. A
+// slot node holds its sink arc and one arc per job whose window covers it;
+// a job node holds its supply arc and one arc per distinct node along its
+// window. Windows are cut at slot 1, as windowSlots cuts them.
 func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
 	n := len(jobs)
 	deg := make([]int, 2+n+nNodes)
@@ -103,6 +103,48 @@ func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
 		}
 	}
 	return deg
+}
+
+// ivalLayout groups the window slots of a job set into elementary
+// intervals: maximal runs of window slots that no release or deadline
+// splits, so that every slot of a run lies in the same job windows. Both
+// Gfeas builders, feasChecker and the LP separator, number their nodes by
+// it: source 0, job i at 1+i, interval k at 1+n+k in slot order, the sink
+// last.
+type ivalLayout struct {
+	slotIval []int32 // index t: slot t's interval, -1 outside every window
+	slotNode []int   // index t: slot t's interval node, 0 outside every window
+	nIvals   int
+	deg      []int // the network's arc counts (gfeasDegrees)
+}
+
+// newIvalLayout computes the elementary intervals of the jobs' windows and
+// the arc counts of the network on them. Its slot indices run to the last
+// window slot.
+func newIvalLayout(jobs []core.Job) ivalLayout {
+	covered := windowSlots(jobs)
+	// cut[t]: some window starts at slot t or ends at slot t-1. A window
+	// slot starts a new interval exactly there; the first slot after a gap
+	// is always a window start.
+	cut := make([]bool, len(covered)+1)
+	for _, j := range jobs {
+		if lo, hi := max(j.FirstSlot(), 1), j.LastSlot(); lo <= hi {
+			cut[lo], cut[hi+1] = true, true
+		}
+	}
+	l := ivalLayout{slotIval: make([]int32, len(covered)), slotNode: make([]int, len(covered))}
+	for t, ok := range covered {
+		l.slotIval[t] = -1
+		if ok {
+			if cut[t] {
+				l.nIvals++
+			}
+			l.slotIval[t] = int32(l.nIvals - 1)
+			l.slotNode[t] = len(jobs) + l.nIvals
+		}
+	}
+	l.deg = gfeasDegrees(jobs, l.slotNode, l.nIvals)
+	return l
 }
 
 // carve returns n empty lists, list k with room for count(k) entries, all
@@ -185,7 +227,7 @@ type feasChecker struct {
 	slotIval  []int32              // index t: slot t's interval, -1 outside every window
 	slotOpen  []bool               // index t: slot t is open
 	ivals     []elemInterval       // per interval, in slot order
-	ivalArcs  [][]jobArc           // per interval: its incoming job arcs, in job order
+	ivalArcs  [][]jobArc[int64]    // per interval: its incoming job arcs, in job order
 	total     int64                // sum of the job lengths
 	flow      int64                // flow currently routed (always a valid flow)
 	drained   bool                 // flow is zero because repairs cancelled every unit
@@ -208,59 +250,36 @@ type elemInterval struct {
 
 // jobArc is one job → interval arc with its job, so that excess cancelled
 // on it can be cancelled on the job's supply arc too.
-type jobArc struct {
+type jobArc[C flow.Capacity] struct {
 	job int32
-	id  flow.EdgeID[int64]
+	id  flow.EdgeID[C]
 }
 
 // newFeasChecker builds the persistent network in the state every caller
 // starts from: all jobs on, the given slots open, and every job on the
 // short list, since no flow is routed yet. Slots outside every job window,
 // and repeats, change nothing. It counts the open slots per interval first,
-// so each arc is added at its final capacity. Interval nodes follow the
-// jobs in slot order. The network's arcs and the ivalArcs lists are each
+// so each arc is added at its final capacity. Its nodes are numbered by
+// newIvalLayout. The network's arcs and the ivalArcs lists are each
 // carved out of one exactly sized array, so the build makes the same number
 // of allocations at any horizon.
 func newFeasChecker(in *core.Instance, open []core.Time) *feasChecker {
 	jobs := in.Jobs
-	covered := windowSlots(jobs)
-	// cut[t]: some window starts at slot t or ends at slot t-1. A window
-	// slot starts a new interval exactly there; the first slot after a gap
-	// is always a window start.
-	cut := make([]bool, len(covered)+1)
-	for _, j := range jobs {
-		if lo, hi := max(j.FirstSlot(), 1), j.LastSlot(); lo <= hi {
-			cut[lo], cut[hi+1] = true, true
-		}
-	}
-	slotIval := make([]int32, len(covered))
-	slotNode := make([]int, len(covered))
-	nIvals := 0
-	for t, ok := range covered {
-		slotIval[t] = -1
-		if ok {
-			if cut[t] {
-				nIvals++
-			}
-			slotIval[t] = int32(nIvals - 1)
-			slotNode[t] = len(jobs) + nIvals
-		}
-	}
-	deg := gfeasDegrees(jobs, slotNode, nIvals)
+	lay := newIvalLayout(jobs)
 	fc := &feasChecker{
 		g:        in.G,
 		jobs:     jobs,
-		net:      flow.NewNetworkDegrees[int64](deg, 0),
+		net:      flow.NewNetworkDegrees[int64](lay.deg, 0),
 		src:      0,
-		sink:     len(deg) - 1,
+		sink:     len(lay.deg) - 1,
 		jobEdges: make([]flow.EdgeID[int64], len(jobs)),
 		short:    make([]flow.EdgeID[int64], 0, len(jobs)),
 		listed:   make([]uint64, len(jobs)),
 		epoch:    1,
-		slotIval: slotIval,
-		slotOpen: make([]bool, len(covered)),
-		ivals:    make([]elemInterval, nIvals),
-		ivalArcs: carve[jobArc](nIvals, func(k int) int { return deg[1+len(jobs)+k] - 1 }),
+		slotIval: lay.slotIval,
+		slotOpen: make([]bool, len(lay.slotIval)),
+		ivals:    make([]elemInterval, lay.nIvals),
+		ivalArcs: carve[jobArc[int64]](lay.nIvals, func(k int) int { return lay.deg[1+len(jobs)+k] - 1 }),
 	}
 	for _, t := range open {
 		fc.markSlot(t, true)
@@ -275,8 +294,8 @@ func newFeasChecker(in *core.Instance, open []core.Time) *feasChecker {
 		fc.shorten(int32(i))
 		prev := int32(-1)
 		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			if k := slotIval[t]; k != prev {
-				a := jobArc{int32(i), fc.net.AddEdge(1+i, slotNode[t], fc.ivals[k].open)}
+			if k := lay.slotIval[t]; k != prev {
+				a := jobArc[int64]{int32(i), fc.net.AddEdge(1+i, lay.slotNode[t], fc.ivals[k].open)}
 				fc.ivalArcs[k] = append(fc.ivalArcs[k], a)
 				prev = k
 			}

@@ -10,45 +10,75 @@ import (
 	"repro/internal/lp"
 )
 
-// loadFullScan is the reference loader that load's moved-slot visits
-// replaced: it tests every job→slot edge, job by job, then every slot→sink
-// edge, and re-capacitates each whose capacity differs from y with the same
-// repair.
+// intervalSums returns Y_I for every interval of s: y summed over the
+// interval's slots in slot order, as load sums it.
+func intervalSums(s *separator, y []float64) []float64 {
+	sums := make([]float64, len(s.ivals))
+	for k, iv := range s.ivals {
+		for t := iv.lo; t <= iv.hi; t++ {
+			sums[k] += y[t-1]
+		}
+	}
+	return sums
+}
+
+// ivalArc is one job→interval arc of a separator, with its interval.
+type ivalArc struct {
+	ival int
+	id   flow.EdgeID[float64]
+}
+
+// jobArcs transposes the separator's per-interval arc lists: index i lists
+// job i's arcs in interval order.
+func jobArcs(s *separator) [][]ivalArc {
+	out := make([][]ivalArc, len(s.in.Jobs))
+	for k, arcs := range s.ivalArcs {
+		for _, a := range arcs {
+			out[a.job] = append(out[a.job], ivalArc{k, a.id})
+		}
+	}
+	return out
+}
+
+// loadFullScan is the reference loader that load's moved-interval visits
+// replace: it tests every job→interval arc, job by job, then every sink
+// arc, and re-capacitates each whose capacity differs from the interval's
+// Y_I (g·Y_I for a sink arc) with the same repair.
 func loadFullScan(s *separator, y []float64) bool {
 	g := float64(s.in.G)
-	for i, j := range s.in.Jobs {
-		ids := s.jobEdges[i]
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			c := y[t-1]
-			if c == s.net.Capacity(ids[k]) {
+	sums := intervalSums(s, y)
+	for i, arcs := range jobArcs(s) {
+		for _, a := range arcs {
+			c := sums[a.ival]
+			if c == s.net.Capacity(a.id) {
 				continue
 			}
-			if ex := s.net.SetCapacityKeepFlow(ids[k], c); ex > 0 {
+			if ex := s.net.SetCapacityKeepFlow(a.id, c); ex > 0 {
 				s.net.PushBack(s.srcEdges[i], ex)
-				s.net.PushBack(s.slotEdges[t-1], ex)
+				s.net.PushBack(s.ivals[a.ival].sink, ex)
 			}
 		}
 	}
-	for t := range y {
-		c := g * y[t]
-		if c == s.net.Capacity(s.slotEdges[t]) {
+	for k := range s.ivals {
+		iv := &s.ivals[k]
+		c := g * sums[k]
+		if c == s.net.Capacity(iv.sink) {
 			continue
 		}
-		ex := s.net.SetCapacityKeepFlow(s.slotEdges[t], c)
-		for _, ref := range s.slotJobs[t] {
+		ex := s.net.SetCapacityKeepFlow(iv.sink, c)
+		for _, a := range s.ivalArcs[k] {
 			if ex <= 0 {
 				break
 			}
-			eid := s.jobEdges[ref.job][ref.k]
-			f := s.net.Flow(eid)
+			f := s.net.Flow(a.id)
 			if f <= 0 {
 				continue
 			}
 			if f > ex {
 				f = ex
 			}
-			s.net.PushBack(eid, f)
-			s.net.PushBack(s.srcEdges[ref.job], f)
+			s.net.PushBack(a.id, f)
+			s.net.PushBack(s.srcEdges[a.job], f)
 			ex -= f
 		}
 	}
@@ -60,80 +90,64 @@ func loadFullScan(s *separator, y []float64) bool {
 	return got < s.total-1e-6
 }
 
-// loadPair keeps a moved-slot separator and a full-scan reference built on
-// the same instance in step: every load goes to both, and retired holds
-// the window edges of removed jobs, which stay in both networks.
+// loadPair keeps a moved-interval separator and a full-scan reference
+// built on the same instance in step: every load goes to both.
 type loadPair struct {
-	got, want       *separator
-	retGot, retWant []flow.EdgeID[float64]
-	loads           int
-	name            string
-	t               *testing.T
+	got, want *separator
+	loads     int
+	name      string
+	t         *testing.T
 }
 
 func newLoadPair(t *testing.T, in *core.Instance, name string) *loadPair {
 	return &loadPair{got: newSeparator(in), want: newSeparator(in), name: name, t: t}
 }
 
-// sepEdges lists every edge the separator references, plus the retired ones.
-func sepEdges(s *separator, retired []flow.EdgeID[float64]) []flow.EdgeID[float64] {
-	out := append(append(append([]flow.EdgeID[float64]{}, retired...), s.srcEdges...), s.slotEdges...)
-	for _, ids := range s.jobEdges {
-		out = append(out, ids...)
+// sepEdges lists every arc of the separator: the supply arcs, the sink
+// arcs, then the job arcs interval by interval.
+func sepEdges(s *separator) []flow.EdgeID[float64] {
+	out := append([]flow.EdgeID[float64]{}, s.srcEdges...)
+	for _, iv := range s.ivals {
+		out = append(out, iv.sink)
+	}
+	for _, arcs := range s.ivalArcs {
+		for _, a := range arcs {
+			out = append(out, a.id)
+		}
 	}
 	return out
 }
 
 // load runs y through both loaders and requires the same verdict, the same
-// residual and reference capacity on every edge, bit for bit, and y[t-1]
-// on every live job→slot edge of slot t.
+// residual and reference capacity on every arc, bit for bit, and Y_I on
+// every job arc of interval I.
 func (p *loadPair) load(y []float64) {
 	p.t.Helper()
 	p.loads++
 	vGot, vWant := p.got.load(y), loadFullScan(p.want, y)
 	if vGot != vWant {
-		p.t.Fatalf("%s load %d: moved-slot load violated=%v, full scan %v", p.name, p.loads, vGot, vWant)
+		p.t.Fatalf("%s load %d: moved-interval load violated=%v, full scan %v", p.name, p.loads, vGot, vWant)
 	}
-	eGot, eWant := sepEdges(p.got, p.retGot), sepEdges(p.want, p.retWant)
+	eGot, eWant := sepEdges(p.got), sepEdges(p.want)
 	if len(eGot) != len(eWant) {
-		p.t.Fatalf("%s load %d: %d edges, reference %d", p.name, p.loads, len(eGot), len(eWant))
+		p.t.Fatalf("%s load %d: %d arcs, reference %d", p.name, p.loads, len(eGot), len(eWant))
 	}
 	for k := range eGot {
 		a, b := eGot[k], eWant[k]
 		if math.Float64bits(p.got.net.Residual(a)) != math.Float64bits(p.want.net.Residual(b)) ||
 			math.Float64bits(p.got.net.Capacity(a)) != math.Float64bits(p.want.net.Capacity(b)) {
-			p.t.Fatalf("%s load %d: edge %d has residual %v of capacity %v, full scan %v of %v", p.name, p.loads, k,
+			p.t.Fatalf("%s load %d: arc %d has residual %v of capacity %v, full scan %v of %v", p.name, p.loads, k,
 				p.got.net.Residual(a), p.got.net.Capacity(a), p.want.net.Residual(b), p.want.net.Capacity(b))
 		}
 	}
-	for i, j := range p.got.in.Jobs {
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			if c := p.got.net.Capacity(p.got.jobEdges[i][k]); c != y[t-1] {
-				p.t.Fatalf("%s load %d: job %d slot %d has capacity %v, y = %v", p.name, p.loads, j.ID, t, c, y[t-1])
+	sums := intervalSums(p.got, y)
+	for k, arcs := range p.got.ivalArcs {
+		for _, a := range arcs {
+			if c := p.got.net.Capacity(a.id); c != sums[k] {
+				p.t.Fatalf("%s load %d: job %d interval %d has capacity %v, Y_I = %v", p.name, p.loads, a.job, k, c, sums[k])
 			}
 		}
 	}
-}
-
-// removeJobs removes the masked jobs from both separators and from their
-// shared instance, retiring the dead window edges.
-func (p *loadPair) removeJobs(in *core.Instance, dead []bool) {
-	for i := range dead {
-		if dead[i] {
-			p.retGot = append(p.retGot, p.got.jobEdges[i]...)
-			p.retWant = append(p.retWant, p.want.jobEdges[i]...)
-		}
-	}
-	p.got.removeJobs(dead)
-	p.want.removeJobs(dead)
-	out := 0
-	for i, j := range in.Jobs {
-		if !dead[i] {
-			in.Jobs[out] = j
-			out++
-		}
-	}
-	in.Jobs = in.Jobs[:out]
 }
 
 // bendersTrajectory returns the master optimum of every round of the
@@ -175,12 +189,12 @@ func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
 	return nil
 }
 
-// TestLoadIncrementalMatchesFullScan locks the moved-slot loader against
-// the full edge scan it replaced. Two separators on the same instance take
-// the same loads — Benders y-trajectories, the shrink sequences of
-// TestSeparatorIncrementalShrink, and an addSlots/addJob/removeJobs script
-// whose new jobs land in slots whose y does not move — and after every
-// load every edge must hold the same residual and capacity, bit for bit.
+// TestLoadIncrementalMatchesFullScan locks the moved-interval loader
+// against a full scan of every arc of the interval network. Two
+// separators on the same instance take the same loads — Benders
+// y-trajectories and the shrink sequences of TestSeparatorIncrementalShrink
+// — and after every load every arc must hold the same residual and
+// capacity, bit for bit.
 func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 	trajectories := 0
 	for _, fam := range lpFamilies {
@@ -227,49 +241,4 @@ func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 		}
 	}
 
-	// Deltas: every added job's window lies in slots whose y the next load
-	// leaves where it was, so only addJob's mark gets its edges written.
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		in := lpFamilies[int(seed)%len(lpFamilies)].make(seed)
-		T := int(in.Horizon())
-		p := newLoadPair(t, in, "deltas")
-		y := make([]float64, T)
-		for t2 := range y {
-			y[t2] = 0.25 + 0.75*rng.Float64()
-		}
-		p.load(y)
-		nextID := 1000
-		for step := 0; step < 6; step++ {
-			// Grow the slot axis; the new slots open at once.
-			newT := len(y) + 1 + rng.Intn(3)
-			p.got.addSlots(newT)
-			p.want.addSlots(newT)
-			for len(y) < newT {
-				y = append(y, 0.25+0.75*rng.Float64())
-			}
-			p.load(y)
-			// Two arrivals into unmoved slots.
-			for a := 0; a < 2; a++ {
-				first := 1 + rng.Intn(len(y))
-				last := first + rng.Intn(min(4, len(y)-first+1))
-				j := core.Job{ID: nextID, Release: core.Time(first - 1), Deadline: core.Time(last), Length: 1}
-				nextID++
-				in.Jobs = append(in.Jobs, j)
-				p.got.addJob(j)
-				p.want.addJob(j)
-			}
-			p.load(y)
-			// Move a few slots, then remove a random job or two.
-			for k := 0; k < 2; k++ {
-				y[rng.Intn(len(y))] = rng.Float64()
-			}
-			p.load(y)
-			dead := make([]bool, len(in.Jobs))
-			dead[rng.Intn(len(dead))] = true
-			dead[rng.Intn(len(dead))] = true
-			p.removeJobs(in, dead)
-			p.load(y)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package activetime
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -114,8 +113,9 @@ func addSeedCut(prob *lp.Problem, j core.Job) error {
 // The whole pipeline is incremental: y upper bounds live inside the simplex
 // (no constraint rows), each master re-solve warm-starts from the previous
 // optimal basis via lp.Problem.ResolveFrom (dual simplex on the appended
-// cuts), and the separation network is built once and only re-capacitated
-// on its y-dependent edges at each load. Two lifecycle policies ride on
+// cuts), and the separation network, one node per elementary interval
+// (see separator), is built once and only re-capacitated on the intervals
+// whose y-mass moved at each load. Two lifecycle policies ride on
 // top: the per-round cut cap adapts to the horizon (single-cut at tiny T,
 // the full batch of 32 at T >= 4096 — see adaptiveBatchCap), and a cut
 // registry purges persistently slack cuts from the live master between
@@ -160,250 +160,168 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 }
 
 // separator is the reusable Benders separation oracle: the fractional
-// feasibility network of the paper is built once per SolveLP call, and each
-// round only the y-dependent capacities (slot→sink g·y_t, job→slot y_t) are
-// rewritten before re-running max-flow.
+// feasibility network of the paper, built once per SolveLP call, with only
+// its y-dependent capacities rewritten before each max flow.
+//
+// The network is Gfeas on the elementary intervals of newIvalLayout, the
+// layout feasChecker uses. Interval I carries Y_I = Σ_{t∈I} y_t: each
+// job → I arc has capacity Y_I and the I → sink arc g·Y_I. For every
+// fractional y this network has the per-slot network's max-flow value and
+// the same minimum cuts over the jobs. Summing a per-slot flow over each
+// interval gives an interval flow. Conversely, split each f_{j,I} over I's
+// slots in proportion to y_t: job j gets f_{j,I}·y_t/Y_I ≤ y_t in slot t,
+// and slot t gets Σ_j f_{j,I}·y_t/Y_I ≤ g·y_t. A job set A's cut costs
+// Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t in both networks, since cov_A is
+// constant on each interval. So the cuts cutFor builds stay per slot, and
+// the master keeps one column per slot.
 //
 // The previous round's flow survives re-capacitation (see load): only the
-// slots whose y moved are re-capacitated, only edges whose capacity shrank
-// below their flow are repaired — the excess cancelled along the rest of
-// its source→job→slot→sink path, which is cheap because every path in this
-// bipartite network has length 3 — and Max then augments from the repaired
-// residual state, routing just the difference instead of the full demand P
-// over a ~T-node network every round. A newly built separator carries no
-// flow, so its first load is a solve from zero; that is the reference the
-// equivalence tests hold the carried flow to.
-//
-// The network also survives instance deltas (Session): jobNode/slotNode map
-// job positions and slots to their flow-network nodes, so growth appends
-// nodes past the original sink (addSlots, addJob) and job removal
-// (removeJobs) cancels the departed jobs' routed flow edge-locally with the
-// same SetCapacityKeepFlow+PushBack repair the loads use, leaving the
-// surviving flow intact instead of rebuilding the network.
+// intervals whose Y_I moved are re-capacitated, only arcs whose capacity
+// shrank below their flow are repaired — the excess cancelled along the
+// rest of its source→job→interval→sink path, which is cheap because every
+// path in this bipartite network has length 3 — and Max then augments from
+// the repaired residual state, routing just the difference instead of the
+// full demand P every round. A newly built separator carries no flow, so its
+// first load is a solve from zero; that is the reference the equivalence
+// tests hold the carried flow to. An instance delta can split an interval,
+// so a Session builds a new separator after each one.
 type separator struct {
 	in        *core.Instance
 	net       *flow.Network[float64]
 	src, sink int
-	jobNode   []int                    // index i: flow node of job i
-	slotNode  []int                    // index t-1: flow node of slot t
-	srcEdges  []flow.EdgeID[float64]   // index i: source → job i
-	slotEdges []flow.EdgeID[float64]   // index t-1: slot t → sink
-	jobEdges  [][]flow.EdgeID[float64] // per job, per window slot offset
-	slotJobs  [][]slotRef              // transpose of jobEdges: per slot, incoming job edges
+	srcEdges  []flow.EdgeID[float64] // index i: source → job i
+	ivals     []sepInterval          // per interval, in slot order
+	ivalArcs  [][]jobArc[float64]    // per interval: its incoming job arcs, in job order
 	total     float64
-	// loaded[t] is the y that load last wrote into slot t+1's edges, the one
-	// value all of them hold, so a load visits only the slots whose y moved.
-	// A new separator holds 0, its edges' capacity; addSlots appends 0 too;
-	// addJob marks its window slots NaN, which equals no y, so its
-	// zero-capacity edges are written by the next load.
-	loaded []float64
 	// cov is cutFor's per-slot coverage scratch (index t-1), all zero
 	// between calls.
 	cov []int32
 }
 
-// slotRef locates one job→slot edge from the slot side: jobEdges[job][k].
-type slotRef struct {
-	job, k int32
+// sepInterval is one elementary interval of the separator: its slots lo..hi
+// and its sink arc. loaded is the Y_I that load last wrote into its arcs,
+// the one value every job arc of the interval holds, so a load visits only
+// the intervals whose sum moved; a new separator holds 0, its arcs'
+// capacity. sum is load's scratch, the Y_I of the y being loaded.
+type sepInterval struct {
+	lo, hi      int32
+	loaded, sum float64
+	sink        flow.EdgeID[float64]
 }
 
-// newSeparator builds the network over every slot of the horizon. Its arcs,
-// the jobEdges lists and the slotJobs lists are each carved out of one
-// exactly sized array; growth (addSlots, addJob) moves a full list to its
-// own array.
+// newSeparator builds the network over the instance's elementary
+// intervals, every y-dependent capacity 0. Its arcs and the ivalArcs lists
+// are each carved out of one exactly sized array, so the build makes the
+// same number of allocations at any horizon.
 func newSeparator(in *core.Instance) *separator {
 	const eps = 1e-12
-	T := int(in.Horizon())
-	nJobs := len(in.Jobs)
-	slotNode := make([]int, 1+T) // index t: node of slot t
-	for t := 1; t <= T; t++ {
-		slotNode[t] = nJobs + t
-	}
-	deg := gfeasDegrees(in.Jobs, slotNode, T)
+	n := len(in.Jobs)
+	lay := newIvalLayout(in.Jobs)
 	s := &separator{
-		in:        in,
-		net:       flow.NewNetworkDegrees[float64](deg, eps),
-		src:       0,
-		sink:      1 + nJobs + T,
-		jobNode:   make([]int, nJobs),
-		slotNode:  slotNode[1:],
-		srcEdges:  make([]flow.EdgeID[float64], nJobs),
-		slotEdges: make([]flow.EdgeID[float64], T),
-		jobEdges:  carve[flow.EdgeID[float64]](nJobs, func(i int) int { return deg[1+i] - 1 }),
-		slotJobs:  carve[slotRef](T, func(k int) int { return deg[1+nJobs+k] - 1 }),
-		loaded:    make([]float64, T),
-		cov:       make([]int32, T),
+		in:       in,
+		net:      flow.NewNetworkDegrees[float64](lay.deg, eps),
+		src:      0,
+		sink:     len(lay.deg) - 1,
+		srcEdges: make([]flow.EdgeID[float64], n),
+		ivals:    make([]sepInterval, lay.nIvals),
+		ivalArcs: carve[jobArc[float64]](lay.nIvals, func(k int) int { return lay.deg[1+n+k] - 1 }),
+		cov:      make([]int32, in.Horizon()),
 	}
-	for t := 1; t <= T; t++ {
-		s.slotEdges[t-1] = s.net.AddEdge(s.slotNode[t-1], s.sink, 0)
+	for t, k := range lay.slotIval {
+		if k < 0 {
+			continue
+		}
+		iv := &s.ivals[k]
+		if iv.lo == 0 {
+			iv.lo = int32(t)
+		}
+		iv.hi = int32(t)
+	}
+	for k := range s.ivals {
+		s.ivals[k].sink = s.net.AddEdge(1+n+k, s.sink, 0)
 	}
 	for i, j := range in.Jobs {
-		s.jobNode[i] = 1 + i
-		s.srcEdges[i] = s.net.AddEdge(s.src, s.jobNode[i], float64(j.Length))
+		s.srcEdges[i] = s.net.AddEdge(s.src, 1+i, float64(j.Length))
 		s.total += float64(j.Length)
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			s.jobEdges[i] = append(s.jobEdges[i], s.net.AddEdge(s.jobNode[i], s.slotNode[t-1], 0))
-			s.slotJobs[t-1] = append(s.slotJobs[t-1], slotRef{int32(i), int32(k)})
+		prev := int32(-1)
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			if k := lay.slotIval[t]; k != prev {
+				a := jobArc[float64]{int32(i), s.net.AddEdge(1+i, lay.slotNode[t], 0)}
+				s.ivalArcs[k] = append(s.ivalArcs[k], a)
+				prev = k
+			}
 		}
 	}
 	return s
 }
 
-// addSlots grows the slot axis to newT slots: new slot nodes appended past
-// the original sink, each with a zero-capacity slot→sink edge that the next
-// load re-capacitates from y. Growth never renumbers an existing node, so
-// all routed flow and every stored EdgeID stay valid.
-func (s *separator) addSlots(newT int) {
-	for t := len(s.slotNode); t < newT; t++ {
-		node := s.net.AddNode()
-		s.slotNode = append(s.slotNode, node)
-		s.slotEdges = append(s.slotEdges, s.net.AddEdge(node, s.sink, 0))
-		s.slotJobs = append(s.slotJobs, nil)
-		s.loaded = append(s.loaded, 0)
-		s.cov = append(s.cov, 0)
-	}
-}
-
-// addJob splices a new job (at position len(jobNode)) into the live network:
-// one node, a supply edge carrying its length, and zero-capacity window
-// edges, whose slots it marks unloaded (NaN in loaded) so that the next
-// load writes y into them even where y has not moved. The job's demand is
-// routed by that load's Max augmentation on top of the surviving flow. The
-// slot axis must already cover the job's window (addSlots).
-func (s *separator) addJob(j core.Job) {
-	i := len(s.jobNode)
-	node := s.net.AddNode()
-	s.jobNode = append(s.jobNode, node)
-	s.srcEdges = append(s.srcEdges, s.net.AddEdge(s.src, node, float64(j.Length)))
-	s.total += float64(j.Length)
-	ids := make([]flow.EdgeID[float64], 0, int(j.LastSlot()-j.FirstSlot())+1)
-	for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-		ids = append(ids, s.net.AddEdge(node, s.slotNode[t-1], 0))
-		s.slotJobs[t-1] = append(s.slotJobs[t-1], slotRef{int32(i), int32(k)})
-		s.loaded[t-1] = math.NaN()
-	}
-	s.jobEdges = append(s.jobEdges, ids)
-}
-
-// removeJobs detaches the masked jobs from the live network without touching
-// anyone else's flow: each dead job's window edges are clamped to zero
-// capacity with the excess cancelled along the rest of its length-3 paths
-// (the load repair), its supply edge closed, and the per-job
-// arrays compacted to the surviving positions. Must run before the caller
-// compacts its job slice — the dead jobs' windows are still read here. The
-// dead nodes stay in the network, unreachable behind zero capacities.
-func (s *separator) removeJobs(dead []bool) {
-	for i, j := range s.in.Jobs {
-		if !dead[i] {
-			continue
-		}
-		ids := s.jobEdges[i]
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			if ex := s.net.SetCapacityKeepFlow(ids[k], 0); ex > 0 {
-				s.net.PushBack(s.srcEdges[i], ex)
-				s.net.PushBack(s.slotEdges[t-1], ex)
-			}
-		}
-		s.net.SetCapacityKeepFlow(s.srcEdges[i], 0)
-		s.total -= float64(j.Length)
-	}
-	out := 0
-	for i := range s.jobEdges {
-		if dead[i] {
-			continue
-		}
-		s.jobNode[out] = s.jobNode[i]
-		s.srcEdges[out] = s.srcEdges[i]
-		s.jobEdges[out] = s.jobEdges[i]
-		out++
-	}
-	s.jobNode = s.jobNode[:out]
-	s.srcEdges = s.srcEdges[:out]
-	for i := out; i < len(s.jobEdges); i++ {
-		s.jobEdges[i] = nil
-	}
-	s.jobEdges = s.jobEdges[:out]
-	for t := range s.slotJobs {
-		s.slotJobs[t] = s.slotJobs[t][:0]
-	}
-	np := 0
-	for i, j := range s.in.Jobs {
-		if dead[i] {
-			continue
-		}
-		for k, t := 0, j.FirstSlot(); t <= j.LastSlot(); k, t = k+1, t+1 {
-			s.slotJobs[t-1] = append(s.slotJobs[t-1], slotRef{int32(np), int32(k)})
-		}
-		np++
-	}
-}
-
-// load solves the feasibility subproblem for y, reporting whether y is
-// infeasible (max flow short of the total demand). It re-capacitates the
-// y-dependent edges while keeping the flow routed in earlier loads, repairs
-// conservation where a capacity shrank below its flow, and lets Max augment
-// only the difference.
+// load solves the feasibility subproblem for y (index t-1: slot t),
+// reporting whether y is infeasible (max flow short of the total demand).
+// It re-capacitates the y-dependent arcs while keeping the flow routed in
+// earlier loads, repairs conservation where a capacity shrank below its
+// flow, and lets Max augment only the difference. Slots past the
+// instance's last window, which a Session's master keeps after a
+// departure, lie in no interval and are not read.
 //
-// Every flow path here is source→job→slot→sink, so each repair is local:
-// clamping a job→slot edge cancels the excess on that job's supply edge and
-// that slot's sink edge; clamping a slot→sink edge cancels the excess
-// across the slot's incoming job edges (and their supply edges) until the
-// slot's inflow matches its new outflow. After the repair pass the flow is
-// again a valid (sub-maximal) flow of the re-capacitated network, so
-// continuing Dinic from the residual state yields a true maximum flow and
-// the same unique min-cut value a fresh solve finds.
+// Every flow path here is source→job→interval→sink, so each repair is
+// local: clamping a job→interval arc cancels the excess on that job's
+// supply arc and that interval's sink arc; clamping a sink arc cancels the
+// excess across the interval's job arcs (and their supply arcs) in job
+// order until the interval's inflow matches its new outflow. After the
+// repair pass the flow is again a valid (sub-maximal) flow of the
+// re-capacitated network, so continuing Dinic from the residual state
+// yields a true maximum flow and the same unique min-cut value a fresh
+// solve finds.
 //
-// Only the slots whose y differs from loaded are visited, and within them
-// only the edges whose capacity differs. Successive rounding decisions
-// change few y_t. The Benders loop's loads alternate between a probe and
-// the master optimum, which differ wherever the optimum differs from the
-// center: on the end-to-end benchmark's first input a load moves 837 of
-// its 2048 slots on average. The visits keep the order of a scan over every
-// edge: first the job→slot edges (slot by slot, each slot's jobs in job
-// order), then the slot→sink edges. Every edge therefore sees the same
-// SetCapacityKeepFlow/PushBack sequence, so the flow is the same to the
-// last bit.
+// Each Y_I is summed over the interval's slots in slot order, and only the
+// intervals whose sum differs from loaded are visited. The visits keep the
+// order of a scan over every arc: first the job→interval arcs (interval by
+// interval, each interval's jobs in job order), then the sink arcs. Every
+// arc therefore sees the same SetCapacityKeepFlow/PushBack sequence, so the
+// flow is the same to the last bit.
 func (s *separator) load(y []float64) bool {
 	g := float64(s.in.G)
-	for t, c := range y {
-		if c == s.loaded[t] {
+	for k := range s.ivals {
+		iv := &s.ivals[k]
+		sum := 0.0
+		for _, v := range y[iv.lo-1 : iv.hi] {
+			sum += v
+		}
+		iv.sum = sum
+		if sum == iv.loaded {
 			continue
 		}
-		for _, ref := range s.slotJobs[t] {
-			id := s.jobEdges[ref.job][ref.k]
-			if c == s.net.Capacity(id) {
-				continue
-			}
-			if ex := s.net.SetCapacityKeepFlow(id, c); ex > 0 {
-				s.net.PushBack(s.srcEdges[ref.job], ex)
-				s.net.PushBack(s.slotEdges[t], ex)
+		for _, a := range s.ivalArcs[k] {
+			if ex := s.net.SetCapacityKeepFlow(a.id, sum); ex > 0 {
+				s.net.PushBack(s.srcEdges[a.job], ex)
+				s.net.PushBack(iv.sink, ex)
 			}
 		}
 	}
-	for t, yt := range y {
-		if yt == s.loaded[t] {
+	for k := range s.ivals {
+		iv := &s.ivals[k]
+		if iv.sum == iv.loaded {
 			continue
 		}
-		s.loaded[t] = yt
-		c := g * yt
-		if c == s.net.Capacity(s.slotEdges[t]) {
+		iv.loaded = iv.sum
+		c := g * iv.sum
+		if c == s.net.Capacity(iv.sink) {
 			continue
 		}
-		ex := s.net.SetCapacityKeepFlow(s.slotEdges[t], c)
-		for _, ref := range s.slotJobs[t] {
+		ex := s.net.SetCapacityKeepFlow(iv.sink, c)
+		for _, a := range s.ivalArcs[k] {
 			if ex <= 0 {
 				break
 			}
-			eid := s.jobEdges[ref.job][ref.k]
-			f := s.net.Flow(eid)
+			f := s.net.Flow(a.id)
 			if f <= 0 {
 				continue
 			}
 			if f > ex {
 				f = ex
 			}
-			s.net.PushBack(eid, f)
-			s.net.PushBack(s.srcEdges[ref.job], f)
+			s.net.PushBack(a.id, f)
+			s.net.PushBack(s.srcEdges[a.job], f)
 			ex -= f
 		}
 	}
@@ -454,7 +372,7 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 	side := s.net.MinCutSource(s.src)
 	A := make([]bool, nJobs)
 	for i := range s.in.Jobs {
-		A[i] = side[s.jobNode[i]]
+		A[i] = side[1+i]
 	}
 	out = append(out, A)
 	// Deficient jobs, deepest deficiency first, so the cap keeps the most
@@ -483,10 +401,10 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 		if covered[d.job] {
 			continue
 		}
-		reach := s.net.ReachableFrom(s.jobNode[d.job], s.src)
+		reach := s.net.ReachableFrom(1+d.job, s.src)
 		B := make([]bool, nJobs)
 		for k := 0; k < nJobs; k++ {
-			if reach[s.jobNode[k]] {
+			if reach[1+k] {
 				B[k] = true
 				covered[k] = true
 			}

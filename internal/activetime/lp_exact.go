@@ -76,11 +76,11 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 		}
 		res.Pivots += sol.Iterations
 		y := sol.Float64s()
-		// Each round separates on a newly built network, so its max flow
-		// starts from zero: the cost is negligible next to the rational
-		// master solves, and it keeps one pipeline of the cross-solver
-		// metamorphic suite independent of the carried-flow repairs it
-		// cross-checks.
+		// Each round separates on a newly built interval network (the one
+		// SolveLP's separator uses), so its max flow starts from zero: the
+		// cost is negligible next to the rational master solves, and it
+		// keeps one pipeline of the cross-solver metamorphic suite
+		// independent of the carried-flow repairs it cross-checks.
 		sep := newSeparator(in)
 		added := 0
 		for _, A := range sep.separateAll(y, maxBatchCuts) {

@@ -75,3 +75,36 @@ func perSlotFeasible(in *core.Instance, open []core.Time) bool {
 	got, _ := feasibleFlow(in.G, in.Jobs, open, false)
 	return got == in.TotalLength()
 }
+
+// perSlotSeparation is the per-slot oracle for the LP separator: the
+// fractional Gfeas network with one node per slot 1..T, job → slot
+// capacity y_t and slot → sink g·y_t (y index t-1: slot t), solved from
+// zero. It returns the max-flow value and the jobs on the source side of
+// the global minimum cut.
+func perSlotSeparation(in *core.Instance, y []float64) (float64, []bool) {
+	jobs := in.Jobs
+	T := int(in.Horizon())
+	slotNode := make([]int, T+1)
+	for t := 1; t <= T; t++ {
+		slotNode[t] = len(jobs) + t
+	}
+	deg := gfeasDegrees(jobs, slotNode, T)
+	n := flow.NewNetworkDegrees[float64](deg, 1e-12)
+	src, sink := 0, len(deg)-1
+	for t := 1; t <= T; t++ {
+		n.AddEdge(slotNode[t], sink, float64(in.G)*y[t-1])
+	}
+	for i, j := range jobs {
+		n.AddEdge(src, 1+i, float64(j.Length))
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			n.AddEdge(1+i, slotNode[t], y[t-1])
+		}
+	}
+	value := n.Max(src, sink)
+	side := n.MinCutSource(src)
+	A := make([]bool, len(jobs))
+	for i := range A {
+		A[i] = side[1+i]
+	}
+	return value, A
+}

@@ -139,8 +139,8 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	// each segment with its integral decisions as it passes. Feasibility of
 	// this vector is the induction invariant that keeps the final slot set
 	// schedulable, and mix is the incremental max-flow network that certifies
-	// it — the same flow-carrying machinery as the Benders separation oracle,
-	// re-capacitating only the slots a decision touched.
+	// it: a Benders separator on the elementary intervals, carrying its flow
+	// and re-capacitating only the intervals whose y-mass a decision moved.
 	hy := shifted[1:]
 	mix := newSeparator(in)
 	opened := make(map[core.Time]bool)

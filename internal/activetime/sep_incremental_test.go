@@ -2,12 +2,14 @@ package activetime
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/lp"
 )
 
@@ -19,6 +21,56 @@ func (s *separator) flowValue() float64 {
 		v += s.net.Flow(s.srcEdges[i])
 	}
 	return v
+}
+
+// minCutJobs returns the jobs on the source side of the separator's global
+// minimum cut after a load.
+func (s *separator) minCutJobs() []bool {
+	side := s.net.MinCutSource(s.src)
+	A := make([]bool, len(s.in.Jobs))
+	for i := range A {
+		A[i] = side[1+i]
+	}
+	return A
+}
+
+// cutValue is the capacity at y of the cut whose source side holds the
+// jobs of A: Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t, in the per-slot and
+// the interval network alike.
+func cutValue(s *separator, y []float64, A []bool) float64 {
+	cols, vals, rhs := s.cutFor(A)
+	v := s.total - rhs
+	for k, c := range cols {
+		v += vals[k] * y[c]
+	}
+	return v
+}
+
+// checkPerSlot holds a separator's last load, at y, to the per-slot
+// network it replaced (perSlotSeparation): the same max-flow value within
+// 1e-7 and, with exact set, the same global min-cut job set. Without
+// exact, job sets that differ must each cut within 1e-7 of the max flow:
+// where two cuts lie within float noise of each other, the two networks'
+// roundings may settle on either. It reports whether the sets matched.
+func checkPerSlot(t *testing.T, s *separator, y []float64, exact bool, where string) bool {
+	t.Helper()
+	value, A := perSlotSeparation(s.in, y)
+	got, B := s.flowValue(), s.minCutJobs()
+	if math.Abs(got-value) > 1e-7 {
+		t.Fatalf("%s: interval max flow %.12f, per-slot %.12f", where, got, value)
+	}
+	if jobSetKey(A) == jobSetKey(B) {
+		return true
+	}
+	if exact {
+		t.Fatalf("%s: interval min-cut jobs %v, per-slot %v", where, B, A)
+	}
+	for _, C := range [][]bool{A, B} {
+		if c := cutValue(s, y, C); math.Abs(c-value) > 1e-7 {
+			t.Fatalf("%s: min-cut job sets differ, and one cuts %.12f against a max flow of %.12f", where, c, value)
+		}
+	}
+	return false
 }
 
 // jobSetKey packs a job subset into a comparable string: the bitmask over
@@ -116,7 +168,9 @@ func compareSeparators(t *testing.T, inc *separator, y []float64, cap int, stric
 // generator family: driven through the actual Benders y-trajectory of the
 // default pipeline, round by round, the two must report identical min-cut
 // values and identical violated-cut sets, including across rounds where
-// slot capacities shrink and the carried flow has to be cancelled.
+// slot capacities shrink and the carried flow has to be cancelled. The
+// per-slot network the separator replaced must reach the same max-flow
+// value and the same global min-cut job set at every round.
 func TestSeparatorIncrementalEquivalence(t *testing.T) {
 	const seedsPerFamily = 20
 	rounds := 0
@@ -145,6 +199,7 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 				basis = nb
 				y := sol.X
 				compareSeparators(t, inc, y, cap, true, fam.name)
+				checkPerSlot(t, inc, y, true, fam.name)
 				rounds++
 				added := 0
 				for _, A := range inc.separateAll(y, cap) {
@@ -208,7 +263,9 @@ func TestSeparatorIncrementalShrink(t *testing.T) {
 // max-flow values, identical global min-cut source sets, and only genuinely
 // violated harvested sets, at every step of the sequence (the per-job
 // violator collections themselves are flow-dependent on adversarial
-// sequences; see compareSeparators).
+// sequences; see compareSeparators). The per-slot network must reach the
+// same max-flow value, and the same min-cut job set or another cut of the
+// same value (checkPerSlot).
 func FuzzSeparation(f *testing.F) {
 	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
 	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(7))
@@ -238,6 +295,71 @@ func FuzzSeparation(f *testing.F) {
 				}
 			}
 			compareSeparators(t, inc, y, maxBatchCuts, false, "fuzz")
+			checkPerSlot(t, inc, y, false, "fuzz")
 		}
 	})
+}
+
+// TestSeparatorMatchesPerSlot holds the interval separator to the per-slot
+// network it replaced at points where float arithmetic is exact: every y_t
+// a multiple of 1/16, so every interval sum, capacity and routed flow is a
+// short dyadic fraction. On all eight session families, a separator that
+// carries its flow from point to point and a new one must each reach the
+// per-slot max-flow value and global min-cut job set at every point.
+func TestSeparatorMatchesPerSlot(t *testing.T) {
+	points, violated := 0, 0
+	for _, fam := range sessionFamilies {
+		for seed := int64(0); seed < 10; seed++ {
+			in := fam.make(seed)
+			rng := rand.New(rand.NewSource(seed))
+			inc := newSeparator(in)
+			y := make([]float64, in.Horizon())
+			for step := 0; step < 12; step++ {
+				// Raise the floor of the draw step by step, so the points
+				// run from mostly infeasible to mostly feasible.
+				for t2 := range y {
+					y[t2] = float64(16-rng.Intn(17-step)) / 16
+				}
+				where := fmt.Sprintf("%s seed %d step %d", fam.name, seed, step)
+				if inc.load(y) {
+					violated++
+				}
+				checkPerSlot(t, inc, y, true, where+", carried flow")
+				fresh := newSeparator(in)
+				fresh.load(y)
+				checkPerSlot(t, fresh, y, true, where+", new separator")
+				points++
+			}
+		}
+	}
+	t.Logf("%d points, %d of them infeasible", points, violated)
+	if violated == 0 || violated == points {
+		t.Fatalf("%d of %d points infeasible; want both kinds", violated, points)
+	}
+}
+
+// BenchmarkSeparatorLoads times the separation layer on its own: every
+// point that one SolveLP of the end-to-end benchmark's first input
+// (gen.LargeHorizon at T = 2048, n = 256, g = 4, seed 1000) separates at,
+// captured through sepHook, replayed in order through one new separator
+// per op. An op thus pays the build and, at each point, the load's
+// re-capacitation, the carried max flow and the harvest walks, as the
+// solve did; the master's pivots are not in it.
+func BenchmarkSeparatorLoads(b *testing.B) {
+	in := gen.LargeHorizon(gen.RandomConfig{N: 256, Horizon: 2048, MaxLen: 16, G: 4, Seed: 1000})
+	var points [][]float64
+	record := func(_, at, _ []float64, _ [][]bool) { points = append(points, append([]float64(nil), at...)) }
+	if _, err := solveLP(in, lpOptions{purge: true, sepHook: record}); err != nil {
+		b.Fatal(err)
+	}
+	cap := adaptiveBatchCap(in)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sep := newSeparator(in)
+		for _, y := range points {
+			sep.separateAll(y, cap)
+		}
+	}
+	b.ReportMetric(float64(len(points)), "loads/op")
 }

@@ -32,12 +32,15 @@ type SessionStats struct {
 }
 
 // Session is a live active-time LP instance that absorbs job arrivals and
-// departures between solves without rebuilding its state. It owns a master
-// problem whose basis survives mutations, an incremental separation network
-// patched via SetCapacityKeepFlow instead of reconstruction, and the cut
-// registry that mirrors the master's row order (which job or cut each row
-// is; the rows themselves live only in the master) — so a re-solve after a
-// delta pays for the delta, not for the instance.
+// departures between solves without re-solving from scratch. It owns a
+// master problem whose basis survives mutations, the cut registry that
+// mirrors the master's row order (which job or cut each row is; the rows
+// themselves live only in the master), and a separation network. The
+// network is rebuilt from the mutated instance after each delta, since an
+// arriving window can split an elementary interval; its first load is one
+// max flow from zero. The master's warm re-solve, where a delta's pivots
+// are spent, is what makes a re-solve after a delta pay for the delta, not
+// for the instance.
 //
 // AddJobs appends slot columns (priced into the live basis by the engine's
 // column splice) and seed covering rows; RemoveJobs drops the departed
@@ -295,8 +298,8 @@ func (s *Session) addCuts(y, at, center []float64, sets [][]bool) (int, error) {
 // AddJobs splices new jobs into the live session: the master gains any new
 // slot columns (shaped with the y cost and bound, priced into the live
 // basis at the next re-solve) and one seed covering row per job, the
-// separation network gains the new slot and job nodes with all routed flow
-// preserved, and the registry mirrors the appended rows. On a validation or
+// registry mirrors the appended rows, and the separation network is
+// rebuilt over the grown instance. On a validation or
 // feasibility error the session is unchanged: the prospective instance is
 // checked before anything mutates, so an infeasible batch (ErrInfeasible)
 // is rejected atomically.
@@ -318,18 +321,17 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 			s.prob.SetObjective(j, 1)
 			s.prob.SetUpper(j, 1)
 		}
-		s.sep.addSlots(newT)
 	}
 	for _, j := range jobs {
 		pos := len(s.in.Jobs)
 		s.in.Jobs = append(s.in.Jobs, j)
 		s.posByID[j.ID] = pos
-		s.sep.addJob(j)
 		if err := addSeedCut(s.prob, j); err != nil {
 			return fmt.Errorf("activetime: AddJobs seed row: %w", err)
 		}
 		s.reg.addSeedRow(pos)
 	}
+	s.sep = newSeparator(s.in)
 	s.stats.AddCalls++
 	s.solved = false
 	return nil
@@ -342,8 +344,9 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 // all of them are slack, or — the counted escape hatch, never silent — when
 // one is tight, removed from the master alone with the basis dropped
 // (ColdRebuilds), so the next Solve starts cold from the surviving rows in
-// their order. The separation network cancels only the departed jobs' flow;
-// the registry remaps every surviving cut into the compacted job positions.
+// their order. The registry remaps every surviving cut into the compacted
+// job positions, and the separation network is rebuilt over the surviving
+// jobs.
 func (s *Session) RemoveJobs(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -381,7 +384,6 @@ func (s *Session) RemoveJobs(ids []int) error {
 		s.stats.ColdRebuilds++
 	}
 	s.reg.dropRows(mask)
-	s.sep.removeJobs(dead)
 	posMap := make([]int32, len(s.in.Jobs))
 	out := 0
 	for i, j := range s.in.Jobs {
@@ -397,6 +399,7 @@ func (s *Session) RemoveJobs(ids []int) error {
 	}
 	s.in.Jobs = s.in.Jobs[:out]
 	s.reg.remapJobs(posMap, out)
+	s.sep = newSeparator(s.in)
 	s.stats.RemoveCalls++
 	s.solved = false
 	return nil

@@ -18,17 +18,11 @@
 // new reference that later Resets restore). The common pattern — the
 // cut-generation separation oracle and the minimal-feasible closing loop —
 // builds the network once per call and only touches the y-dependent
-// capacities each round. Topology may also grow between solves:
-// AddNode/AddEdge never renumber existing nodes or invalidate EdgeIDs, a
-// new edge joins carrying zero flow with its given reference capacity, and
-// the traversal scratch resizes on the next Max — the live-session
-// separation network splices arriving jobs and slots into a solved network
-// this way and lets Max route just the new demand. Nodes and edges cannot
-// be removed; detaching a node means re-capacitating its edges to zero
-// (with SetCapacityKeepFlow + PushBack repairs when flow is routed through
-// it). All traversal scratch (BFS queue, DFS path stack, level and iterator
-// arrays) is owned by the Network and reused, so a Reset+Max cycle performs
-// no allocations.
+// capacities each round. Nodes and edges cannot be removed; detaching a
+// node means re-capacitating its edges to zero (with SetCapacityKeepFlow +
+// PushBack repairs when flow is routed through it). All traversal scratch
+// (BFS queue, DFS path stack, level and iterator arrays) is owned by the
+// Network and reused, so a Reset+Max cycle performs no allocations.
 //
 // A continuation whose caller knows which arcs of the source can still carry
 // flow runs MaxFrom instead of Max, handing it those arcs; every arc of s it
@@ -45,11 +39,10 @@
 // sized by the counts (an edge counts once at each endpoint), so the build
 // allocates once instead of at every list growth. The counts are room, not
 // a limit: a node that receives more arcs than its room moves to its own
-// array on that AddEdge and leaves its neighbours' arcs in place, which is
-// how growth reaches nodes that were built full. AddEdge places arcs in call
-// order either way, so a network built with counts holds the same arcs in
-// the same order as one built with NewNetwork from the same calls, and
-// every Max routes the same flow on every edge.
+// array on that AddEdge and leaves its neighbours' arcs in place. AddEdge
+// places arcs in call order either way, so a network built with counts
+// holds the same arcs in the same order as one built with NewNetwork from
+// the same calls, and every Max routes the same flow on every edge.
 //
 // # Cost of a phase
 //
@@ -134,12 +127,6 @@ func NewNetworkDegrees[C Capacity](deg []int, eps C) *Network[C] {
 
 // NumNodes returns the number of nodes in the network.
 func (g *Network[C]) NumNodes() int { return len(g.adj) }
-
-// AddNode appends a node and returns its index.
-func (g *Network[C]) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
 
 // AddEdge adds a directed edge from u to v with the given capacity (clamped
 // at zero) and returns an identifier usable with SetCapacity and, after

@@ -28,11 +28,11 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"pivots", lpres.Pivots, 240},
+		{"pivots", lpres.Pivots, 261},
 		{"refactors", lpres.Refactors, 26},
-		{"cuts", lpres.Cuts, 300},
-		{"rounds", lpres.Rounds, 15},
-		{"purged", lpres.Purged, 9},
+		{"cuts", lpres.Cuts, 301},
+		{"rounds", lpres.Rounds, 14},
+		{"purged", lpres.Purged, 15},
 	} {
 		if c.got != c.want {
 			t.Errorf("SolveLP %s = %d, want %d", c.name, c.got, c.want)
@@ -47,8 +47,8 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		got, want int
 	}{
 		{"opened", res.Opened, 169},
-		{"flow checks", res.FlowChecks, 48},
-		{"proxy carries", res.ProxyCarries, 46},
+		{"flow checks", res.FlowChecks, 24},
+		{"proxy carries", res.ProxyCarries, 22},
 		{"cold flows", res.ColdFlows, 1},
 	} {
 		if c.got != c.want {
