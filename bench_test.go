@@ -181,6 +181,10 @@ func largeHorizonBench() *core.Instance {
 	return gen.LargeHorizon(gen.RandomConfig{N: 256, Horizon: 2048, MaxLen: 16, G: 4, Seed: 1000})
 }
 
+// BenchmarkRoundLP times RoundLP and reports the pivots and rounds of the
+// LP solve inside it. SetupInstance is the input activebench's
+// offline-round set-up rounds once and times as setup_s: gen.LargeHorizon
+// at T = 2048, n = 256, seed -1.
 func BenchmarkRoundLP(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -190,6 +194,7 @@ func BenchmarkRoundLP(b *testing.B) {
 			N: 20, Horizon: 30, MaxLen: 4, Slack: 4, G: 3, Seed: 5,
 		})},
 		{"LargeHorizon,n=256,T=2048", largeHorizonBench()},
+		{"SetupInstance", gen.LargeHorizon(gen.RandomConfig{N: 256, Horizon: 2048, MaxLen: 16, G: 4, Seed: -1})},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -198,6 +203,13 @@ func BenchmarkRoundLP(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			res, err := activetime.SolveLP(c.in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(res.Pivots), "pivots")
+			b.ReportMetric(float64(res.Rounds), "rounds")
 		})
 	}
 }

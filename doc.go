@@ -59,17 +59,20 @@
 //
 // An active-time instance goes through four stages:
 //
-//  1. SolveLP builds a master LP over the slot variables y_t with one
-//     covering cut per job. Each round separates in-out: one max flow of
-//     Gfeas, on the elementary intervals described below with capacities
-//     Y_I = Σ_{t∈I} y_t, at a probe between the master optimum y* and a
-//     center that LP1 admits (every slot open, at first) either meets the
-//     demand or yields violated cuts Σ_t min(g, cov_A(t))·y_t ≥ P(A), which
-//     are appended and re-solved warm. A probe that yields no new cut becomes
-//     the center if it met the demand, and the round then separates at y*
-//     itself; the loop ends when that finds no new cut either.
-//     Persistently slack cuts are purged. The result is the LP1 optimum, a
-//     lower bound on OPT.
+//  1. SolveLP builds a master LP with one column Y_I per elementary
+//     interval I (described below), bounded by |I|, and one covering cut
+//     per job. Every cut of LP1 has one coefficient on all the slots of an
+//     interval, so this master has LP1's optimal value. Each round
+//     separates in-out: one max flow of Gfeas on the same intervals, with
+//     capacities Y_I, at a probe between the master optimum Y* and a center
+//     that LP1 admits (every interval at its bound, every slot open, at
+//     first) either meets the demand or yields violated cuts
+//     Σ_I min(g, cov_A(I))·Y_I ≥ P(A), which are appended and re-solved
+//     warm. A probe that yields no new cut becomes the center if it met the
+//     demand, and the round then separates at Y* itself; the loop ends when
+//     that finds no new cut either. Persistently slack cuts are purged. The
+//     result is the LP1 optimum, a lower bound on OPT, with each Y_I spread
+//     over its interval's slots right-filled.
 //  2. RoundLP right-shifts that optimum within each deadline segment
 //     (Lemma 3).
 //  3. It then rounds deadline by deadline. A barely open slot is closed only
@@ -99,11 +102,12 @@
 // position. This checker is the only integral Gfeas network: CheckFeasible
 // and Assign run one solve on a new one, and the exact search toggles one
 // along its DFS. The LP's float separator is the other Gfeas network. It
-// has the checker's nodes, but each interval carries its y-mass Y_I rather
-// than an open-slot count; its max flow and minimum cuts equal the
-// per-slot network's, while the master and its cuts keep one column per
-// slot. It carries its flow from one load to the next on the solve's own
-// goroutine.
+// has the checker's nodes, but each interval carries the master's Y_I
+// rather than an open-slot count; its max flow and minimum cuts equal the
+// per-slot network's for any y that sums to Y_I over each interval. Its
+// intervals are the master's columns, which a Session's arrivals split in
+// place where a new window bound falls inside one. It carries its flow
+// from one load to the next on the solve's own goroutine.
 //
 // # Where the gates live
 //

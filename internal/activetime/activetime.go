@@ -110,7 +110,8 @@ func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
 // splits, so that every slot of a run lies in the same job windows. Both
 // Gfeas builders, feasChecker and the LP separator, number their nodes by
 // it: source 0, job i at 1+i, interval k at 1+n+k in slot order, the sink
-// last.
+// last. A Session's separator cuts the runs further, at the bounds of its
+// master's atoms.
 type ivalLayout struct {
 	slotIval []int32 // index t: slot t's interval, -1 outside every window
 	slotNode []int   // index t: slot t's interval node, 0 outside every window
@@ -119,18 +120,24 @@ type ivalLayout struct {
 }
 
 // newIvalLayout computes the elementary intervals of the jobs' windows and
-// the arc counts of the network on them. Its slot indices run to the last
-// window slot.
-func newIvalLayout(jobs []core.Job) ivalLayout {
+// the arc counts of the network on them. With atomCol, a Session's map from
+// slot to master column (see Session), a window slot also starts an
+// interval where atomCol changes, so the intervals are the atoms that some
+// window covers; nil adds no cuts. Its slot indices run to the last window
+// slot.
+func newIvalLayout(jobs []core.Job, atomCol []int32) ivalLayout {
 	covered := windowSlots(jobs)
-	// cut[t]: some window starts at slot t or ends at slot t-1. A window
-	// slot starts a new interval exactly there; the first slot after a gap
-	// is always a window start.
+	// cut[t]: some window starts at slot t or ends at slot t-1, or an atom
+	// starts at slot t. A window slot starts a new interval exactly there;
+	// the first slot after a gap is always a window start.
 	cut := make([]bool, len(covered)+1)
 	for _, j := range jobs {
 		if lo, hi := max(j.FirstSlot(), 1), j.LastSlot(); lo <= hi {
 			cut[lo], cut[hi+1] = true, true
 		}
+	}
+	for t := 1; t < min(len(covered), len(atomCol)); t++ {
+		cut[t] = cut[t] || atomCol[t] != atomCol[t-1]
 	}
 	l := ivalLayout{slotIval: make([]int32, len(covered)), slotNode: make([]int, len(covered))}
 	for t, ok := range covered {
@@ -265,7 +272,7 @@ type jobArc[C flow.Capacity] struct {
 // of allocations at any horizon.
 func newFeasChecker(in *core.Instance, open []core.Time) *feasChecker {
 	jobs := in.Jobs
-	lay := newIvalLayout(jobs)
+	lay := newIvalLayout(jobs, nil)
 	fc := &feasChecker{
 		g:        in.G,
 		jobs:     jobs,

@@ -272,7 +272,10 @@ func TestRightShiftStaysFeasible(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Lemma 3: the right-shifted solution is still LP-feasible.
-		if violated := newSeparator(in).load(shifted[1:]); violated {
+		sep := newSeparator(in)
+		mass := make([]float64, len(sep.ivals))
+		sep.sumSlots(shifted[1:], mass)
+		if violated := sep.load(mass); violated {
 			t.Errorf("trial %d: right-shifted solution violates a cut (instance %+v, y=%v)",
 				trial, in, shifted)
 		}

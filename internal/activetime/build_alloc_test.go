@@ -44,8 +44,8 @@ func TestGfeasBuildAllocs(t *testing.T) {
 
 // TestCutForAllocs gates the cut build: the cut of one job set costs two
 // allocations, cols and vals at their exact length, at T = 256 as at
-// T = 2048, because coverage is counted in the separator's scratch over
-// the span of the set's windows, not in a fresh horizon-long array. The
+// T = 2048, because coverage is counted in the separator's per-atom
+// scratch over the span of the set's windows, not in a fresh array. The
 // scratch must come back all zero, or the next cut would count on top of
 // it.
 func TestCutForAllocs(t *testing.T) {
@@ -65,7 +65,7 @@ func TestCutForAllocs(t *testing.T) {
 		}
 		for k, c := range sep.cov {
 			if c != 0 {
-				t.Fatalf("T = %d: coverage scratch slot %d = %d after cutFor, want 0", T, k+1, c)
+				t.Fatalf("T = %d: coverage scratch of interval %d = %d after cutFor, want 0", T, k, c)
 			}
 		}
 	}

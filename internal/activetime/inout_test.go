@@ -10,23 +10,25 @@ import (
 	"repro/internal/gen"
 )
 
-// cutSlack is f_A(v) = Σ_t min(g, cov_A(t))·v_t − P(A), the slack of job
-// set A's canonical cut at v (v[t-1] is slot t), recomputed from the
-// instance rather than read from the master.
-func cutSlack(in *core.Instance, A []bool, v []float64) float64 {
-	cov := make(map[core.Time]int)
+// cutSlack is f_A(v) = Σ_I min(g, cov_A(I))·v_I − P(A), the slack of job
+// set A's canonical cut at the master point v (v at each atom's column),
+// recomputed from the instance and sep's atoms rather than read from the
+// master: cov_A(I) counts the jobs of A whose window contains atom I.
+func cutSlack(sep *separator, A []bool, v []float64) float64 {
 	f := 0.0
-	for i, j := range in.Jobs {
-		if !A[i] {
-			continue
-		}
-		f -= float64(j.Length)
-		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			cov[t]++
+	for i, j := range sep.in.Jobs {
+		if A[i] {
+			f -= float64(j.Length)
 		}
 	}
-	for t, c := range cov {
-		f += float64(min(c, in.G)) * v[t-1]
+	for _, iv := range sep.ivals {
+		c := 0
+		for i, j := range sep.in.Jobs {
+			if A[i] && j.FirstSlot() <= core.Time(iv.lo) && core.Time(iv.hi) <= j.LastSlot() {
+				c++
+			}
+		}
+		f += float64(min(c, sep.in.G)) * v[iv.col]
 	}
 	return f
 }
@@ -43,7 +45,9 @@ func cutSlack(in *core.Instance, A []bool, v []float64) float64 {
 //     a separator rejects.
 //
 // The caller resets center to nil before each solve, whose center starts
-// at every slot open, and reads the solve's last separation afterwards.
+// at every atom at its bound, every slot open, and reads the solve's last
+// separation afterwards. Points are master points, one value per atom
+// column.
 type inOutChecker struct {
 	t         *testing.T
 	name      string
@@ -58,18 +62,18 @@ type inOutChecker struct {
 }
 
 func (c *inOutChecker) hook(y, at, next []float64, added [][]bool) {
-	t, in := c.t, c.sess.in
+	t, sess := c.t, c.sess
 	if c.center == nil {
 		c.center = make([]float64, len(next))
-		for i := range c.center {
-			c.center[i] = 1
+		for j := range c.center {
+			c.center[j] = sess.prob.Upper(j)
 		}
 	}
 	atY := slices.Equal(at, y)
 	c.lastAtY, c.lastAdded = atY, len(added)
 	if !atY {
 		for _, A := range added {
-			fp, fy := cutSlack(in, A, at), cutSlack(in, A, y)
+			fp, fy := cutSlack(sess.sep, A, at), cutSlack(sess.sep, A, y)
 			if fp >= 0 {
 				t.Errorf("%s: probe appended a cut with slack %g ≥ 0 at the probe", c.name, fp)
 			}
@@ -79,7 +83,6 @@ func (c *inOutChecker) hook(y, at, next []float64, added [][]bool) {
 		}
 		c.probeCuts += len(added)
 	}
-	T := int(in.Horizon())
 	switch moved := !slices.Equal(next, c.center); {
 	case moved && (atY || len(added) > 0):
 		t.Errorf("%s: the center moved on a separation that was not a probe without new cuts", c.name)
@@ -88,11 +91,11 @@ func (c *inOutChecker) hook(y, at, next []float64, added [][]bool) {
 		if !slices.Equal(next, at) {
 			t.Errorf("%s: the center moved somewhere other than the probe", c.name)
 		}
-		if newSeparator(in).load(next[:T]) {
+		if newAtomSeparator(sess.in, sess.atomCol).load(next) {
 			t.Errorf("%s: the center moved to a probe whose flow misses the demand", c.name)
 		}
 	case !atY && len(added) == 0 && !slices.Equal(at, c.center):
-		if !newSeparator(in).load(at[:T]) {
+		if !newAtomSeparator(sess.in, sess.atomCol).load(at) {
 			t.Errorf("%s: the center stayed put instead of moving to a feasible probe", c.name)
 		}
 		c.keptMisses++
@@ -176,8 +179,8 @@ func TestInOutSeparation(t *testing.T) {
 	chk.sess = sess
 	y := make([]float64, sess.prob.NumVars())
 	center, probe := make([]float64, len(y)), make([]float64, len(y))
-	for i := range center {
-		center[i] = 1
+	for j := range center {
+		center[j] = sess.prob.Upper(j)
 	}
 	for pass := 0; pass < 2; pass++ {
 		if _, err := sess.separateInOut(y, center, probe, adaptiveBatchCap(bench)); err != nil {

@@ -10,18 +10,6 @@ import (
 	"repro/internal/lp"
 )
 
-// intervalSums returns Y_I for every interval of s: y summed over the
-// interval's slots in slot order, as load sums it.
-func intervalSums(s *separator, y []float64) []float64 {
-	sums := make([]float64, len(s.ivals))
-	for k, iv := range s.ivals {
-		for t := iv.lo; t <= iv.hi; t++ {
-			sums[k] += y[t-1]
-		}
-	}
-	return sums
-}
-
 // ivalArc is one job→interval arc of a separator, with its interval.
 type ivalArc struct {
 	ival int
@@ -44,12 +32,11 @@ func jobArcs(s *separator) [][]ivalArc {
 // replace: it tests every job→interval arc, job by job, then every sink
 // arc, and re-capacitates each whose capacity differs from the interval's
 // Y_I (g·Y_I for a sink arc) with the same repair.
-func loadFullScan(s *separator, y []float64) bool {
+func loadFullScan(s *separator, Y []float64) bool {
 	g := float64(s.in.G)
-	sums := intervalSums(s, y)
 	for i, arcs := range jobArcs(s) {
 		for _, a := range arcs {
-			c := sums[a.ival]
+			c := Y[s.ivals[a.ival].col]
 			if c == s.net.Capacity(a.id) {
 				continue
 			}
@@ -61,7 +48,7 @@ func loadFullScan(s *separator, y []float64) bool {
 	}
 	for k := range s.ivals {
 		iv := &s.ivals[k]
-		c := g * sums[k]
+		c := g * Y[iv.col]
 		if c == s.net.Capacity(iv.sink) {
 			continue
 		}
@@ -118,13 +105,13 @@ func sepEdges(s *separator) []flow.EdgeID[float64] {
 	return out
 }
 
-// load runs y through both loaders and requires the same verdict, the same
-// residual and reference capacity on every arc, bit for bit, and Y_I on
-// every job arc of interval I.
-func (p *loadPair) load(y []float64) {
+// load runs the master point Y through both loaders and requires the same
+// verdict, the same residual and reference capacity on every arc, bit for
+// bit, and Y_I on every job arc of interval I.
+func (p *loadPair) load(Y []float64) {
 	p.t.Helper()
 	p.loads++
-	vGot, vWant := p.got.load(y), loadFullScan(p.want, y)
+	vGot, vWant := p.got.load(Y), loadFullScan(p.want, Y)
 	if vGot != vWant {
 		p.t.Fatalf("%s load %d: moved-interval load violated=%v, full scan %v", p.name, p.loads, vGot, vWant)
 	}
@@ -140,24 +127,25 @@ func (p *loadPair) load(y []float64) {
 				p.got.net.Residual(a), p.got.net.Capacity(a), p.want.net.Residual(b), p.want.net.Capacity(b))
 		}
 	}
-	sums := intervalSums(p.got, y)
 	for k, arcs := range p.got.ivalArcs {
+		v := max(Y[p.got.ivals[k].col], 0)
 		for _, a := range arcs {
-			if c := p.got.net.Capacity(a.id); c != sums[k] {
-				p.t.Fatalf("%s load %d: job %d interval %d has capacity %v, Y_I = %v", p.name, p.loads, a.job, k, c, sums[k])
+			if c := p.got.net.Capacity(a.id); c != v {
+				p.t.Fatalf("%s load %d: job %d interval %d has capacity %v, Y_I = %v", p.name, p.loads, a.job, k, c, v)
 			}
 		}
 	}
 }
 
 // bendersTrajectory returns the master optimum of every round of the
-// default pipeline's cut loop on in (never-purging, adaptive cap).
+// default pipeline's cut loop on in (never-purging, adaptive cap), one
+// value per atom.
 func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
-	prob, err := newMaster(in)
+	steer := newSeparator(in)
+	prob, err := newMaster(steer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steer := newSeparator(in)
 	reg := newCutRegistry(prob.NumConstraints())
 	cap := adaptiveBatchCap(in)
 	var ys [][]float64
@@ -192,9 +180,9 @@ func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
 // TestLoadIncrementalMatchesFullScan locks the moved-interval loader
 // against a full scan of every arc of the interval network. Two
 // separators on the same instance take the same loads — Benders
-// y-trajectories and the shrink sequences of TestSeparatorIncrementalShrink
-// — and after every load every arc must hold the same residual and
-// capacity, bit for bit.
+// trajectories of the atom master and the shrink sequences of
+// TestSeparatorIncrementalShrink — and after every load every arc must
+// hold the same residual and capacity, bit for bit.
 func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 	trajectories := 0
 	for _, fam := range lpFamilies {
@@ -217,28 +205,11 @@ func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := lpFamilies[int(seed)%len(lpFamilies)].make(seed)
-		T := int(in.Horizon())
 		p := newLoadPair(t, in, "shrink")
-		y := make([]float64, T)
+		Y := make([]float64, len(p.got.ivals))
 		for step := 0; step < 25; step++ {
-			switch step % 3 {
-			case 0:
-				for t2 := range y {
-					y[t2] = rng.Float64()
-				}
-			case 1:
-				lo := rng.Intn(T)
-				hi := lo + 1 + rng.Intn(T-lo)
-				for t2 := lo; t2 < hi; t2++ {
-					y[t2] = 0
-				}
-			case 2:
-				for k := 0; k < 3; k++ {
-					y[rng.Intn(T)] = rng.Float64()
-				}
-			}
-			p.load(y)
+			shrinkStep(rng, p.got, Y, step)
+			p.load(Y)
 		}
 	}
-
 }

@@ -1,6 +1,7 @@
 package activetime
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -12,7 +13,12 @@ import (
 // of Section 3 of the paper.
 type LPResult struct {
 	// Y[t] is the fractional openness of slot t, for t in 1..T (Y[0] is
-	// unused).
+	// unused). The master solves for one value Y_I per atom I (see
+	// newMaster); Y spreads each over its atom's slots right-filled: ones
+	// at the atom's end, at most one fractional slot before them, zeros
+	// before that. Every slot of an atom lies in the same job windows, so
+	// this is an optimum of LP1 over the slots, with the master's sum over
+	// every run of slots between two window bounds.
 	Y []float64
 	// Objective is sum_t Y[t], a lower bound on the optimal active time.
 	Objective float64
@@ -47,30 +53,39 @@ type LPResult struct {
 	FallbackVerdicts []string
 }
 
-// newMaster builds the Benders master over the y variables: unit objective,
-// native 0 <= y_t <= 1 bounds (no constraint rows), and one seed covering
-// cut per job (A = {j} gives Σ_{t∈win} y_t >= p_j).
-func newMaster(in *core.Instance) (*lp.Problem, error) {
-	T := int(in.Horizon())
-	prob := lp.NewProblem(T) // variable t-1 is y_t
-	for t := 1; t <= T; t++ {
-		prob.SetObjective(t-1, 1)
-		prob.SetUpper(t-1, 1)
+// newMaster builds the Benders master over the separator's atoms: one
+// column Y_I per interval I of the separator, at the interval's column
+// index, with cost 1 and bound |I|, and one seed covering row per job
+// (A = {j}: Σ_{I ⊆ win(j)} Y_I >= p_j). It takes a newly built separator,
+// whose interval k is column k. Every row of LP1 projected onto the slots,
+// Σ_t min(g, cov_A(t))·y_t >= P(A), has one coefficient on all the slots
+// of an atom, since they lie in the same windows; so summing y over each
+// atom maps the slot optima onto the atom optima and back (see LPResult.Y),
+// and the two masters have the same optimal value. On the end-to-end
+// benchmark's first input the final master has 307 columns and 5,156
+// nonzeros, against 2,048 and 20,957 with one column per slot.
+func newMaster(sep *separator) (*lp.Problem, error) {
+	prob := lp.NewProblem(len(sep.ivals))
+	for _, iv := range sep.ivals {
+		prob.SetObjective(int(iv.col), 1)
+		prob.SetUpper(int(iv.col), float64(iv.hi-iv.lo+1))
 	}
-	for _, j := range in.Jobs {
-		if err := addSeedCut(prob, j); err != nil {
+	for i := range sep.in.Jobs {
+		if err := sep.addSeedCut(prob, i); err != nil {
 			return nil, err
 		}
 	}
 	return prob, nil
 }
 
-// addSeedCut appends job j's seed covering cut Σ_{t∈win(j)} y_t >= p_j.
-func addSeedCut(prob *lp.Problem, j core.Job) error {
-	n := int(j.LastSlot()-j.FirstSlot()) + 1
-	cols, vals := make([]int, 0, n), make([]float64, 0, n)
-	for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-		cols = append(cols, int(t)-1)
+// addSeedCut appends job i's seed covering cut Σ_{I ⊆ win(i)} Y_I >= p_i
+// to the master, one coefficient per atom of its window.
+func (s *separator) addSeedCut(prob *lp.Problem, i int) error {
+	j := s.in.Jobs[i]
+	first, last := s.slotIval[j.FirstSlot()], s.slotIval[j.LastSlot()]
+	cols, vals := make([]int, 0, last-first+1), make([]float64, 0, last-first+1)
+	for k := first; k <= last; k++ {
+		cols = append(cols, int(s.ivals[k].col))
 		vals = append(vals, 1)
 	}
 	return prob.AddSparse(cols, vals, lp.GE, float64(j.Length))
@@ -89,11 +104,14 @@ func addSeedCut(prob *lp.Problem, j core.Job) error {
 //
 //	Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j ,
 //
-// where cov_A(t) is the number of jobs of A whose window contains t. SolveLP
-// generates these cuts lazily from minimum cuts (Benders decomposition) and
-// solves the growing master LP with the simplex engine. Each round either
-// proves optimality or adds previously absent violated cuts, so the
-// procedure terminates.
+// where cov_A(t) is the number of jobs of A whose window contains t. cov_A
+// is constant on every elementary interval, so the master sums y over each
+// one: a column Y_I ∈ [0, |I|] per interval, and the cuts
+// Σ_I min(g, cov_A(I))·Y_I >= P(A) (see newMaster). SolveLP generates these
+// cuts lazily from minimum cuts (Benders decomposition) and solves the
+// growing master LP with the simplex engine. Each round either proves
+// optimality or adds previously absent violated cuts, so the procedure
+// terminates. The result spreads each Y_I over its slots (LPResult.Y).
 //
 // Separation is batched: each separation runs one max flow and harvests
 // every violated job set it surfaces — the source side of a minimum cut
@@ -110,12 +128,12 @@ func addSeedCut(prob *lp.Problem, j core.Job) error {
 // y* finds nothing new, so the optimum is the one separating at y* alone
 // reaches. At T = 2048 the probe halves the master's pivots.
 //
-// The whole pipeline is incremental: y upper bounds live inside the simplex
+// The whole pipeline is incremental: the bounds |I| live inside the simplex
 // (no constraint rows), each master re-solve warm-starts from the previous
 // optimal basis via lp.Problem.ResolveFrom (dual simplex on the appended
-// cuts), and the separation network, one node per elementary interval
-// (see separator), is built once and only re-capacitated on the intervals
-// whose y-mass moved at each load. Two lifecycle policies ride on
+// cuts), and the separation network, one node per master column (see
+// separator), is built once and only re-capacitated on the intervals
+// whose Y_I moved at each load. Two lifecycle policies ride on
 // top: the per-round cut cap adapts to the horizon (single-cut at tiny T,
 // the full batch of 32 at T >= 4096 — see adaptiveBatchCap), and a cut
 // registry purges persistently slack cuts from the live master between
@@ -163,17 +181,20 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 // feasibility network of the paper, built once per SolveLP call, with only
 // its y-dependent capacities rewritten before each max flow.
 //
-// The network is Gfeas on the elementary intervals of newIvalLayout, the
-// layout feasChecker uses. Interval I carries Y_I = Σ_{t∈I} y_t: each
-// job → I arc has capacity Y_I and the I → sink arc g·Y_I. For every
-// fractional y this network has the per-slot network's max-flow value and
-// the same minimum cuts over the jobs. Summing a per-slot flow over each
+// The network is Gfeas on the atoms of the master (see newMaster): the
+// elementary intervals of newIvalLayout for a new instance, cut further
+// where a Session's arrivals split an atom. Its interval nodes are the
+// master's atoms in slot order, and each keeps its master column col.
+// Interval I carries the master's Y_I: each job → I arc has capacity Y_I
+// and the I → sink arc g·Y_I. For every y over the slots that sums to Y_I
+// on each I, this network has the per-slot network's max-flow value and the
+// same minimum cuts over the jobs. Summing a per-slot flow over each
 // interval gives an interval flow. Conversely, split each f_{j,I} over I's
 // slots in proportion to y_t: job j gets f_{j,I}·y_t/Y_I ≤ y_t in slot t,
 // and slot t gets Σ_j f_{j,I}·y_t/Y_I ≤ g·y_t. A job set A's cut costs
 // Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t in both networks, since cov_A is
-// constant on each interval. So the cuts cutFor builds stay per slot, and
-// the master keeps one column per slot.
+// constant on each interval, so cutFor writes it with one coefficient per
+// atom.
 //
 // The previous round's flow survives re-capacitation (see load): only the
 // intervals whose Y_I moved are re-capacitated, only arcs whose capacity
@@ -183,8 +204,8 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 // the repaired residual state, routing just the difference instead of the
 // full demand P every round. A newly built separator carries no flow, so its
 // first load is a solve from zero; that is the reference the equivalence
-// tests hold the carried flow to. An instance delta can split an interval,
-// so a Session builds a new separator after each one.
+// tests hold the carried flow to. An instance delta can add jobs and split
+// atoms, so a Session builds a new separator after each one.
 type separator struct {
 	in        *core.Instance
 	net       *flow.Network[float64]
@@ -192,31 +213,41 @@ type separator struct {
 	srcEdges  []flow.EdgeID[float64] // index i: source → job i
 	ivals     []sepInterval          // per interval, in slot order
 	ivalArcs  [][]jobArc[float64]    // per interval: its incoming job arcs, in job order
+	slotIval  []int32                // index t: slot t's interval, -1 outside every window
 	total     float64
-	// cov is cutFor's per-slot coverage scratch (index t-1), all zero
-	// between calls.
+	// cov is cutFor's per-interval coverage scratch, all zero between
+	// calls.
 	cov []int32
 }
 
-// sepInterval is one elementary interval of the separator: its slots lo..hi
-// and its sink arc. loaded is the Y_I that load last wrote into its arcs,
-// the one value every job arc of the interval holds, so a load visits only
-// the intervals whose sum moved; a new separator holds 0, its arcs'
-// capacity. sum is load's scratch, the Y_I of the y being loaded.
+// sepInterval is one interval of the separator: its slots lo..hi, its
+// master column col and its sink arc. loaded is the Y_I that load last
+// wrote into its arcs, the one value every job arc of the interval holds,
+// so a load visits only the intervals whose value moved; a new separator
+// holds 0, its arcs' capacity.
 type sepInterval struct {
-	lo, hi      int32
-	loaded, sum float64
-	sink        flow.EdgeID[float64]
+	lo, hi int32
+	col    int32
+	loaded float64
+	sink   flow.EdgeID[float64]
 }
 
-// newSeparator builds the network over the instance's elementary
-// intervals, every y-dependent capacity 0. Its arcs and the ivalArcs lists
-// are each carved out of one exactly sized array, so the build makes the
-// same number of allocations at any horizon.
-func newSeparator(in *core.Instance) *separator {
+// newSeparator builds the separator over the instance's elementary
+// intervals, interval k on master column k: the layout newMaster builds
+// its columns from.
+func newSeparator(in *core.Instance) *separator { return newAtomSeparator(in, nil) }
+
+// newAtomSeparator builds the network over the atoms atomCol lays out,
+// every y-dependent capacity 0. atomCol maps each slot to its atom's master
+// column, as a Session keeps it; every window of the instance must contain
+// or miss each atom, and an atom no window covers gets no node. A nil
+// atomCol stands for the elementary intervals, interval k on column k. Its
+// arcs and the ivalArcs lists are each carved out of one exactly sized
+// array, so the build makes the same number of allocations at any horizon.
+func newAtomSeparator(in *core.Instance, atomCol []int32) *separator {
 	const eps = 1e-12
 	n := len(in.Jobs)
-	lay := newIvalLayout(in.Jobs)
+	lay := newIvalLayout(in.Jobs, atomCol)
 	s := &separator{
 		in:       in,
 		net:      flow.NewNetworkDegrees[float64](lay.deg, eps),
@@ -225,7 +256,8 @@ func newSeparator(in *core.Instance) *separator {
 		srcEdges: make([]flow.EdgeID[float64], n),
 		ivals:    make([]sepInterval, lay.nIvals),
 		ivalArcs: carve[jobArc[float64]](lay.nIvals, func(k int) int { return lay.deg[1+n+k] - 1 }),
-		cov:      make([]int32, in.Horizon()),
+		slotIval: lay.slotIval,
+		cov:      make([]int32, lay.nIvals),
 	}
 	for t, k := range lay.slotIval {
 		if k < 0 {
@@ -233,7 +265,10 @@ func newSeparator(in *core.Instance) *separator {
 		}
 		iv := &s.ivals[k]
 		if iv.lo == 0 {
-			iv.lo = int32(t)
+			iv.lo, iv.col = int32(t), k
+			if atomCol != nil {
+				iv.col = atomCol[t]
+			}
 		}
 		iv.hi = int32(t)
 	}
@@ -255,13 +290,13 @@ func newSeparator(in *core.Instance) *separator {
 	return s
 }
 
-// load solves the feasibility subproblem for y (index t-1: slot t),
-// reporting whether y is infeasible (max flow short of the total demand).
-// It re-capacitates the y-dependent arcs while keeping the flow routed in
-// earlier loads, repairs conservation where a capacity shrank below its
-// flow, and lets Max augment only the difference. Slots past the
-// instance's last window, which a Session's master keeps after a
-// departure, lie in no interval and are not read.
+// load solves the feasibility subproblem for the master point Y (index:
+// master column), reporting whether Y is infeasible (max flow short of the
+// total demand). It re-capacitates the y-dependent arcs while keeping the
+// flow routed in earlier loads, repairs conservation where a capacity
+// shrank below its flow, and lets Max augment only the difference. Columns
+// of atoms no window covers, which a Session's master keeps after a
+// departure, have no node and are not read.
 //
 // Every flow path here is source→job→interval→sink, so each repair is
 // local: clamping a job→interval arc cancels the excess on that job's
@@ -273,26 +308,22 @@ func newSeparator(in *core.Instance) *separator {
 // yields a true maximum flow and the same unique min-cut value a fresh
 // solve finds.
 //
-// Each Y_I is summed over the interval's slots in slot order, and only the
-// intervals whose sum differs from loaded are visited. The visits keep the
-// order of a scan over every arc: first the job→interval arcs (interval by
+// Each interval reads its Y_I from its column, and only the intervals
+// whose value differs from loaded are visited. The visits keep the order
+// of a scan over every arc: first the job→interval arcs (interval by
 // interval, each interval's jobs in job order), then the sink arcs. Every
 // arc therefore sees the same SetCapacityKeepFlow/PushBack sequence, so the
 // flow is the same to the last bit.
-func (s *separator) load(y []float64) bool {
+func (s *separator) load(Y []float64) bool {
 	g := float64(s.in.G)
 	for k := range s.ivals {
 		iv := &s.ivals[k]
-		sum := 0.0
-		for _, v := range y[iv.lo-1 : iv.hi] {
-			sum += v
-		}
-		iv.sum = sum
-		if sum == iv.loaded {
+		v := Y[iv.col]
+		if v == iv.loaded {
 			continue
 		}
 		for _, a := range s.ivalArcs[k] {
-			if ex := s.net.SetCapacityKeepFlow(a.id, sum); ex > 0 {
+			if ex := s.net.SetCapacityKeepFlow(a.id, v); ex > 0 {
 				s.net.PushBack(s.srcEdges[a.job], ex)
 				s.net.PushBack(iv.sink, ex)
 			}
@@ -300,11 +331,12 @@ func (s *separator) load(y []float64) bool {
 	}
 	for k := range s.ivals {
 		iv := &s.ivals[k]
-		if iv.sum == iv.loaded {
+		v := Y[iv.col]
+		if v == iv.loaded {
 			continue
 		}
-		iv.loaded = iv.sum
-		c := g * iv.sum
+		iv.loaded = v
+		c := g * v
 		if c == s.net.Capacity(iv.sink) {
 			continue
 		}
@@ -331,6 +363,68 @@ func (s *separator) load(y []float64) bool {
 	}
 	got += s.net.Max(s.src, s.sink)
 	return got < s.total-1e-6
+}
+
+// feasibleAllOpen reports whether the jobs fit with every slot open: one
+// load with every atom at its bound, Y_I = |I|, whose capacities are
+// integral, so the float flow decides exactly. It then returns the
+// separator to its starting state (every y-dependent capacity 0, no flow),
+// so the next load still solves from zero. It answers the question
+// CheckFeasible(in, AllSlots(in)) does, without a second network.
+func (s *separator) feasibleAllOpen() bool {
+	cols := 0
+	for _, iv := range s.ivals {
+		cols = max(cols, int(iv.col)+1)
+	}
+	Y := make([]float64, cols)
+	for _, iv := range s.ivals {
+		Y[iv.col] = float64(iv.hi - iv.lo + 1)
+	}
+	ok := !s.load(Y)
+	s.net.Reset()
+	for k := range s.ivals {
+		iv := &s.ivals[k]
+		iv.loaded = 0
+		s.net.SetCapacity(iv.sink, 0)
+		for _, a := range s.ivalArcs[k] {
+			s.net.SetCapacity(a.id, 0)
+		}
+	}
+	return ok
+}
+
+// sumSlots writes into Y, at each interval's column, the sum of y over the
+// interval's slots in slot order (y index t-1: slot t): the point load
+// takes for a y over the slots, such as the rounding sweep's.
+func (s *separator) sumSlots(y, Y []float64) {
+	for _, iv := range s.ivals {
+		sum := 0.0
+		for _, v := range y[iv.lo-1 : iv.hi] {
+			sum += v
+		}
+		Y[iv.col] = sum
+	}
+}
+
+// slotValues spreads the master point Y over the slots 1..T (index 0
+// unused): each interval's value, clamped to [0, |I|], right-filled — ones
+// at the interval's end, at most one fractional slot before them. Slots of
+// no interval get 0.
+func (s *separator) slotValues(Y []float64) []float64 {
+	y := make([]float64, s.in.Horizon()+1)
+	for _, iv := range s.ivals {
+		v := min(max(Y[iv.col], 0), float64(iv.hi-iv.lo+1))
+		full, frac := math.Modf(v)
+		t := iv.hi
+		for ; full > 0; full-- {
+			y[t] = 1
+			t--
+		}
+		if frac > 0 {
+			y[t] = frac
+		}
+	}
+	return y
 }
 
 // separateAll solves the feasibility subproblem once and, when y is
@@ -415,9 +509,11 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 }
 
 // cutFor builds the canonical cut for job subset A of the separator's
-// instance: Σ_t min(g, cov_A(t))·y_t >= Σ_{j∈A} p_j. It counts coverage in
-// the cov scratch over the span of A's windows only, allocates cols and
-// vals at their exact length, and zeroes the scratch as it emits them.
+// instance, one coefficient per atom: Σ_I min(g, cov_A(I))·Y_I >= Σ_{j∈A} p_j.
+// It counts coverage in the cov scratch over the span of A's windows only,
+// allocates cols and vals at their exact length, and zeroes the scratch as
+// it emits them. The columns come in slot order, which is ascending on a
+// newly built master and which AddSparse sorts after a Session's splits.
 func (s *separator) cutFor(A []bool) (cols []int, vals []float64, rhs float64) {
 	cov := s.cov
 	lo, hi, n := len(cov), -1, 0
@@ -426,21 +522,21 @@ func (s *separator) cutFor(A []bool) (cols []int, vals []float64, rhs float64) {
 			continue
 		}
 		rhs += float64(j.Length)
-		first, last := int(j.FirstSlot())-1, int(j.LastSlot())-1
-		for t := first; t <= last; t++ {
-			if cov[t] == 0 {
+		first, last := int(s.slotIval[j.FirstSlot()]), int(s.slotIval[j.LastSlot()])
+		for k := first; k <= last; k++ {
+			if cov[k] == 0 {
 				n++
 			}
-			cov[t]++
+			cov[k]++
 		}
 		lo, hi = min(lo, first), max(hi, last)
 	}
 	cols, vals = make([]int, 0, n), make([]float64, 0, n)
 	g := int32(s.in.G)
-	for t := lo; t <= hi; t++ {
-		if c := cov[t]; c != 0 {
-			cov[t] = 0
-			cols = append(cols, t)
+	for k := lo; k <= hi; k++ {
+		if c := cov[k]; c != 0 {
+			cov[k] = 0
+			cols = append(cols, int(s.ivals[k].col))
 			vals = append(vals, float64(min(c, g)))
 		}
 	}

@@ -12,7 +12,9 @@ import (
 type ExactLPResult struct {
 	// Objective is the exact optimal value of LP1.
 	Objective *big.Rat
-	// Y[t] is the exact fractional openness of slot t (index 0 unused).
+	// Y[t] is the exact fractional openness of slot t (index 0 unused):
+	// the master's Y_I spread over each atom's slots right-filled, as in
+	// LPResult.Y.
 	Y []*big.Rat
 	// Cuts, Rounds and Pivots mirror LPResult: cut count, master solves,
 	// and total rational simplex pivots.
@@ -23,12 +25,15 @@ type ExactLPResult struct {
 // arithmetic: batched Benders cut generation like SolveLP's, but with the
 // master solved by the big.Rat simplex and every round separated at the
 // master optimum alone, without SolveLP's in-out probe, so the oracle's
-// cuts do not depend on the probe it cross-checks. Separation uses the float
-// max-flow oracle (capacities are converted from the rational master
-// solution), then the final master optimum is exact for the generated cut
-// set; a last float separation confirms no cut is violated beyond
-// tolerance. Intended for small instances and for certifying SolveLP —
-// e.g. it proves the integrality-gap gadget's LP optimum is exactly g+1.
+// cuts do not depend on the probe it cross-checks. It builds SolveLP's
+// master, one column per elementary interval, and never splits it; an
+// all-open load of that master's separator checks feasibility first.
+// Separation uses the float max-flow oracle (capacities are converted from
+// the rational master solution), then the final master optimum is exact
+// for the generated cut set; a last float separation confirms no cut is
+// violated beyond tolerance. Intended for small instances and for
+// certifying SolveLP — e.g. it proves the integrality-gap gadget's LP
+// optimum is exactly g+1.
 //
 // Each round after the first re-solves warm (lp.Problem.ResolveExactFrom):
 // the previous round's rational dictionary is the starting basis and only
@@ -50,11 +55,12 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if !CheckFeasible(in, AllSlots(in)) {
+	master := newSeparator(in)
+	if !master.feasibleAllOpen() {
 		return nil, ErrInfeasible
 	}
 	T := int(in.Horizon())
-	prob, err := newMaster(in)
+	prob, err := newMaster(master)
 	if err != nil {
 		return nil, err
 	}
@@ -97,9 +103,22 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 		if added == 0 {
 			res.Objective = sol.Objective
 			res.Y = make([]*big.Rat, T+1)
-			res.Y[0] = new(big.Rat)
-			for t := 1; t <= T; t++ {
-				res.Y[t] = new(big.Rat).Set(sol.X[t-1])
+			for t := range res.Y {
+				res.Y[t] = new(big.Rat)
+			}
+			// Right-filled, as LPResult.Y: ones at each atom's end, then
+			// the fractional part of Y_I.
+			for _, iv := range master.ivals {
+				v := sol.X[iv.col]
+				full := new(big.Int).Quo(v.Num(), v.Denom())
+				t := int(iv.hi)
+				for n := full.Int64(); n > 0; n-- {
+					res.Y[t].SetInt64(1)
+					t--
+				}
+				if frac := new(big.Rat).Sub(v, new(big.Rat).SetInt(full)); frac.Sign() > 0 {
+					res.Y[t].Set(frac)
+				}
 			}
 			return res, nil
 		}

@@ -281,10 +281,9 @@ func TestRowSlackMatchesCutLoop(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 4; seed++ {
 		in := gen.LargeHorizon(gen.RandomConfig{N: 32, Horizon: 256, MaxLen: 16, G: 4, Seed: seed})
-		T := int(in.Horizon())
 		sep := newSeparator(in)
-		prob := lp.NewProblem(T)
-		x := make([]float64, T)
+		prob := lp.NewProblem(len(sep.ivals))
+		x := make([]float64, len(sep.ivals))
 		for cut := 0; cut < 40; cut++ {
 			A := make([]bool, len(in.Jobs))
 			A[rng.Intn(len(A))] = true

@@ -141,8 +141,11 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	// schedulable, and mix is the incremental max-flow network that certifies
 	// it: a Benders separator on the elementary intervals, carrying its flow
 	// and re-capacitating only the intervals whose y-mass a decision moved.
+	// hyMass is the hybrid vector summed over each interval, the point mix
+	// loads.
 	hy := shifted[1:]
 	mix := newSeparator(in)
+	hyMass := make([]float64, len(mix.ivals))
 	opened := make(map[core.Time]bool)
 	var openList []core.Time
 	openSlot := func(t core.Time) {
@@ -223,7 +226,8 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 				// own earlier certified close in the proxy-fallback case).
 				// load reports violation, so feasible is its negation.
 				res.FlowChecks++
-				if !mix.load(hy) {
+				mix.sumSlots(hy, hyMass)
+				if !mix.load(hyMass) {
 					proxyVal = frac
 					proxyPtr = fslot
 					haveProxyPtr = true

@@ -299,9 +299,9 @@ type hybridCloseVertex struct {
 // hybrid close rule — certify every close against the full hybrid solution
 // — must round each of them to a verified schedule within 2·LP, from two
 // different optimal vertices: the live SolveLP optimum, and a second
-// optimum of the same LP frozen in testdata (it differs from the live one
-// in 1, 47, 180 and 304 entries of y), which is the vertex family that
-// exposed the bug in the first place.
+// optimum of the same LP frozen in testdata (it differs from the live one,
+// whose atoms are right-filled, in 127, 154, 315 and 643 entries of y),
+// which is the vertex family that exposed the bug in the first place.
 func TestRoundingHybridCloseRepairFree(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "hybrid_close_vertices.json"))
 	if err != nil {

@@ -188,13 +188,14 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 // scaling family must solve inside the CI scaling-job budget, which takes
 // steepest-edge pricing, the hypersparse FTRAN/BTRAN kernels, cut-row
 // working-set pricing and Forrest–Tomlin updates together. The known-good
-// trajectory spends 2118 pivots over 44 rounds (2399 cuts, 188 purged, 158
-// refactors, about 1.6 s on a 2-vCPU Xeon), none of its warm repairs above
-// 167. The 10600 ceiling was set at 4.2× the 2528 pivots of the per-slot
-// separator, the head-room that the Kelley-separation loop's 45000 ceiling
-// had over its 10719 pivots, so a change that drifts back toward that
-// basin fails, as does a pricing or ordering change that drops the solve
-// into a far worse one. It skips
+// trajectory, on the master with one column per elementary interval,
+// spends 1971 pivots over 95 rounds (2548 cuts, 303 purged, 190
+// refactors, hypersparse share 0.82, about 1.3 s on a 2-vCPU Xeon), none
+// of its warm repairs above 87. The 10600 ceiling was set at 4.2× the 2528
+// pivots of the per-slot separator, the head-room that the
+// Kelley-separation loop's 45000 ceiling had over its 10719 pivots, so a
+// change that drifts back toward that basin fails, as does a pricing or
+// ordering change that drops the solve into a far worse one. It skips
 // under the race detector, where the instruction-level slowdown would
 // turn minutes into the better part of an hour —
 // TestSolveLPHorizon16kLight is the race-mode endurance run.
@@ -203,8 +204,9 @@ func TestSolveLPHorizon16k(t *testing.T) {
 		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
 	}
 	skipUnlessEndurance(t, 15*time.Minute)
-	// Calibration on a 2-vCPU Xeon: ~0.8 ms/pivot, separation included
-	// (~1.4 with the per-slot separator); the ceiling pads ~10× for slower
+	// Calibration on a 2-vCPU Xeon: ~0.7 ms/pivot, separation included
+	// (~0.8 with one master column per slot, ~1.4 with the per-slot
+	// separator); the ceiling pads ~10× for slower
 	// runners while still catching a dense-everywhere or quadratic-pricing
 	// catastrophe.
 	runCanonicalEndurance(t, 16384, 10600, 1500, 8000)
@@ -220,13 +222,14 @@ func TestSolveLPHorizon32k(t *testing.T) {
 		t.Skip("minutes-long run; the race build exercises TestSolveLPHorizon16kLight instead")
 	}
 	skipUnlessEndurance(t, 30*time.Minute)
-	// The known-good trajectory spends 3326 pivots over 55 rounds (4675
-	// cuts, 328 purged, 238 refactors, about 4 s on a 2-vCPU Xeon) with no
-	// fallback, its largest warm repair 332 pivots. The 3900 ceiling was set
-	// at 1.14× the 3421 pivots of the per-slot separator, the head-room that
-	// the Kelley-separation loop's 110000 ceiling had over its 96339 pivots;
-	// the warm-repair ceiling of 1500 is a quarter of that loop's
-	// 6,047-pivot repair before its stall.
+	// The known-good trajectory, on the master with one column per
+	// elementary interval, spends 3021 pivots over 68 rounds (4828 cuts,
+	// 396 purged, 230 refactors, hypersparse share 0.88, about 2.7 s on a
+	// 2-vCPU Xeon) with no fallback, its largest warm repair 143 pivots.
+	// The 3900 ceiling was set at 1.14× the 3421 pivots of the per-slot
+	// separator, the head-room that the Kelley-separation loop's 110000
+	// ceiling had over its 96339 pivots; the warm-repair ceiling of 1500 is
+	// a quarter of that loop's 6,047-pivot repair before its stall.
 	runCanonicalEndurance(t, 32768, 3900, 1500, 15000)
 }
 

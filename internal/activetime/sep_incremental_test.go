@@ -34,27 +34,29 @@ func (s *separator) minCutJobs() []bool {
 	return A
 }
 
-// cutValue is the capacity at y of the cut whose source side holds the
-// jobs of A: Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t, in the per-slot and
-// the interval network alike.
-func cutValue(s *separator, y []float64, A []bool) float64 {
+// cutValue is the capacity at the master point Y of the cut whose source
+// side holds the jobs of A: Σ_{j∉A} p_j + Σ_I min(g, cov_A(I))·Y_I, which
+// is the per-slot network's Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t for any
+// y that sums to Y_I over each atom.
+func cutValue(s *separator, Y []float64, A []bool) float64 {
 	cols, vals, rhs := s.cutFor(A)
 	v := s.total - rhs
 	for k, c := range cols {
-		v += vals[k] * y[c]
+		v += vals[k] * Y[c]
 	}
 	return v
 }
 
-// checkPerSlot holds a separator's last load, at y, to the per-slot
-// network it replaced (perSlotSeparation): the same max-flow value within
-// 1e-7 and, with exact set, the same global min-cut job set. Without
-// exact, job sets that differ must each cut within 1e-7 of the max flow:
-// where two cuts lie within float noise of each other, the two networks'
-// roundings may settle on either. It reports whether the sets matched.
-func checkPerSlot(t *testing.T, s *separator, y []float64, exact bool, where string) bool {
+// checkPerSlot holds a separator's last load, at the master point Y, to the
+// per-slot network (perSlotSeparation) at Y spread over the slots
+// (slotValues): the same max-flow value within 1e-7 and, with exact set,
+// the same global min-cut job set. Without exact, job sets that differ must
+// each cut within 1e-7 of the max flow: where two cuts lie within float
+// noise of each other, the two networks' roundings may settle on either.
+// It reports whether the sets matched.
+func checkPerSlot(t *testing.T, s *separator, Y []float64, exact bool, where string) bool {
 	t.Helper()
-	value, A := perSlotSeparation(s.in, y)
+	value, A := perSlotSeparation(s.in, s.slotValues(Y)[1:])
 	got, B := s.flowValue(), s.minCutJobs()
 	if math.Abs(got-value) > 1e-7 {
 		t.Fatalf("%s: interval max flow %.12f, per-slot %.12f", where, got, value)
@@ -66,7 +68,7 @@ func checkPerSlot(t *testing.T, s *separator, y []float64, exact bool, where str
 		t.Fatalf("%s: interval min-cut jobs %v, per-slot %v", where, B, A)
 	}
 	for _, C := range [][]bool{A, B} {
-		if c := cutValue(s, y, C); math.Abs(c-value) > 1e-7 {
+		if c := cutValue(s, Y, C); math.Abs(c-value) > 1e-7 {
 			t.Fatalf("%s: min-cut job sets differ, and one cuts %.12f against a max flow of %.12f", where, c, value)
 		}
 	}
@@ -119,9 +121,10 @@ func sameJobSets(a, b [][]bool) bool {
 	return true
 }
 
-// compareSeparators drives one y through a persistent separator, which
-// carries its flow from load to load, and through a newly built one, whose
-// load solves from zero, and asserts the flow-invariant facts: the max-flow
+// compareSeparators drives one master point y (one value per atom column)
+// through a persistent separator, which carries its flow from load to
+// load, and through a newly built one, whose load solves from zero, and
+// asserts the flow-invariant facts: the max-flow
 // value (the min-cut value is unique across maximum flows), the global
 // min-cut source set (residual reachability from the source is the same for
 // every maximum flow), and that every harvested set from either oracle is
@@ -183,11 +186,11 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 			// Re-run the default pipeline's master loop, but drive two
 			// persistent separators with every round's optimum (the
 			// incremental one steers the master, exactly like SolveLP).
-			prob, err := newMaster(in)
+			inc := newSeparator(in)
+			prob, err := newMaster(inc)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 			}
-			inc := newSeparator(in)
 			reg := newCutRegistry(prob.NumConstraints())
 			var basis *lp.Basis
 			cap := adaptiveBatchCap(in)
@@ -224,48 +227,62 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// shrinkStep moves the master point Y, one value per atom of s, one step
+// along a shrink sequence: every third step draws each atom afresh in
+// [0, |I|], the next collapses a random run of atoms to zero, which forces
+// flow already routed through them to be cancelled, and the next redraws
+// three atoms.
+func shrinkStep(rng *rand.Rand, s *separator, Y []float64, step int) {
+	n := len(s.ivals)
+	draw := func(k int) {
+		iv := s.ivals[k]
+		Y[iv.col] = rng.Float64() * float64(iv.hi-iv.lo+1)
+	}
+	switch step % 3 {
+	case 0:
+		for k := range s.ivals {
+			draw(k)
+		}
+	case 1:
+		lo := rng.Intn(n)
+		hi := lo + 1 + rng.Intn(n-lo)
+		for k := lo; k < hi; k++ {
+			Y[s.ivals[k].col] = 0
+		}
+	case 2:
+		for i := 0; i < 3; i++ {
+			draw(rng.Intn(n))
+		}
+	}
+}
+
 // TestSeparatorIncrementalShrink targets the repair path directly: random
-// y sequences that repeatedly collapse slots to zero force flow already
+// master points that repeatedly collapse atoms to zero force flow already
 // routed through them to be cancelled, the case a monotone Benders
 // trajectory rarely exercises hard.
 func TestSeparatorIncrementalShrink(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := lpFamilies[int(seed)%len(lpFamilies)].make(seed)
-		T := int(in.Horizon())
 		inc := newSeparator(in)
-		y := make([]float64, T)
+		Y := make([]float64, len(inc.ivals))
 		for step := 0; step < 25; step++ {
-			switch step % 3 {
-			case 0: // fresh random point
-				for t2 := range y {
-					y[t2] = rng.Float64()
-				}
-			case 1: // collapse a random window to zero (forces cancellation)
-				lo := rng.Intn(T)
-				hi := lo + 1 + rng.Intn(T-lo)
-				for t2 := lo; t2 < hi; t2++ {
-					y[t2] = 0
-				}
-			case 2: // perturb a few slots
-				for k := 0; k < 3; k++ {
-					y[rng.Intn(T)] = rng.Float64()
-				}
-			}
-			compareSeparators(t, inc, y, maxBatchCuts, false, "shrink")
+			shrinkStep(rng, inc, Y, step)
+			compareSeparators(t, inc, Y, maxBatchCuts, false, "shrink")
 		}
 	}
 }
 
 // FuzzSeparation fuzzes the flow-carrying separation oracle against a
 // from-zero solve on a newly built separator at every load: any decodable
-// instance plus any seed-derived sequence of y vectors must yield identical
-// max-flow values, identical global min-cut source sets, and only genuinely
-// violated harvested sets, at every step of the sequence (the per-job
-// violator collections themselves are flow-dependent on adversarial
-// sequences; see compareSeparators). The per-slot network must reach the
-// same max-flow value, and the same min-cut job set or another cut of the
-// same value (checkPerSlot).
+// instance plus any seed-derived sequence of master points must yield
+// identical max-flow values, identical global min-cut source sets, and only
+// genuinely violated harvested sets, at every step of the sequence (the
+// per-job violator collections themselves are flow-dependent on
+// adversarial sequences; see compareSeparators). The per-slot network at
+// the point spread over the slots must reach the same max-flow value, and
+// the same min-cut job set or another cut of the same value
+// (checkPerSlot).
 func FuzzSeparation(f *testing.F) {
 	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
 	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(7))
@@ -280,32 +297,32 @@ func FuzzSeparation(f *testing.F) {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed))
-		T := int(in.Horizon())
 		inc := newSeparator(in)
-		y := make([]float64, T)
+		Y := make([]float64, len(inc.ivals))
 		for step := 0; step < 8; step++ {
-			for t2 := range y {
-				switch rng.Intn(4) {
+			for _, iv := range inc.ivals {
+				switch size := float64(iv.hi - iv.lo + 1); rng.Intn(4) {
 				case 0:
-					y[t2] = 0
+					Y[iv.col] = 0
 				case 1:
-					y[t2] = 1
+					Y[iv.col] = size
 				default:
-					y[t2] = rng.Float64()
+					Y[iv.col] = rng.Float64() * size
 				}
 			}
-			compareSeparators(t, inc, y, maxBatchCuts, false, "fuzz")
-			checkPerSlot(t, inc, y, false, "fuzz")
+			compareSeparators(t, inc, Y, maxBatchCuts, false, "fuzz")
+			checkPerSlot(t, inc, Y, false, "fuzz")
 		}
 	})
 }
 
 // TestSeparatorMatchesPerSlot holds the interval separator to the per-slot
-// network it replaced at points where float arithmetic is exact: every y_t
-// a multiple of 1/16, so every interval sum, capacity and routed flow is a
-// short dyadic fraction. On all eight session families, a separator that
-// carries its flow from point to point and a new one must each reach the
-// per-slot max-flow value and global min-cut job set at every point.
+// network at points where float arithmetic is exact: every Y_I a multiple
+// of 1/16, so every capacity and routed flow is a short dyadic fraction,
+// and so is every slot of the point spread over the slots. On all eight
+// session families, a separator that carries its flow from point to point
+// and a new one must each reach the per-slot max-flow value and global
+// min-cut job set at every point.
 func TestSeparatorMatchesPerSlot(t *testing.T) {
 	points, violated := 0, 0
 	for _, fam := range sessionFamilies {
@@ -313,21 +330,21 @@ func TestSeparatorMatchesPerSlot(t *testing.T) {
 			in := fam.make(seed)
 			rng := rand.New(rand.NewSource(seed))
 			inc := newSeparator(in)
-			y := make([]float64, in.Horizon())
+			Y := make([]float64, len(inc.ivals))
 			for step := 0; step < 12; step++ {
 				// Raise the floor of the draw step by step, so the points
 				// run from mostly infeasible to mostly feasible.
-				for t2 := range y {
-					y[t2] = float64(16-rng.Intn(17-step)) / 16
+				for _, iv := range inc.ivals {
+					Y[iv.col] = float64(iv.hi-iv.lo+1) * float64(16-rng.Intn(17-step)) / 16
 				}
 				where := fmt.Sprintf("%s seed %d step %d", fam.name, seed, step)
-				if inc.load(y) {
+				if inc.load(Y) {
 					violated++
 				}
-				checkPerSlot(t, inc, y, true, where+", carried flow")
+				checkPerSlot(t, inc, Y, true, where+", carried flow")
 				fresh := newSeparator(in)
-				fresh.load(y)
-				checkPerSlot(t, fresh, y, true, where+", new separator")
+				fresh.load(Y)
+				checkPerSlot(t, fresh, Y, true, where+", new separator")
 				points++
 			}
 		}

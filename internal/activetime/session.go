@@ -36,27 +36,38 @@ type SessionStats struct {
 // master problem whose basis survives mutations, the cut registry that
 // mirrors the master's row order (which job or cut each row is; the rows
 // themselves live only in the master), and a separation network. The
-// network is rebuilt from the mutated instance after each delta, since an
-// arriving window can split an elementary interval; its first load is one
-// max flow from zero. The master's warm re-solve, where a delta's pivots
-// are spent, is what makes a re-solve after a delta pay for the delta, not
-// for the instance.
+// network is rebuilt after each delta, since an arrival can add jobs and
+// split atoms; its first load is one max flow from zero. The master's warm
+// re-solve, where a delta's pivots are spent, is what makes a re-solve
+// after a delta pay for the delta, not for the instance.
 //
-// AddJobs appends slot columns (priced into the live basis by the engine's
-// column splice) and seed covering rows; RemoveJobs drops the departed
-// jobs' rows from the live basis when they are slack, and when one is tight
-// edits the master in place and drops the basis, so the next Solve starts
-// cold (counted in ColdRebuilds). The column space is monotone: slots a
-// removal strands beyond the current horizon keep their columns, which no
-// surviving row references, so they rest at zero and the objective equals a
-// cold solve of the mutated instance — the delta-vs-cold metamorphic suite
-// asserts exactly that, to 1e-6, on every generator family.
+// The master has one column per atom (see newMaster): a run of slots that
+// every job window either contains or misses. A new session's atoms are
+// the instance's elementary intervals. atomCol maps each slot to its atom's
+// column; an atom is a maximal run of one column. An arrival whose window
+// bound falls inside an atom splits it in place (lp.Problem.SplitColumn):
+// the atom's column keeps its first part and bound, and a new column takes
+// the rest, with the column's coefficient in every row, so the live basis
+// stays dual feasible and the re-solve stays warm. Slots no window ever
+// covered get a column only when an arrival first covers them, appended
+// like any new column (priced into the live basis by the engine's column
+// splice). Departures never merge atoms: an atom no surviving window
+// covers keeps its column, which no surviving row references, so it rests
+// at zero and the objective equals a cold solve of the mutated instance —
+// the delta-vs-cold metamorphic suite asserts exactly that, to 1e-6, on
+// every generator family.
+//
+// AddJobs also appends the arrivals' seed covering rows; RemoveJobs drops
+// the departed jobs' rows from the live basis when they are slack, and when
+// one is tight edits the master in place and drops the basis, so the next
+// Solve starts cold (counted in ColdRebuilds).
 //
 // Sessions are not safe for concurrent use; the solve server serializes
 // access per tenant.
 type Session struct {
 	in      *core.Instance // owned deep copy; mutated by deltas
-	prob    *lp.Problem    // its column count is the max horizon ever seen
+	prob    *lp.Problem    // one column per atom ever laid out
+	atomCol []int32        // index t: the column of slot t's atom, -1 for a slot no window ever covered
 	basis   *lp.Basis
 	sep     *separator
 	reg     *cutRegistry
@@ -80,11 +91,12 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if !CheckFeasible(in, AllSlots(in)) {
+	own := in.Clone()
+	sep := newSeparator(own)
+	if !sep.feasibleAllOpen() {
 		return nil, ErrInfeasible
 	}
-	own := in.Clone()
-	prob, err := newMaster(own)
+	prob, err := newMaster(sep)
 	if err != nil {
 		return nil, err
 	}
@@ -93,10 +105,11 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 	s := &Session{
 		in:      own,
 		prob:    prob,
+		atomCol: sep.slotIval,
+		sep:     sep,
 		opts:    opts,
 		posByID: make(map[int]int, len(own.Jobs)),
 	}
-	s.sep = newSeparator(own)
 	s.reg = newCutRegistry(prob.NumConstraints())
 	for i, j := range own.Jobs {
 		s.posByID[j.ID] = i
@@ -155,10 +168,10 @@ const probeWeight = 0.9
 //
 // Each round separates by in-out separation (Ben-Ameur and Neto, Networks
 // 2007) rather than at the master's vertex optimum y* alone. The solve
-// keeps a center ŷ that LP1 admits, starting at every slot open (every
-// session instance passed CheckFeasible with all slots open), and first
-// separates at the probe between y* and ŷ. A cut's slack
-// f_A(y) = Σ_t min(g, cov_A(t))·y_t − P(A) is affine in y and f_A(ŷ) ≥ 0,
+// keeps a center ŷ that LP1 admits, starting at every atom at its bound,
+// that is every slot open (every session instance fits with all slots
+// open), and first separates at the probe between y* and ŷ. A cut's slack
+// f_A(Y) = Σ_I min(g, cov_A(I))·Y_I − P(A) is affine in Y and f_A(ŷ) ≥ 0,
 // so a cut violated at the probe is violated at y* by at least as much:
 // the probe's cuts are deeper, pointing at the middle of the feasible
 // region instead of at the vertex the master happens to sit on, and the
@@ -181,8 +194,8 @@ func (s *Session) Solve() (*LPResult, error) {
 	s.stats.Solves++
 	res := &LPResult{Cuts: len(s.reg.rows)}
 	center := make([]float64, s.prob.NumVars())
-	for t := range center {
-		center[t] = 1
+	for j := range center {
+		center[j] = s.prob.Upper(j)
 	}
 	probe := make([]float64, len(center))
 	maxRounds := 20*T + 200
@@ -220,21 +233,11 @@ func (s *Session) Solve() (*LPResult, error) {
 			// Converged: either separation at y* found no violated set, or
 			// every set it surfaced is already in the master and satisfied
 			// within the solver's tolerance (the separator's 1e-6 flow
-			// slack and the master's 1e-6 row tolerance meet here). Columns
-			// the monotone width keeps beyond the current horizon appear in
-			// no row and rest at zero, so the objective is the mutated
-			// instance's own.
-			res.Y = make([]float64, T+1)
-			for t := 1; t <= T; t++ {
-				v := y[t-1]
-				if v < 0 {
-					v = 0
-				}
-				if v > 1 {
-					v = 1
-				}
-				res.Y[t] = v
-			}
+			// slack and the master's 1e-6 row tolerance meet here). The
+			// columns of atoms no window covers any more appear in no row
+			// and rest at zero, so the objective is the mutated instance's
+			// own.
+			res.Y = s.sep.slotValues(y)
 			res.Objective = sol.Objective
 			if delta {
 				s.stats.DeltaPivots += res.Pivots
@@ -295,14 +298,15 @@ func (s *Session) addCuts(y, at, center []float64, sets [][]bool) (int, error) {
 	return added, nil
 }
 
-// AddJobs splices new jobs into the live session: the master gains any new
-// slot columns (shaped with the y cost and bound, priced into the live
-// basis at the next re-solve) and one seed covering row per job, the
-// registry mirrors the appended rows, and the separation network is
-// rebuilt over the grown instance. On a validation or
-// feasibility error the session is unchanged: the prospective instance is
-// checked before anything mutates, so an infeasible batch (ErrInfeasible)
-// is rejected atomically.
+// AddJobs splices new jobs into the live session. It lays out the atoms
+// of the grown instance (arriveAtoms) and builds their separator, which
+// checks that the grown instance fits with every slot open, before it
+// touches the master, so on a validation or feasibility error
+// (ErrInfeasible) the session is unchanged. The master then splits every
+// atom an arriving window bound falls inside, gains a column for each atom
+// of slots no window covered before, and gains one seed covering row per
+// job; the registry mirrors the appended rows, and the new separator
+// replaces the old one.
 func (s *Session) AddJobs(jobs []core.Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -312,29 +316,85 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 	if err := prosp.Validate(); err != nil {
 		return err
 	}
-	if !CheckFeasible(prosp, AllSlots(prosp)) {
+	atomCol, grow := arriveAtoms(s.atomCol, jobs, s.prob.NumVars())
+	sep := newAtomSeparator(prosp, atomCol)
+	if !sep.feasibleAllOpen() {
 		return ErrInfeasible
 	}
-	if cols, newT := s.prob.NumVars(), int(prosp.Horizon()); newT > cols {
-		j0 := s.prob.AddColumns(newT - cols)
-		for j := j0; j < newT; j++ {
-			s.prob.SetObjective(j, 1)
-			s.prob.SetUpper(j, 1)
+	for _, op := range grow {
+		if op.from >= 0 {
+			if _, err := s.prob.SplitColumn(int(op.from), op.bound); err != nil {
+				return fmt.Errorf("activetime: AddJobs split: %w", err)
+			}
+			continue
 		}
+		j := s.prob.AddColumns(1)
+		s.prob.SetObjective(j, 1)
+		s.prob.SetUpper(j, op.bound)
 	}
-	for _, j := range jobs {
-		pos := len(s.in.Jobs)
-		s.in.Jobs = append(s.in.Jobs, j)
-		s.posByID[j.ID] = pos
-		if err := addSeedCut(s.prob, j); err != nil {
+	for pos := len(s.in.Jobs); pos < len(prosp.Jobs); pos++ {
+		if err := sep.addSeedCut(s.prob, pos); err != nil {
 			return fmt.Errorf("activetime: AddJobs seed row: %w", err)
 		}
 		s.reg.addSeedRow(pos)
+		s.posByID[prosp.Jobs[pos].ID] = pos
 	}
-	s.sep = newSeparator(s.in)
+	s.in, s.atomCol, s.sep = prosp, atomCol, sep
 	s.stats.AddCalls++
 	s.solved = false
 	return nil
+}
+
+// atomOp is one master column an arrival creates, in column order: for
+// from >= 0, the split of column from, which keeps the bound bound; for
+// from < 0, a new atom with the bound bound.
+type atomOp struct {
+	from  int32
+	bound float64
+}
+
+// arriveAtoms lays out the atoms after jobs arrive, given the atoms before
+// (atomCol, see Session) and the master's column count next. Every window
+// bound of the arrivals that falls inside an atom splits it: walking the
+// atom's slots in order, the column keeps the part before the bound and a
+// new column takes the rest, which a later bound may split again. Each run
+// of slots that no window covered before and no arriving bound cuts
+// becomes a new atom. It returns the new slot-to-column map and the
+// columns to create, numbered from next in their order.
+func arriveAtoms(atomCol []int32, jobs []core.Job, next int) ([]int32, []atomOp) {
+	covered := windowSlots(jobs)
+	out := make([]int32, max(len(atomCol), len(covered)))
+	cut := make([]bool, len(out)+1)
+	for _, j := range jobs {
+		cut[j.FirstSlot()], cut[j.LastSlot()+1] = true, true
+	}
+	var ops []atomOp
+	isNew := func(col int32) bool { return int(col) >= next && ops[int(col)-next].from < 0 }
+	start := 0 // the first slot of the part of an old atom that holds slot t-1
+	for t := range out {
+		old := int32(-1)
+		if t < len(atomCol) {
+			old = atomCol[t]
+		}
+		switch {
+		case old >= 0 && atomCol[t-1] != old: // an old atom starts (slot 0 is in none)
+			out[t], start = old, t
+		case old >= 0 && cut[t]:
+			ops = append(ops, atomOp{from: out[t-1], bound: float64(t - start)})
+			out[t], start = int32(next+len(ops)-1), t
+		case old >= 0:
+			out[t] = out[t-1]
+		case t < len(covered) && covered[t] && !cut[t] && isNew(out[t-1]):
+			out[t] = out[t-1]
+			ops[int(out[t])-next].bound++
+		case t < len(covered) && covered[t]:
+			ops = append(ops, atomOp{from: -1, bound: 1})
+			out[t] = int32(next + len(ops) - 1)
+		default:
+			out[t] = -1
+		}
+	}
+	return out, ops
 }
 
 // RemoveJobs removes the jobs with the given IDs (duplicates tolerated,
@@ -346,7 +406,7 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 // (ColdRebuilds), so the next Solve starts cold from the surviving rows in
 // their order. The registry remaps every surviving cut into the compacted
 // job positions, and the separation network is rebuilt over the surviving
-// jobs.
+// jobs on the same atoms: departures merge none.
 func (s *Session) RemoveJobs(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -399,7 +459,7 @@ func (s *Session) RemoveJobs(ids []int) error {
 	}
 	s.in.Jobs = s.in.Jobs[:out]
 	s.reg.remapJobs(posMap, out)
-	s.sep = newSeparator(s.in)
+	s.sep = newAtomSeparator(s.in, s.atomCol)
 	s.stats.RemoveCalls++
 	s.solved = false
 	return nil

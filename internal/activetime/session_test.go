@@ -80,6 +80,37 @@ func mutateSession(t *testing.T, sess *Session, rng *rand.Rand, mk func(int64) *
 	return true
 }
 
+// splitArrival adds one unit job whose window starts inside an atom of at
+// least two slots, which splits the atom, and spans one to three slots.
+// When every atom has one slot it instead covers the three slots past the
+// last slot any window ever covered: a new atom that a later call can
+// split. It reports whether the session changed (an infeasible arrival is
+// rejected).
+func splitArrival(t *testing.T, sess *Session, rng *rand.Rand) bool {
+	t.Helper()
+	var inside []int // slots inside an atom, not its first
+	for slot := 1; slot < len(sess.atomCol); slot++ {
+		if c := sess.atomCol[slot]; c >= 0 && c == sess.atomCol[slot-1] {
+			inside = append(inside, slot)
+		}
+	}
+	j := core.Job{ID: maxJobID(sess.Instance()) + 1, Length: 1}
+	if len(inside) > 0 {
+		j.Release = core.Time(inside[rng.Intn(len(inside))] - 1)
+		j.Deadline = j.Release + 1 + core.Time(rng.Intn(3))
+	} else {
+		j.Release = core.Time(len(sess.atomCol) - 1)
+		j.Deadline = j.Release + 3
+	}
+	if err := sess.AddJobs([]core.Job{j}); err != nil {
+		if err == ErrInfeasible {
+			return false
+		}
+		t.Fatalf("AddJobs(%v): %v", j, err)
+	}
+	return true
+}
+
 // TestSessionDeltaMatchesColdSolve is the correctness spine of the delta
 // layer: on every generator family, after any mutation sequence of arrivals
 // and departures, the patched session's optimum must equal a cold solve of
@@ -87,13 +118,20 @@ func mutateSession(t *testing.T, sess *Session, rng *rand.Rand, mk func(int64) *
 // basis (ColdFallbacks stays zero; counted cold rebuilds on tight-row
 // removals are allowed, silent fallbacks are not). After every delta the
 // registry must mirror every master row, since observeX reads the master
-// by the mirror's row indices. The run must take
-// the refused-removal path (a tight departed row: the master is edited in
-// place and the next Solve starts cold) at least once.
+// by the mirror's row indices, and the atoms must keep their invariants
+// (checkAtoms). Each step is one random delta (mutateSession) plus one
+// arrival aimed inside an atom (splitArrival), since the large-horizon
+// family's windows share one grid and every hardness gadget atom is one
+// slot, so their sibling arrivals alone never split an atom. The run must
+// take the refused-removal path (a tight departed row: the master is
+// edited in place and the next Solve starts cold) at least once, and every
+// family's arrivals must split an atom at least once, so that the warm
+// splice of a split column is exercised on each.
 func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 	const seedsPerFamily = 6
 	const steps = 4
 	checked, removals, rebuilds := 0, 0, 0
+	splits := make(map[string]int)
 	mirrored := func(sess *Session, where string) {
 		t.Helper()
 		if got, want := len(sess.reg.rows), sess.prob.NumConstraints(); got != want {
@@ -115,8 +153,13 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 				t.Fatalf("%s seed %d: initial Solve: %v", fam.name, seed, err)
 			}
 			for step := 0; step < steps; step++ {
+				before := sess.atomCol
 				mutateSession(t, sess, rng, fam.make, seed, step)
-				mirrored(sess, fmt.Sprintf("%s seed %d step %d after the delta", fam.name, seed, step))
+				splitArrival(t, sess, rng)
+				splits[fam.name] += atomSplits(before, sess.atomCol)
+				where := fmt.Sprintf("%s seed %d step %d", fam.name, seed, step)
+				checkAtoms(t, sess, where)
+				mirrored(sess, where+" after the delta")
 				got, err := sess.Solve()
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: Solve: %v", fam.name, seed, step, err)
@@ -140,9 +183,14 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 			rebuilds += sess.Stats().ColdRebuilds
 		}
 	}
-	t.Logf("%d delta-vs-cold checks; %d of %d removals refused warm", checked, rebuilds, removals)
+	t.Logf("%d delta-vs-cold checks; %d of %d removals refused warm; atoms split per family: %v", checked, rebuilds, removals, splits)
 	if checked < 100 {
 		t.Fatalf("only %d delta-vs-cold checks ran; want >= 100 (generator drift?)", checked)
+	}
+	for _, fam := range sessionFamilies {
+		if splits[fam.name] == 0 {
+			t.Errorf("%s: no arrival split an atom", fam.name)
+		}
 	}
 	if rebuilds == 0 {
 		t.Fatal("no removal took the refused-removal path; the cold restart after a tight departure went unexercised")
@@ -286,9 +334,11 @@ func TestSessionAddJobsPivotReduction(t *testing.T) {
 // FuzzInstanceDelta fuzzes the delta layer end to end: any decodable base
 // instance plus any seed-derived interleaving of AddJobs and RemoveJobs
 // must keep the session's optimum equal to a cold solve of the mutated
-// instance to 1e-6 at every step, with every warm-basis fallback loud. The
-// checked-in corpus under testdata/fuzz seeds the interesting shapes; `go
-// test -fuzz=FuzzInstanceDelta` explores from there.
+// instance to 1e-6 at every step, with every warm-basis fallback loud, and
+// the atoms to their invariants (checkAtoms). It counts the atoms the
+// arrivals split and logs the count. The checked-in corpus under
+// testdata/fuzz seeds the interesting shapes; `go test
+// -fuzz=FuzzInstanceDelta` explores from there.
 func FuzzInstanceDelta(f *testing.F) {
 	f.Add([]byte(`{"g":2,"jobs":[{"id":0,"release":0,"deadline":4,"length":2}]}`), int64(1))
 	f.Add([]byte(`{"g":1,"jobs":[{"id":0,"release":0,"deadline":2,"length":2},{"id":1,"release":1,"deadline":3,"length":1}]}`), int64(7))
@@ -307,7 +357,9 @@ func FuzzInstanceDelta(f *testing.F) {
 			return // invalid or infeasible base: nothing to delta
 		}
 		rng := rand.New(rand.NewSource(seed))
+		splits := 0
 		for step := 0; step < 4; step++ {
+			before := sess.atomCol
 			if rng.Intn(2) == 0 && sess.NumJobs() > 1 {
 				cur := sess.Instance()
 				id := cur.Jobs[rng.Intn(len(cur.Jobs))].ID
@@ -337,6 +389,8 @@ func FuzzInstanceDelta(f *testing.F) {
 					t.Fatalf("step %d: AddJobs(%v): %v", step, j, err)
 				}
 			}
+			splits += atomSplits(before, sess.atomCol)
+			checkAtoms(t, sess, fmt.Sprintf("step %d", step))
 			got, err := sess.Solve()
 			if err != nil {
 				t.Fatalf("step %d: session Solve: %v", step, err)
@@ -353,5 +407,6 @@ func FuzzInstanceDelta(f *testing.F) {
 				t.Fatalf("step %d: %d warm-basis fallbacks: %v", step, got.ColdFallbacks, got.FallbackVerdicts)
 			}
 		}
+		t.Logf("%d atoms split", splits)
 	})
 }

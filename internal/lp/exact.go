@@ -45,6 +45,7 @@ type RatBasis struct {
 	rowsBuilt int       // Problem rows incorporated into the tableau
 	epoch     int       // Problem.removeEpoch at capture; removals invalidate
 	upper     []float64 // bound snapshot; bound changes invalidate the basis
+	splits    int       // len(Problem.splits) at capture; a split means a cold solve
 }
 
 // ResolveExactFrom optimizes the problem exactly, warm-starting from prev
@@ -54,15 +55,17 @@ type RatBasis struct {
 // exact dual simplex under Bland's rule, and a final barred primal pass
 // certifies optimality. The warm-start contract is narrower than
 // ResolveFrom's: only row appends between calls — no column appends, bound
-// changes or objective changes. A warm solve that cannot
-// finish (EQ append, pivot budget) falls back to a cold run of the full
-// problem. The returned RatBasis is nil when the solve did not end Optimal.
+// changes or objective changes. A SplitColumn since the basis was captured
+// rewrites rows the dictionary already holds, so the call solves cold. A
+// warm solve that cannot finish (EQ append, pivot budget) falls back to a
+// cold run of the full problem. The returned RatBasis is nil when the solve
+// did not end Optimal.
 func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, error) {
 	if p.numVars == 0 {
 		return nil, nil, errors.New("lp: problem has no variables")
 	}
 	warmSpent := 0
-	if prev != nil && prev.t != nil {
+	if prev != nil && prev.t != nil && prev.splits == len(p.splits) {
 		if prev.t.n != p.numVars {
 			return nil, nil, fmt.Errorf("lp: exact basis has %d variables, problem has %d", prev.t.n, p.numVars)
 		}
@@ -72,7 +75,7 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 		if prev.epoch != p.removeEpoch {
 			return nil, nil, errors.New("lp: rows were removed since the exact basis was captured; re-solve cold")
 		}
-		if j, changed := p.upperChanged(prev.upper); changed {
+		if j, changed := p.upperChanged(prev.upper, nil); changed {
 			return nil, nil, fmt.Errorf("lp: upper bound of variable %d changed since the exact basis was captured; re-solve cold", j)
 		}
 		sol, ok, spent, err := p.resolveExactWarm(prev)
@@ -111,7 +114,7 @@ func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, err
 	if p.upper != nil {
 		copy(upper, p.upper)
 	}
-	return sol, &RatBasis{t: t, rowsBuilt: len(p.b), epoch: p.removeEpoch, upper: upper}, nil
+	return sol, &RatBasis{t: t, rowsBuilt: len(p.b), epoch: p.removeEpoch, upper: upper, splits: len(p.splits)}, nil
 }
 
 // resolveExactWarm incorporates the rows appended since prev was captured

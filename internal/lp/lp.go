@@ -19,8 +19,9 @@
 // nonnegative cost prefers. So the dual simplex alone solves it, cold or
 // warm, with no phase 1 and no artificial columns, and it is never
 // unbounded. This is the paper's LP1 (Section 3) projected onto the slot
-// variables — min Σ y_t over 0 ≤ y ≤ 1 with covering cuts
-// Σ_t min(g, cov_A(t))·y_t ≥ P(A) — which package activetime solves by
+// variables and summed over atoms, runs of slots that lie in the same job
+// windows — min Σ_I Y_I over 0 ≤ Y_I ≤ |I| with covering cuts
+// Σ_I min(g, cov_A(I))·Y_I ≥ P(A) — which package activetime solves by
 // Benders cut generation.
 //
 // # Sparse representation and factorized basis
@@ -131,6 +132,14 @@
 //     SetObjective/SetUpper before the next re-solve: they enter nonbasic
 //     at their lower bound, where their nonnegative cost keeps them dual
 //     feasible;
+//   - a column j is split in two (SplitColumn): the new column k has j's
+//     cost and entries, so the same reduced cost, and the basis does not
+//     change. Next to a j nonbasic at its upper bound, k enters at its
+//     upper bound too, so every row activity and basic value stays; next
+//     to a j nonbasic at zero, k enters at zero; next to a basic j, k
+//     enters nonbasic at zero with reduced cost 0, and a j above its new
+//     bound is a violation the dual simplex repairs. A split that meets a
+//     nonbasic j therefore keeps the optimum and costs no pivot;
 //   - rows strictly slack at the last optimum are removed through the basis
 //     (RemoveRows), which excises them from both the problem and the live
 //     state — the primitive behind Benders cut purging; removing a slack
@@ -149,7 +158,7 @@
 // The exact rational engine mirrors the contract on a smaller surface:
 // ResolveExactFrom keeps the big.Rat dictionary alive between calls,
 // repairs appended LE/GE rows with an exact Bland dual simplex, and falls
-// back to a cold rational solve for anything else.
+// back to a cold rational solve for anything else, a split included.
 //
 // # Numerical safeguards
 //
@@ -169,6 +178,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -246,6 +256,17 @@ type Problem struct {
 	// ride with it for its life.
 	denseKernels bool
 	pivotHook    func(row, col int)
+	// splits logs every SplitColumn call in order. A float engine state
+	// replays the entries it has not seen when it splices the new columns
+	// in; an exact state that missed one solves cold.
+	splits []colSplit
+}
+
+// colSplit records one SplitColumn: column to was split off column from,
+// which kept the bound keep, and to got the bound rest.
+type colSplit struct {
+	from, to   int
+	keep, rest float64
 }
 
 // NewProblem returns a problem with n variables and zero objective.
@@ -306,16 +327,19 @@ func (p *Problem) Upper(j int) float64 {
 }
 
 // upperChanged compares the problem's current bounds against a snapshot
-// taken when an engine state was captured, reporting the first variable
-// whose bound differs. Both the float and the exact warm-start contracts
-// reject bound changes through this single check.
-func (p *Problem) upperChanged(snap []float64) (j int, changed bool) {
+// taken when an engine state was captured, with the bound each of the
+// given later splits kept in place of the snapshot's, reporting the first
+// variable whose bound differs. Both the float and the exact warm-start
+// contracts reject bound changes through this single check.
+func (p *Problem) upperChanged(snap []float64, splits []colSplit) (j int, changed bool) {
 	for j := range snap {
-		want := math.Inf(1)
-		if p.upper != nil {
-			want = p.upper[j]
+		want := snap[j]
+		for _, sp := range splits {
+			if sp.from == j {
+				want = sp.keep
+			}
 		}
-		if snap[j] != want {
+		if p.Upper(j) != want {
 			return j, true
 		}
 	}
@@ -347,6 +371,43 @@ func (p *Problem) AddColumns(k int) int {
 		}
 	}
 	return j0
+}
+
+// SplitColumn splits column j in two and returns the new column k, the
+// highest index. Column k copies j's cost and j's coefficient into every
+// row that has one; since k is the highest index it goes at the end of each
+// row, which stays ascending. Column j's upper bound drops to keep and k's
+// bound is the rest, so x_j + x_k ranges over what x_j did, and a point
+// with x_j + x_k = v has the row activities of x_j = v alone.
+//
+// Like AddColumns it keeps a captured basis warm-startable: ResolveFrom
+// splices k in next to j so that the old point and its duals carry over
+// (see the warm-start contract in the package comment). The exact engine
+// re-solves cold after a split. keep must lie in [0, upper(j)].
+func (p *Problem) SplitColumn(j int, keep float64) (int, error) {
+	if j < 0 || j >= p.numVars {
+		return 0, fmt.Errorf("lp: SplitColumn column %d out of range [0,%d)", j, p.numVars)
+	}
+	u := p.Upper(j)
+	if !(keep >= 0 && keep <= u) {
+		return 0, fmt.Errorf("lp: SplitColumn keeps %v of column %d's bound %v", keep, j, u)
+	}
+	k := p.AddColumns(1)
+	p.c[k] = p.c[j]
+	p.SetUpper(j, keep)
+	p.SetUpper(k, u-keep)
+	for i, cols := range p.rowCols {
+		if at, ok := slices.BinarySearch(cols, int32(j)); ok {
+			vals := p.rowVals[i]
+			rc, rv := make([]int32, len(cols)+1), make([]float64, len(cols)+1)
+			copy(rc, cols)
+			copy(rv, vals)
+			rc[len(cols)], rv[len(cols)] = int32(k), vals[at]
+			p.rowCols[i], p.rowVals[i] = rc, rv
+		}
+	}
+	p.splits = append(p.splits, colSplit{from: j, to: k, keep: keep, rest: u - keep})
+	return k, nil
 }
 
 // AddSparse adds the constraint sum_k vals[k] * x[cols[k]] rel rhs.
@@ -716,8 +777,9 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 		}
 		// Changed bounds or costs invalidate the basis (see the warm-start
 		// contract); catch the misuse instead of returning a silently wrong
-		// optimum.
-		if j, changed := p.upperChanged(t.upper[:t.n]); changed {
+		// optimum. A column split since the capture has the bound its last
+		// split kept, which the splice below replays.
+		if j, changed := p.upperChanged(t.upper[:t.n], p.splits[t.splits:]); changed {
 			return nil, nil, fmt.Errorf("lp: upper bound of variable %d changed since the basis was captured; re-solve cold", j)
 		}
 		for j, c := range t.cost[:t.n] {

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // revised is the sparse dual-simplex working state of the float engine.
@@ -43,10 +44,11 @@ import (
 // any optimality claim, and an Infeasible verdict is only accepted after a
 // full refactorization plus a basic-value resync confirms it.
 type revised struct {
-	p     *Problem // owner of the rows; a Basis of another Problem is rejected
-	n     int      // structural variables
-	m     int      // rows; engine row i is Problem row i
-	epoch int      // Problem.removeEpoch this state last synchronized with
+	p      *Problem // owner of the rows; a Basis of another Problem is rejected
+	n      int      // structural variables
+	m      int      // rows; engine row i is Problem row i
+	epoch  int      // Problem.removeEpoch this state last synchronized with
+	splits int      // entries of Problem.splits this state has replayed
 
 	// Views of the Problem's rows, which every row enters as given.
 	rowRun  [][]alphaRun // run-compressed copy of each row
@@ -177,6 +179,7 @@ func newRevised(p *Problem) *revised {
 		n:          n,
 		m:          m,
 		epoch:      p.removeEpoch,
+		splits:     len(p.splits),
 		rowRun:     make([][]alphaRun, 0, rowCap),
 		rowLogs:    make([][]int32, 0, rowCap),
 		colRows:    make([][]int32, n),
@@ -1481,7 +1484,9 @@ func (t *revised) growRows() {
 // A new column appears in no existing row, so its reduced cost is its cost,
 // c_j ≥ 0, and the basis stays dual feasible. Nothing in row space moves:
 // basic values, pricing weights and the dual working set stay valid; only
-// the column-indexed pricing scratch restarts.
+// the column-indexed pricing scratch restarts. Columns made by SplitColumn
+// are then given their place next to the column they were split off (see
+// splitCol).
 func (t *revised) appendProblemCols() {
 	p := t.p
 	k := p.numVars - t.n
@@ -1530,10 +1535,41 @@ func (t *revised) appendProblemCols() {
 		}
 	}
 	t.n = p.numVars
+	if t.splits < len(p.splits) {
+		var rows []int32
+		for _, sp := range p.splits[t.splits:] {
+			t.splitCol(sp)
+			rows = append(rows, t.colRows[sp.to]...)
+		}
+		t.splits = len(p.splits)
+		slices.Sort(rows)
+		for _, i := range slices.Compact(rows) {
+			t.rowRun[i] = compressRuns(p.rowCols[i], p.rowVals[i])
+		}
+	}
 	// Column indices shifted: the touched-column scratch may hold stale
 	// indices.
 	t.touched = t.touched[:0]
 	t.factorStale = true
+}
+
+// splitCol replays one SplitColumn on the engine state: column to takes a
+// copy of from's entries in the engine's rows and the bound rest, and from
+// the bound keep. The basis does not change, and to has from's cost and
+// entries, so its reduced cost, which the next refresh derives, is from's:
+// the state stays dual feasible. Its bound state keeps the point's row
+// activities: next to a from at its upper bound, to rests at its upper
+// bound too, so x_from + x_to is from's old bound; next to a from at zero
+// or basic, to rests at zero. A basic x_from above keep is then a bound
+// violation the dual simplex repairs, with to, whose reduced cost is 0,
+// ready to take the excess. The caller refreshes the run form of every row
+// the split column entered.
+func (t *revised) splitCol(sp colSplit) {
+	from, to := sp.from, sp.to
+	t.upper[from], t.upper[to] = sp.keep, sp.rest
+	t.atUpper[to] = t.atUpper[from] && !t.inBasis[from]
+	t.colRows[to] = slices.Clone(t.colRows[from])
+	t.colVals[to] = slices.Clone(t.colVals[from])
 }
 
 // appendProblemRows incorporates rows added to the problem since the state

@@ -28,11 +28,11 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"pivots", lpres.Pivots, 261},
-		{"refactors", lpres.Refactors, 26},
-		{"cuts", lpres.Cuts, 301},
-		{"rounds", lpres.Rounds, 14},
-		{"purged", lpres.Purged, 15},
+		{"pivots", lpres.Pivots, 199},
+		{"refactors", lpres.Refactors, 20},
+		{"cuts", lpres.Cuts, 295},
+		{"rounds", lpres.Rounds, 10},
+		{"purged", lpres.Purged, 6},
 	} {
 		if c.got != c.want {
 			t.Errorf("SolveLP %s = %d, want %d", c.name, c.got, c.want)
@@ -47,8 +47,8 @@ func TestOfflineRoundWorkPinned(t *testing.T) {
 		got, want int
 	}{
 		{"opened", res.Opened, 169},
-		{"flow checks", res.FlowChecks, 24},
-		{"proxy carries", res.ProxyCarries, 22},
+		{"flow checks", res.FlowChecks, 14},
+		{"proxy carries", res.ProxyCarries, 11},
 		{"cold flows", res.ColdFlows, 1},
 	} {
 		if c.got != c.want {
