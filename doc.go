@@ -21,10 +21,10 @@
 //     capacities. Networks are built once, with their full topology, and
 //     re-solved; re-capacitation with SetCapacityKeepFlow/PushBack keeps a
 //     valid flow, so a re-solve augments only the difference and routes the
-//     same flow as a cold one.
-//     MaxFrom is such a re-solve for a caller that lists the source arcs
-//     that may still carry flow; its phases walk only those, not all of
-//     the source's arcs, and route the same flow on every edge.
+//     same flow as a cold one. MaxFrom is the solve: its caller lists the
+//     source arcs that may still carry flow, its phases walk only those,
+//     not all of the source's arcs, and it routes the same flow on every
+//     edge as a solve that lists them all.
 //   - internal/lp: a sparse dual simplex for covering LPs (costs ≥ 0, rows
 //     a·x ≥ b with a, b ≥ 0; anything else is an error), with a sparse LU
 //     and Forrest–Tomlin updates, hypersparse FTRAN/BTRAN, dual
@@ -86,28 +86,34 @@
 //     An opened set that fails the check returns ErrRoundingInfeasible and
 //     is never patched.
 //
-// MinimalFeasible (Theorem 1, ≤ 3·OPT) closes slots one at a time on a
-// flow-carrying checker, so a full sweep runs exactly one max flow from
-// zero. The checker gives one node to each elementary interval, a run of
-// slots that lie in the same job windows, with capacities scaled by the
-// interval's open-slot count; its verdicts equal the per-slot network's.
-// A close that the interval's routed flow already fits needs no flow, and
-// once a close in an interval fails, the sweep keeps that interval's other
-// slots open without one. Any other close cancels the excess units and
-// reroutes them with MaxFrom, starting from the jobs it cancelled them on
-// rather than from every supply arc. The per-slot schedule is dealt
-// round-robin out of the interval flow the sweep ends with, so the one max
-// flow includes it. BuildTheorem1Certificate then replays Lemmas 1–2 of
-// the proof on that schedule, over slices indexed by slot and by job
-// position. This checker is the only integral Gfeas network: CheckFeasible
-// and Assign run one solve on a new one, and the exact search toggles one
-// along its DFS. The LP's float separator is the other Gfeas network. It
-// has the checker's nodes, but each interval carries the master's Y_I
-// rather than an open-slot count; its max flow and minimum cuts equal the
-// per-slot network's for any y that sums to Y_I over each interval. Its
-// intervals are the master's columns, which a Session's arrivals split in
-// place where a new window bound falls inside one. It carries its flow
-// from one load to the next on the solve's own goroutine.
+// Every max flow of internal/activetime runs on one Gfeas type, gfeas,
+// generic over int64 and float64 capacities. It gives one node to each
+// elementary interval, a run of slots that lie in the same job windows,
+// and each interval carries one value v_I: its job arcs have capacity v_I
+// and its sink arc g·v_I. Its one build, one re-capacitation (recap, which
+// keeps the routed flow and cancels any excess along the length-3 paths)
+// and one continuation (MaxFrom from the jobs a repair shorted, rather than
+// from every supply arc) serve two uses:
+//
+//   - The integral checker, with v_I the interval's open-slot count. Its
+//     verdicts equal the per-slot network's. MinimalFeasible (Theorem 1,
+//     ≤ 3·OPT) closes slots one at a time on it, so a full sweep runs
+//     exactly one max flow from zero. A close that the interval's routed
+//     flow already fits needs no flow, and once a close in an interval
+//     fails, the sweep keeps that interval's other slots open without one.
+//     The per-slot schedule is dealt round-robin out of the interval flow
+//     the sweep ends with, so the one max flow includes it.
+//     BuildTheorem1Certificate then replays Lemmas 1–2 of the proof on that
+//     schedule, over slices indexed by slot and by job position.
+//     CheckFeasible and Assign run one solve on a new checker, and the
+//     exact search toggles one along its DFS.
+//   - The float separator, with v_I the master's Y_I. Its max flow and
+//     minimum cuts equal the per-slot network's for any y that sums to Y_I
+//     over each interval. Its intervals are the master's columns, which a
+//     Session's arrivals split in place where a new window bound falls
+//     inside one. It carries its flow from one load to the next on the
+//     solve's own goroutine, and RoundLP's sweep certifies its closes on
+//     the separator its solve ran on, reset to carry no flow.
 //
 // # Where the gates live
 //

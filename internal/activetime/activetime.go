@@ -6,7 +6,11 @@
 //
 // The package provides:
 //
-//   - a max-flow feasibility oracle over the paper's network Gfeas (Fig. 2);
+//   - one flow-carrying network for the paper's Gfeas (Fig. 2), gfeas, on
+//     elementary intervals: the integral checker behind CheckFeasible,
+//     Assign and the closing loops, and the float separator behind SolveLP
+//     and RoundLP's sweep, are that network with open-slot counts or master
+//     values as its interval capacities;
 //   - MinimalFeasible, the 3-approximation of Theorem 1 (any minimal
 //     feasible set of slots);
 //   - SolveLP, the optimal value of the LP relaxation LP1, computed by
@@ -25,7 +29,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/flow"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -70,107 +73,6 @@ func lastWindowSlot(jobs []core.Job) core.Time {
 	return last
 }
 
-// gfeasDegrees counts the arcs each node of a Gfeas network holds, reverse
-// arcs included, so that flow.NewNetworkDegrees can carve every adjacency
-// list out of one exactly sized array. Every Gfeas network has the source →
-// job → slot → sink shape and its numbering: source 0, job i at node 1+i,
-// nNodes slot nodes after the jobs, the sink last. Networks differ only in
-// which slots get a node, which slotNode gives by slot, with 0 (the source)
-// for a slot that has none. Both production builders, feasChecker and the
-// LP separator, take their nodes from newIvalLayout: one node per
-// elementary interval. The test oracles give each slot its own node. A
-// slot node holds its sink arc and one arc per job whose window covers it;
-// a job node holds its supply arc and one arc per distinct node along its
-// window. Windows are cut at slot 1, as windowSlots cuts them.
-func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
-	n := len(jobs)
-	deg := make([]int, 2+n+nNodes)
-	deg[0] = n
-	for v := 1 + n; v <= n+nNodes; v++ {
-		deg[v] = 1
-	}
-	deg[1+n+nNodes] = nNodes
-	for i, j := range jobs {
-		deg[1+i]++
-		prev := 0
-		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			v := slotNode[t]
-			if v != 0 && v != prev {
-				deg[1+i]++
-				deg[v]++
-			}
-			prev = v
-		}
-	}
-	return deg
-}
-
-// ivalLayout groups the window slots of a job set into elementary
-// intervals: maximal runs of window slots that no release or deadline
-// splits, so that every slot of a run lies in the same job windows. Both
-// Gfeas builders, feasChecker and the LP separator, number their nodes by
-// it: source 0, job i at 1+i, interval k at 1+n+k in slot order, the sink
-// last. A Session's separator cuts the runs further, at the bounds of its
-// master's atoms.
-type ivalLayout struct {
-	slotIval []int32 // index t: slot t's interval, -1 outside every window
-	slotNode []int   // index t: slot t's interval node, 0 outside every window
-	nIvals   int
-	deg      []int // the network's arc counts (gfeasDegrees)
-}
-
-// newIvalLayout computes the elementary intervals of the jobs' windows and
-// the arc counts of the network on them. With atomCol, a Session's map from
-// slot to master column (see Session), a window slot also starts an
-// interval where atomCol changes, so the intervals are the atoms that some
-// window covers; nil adds no cuts. Its slot indices run to the last window
-// slot.
-func newIvalLayout(jobs []core.Job, atomCol []int32) ivalLayout {
-	covered := windowSlots(jobs)
-	// cut[t]: some window starts at slot t or ends at slot t-1, or an atom
-	// starts at slot t. A window slot starts a new interval exactly there;
-	// the first slot after a gap is always a window start.
-	cut := make([]bool, len(covered)+1)
-	for _, j := range jobs {
-		if lo, hi := max(j.FirstSlot(), 1), j.LastSlot(); lo <= hi {
-			cut[lo], cut[hi+1] = true, true
-		}
-	}
-	for t := 1; t < min(len(covered), len(atomCol)); t++ {
-		cut[t] = cut[t] || atomCol[t] != atomCol[t-1]
-	}
-	l := ivalLayout{slotIval: make([]int32, len(covered)), slotNode: make([]int, len(covered))}
-	for t, ok := range covered {
-		l.slotIval[t] = -1
-		if ok {
-			if cut[t] {
-				l.nIvals++
-			}
-			l.slotIval[t] = int32(l.nIvals - 1)
-			l.slotNode[t] = len(jobs) + l.nIvals
-		}
-	}
-	l.deg = gfeasDegrees(jobs, l.slotNode, l.nIvals)
-	return l
-}
-
-// carve returns n empty lists, list k with room for count(k) entries, all
-// cut from one array. A list appended past its room moves to its own array
-// and leaves its neighbours' entries intact.
-func carve[T any](n int, count func(k int) int) [][]T {
-	total := 0
-	for k := 0; k < n; k++ {
-		total += count(k)
-	}
-	all := make([]T, total)
-	lists := make([][]T, n)
-	for k := range lists {
-		c := count(k)
-		lists[k], all = all[:0:c], all[c:]
-	}
-	return lists
-}
-
 // CheckFeasible reports whether all jobs of the instance can be scheduled
 // using only the given open slots: one max flow from zero on a newly built
 // feasChecker. Slots outside every job window, and repeats, change nothing.
@@ -179,16 +81,14 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 }
 
 // feasChecker answers repeated "does this slot set carry all jobs?"
-// max-flow queries over one persistent network. Every job is always on;
-// only slots toggle, with setSlot and trialCloseSlot, which re-capacitate
-// just the arcs of the slot's interval. It is the package's one integral
-// Gfeas builder: CheckFeasible and Assign run one solve on a new checker,
-// and the closing loops and the exact search probe one checker many times.
+// max-flow queries over one Gfeas network whose interval values are
+// open-slot counts. Every job is always on; only slots toggle, with setSlot
+// and trialCloseSlot, which re-capacitate just the slot's interval. It is
+// the package's one integral Gfeas network: CheckFeasible and Assign run
+// one solve on a new checker, and the closing loops and the exact search
+// probe one checker many times.
 //
-// The network is Gfeas with its slots grouped into elementary intervals:
-// maximal runs of window slots that no release or deadline splits, so that
-// every slot of a run lies in the same job windows. Each interval I has one
-// node and carries its open-slot count k: job → I capacity k, I → sink
+// Interval I carries its open-slot count k: job → I capacity k, I → sink
 // capacity g·k. This network carries all jobs exactly when the per-slot
 // Gfeas does. Summing a per-slot flow over each interval gives an interval
 // flow. Conversely, take an integral interval flow routing f_{j,I} ≤ k
@@ -196,51 +96,25 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // round-robin over I's k open slots, job by job and slot after slot: no
 // job's f_{j,I} consecutive units reach one slot twice, and no slot gets
 // more than ⌈Σ_j f_{j,I} / k⌉ ≤ g units. So every verdict matches the
-// per-slot network's, on far fewer nodes and arcs.
+// per-slot network's.
 //
 // schedule turns a flow that meets the demand into a per-slot schedule by
 // exactly this deal, so a closing loop that ends on a feasible open set
 // already holds its schedule.
 //
-// The checker is flow-carrying: the max flow routed by earlier queries
-// survives every mutation. Capacity increases keep their flow verbatim
-// (SetCapacityKeepFlow); capacity decreases clamp the flow and cancel the
-// excess along the rest of each affected source→job→interval→sink path
-// (PushBack) — cheap because every path in this bipartite network has
-// length 3 — leaving a valid sub-maximal flow from which feasible() lets
-// Dinic augment only the difference. A trial close whose interval already
-// fits its routed flow with one slot fewer cancels nothing and needs no
-// solve at all. The minimal-feasible closing loop and the exact search's
-// DFS toggles therefore never recompute a flow from scratch: coldFlows
-// counts the solves that start from zero routed flow which no repair
-// drained (exactly one, the first query) and is the counter the scaling
-// gates pin.
-//
-// A continuation starts from the jobs a repair shorted, not from all n
-// supply arcs. The build lists every job, and every PushBack on a supply
-// arc puts the job on the short list, once; feasible() hands the list to
-// MaxFrom, whose phases then walk only those source arcs, and empties it
-// once the flow meets the demand, when every supply arc is saturated. A
-// solve that falls short keeps the list: the deficient jobs are on it.
-// Since no Dinic path re-enters the source, a supply arc off the list stays
-// saturated through a solve, so the list always covers every supply arc
-// with residual capacity, as MaxFrom requires.
+// The checker keeps the routed flow across every toggle (see gfeas), so a
+// query lets Dinic augment only the difference, from the jobs a toggle
+// shorted. A trial close whose interval already fits its routed flow with
+// one slot fewer cancels nothing and needs no solve at all. The
+// minimal-feasible closing loop and the exact search's DFS toggles
+// therefore never recompute a flow from scratch: coldFlows counts the
+// solves that start from zero routed flow which no repair drained (exactly
+// one, the first query) and is the counter the scaling gates pin.
 type feasChecker struct {
-	g         int
-	jobs      []core.Job
-	net       *flow.Network[int64]
-	src, sink int
-	jobEdges  []flow.EdgeID[int64] // per job: source → job
-	slotIval  []int32              // index t: slot t's interval, -1 outside every window
-	slotOpen  []bool               // index t: slot t is open
-	ivals     []elemInterval       // per interval, in slot order
-	ivalArcs  [][]jobArc[int64]    // per interval: its incoming job arcs, in job order
-	total     int64                // sum of the job lengths
-	flow      int64                // flow currently routed (always a valid flow)
-	drained   bool                 // flow is zero because repairs cancelled every unit
-	short     []flow.EdgeID[int64] // supply arcs of the shorted jobs, each once (cap n)
-	listed    []uint64             // per job: == epoch while its supply arc is on short
-	epoch     uint64               // bumped whenever short is emptied
+	gfeas[int64]
+	slotOpen []bool // index t: slot t is open
+	flow     int64  // flow currently routed (always a valid flow)
+	drained  bool   // flow is zero because repairs cancelled every unit
 	// Counters for the incremental-flow gates: augments is the number of
 	// Dinic continuation calls, coldFlows how many of them started from zero
 	// routed flow that was not drained, freeCloses the trial closes answered
@@ -248,180 +122,64 @@ type feasChecker struct {
 	augments, coldFlows, freeCloses int
 }
 
-// elemInterval is one elementary interval: its open-slot count k and its
-// sink arc, of capacity g·k.
-type elemInterval struct {
-	open int64
-	sink flow.EdgeID[int64]
-}
-
-// jobArc is one job → interval arc with its job, so that excess cancelled
-// on it can be cancelled on the job's supply arc too.
-type jobArc[C flow.Capacity] struct {
-	job int32
-	id  flow.EdgeID[C]
-}
-
-// newFeasChecker builds the persistent network in the state every caller
-// starts from: all jobs on, the given slots open, and every job on the
-// short list, since no flow is routed yet. Slots outside every job window,
-// and repeats, change nothing. It counts the open slots per interval first,
-// so each arc is added at its final capacity. Its nodes are numbered by
-// newIvalLayout. The network's arcs and the ivalArcs lists are each
-// carved out of one exactly sized array, so the build makes the same number
-// of allocations at any horizon.
+// newFeasChecker builds the checker in the state every caller starts from:
+// all jobs on, the given slots open, no flow routed. Slots outside every
+// job window, and repeats, change nothing. It counts the open slots per
+// interval first, so each arc is added at its final capacity.
 func newFeasChecker(in *core.Instance, open []core.Time) *feasChecker {
-	jobs := in.Jobs
-	lay := newIvalLayout(jobs, nil)
-	fc := &feasChecker{
-		g:        in.G,
-		jobs:     jobs,
-		net:      flow.NewNetworkDegrees[int64](lay.deg, 0),
-		src:      0,
-		sink:     len(lay.deg) - 1,
-		jobEdges: make([]flow.EdgeID[int64], len(jobs)),
-		short:    make([]flow.EdgeID[int64], 0, len(jobs)),
-		listed:   make([]uint64, len(jobs)),
-		epoch:    1,
-		slotIval: lay.slotIval,
-		slotOpen: make([]bool, len(lay.slotIval)),
-		ivals:    make([]elemInterval, lay.nIvals),
-		ivalArcs: carve[jobArc[int64]](lay.nIvals, func(k int) int { return lay.deg[1+len(jobs)+k] - 1 }),
-	}
+	lay := newIvalLayout(in.Jobs, nil)
+	slotOpen := make([]bool, len(lay.slotIval))
+	count := make([]int64, len(lay.ivals))
 	for _, t := range open {
-		fc.markSlot(t, true)
-	}
-	for k := range fc.ivals {
-		iv := &fc.ivals[k]
-		iv.sink = fc.net.AddEdge(1+len(jobs)+k, fc.sink, int64(fc.g)*iv.open)
-	}
-	for i, j := range jobs {
-		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, j.Length)
-		fc.total += j.Length
-		fc.shorten(int32(i))
-		prev := int32(-1)
-		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			if k := lay.slotIval[t]; k != prev {
-				a := jobArc[int64]{int32(i), fc.net.AddEdge(1+i, lay.slotNode[t], fc.ivals[k].open)}
-				fc.ivalArcs[k] = append(fc.ivalArcs[k], a)
-				prev = k
-			}
+		if k := lay.ival(t); k >= 0 && !slotOpen[t] {
+			slotOpen[t] = true
+			count[k]++
 		}
 	}
-	return fc
+	return &feasChecker{gfeas: newGfeas(in, lay, count, 0), slotOpen: slotOpen}
 }
 
-// ival returns slot t's interval, or -1 for a slot outside every job window
-// (slot 0, a gap between windows, or past the last deadline), which has no
-// node in the network.
-func (fc *feasChecker) ival(t core.Time) int32 {
-	if t < 0 || int(t) >= len(fc.slotIval) {
-		return -1
-	}
-	return fc.slotIval[t]
-}
-
-// markSlot records slot t as open or closed in its interval's count and
-// returns the interval, or -1 when nothing changed: the slot lies outside
-// every window, or is already in that state.
-func (fc *feasChecker) markSlot(t core.Time, open bool) int32 {
+// setSlot opens or closes a slot, updating its interval's count and
+// re-capacitating the interval while preserving the routed flow, and
+// reports whether anything changed. A slot already in that state changes
+// nothing, nor does one outside every job window: it can never carry work,
+// so its state cannot change feasibility.
+func (fc *feasChecker) setSlot(t core.Time, open bool) bool {
 	k := fc.ival(t)
 	if k < 0 || fc.slotOpen[t] == open {
-		return -1
+		return false
 	}
 	fc.slotOpen[t] = open
 	if open {
-		fc.ivals[k].open++
+		fc.val[k]++
 	} else {
-		fc.ivals[k].open--
+		fc.val[k]--
 	}
-	return k
-}
-
-// setSlot opens or closes a slot, preserving the routed flow. Slots outside
-// every job window are ignored: they can never carry work, so their state
-// cannot change feasibility.
-func (fc *feasChecker) setSlot(t core.Time, open bool) {
-	if k := fc.markSlot(t, open); k >= 0 {
-		fc.resize(k)
+	if d := fc.recap([]int32{k}); d > 0 {
+		// A repair that cancels every routed unit — a trial close of the
+		// one slot that carries the whole demand — leaves the flow
+		// drained, not cold: the next solve reroutes just the cancelled
+		// units, as every other continuation does.
+		fc.flow -= d
+		fc.drained = fc.flow == 0
 	}
-}
-
-// resize re-capacitates interval k's arcs to its open count c, preserving
-// the routed flow: every job arc to c, the sink arc to g·c. On a shrink it
-// first clamps each job arc, cancelling the excess on the job's supply arc
-// and on the sink arc, then clamps the sink arc, cancelling its excess
-// across the interval's job arcs in job order and on their supply arcs.
-func (fc *feasChecker) resize(k int32) {
-	iv := &fc.ivals[k]
-	for _, a := range fc.ivalArcs[k] {
-		if ex := fc.net.SetCapacityKeepFlow(a.id, iv.open); ex > 0 {
-			fc.pushBackSupply(a.job, ex)
-			fc.net.PushBack(iv.sink, ex)
-			fc.cancel(ex)
-		}
-	}
-	ex := fc.net.SetCapacityKeepFlow(iv.sink, int64(fc.g)*iv.open)
-	for _, a := range fc.ivalArcs[k] {
-		if ex == 0 {
-			break
-		}
-		f := min(fc.net.Flow(a.id), ex)
-		if f <= 0 {
-			continue
-		}
-		fc.net.PushBack(a.id, f)
-		fc.pushBackSupply(a.job, f)
-		fc.cancel(f)
-		ex -= f
-	}
-}
-
-// pushBackSupply cancels d units on job i's supply arc and puts the job on
-// the short list.
-func (fc *feasChecker) pushBackSupply(i int32, d int64) {
-	fc.net.PushBack(fc.jobEdges[i], d)
-	fc.shorten(i)
-}
-
-// shorten puts job i's supply arc on the short list unless it is there.
-func (fc *feasChecker) shorten(i int32) {
-	if fc.listed[i] != fc.epoch {
-		fc.listed[i] = fc.epoch
-		fc.short = append(fc.short, fc.jobEdges[i])
-	}
+	return true
 }
 
 // feasible reports whether the jobs fit in the open slots. The routed flow
 // can never exceed the demand, so a flow already at total is maximal and
 // the query costs nothing; otherwise Dinic continues from the kept flow's
-// residual state, starting from the shorted jobs, and augments only the
-// difference. A flow that meets the demand saturates every supply arc, so
-// the short list is emptied then.
+// residual state and augments only the difference.
 func (fc *feasChecker) feasible() bool {
 	if fc.flow != fc.total {
 		if fc.flow == 0 && !fc.drained {
 			fc.coldFlows++
 		}
 		fc.augments++
-		fc.flow += fc.net.MaxFrom(fc.src, fc.sink, fc.short)
+		fc.flow += fc.solve()
 		fc.drained = fc.drained && fc.flow == 0
-		if fc.flow != fc.total {
-			return false
-		}
 	}
-	fc.short = fc.short[:0]
-	fc.epoch++
-	return true
-}
-
-// cancel books d routed units cancelled by a repair. A repair that cancels
-// every routed unit — a trial close of the one slot that carries the whole
-// demand — leaves the flow drained, not cold: the next solve reroutes just
-// the cancelled units, as every other continuation does.
-func (fc *feasChecker) cancel(d int64) {
-	fc.flow -= d
-	fc.drained = fc.flow == 0
+	return fc.flow == fc.total
 }
 
 // trialCloseSlot attempts to close slot t, assuming the current flow is
@@ -435,11 +193,9 @@ func (fc *feasChecker) cancel(d int64) {
 // Closing a slot that is closed or outside every window succeeds and
 // changes nothing.
 func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
-	k := fc.markSlot(t, false)
-	if k < 0 {
+	if !fc.setSlot(t, false) {
 		return true
 	}
-	fc.resize(k)
 	if fc.flow == fc.total {
 		fc.freeCloses++
 		return true
@@ -467,11 +223,12 @@ func (fc *feasChecker) schedule() (*core.ActiveSchedule, error) {
 		return nil, fmt.Errorf("activetime: dealing a flow of %d units for a demand of %d (bug)", fc.flow, fc.total)
 	}
 	var nOpen int64
-	for _, iv := range fc.ivals {
-		nOpen += iv.open
+	for _, c := range fc.val {
+		nOpen += c
 	}
+	jobs := fc.in.Jobs
 	open := make([]core.Time, 0, nOpen)
-	slots := carve[core.Time](len(fc.jobs), func(i int) int { return int(fc.jobs[i].Length) })
+	slots := carve[core.Time](len(jobs), func(i int) int { return int(jobs[i].Length) })
 	for t := 0; t < len(fc.slotIval); {
 		k := fc.slotIval[t]
 		if k < 0 {
@@ -496,8 +253,8 @@ func (fc *feasChecker) schedule() (*core.ActiveSchedule, error) {
 			next = (next + f) % len(ival)
 		}
 	}
-	assign := make(map[int][]core.Time, len(fc.jobs))
-	for i, j := range fc.jobs {
+	assign := make(map[int][]core.Time, len(jobs))
+	for i, j := range jobs {
 		assign[j.ID] = slots[i]
 	}
 	return &core.ActiveSchedule{Open: open, Assign: assign}, nil
@@ -608,8 +365,8 @@ func MinimalFeasible(in *core.Instance, opts MinimalOptions) (*core.ActiveSchedu
 // closing decisions are identical to recomputing a fresh per-slot max flow
 // per probe — the max-flow value depends neither on which maximal flow is
 // currently routed nor on grouping slots into intervals — so the open set
-// matches the historical from-scratch loop's. The per-slot assignment does
-// not: it is dealt out of the flow the loop ends with
+// is the one a loop that solves each probe from zero would reach. The
+// per-slot assignment is dealt out of the flow the loop ends with
 // (feasChecker.schedule), not recomputed by Assign.
 //
 // Once a close in an interval fails, every later probe of a slot in that

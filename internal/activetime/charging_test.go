@@ -241,7 +241,7 @@ func TestChargingLedgerRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res, err := roundWithLP(in, lpres)
+		res, err := roundWithLP(newSeparator(in), lpres)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -273,7 +273,7 @@ func TestChargingLedgerGapGadget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := roundWithLP(in, lpres)
+		res, err := roundWithLP(newSeparator(in), lpres)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package activetime
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,10 +29,12 @@ func jobArcs(s *separator) [][]ivalArc {
 	return out
 }
 
-// loadFullScan is the reference loader that load's moved-interval visits
-// replace: it tests every job→interval arc, job by job, then every sink
-// arc, and re-capacitates each whose capacity differs from the interval's
-// Y_I (g·Y_I for a sink arc) with the same repair.
+// loadFullScan is the reference loader for load's moved-interval
+// re-capacitation and short-list continuation: it tests every
+// job→interval arc, job by job, then every sink arc, re-capacitates each
+// whose capacity differs from the interval's Y_I (g·Y_I for a sink arc)
+// with the same repair, and then solves with Max, which lists every supply
+// arc. It keeps no short list.
 func loadFullScan(s *separator, Y []float64) bool {
 	g := float64(s.in.G)
 	for i, arcs := range jobArcs(s) {
@@ -41,18 +44,17 @@ func loadFullScan(s *separator, Y []float64) bool {
 				continue
 			}
 			if ex := s.net.SetCapacityKeepFlow(a.id, c); ex > 0 {
-				s.net.PushBack(s.srcEdges[i], ex)
-				s.net.PushBack(s.ivals[a.ival].sink, ex)
+				s.net.PushBack(s.supply[i], ex)
+				s.net.PushBack(s.sinkArcs[a.ival], ex)
 			}
 		}
 	}
-	for k := range s.ivals {
-		iv := &s.ivals[k]
+	for k, iv := range s.ivals {
 		c := g * Y[iv.col]
-		if c == s.net.Capacity(iv.sink) {
+		if c == s.net.Capacity(s.sinkArcs[k]) {
 			continue
 		}
-		ex := s.net.SetCapacityKeepFlow(iv.sink, c)
+		ex := s.net.SetCapacityKeepFlow(s.sinkArcs[k], c)
 		for _, a := range s.ivalArcs[k] {
 			if ex <= 0 {
 				break
@@ -65,20 +67,20 @@ func loadFullScan(s *separator, Y []float64) bool {
 				f = ex
 			}
 			s.net.PushBack(a.id, f)
-			s.net.PushBack(s.srcEdges[a.job], f)
+			s.net.PushBack(s.supply[a.job], f)
 			ex -= f
 		}
 	}
 	got := 0.0
-	for i := range s.srcEdges {
-		got += s.net.Flow(s.srcEdges[i])
+	for _, id := range s.supply {
+		got += s.net.Flow(id)
 	}
 	got += s.net.Max(s.src, s.sink)
 	return got < s.total-1e-6
 }
 
-// loadPair keeps a moved-interval separator and a full-scan reference
-// built on the same instance in step: every load goes to both.
+// loadPair keeps a separator and a full-scan reference built on the same
+// instance in step: every load goes to both.
 type loadPair struct {
 	got, want *separator
 	loads     int
@@ -93,10 +95,8 @@ func newLoadPair(t *testing.T, in *core.Instance, name string) *loadPair {
 // sepEdges lists every arc of the separator: the supply arcs, the sink
 // arcs, then the job arcs interval by interval.
 func sepEdges(s *separator) []flow.EdgeID[float64] {
-	out := append([]flow.EdgeID[float64]{}, s.srcEdges...)
-	for _, iv := range s.ivals {
-		out = append(out, iv.sink)
-	}
+	out := append([]flow.EdgeID[float64]{}, s.supply...)
+	out = append(out, s.sinkArcs...)
 	for _, arcs := range s.ivalArcs {
 		for _, a := range arcs {
 			out = append(out, a.id)
@@ -107,32 +107,54 @@ func sepEdges(s *separator) []flow.EdgeID[float64] {
 
 // load runs the master point Y through both loaders and requires the same
 // verdict, the same residual and reference capacity on every arc, bit for
-// bit, and Y_I on every job arc of interval I.
+// bit, Y_I on every job arc of interval I, and a short list that holds
+// exactly the supply arcs with residual above eps.
 func (p *loadPair) load(Y []float64) {
 	p.t.Helper()
 	p.loads++
 	vGot, vWant := p.got.load(Y), loadFullScan(p.want, Y)
 	if vGot != vWant {
-		p.t.Fatalf("%s load %d: moved-interval load violated=%v, full scan %v", p.name, p.loads, vGot, vWant)
+		p.t.Fatalf("%s load %d: load violated=%v, full scan %v", p.name, p.loads, vGot, vWant)
 	}
-	eGot, eWant := sepEdges(p.got), sepEdges(p.want)
-	if len(eGot) != len(eWant) {
-		p.t.Fatalf("%s load %d: %d arcs, reference %d", p.name, p.loads, len(eGot), len(eWant))
-	}
-	for k := range eGot {
-		a, b := eGot[k], eWant[k]
-		if math.Float64bits(p.got.net.Residual(a)) != math.Float64bits(p.want.net.Residual(b)) ||
-			math.Float64bits(p.got.net.Capacity(a)) != math.Float64bits(p.want.net.Capacity(b)) {
-			p.t.Fatalf("%s load %d: arc %d has residual %v of capacity %v, full scan %v of %v", p.name, p.loads, k,
-				p.got.net.Residual(a), p.got.net.Capacity(a), p.want.net.Residual(b), p.want.net.Capacity(b))
-		}
-	}
+	sameSepArcs(p.t, fmt.Sprintf("%s load %d", p.name, p.loads), p.got, p.want)
 	for k, arcs := range p.got.ivalArcs {
 		v := max(Y[p.got.ivals[k].col], 0)
 		for _, a := range arcs {
 			if c := p.got.net.Capacity(a.id); c != v {
 				p.t.Fatalf("%s load %d: job %d interval %d has capacity %v, Y_I = %v", p.name, p.loads, a.job, k, c, v)
 			}
+		}
+	}
+}
+
+// sameSepArcs requires two separators on the same instance to hold the
+// same residual and reference capacity on every arc, bit for bit, and got's
+// short list to hold exactly its supply arcs with residual above eps, each
+// once: the arcs MaxFrom must be handed.
+func sameSepArcs(t *testing.T, where string, got, want *separator) {
+	t.Helper()
+	eGot, eWant := sepEdges(got), sepEdges(want)
+	if len(eGot) != len(eWant) {
+		t.Fatalf("%s: %d arcs, reference %d", where, len(eGot), len(eWant))
+	}
+	for k := range eGot {
+		a, b := eGot[k], eWant[k]
+		if math.Float64bits(got.net.Residual(a)) != math.Float64bits(want.net.Residual(b)) ||
+			math.Float64bits(got.net.Capacity(a)) != math.Float64bits(want.net.Capacity(b)) {
+			t.Fatalf("%s: arc %d has residual %v of capacity %v, reference %v of %v", where, k,
+				got.net.Residual(a), got.net.Capacity(a), want.net.Residual(b), want.net.Capacity(b))
+		}
+	}
+	listed := make(map[flow.EdgeID[float64]]bool, len(got.short))
+	for _, id := range got.short {
+		if listed[id] {
+			t.Fatalf("%s: supply arc %+v is on the short list twice", where, id)
+		}
+		listed[id] = true
+	}
+	for i, id := range got.supply {
+		if r := got.net.Residual(id); (r > got.eps) != listed[id] {
+			t.Fatalf("%s: job %d's supply arc has residual %v, on the short list: %v", where, i, r, listed[id])
 		}
 	}
 }
@@ -177,12 +199,15 @@ func bendersTrajectory(t *testing.T, in *core.Instance) [][]float64 {
 	return nil
 }
 
-// TestLoadIncrementalMatchesFullScan locks the moved-interval loader
-// against a full scan of every arc of the interval network. Two
+// TestLoadIncrementalMatchesFullScan locks the moved-interval loader and
+// its short-list continuation against a full scan of every arc of the
+// interval network followed by a solve that lists every supply arc. Two
 // separators on the same instance take the same loads — Benders
-// trajectories of the atom master and the shrink sequences of
+// trajectories of the atom master, each followed by a point just below its
+// optimum and the optimum again, and the shrink sequences of
 // TestSeparatorIncrementalShrink — and after every load every arc must
-// hold the same residual and capacity, bit for bit.
+// hold the same residual and capacity, bit for bit, and the short list
+// must hold exactly the supply arcs left with residual above eps.
 func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 	trajectories := 0
 	for _, fam := range lpFamilies {
@@ -192,9 +217,21 @@ func TestLoadIncrementalMatchesFullScan(t *testing.T) {
 				continue
 			}
 			p := newLoadPair(t, in, fam.name)
-			for _, y := range bendersTrajectory(t, in) {
+			ys := bendersTrajectory(t, in)
+			for _, y := range ys {
 				p.load(y)
 			}
+			// Just below the optimum its tight cuts leave some jobs short by
+			// about 1e-10 of their length, far above eps: those supply arcs
+			// must stay listed, so that the load back at the optimum routes
+			// the units they lack.
+			opt := ys[len(ys)-1]
+			below := make([]float64, len(opt))
+			for k, v := range opt {
+				below[k] = v * (1 - 1e-10)
+			}
+			p.load(below)
+			p.load(opt)
 			trajectories++
 		}
 	}

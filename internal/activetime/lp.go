@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/lp"
 )
 
@@ -82,7 +81,7 @@ func newMaster(sep *separator) (*lp.Problem, error) {
 // to the master, one coefficient per atom of its window.
 func (s *separator) addSeedCut(prob *lp.Problem, i int) error {
 	j := s.in.Jobs[i]
-	first, last := s.slotIval[j.FirstSlot()], s.slotIval[j.LastSlot()]
+	first, last := s.span(j)
 	cols, vals := make([]int, 0, last-first+1), make([]float64, 0, last-first+1)
 	for k := first; k <= last; k++ {
 		cols = append(cols, int(s.ivals[k].col))
@@ -177,59 +176,32 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 	return s.Solve()
 }
 
-// separator is the reusable Benders separation oracle: the fractional
-// feasibility network of the paper, built once per SolveLP call, with only
-// its y-dependent capacities rewritten before each max flow.
+// separator is the Benders separation oracle: Gfeas on the atoms of the
+// master (see newMaster), built once per Session and carrying its flow
+// from one load to the next (see gfeas). Its intervals are the elementary
+// intervals of newIvalLayout for a new instance, cut further where a
+// Session's arrivals split an atom; each keeps its atom's master column
+// col. Interval I carries the master's Y_I: each job → I arc has capacity
+// Y_I and the I → sink arc g·Y_I. For every y over the slots that sums to
+// Y_I on each I, this network has the per-slot network's max-flow value
+// and the same minimum cuts over the jobs. Summing a per-slot flow over
+// each interval gives an interval flow. Conversely, split each f_{j,I}
+// over I's slots in proportion to y_t: job j gets f_{j,I}·y_t/Y_I ≤ y_t in
+// slot t, and slot t gets Σ_j f_{j,I}·y_t/Y_I ≤ g·y_t. A job set A's cut
+// costs Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t in both networks, since
+// cov_A is constant on each interval, so cutFor writes it with one
+// coefficient per atom.
 //
-// The network is Gfeas on the atoms of the master (see newMaster): the
-// elementary intervals of newIvalLayout for a new instance, cut further
-// where a Session's arrivals split an atom. Its interval nodes are the
-// master's atoms in slot order, and each keeps its master column col.
-// Interval I carries the master's Y_I: each job → I arc has capacity Y_I
-// and the I → sink arc g·Y_I. For every y over the slots that sums to Y_I
-// on each I, this network has the per-slot network's max-flow value and the
-// same minimum cuts over the jobs. Summing a per-slot flow over each
-// interval gives an interval flow. Conversely, split each f_{j,I} over I's
-// slots in proportion to y_t: job j gets f_{j,I}·y_t/Y_I ≤ y_t in slot t,
-// and slot t gets Σ_j f_{j,I}·y_t/Y_I ≤ g·y_t. A job set A's cut costs
-// Σ_{j∉A} p_j + Σ_t min(g, cov_A(t))·y_t in both networks, since cov_A is
-// constant on each interval, so cutFor writes it with one coefficient per
-// atom.
-//
-// The previous round's flow survives re-capacitation (see load): only the
-// intervals whose Y_I moved are re-capacitated, only arcs whose capacity
-// shrank below their flow are repaired — the excess cancelled along the
-// rest of its source→job→interval→sink path, which is cheap because every
-// path in this bipartite network has length 3 — and Max then augments from
-// the repaired residual state, routing just the difference instead of the
-// full demand P every round. A newly built separator carries no flow, so its
-// first load is a solve from zero; that is the reference the equivalence
-// tests hold the carried flow to. An instance delta can add jobs and split
-// atoms, so a Session builds a new separator after each one.
+// A newly built separator carries no flow, so its first load is a solve
+// from zero; that is the reference the equivalence tests hold the carried
+// flow to. An instance delta can add jobs and split atoms, so a Session
+// builds a new separator after each one.
 type separator struct {
-	in        *core.Instance
-	net       *flow.Network[float64]
-	src, sink int
-	srcEdges  []flow.EdgeID[float64] // index i: source → job i
-	ivals     []sepInterval          // per interval, in slot order
-	ivalArcs  [][]jobArc[float64]    // per interval: its incoming job arcs, in job order
-	slotIval  []int32                // index t: slot t's interval, -1 outside every window
-	total     float64
+	gfeas[float64]
+	moved []int32 // load's scratch: the intervals whose value moved
 	// cov is cutFor's per-interval coverage scratch, all zero between
 	// calls.
 	cov []int32
-}
-
-// sepInterval is one interval of the separator: its slots lo..hi, its
-// master column col and its sink arc. loaded is the Y_I that load last
-// wrote into its arcs, the one value every job arc of the interval holds,
-// so a load visits only the intervals whose value moved; a new separator
-// holds 0, its arcs' capacity.
-type sepInterval struct {
-	lo, hi int32
-	col    int32
-	loaded float64
-	sink   flow.EdgeID[float64]
 }
 
 // newSeparator builds the separator over the instance's elementary
@@ -241,155 +213,73 @@ func newSeparator(in *core.Instance) *separator { return newAtomSeparator(in, ni
 // every y-dependent capacity 0. atomCol maps each slot to its atom's master
 // column, as a Session keeps it; every window of the instance must contain
 // or miss each atom, and an atom no window covers gets no node. A nil
-// atomCol stands for the elementary intervals, interval k on column k. Its
-// arcs and the ivalArcs lists are each carved out of one exactly sized
-// array, so the build makes the same number of allocations at any horizon.
+// atomCol stands for the elementary intervals, interval k on column k.
 func newAtomSeparator(in *core.Instance, atomCol []int32) *separator {
-	const eps = 1e-12
-	n := len(in.Jobs)
-	lay := newIvalLayout(in.Jobs, atomCol)
-	s := &separator{
-		in:       in,
-		net:      flow.NewNetworkDegrees[float64](lay.deg, eps),
-		src:      0,
-		sink:     len(lay.deg) - 1,
-		srcEdges: make([]flow.EdgeID[float64], n),
-		ivals:    make([]sepInterval, lay.nIvals),
-		ivalArcs: carve[jobArc[float64]](lay.nIvals, func(k int) int { return lay.deg[1+n+k] - 1 }),
-		slotIval: lay.slotIval,
-		cov:      make([]int32, lay.nIvals),
-	}
-	for t, k := range lay.slotIval {
-		if k < 0 {
-			continue
-		}
-		iv := &s.ivals[k]
-		if iv.lo == 0 {
-			iv.lo, iv.col = int32(t), k
-			if atomCol != nil {
-				iv.col = atomCol[t]
-			}
-		}
-		iv.hi = int32(t)
-	}
-	for k := range s.ivals {
-		s.ivals[k].sink = s.net.AddEdge(1+n+k, s.sink, 0)
-	}
-	for i, j := range in.Jobs {
-		s.srcEdges[i] = s.net.AddEdge(s.src, 1+i, float64(j.Length))
-		s.total += float64(j.Length)
-		prev := int32(-1)
-		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
-			if k := lay.slotIval[t]; k != prev {
-				a := jobArc[float64]{int32(i), s.net.AddEdge(1+i, lay.slotNode[t], 0)}
-				s.ivalArcs[k] = append(s.ivalArcs[k], a)
-				prev = k
-			}
-		}
-	}
-	return s
+	nw := newGfeas[float64](in, newIvalLayout(in.Jobs, atomCol), nil, 1e-12)
+	m := len(nw.ivals)
+	return &separator{gfeas: nw, moved: make([]int32, 0, m), cov: make([]int32, m)}
 }
 
 // load solves the feasibility subproblem for the master point Y (index:
 // master column), reporting whether Y is infeasible (max flow short of the
-// total demand). It re-capacitates the y-dependent arcs while keeping the
-// flow routed in earlier loads, repairs conservation where a capacity
-// shrank below its flow, and lets Max augment only the difference. Columns
-// of atoms no window covers, which a Session's master keeps after a
-// departure, have no node and are not read.
-//
-// Every flow path here is source→job→interval→sink, so each repair is
-// local: clamping a job→interval arc cancels the excess on that job's
-// supply arc and that interval's sink arc; clamping a sink arc cancels the
-// excess across the interval's job arcs (and their supply arcs) in job
-// order until the interval's inflow matches its new outflow. After the
-// repair pass the flow is again a valid (sub-maximal) flow of the
-// re-capacitated network, so continuing Dinic from the residual state
-// yields a true maximum flow and the same unique min-cut value a fresh
-// solve finds.
-//
-// Each interval reads its Y_I from its column, and only the intervals
-// whose value differs from loaded are visited. The visits keep the order
-// of a scan over every arc: first the job→interval arcs (interval by
-// interval, each interval's jobs in job order), then the sink arcs. Every
-// arc therefore sees the same SetCapacityKeepFlow/PushBack sequence, so the
-// flow is the same to the last bit.
+// total demand). Each interval reads its Y_I from its column; the intervals
+// whose value moved are re-capacitated, keeping the flow routed in earlier
+// loads (recap), and MaxFrom augments only the difference. After the
+// repair the flow is a valid sub-maximal flow of the re-capacitated
+// network, so the continuation reaches a true maximum flow and the same
+// unique min-cut value a fresh solve finds. Columns of atoms no window
+// covers, which a Session's master keeps after a departure, have no node
+// and are not read.
 func (s *separator) load(Y []float64) bool {
-	g := float64(s.in.G)
-	for k := range s.ivals {
-		iv := &s.ivals[k]
-		v := Y[iv.col]
-		if v == iv.loaded {
-			continue
-		}
-		for _, a := range s.ivalArcs[k] {
-			if ex := s.net.SetCapacityKeepFlow(a.id, v); ex > 0 {
-				s.net.PushBack(s.srcEdges[a.job], ex)
-				s.net.PushBack(iv.sink, ex)
-			}
+	s.moved = s.moved[:0]
+	for k, iv := range s.ivals {
+		if v := Y[iv.col]; v != s.val[k] {
+			s.val[k] = v
+			s.moved = append(s.moved, int32(k))
 		}
 	}
-	for k := range s.ivals {
-		iv := &s.ivals[k]
-		v := Y[iv.col]
-		if v == iv.loaded {
-			continue
-		}
-		iv.loaded = v
-		c := g * v
-		if c == s.net.Capacity(iv.sink) {
-			continue
-		}
-		ex := s.net.SetCapacityKeepFlow(iv.sink, c)
-		for _, a := range s.ivalArcs[k] {
-			if ex <= 0 {
-				break
-			}
-			f := s.net.Flow(a.id)
-			if f <= 0 {
-				continue
-			}
-			if f > ex {
-				f = ex
-			}
-			s.net.PushBack(a.id, f)
-			s.net.PushBack(s.srcEdges[a.job], f)
-			ex -= f
-		}
-	}
+	s.recap(s.moved)
 	got := 0.0
-	for i := range s.srcEdges {
-		got += s.net.Flow(s.srcEdges[i])
+	for _, id := range s.supply {
+		got += s.net.Flow(id)
 	}
-	got += s.net.Max(s.src, s.sink)
+	got += s.solve()
 	return got < s.total-1e-6
 }
 
-// feasibleAllOpen reports whether the jobs fit with every slot open: one
-// load with every atom at its bound, Y_I = |I|, whose capacities are
-// integral, so the float flow decides exactly. It then returns the
-// separator to its starting state (every y-dependent capacity 0, no flow),
-// so the next load still solves from zero. It answers the question
-// CheckFeasible(in, AllSlots(in)) does, without a second network.
-func (s *separator) feasibleAllOpen() bool {
+// reset discards the routed flow and lists every job again, so that the
+// next load solves from zero, as on a newly built separator. Each arc
+// keeps the capacity of its interval's value, and with no flow routed the
+// next load re-capacitates the intervals whose value moves without
+// cancelling anything: it reaches the capacities, and so the flow, a new
+// separator's first load reaches.
+func (s *separator) reset() {
+	s.net.Reset()
+	s.short = append(s.short[:0], s.supply...)
+}
+
+// numCols returns one past the largest master column of an interval: the
+// length of a master point load can read.
+func (s *separator) numCols() int {
 	cols := 0
 	for _, iv := range s.ivals {
 		cols = max(cols, int(iv.col)+1)
 	}
-	Y := make([]float64, cols)
+	return cols
+}
+
+// feasibleAllOpen reports whether the jobs fit with every slot open: one
+// load with every atom at its bound, Y_I = |I|, whose capacities are
+// integral, so the float flow decides exactly. It then resets the
+// separator, so the next load still solves from zero. It answers the
+// question CheckFeasible(in, AllSlots(in)) does, without a second network.
+func (s *separator) feasibleAllOpen() bool {
+	Y := make([]float64, s.numCols())
 	for _, iv := range s.ivals {
 		Y[iv.col] = float64(iv.hi - iv.lo + 1)
 	}
 	ok := !s.load(Y)
-	s.net.Reset()
-	for k := range s.ivals {
-		iv := &s.ivals[k]
-		iv.loaded = 0
-		s.net.SetCapacity(iv.sink, 0)
-		for _, a := range s.ivalArcs[k] {
-			s.net.SetCapacity(a.id, 0)
-		}
-	}
+	s.reset()
 	return ok
 }
 
@@ -477,7 +367,7 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 	}
 	var short []deficit
 	for i := range s.in.Jobs {
-		if gap := s.net.Residual(s.srcEdges[i]); gap > 1e-7 {
+		if gap := s.net.Residual(s.supply[i]); gap > 1e-7 {
 			short = append(short, deficit{i, gap})
 		}
 	}
@@ -516,13 +406,13 @@ func (s *separator) separateAll(y []float64, cap int) [][]bool {
 // newly built master and which AddSparse sorts after a Session's splits.
 func (s *separator) cutFor(A []bool) (cols []int, vals []float64, rhs float64) {
 	cov := s.cov
-	lo, hi, n := len(cov), -1, 0
+	lo, hi, n := int32(len(cov)), int32(-1), 0
 	for i, j := range s.in.Jobs {
 		if !A[i] {
 			continue
 		}
 		rhs += float64(j.Length)
-		first, last := int(s.slotIval[j.FirstSlot()]), int(s.slotIval[j.LastSlot()])
+		first, last := s.span(j)
 		for k := first; k <= last; k++ {
 			if cov[k] == 0 {
 				n++

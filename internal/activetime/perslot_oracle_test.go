@@ -5,6 +5,38 @@ import (
 	"repro/internal/flow"
 )
 
+// gfeasDegrees counts the arcs each node of a per-slot Gfeas network holds,
+// reverse arcs included, so that flow.NewNetworkDegrees can carve every
+// adjacency list out of one exactly sized array. The network has the
+// source → job → slot → sink shape: source 0, job i at node 1+i, nNodes
+// slot nodes after the jobs, the sink last; slotNode gives each slot's
+// node, 0 (the source) for a slot that has none. A slot node holds its
+// sink arc and one arc per job whose window covers it; a job node holds
+// its supply arc and one arc per distinct node along its window. Windows
+// are cut at slot 1, as windowSlots cuts them.
+func gfeasDegrees(jobs []core.Job, slotNode []int, nNodes int) []int {
+	n := len(jobs)
+	deg := make([]int, 2+n+nNodes)
+	deg[0] = n
+	for v := 1 + n; v <= n+nNodes; v++ {
+		deg[v] = 1
+	}
+	deg[1+n+nNodes] = nNodes
+	for i, j := range jobs {
+		deg[1+i]++
+		prev := 0
+		for t := max(j.FirstSlot(), 1); t <= j.LastSlot(); t++ {
+			v := slotNode[t]
+			if v != 0 && v != prev {
+				deg[1+i]++
+				deg[v]++
+			}
+			prev = v
+		}
+	}
+	return deg
+}
+
 // feasibleFlow is the per-slot oracle for feasChecker: it runs the Gfeas
 // max flow for the given jobs restricted to the given open slots on a
 // one-shot network with one node per open slot, no interval nodes and no

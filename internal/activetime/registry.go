@@ -141,13 +141,11 @@ type rowRef struct {
 // dual activity for that long". Purging goes through
 // lp.Problem.RemoveRows against the live basis — the surplus columns of
 // purged rows are basic, so the simplex state stays optimal and the next
-// re-solve pays one refactorization instead of the reverted
-// purge-and-rebuild's cold solve.
+// re-solve pays one refactorization, not a cold solve of a rebuilt master.
 //
 // Dedup is keyed by a 64-bit FNV-1a hash of the packed job set with a
-// stored-witness collision check (the registry's previous string keys
-// allocated O(n/8) bytes per candidate set per round; hashing is
-// allocation-free and the witness is allocated once per distinct cut).
+// stored-witness collision check: a lookup allocates nothing, and the
+// witness is allocated once per distinct cut.
 //
 // Termination of cut generation survives purging: a purged cut may return
 // (separation can rediscover it), but a record that was purged once is

@@ -109,12 +109,16 @@ func kahanAdd(sum, comp, v float64) (float64, float64) {
 // schedulable by flow integrality.
 func RoundLP(in *core.Instance) (*RoundingResult, error) {
 	start := time.Now()
-	lpres, err := SolveLP(in)
+	s, err := NewSession(in)
+	if err != nil {
+		return nil, err
+	}
+	lpres, err := s.Solve()
 	if err != nil {
 		return nil, err
 	}
 	lpMillis := float64(time.Since(start).Microseconds()) / 1000
-	res, err := roundWithLP(in, lpres)
+	res, err := roundWithLP(s.sep, lpres)
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +126,12 @@ func RoundLP(in *core.Instance) (*RoundingResult, error) {
 	return res, nil
 }
 
-// roundWithLP rounds a precomputed LP solution (exposed for tests).
-func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
+// roundWithLP rounds the LP solution lpres of sep's instance, certifying
+// the sweep's closes on sep: RoundLP passes the separator its solve ran
+// on, tests a new one. It resets sep first, so the sweep's first check
+// solves from zero either way.
+func roundWithLP(sep *separator, lpres *LPResult) (*RoundingResult, error) {
+	in := sep.in
 	res := &RoundingResult{LPValue: lpres.Objective}
 	tol := roundingTol(len(lpres.Y) - 1)
 	phase := time.Now()
@@ -138,14 +146,13 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 	// Starts as the right-shifted fractional solution; the sweep overwrites
 	// each segment with its integral decisions as it passes. Feasibility of
 	// this vector is the induction invariant that keeps the final slot set
-	// schedulable, and mix is the incremental max-flow network that certifies
-	// it: a Benders separator on the elementary intervals, carrying its flow
-	// and re-capacitating only the intervals whose y-mass a decision moved.
-	// hyMass is the hybrid vector summed over each interval, the point mix
-	// loads.
+	// schedulable, and sep certifies it, carrying its flow from check to
+	// check and re-capacitating only the intervals whose y-mass a decision
+	// moved. hyMass is the hybrid vector summed over each interval, the
+	// point sep loads.
 	hy := shifted[1:]
-	mix := newSeparator(in)
-	hyMass := make([]float64, len(mix.ivals))
+	sep.reset()
+	hyMass := make([]float64, sep.numCols())
 	opened := make(map[core.Time]bool)
 	var openList []core.Time
 	openSlot := func(t core.Time) {
@@ -226,8 +233,8 @@ func roundWithLP(in *core.Instance, lpres *LPResult) (*RoundingResult, error) {
 				// own earlier certified close in the proxy-fallback case).
 				// load reports violation, so feasible is its negation.
 				res.FlowChecks++
-				mix.sumSlots(hy, hyMass)
-				if !mix.load(hyMass) {
+				sep.sumSlots(hy, hyMass)
+				if !sep.load(hyMass) {
 					proxyVal = frac
 					proxyPtr = fslot
 					haveProxyPtr = true

@@ -140,10 +140,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 			gaps += len(outside) - 2
 			// state lists every arc's capacity and flow, every interval's
 			// open count, and the checker's totals and counters.
-			ids := append([]flow.EdgeID[int64](nil), fc.jobEdges...)
-			for _, iv := range fc.ivals {
-				ids = append(ids, iv.sink)
-			}
+			ids := append(append([]flow.EdgeID[int64](nil), fc.supply...), fc.sinkArcs...)
 			for _, arcs := range fc.ivalArcs {
 				for _, a := range arcs {
 					ids = append(ids, a.id)
@@ -154,9 +151,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 				for _, id := range ids {
 					out = append(out, fc.net.Capacity(id), fc.net.Flow(id))
 				}
-				for _, iv := range fc.ivals {
-					out = append(out, iv.open)
-				}
+				out = append(out, fc.val...)
 				return out
 			}
 			slotOpen := make(map[core.Time]bool, len(slots))
@@ -173,7 +168,7 @@ func TestFeasCheckerToggleEquivalence(t *testing.T) {
 						t.Fatalf("%s seed %d step %d, %s: supply arc %+v is on the short list twice", fam.name, seed, step, when, id)
 					}
 				}
-				for i, id := range fc.jobEdges {
+				for i, id := range fc.supply {
 					if r := fc.net.Residual(id); r > 0 && on[id] == 0 {
 						t.Fatalf("%s seed %d step %d, %s: job %d's supply arc has residual %d but is not on the short list", fam.name, seed, step, when, i, r)
 					}
@@ -331,7 +326,7 @@ func TestRoundingHybridCloseRepairFree(t *testing.T) {
 			{"live", live},
 			{"frozen", &LPResult{Y: c.Y, Objective: c.Objective}},
 		} {
-			res, err := roundWithLP(in, v.lpres)
+			res, err := roundWithLP(newSeparator(in), v.lpres)
 			if err != nil {
 				t.Fatalf("T=%d seed %d %s: round: %v", c.T, c.Seed, v.name, err)
 			}
@@ -363,7 +358,7 @@ func TestRoundingInfeasibleLPReturnsError(t *testing.T) {
 	for i, y := range lpres.Y {
 		half.Y[i] = y / 2
 	}
-	res, err := roundWithLP(in, half)
+	res, err := roundWithLP(newSeparator(in), half)
 	if !errors.Is(err, ErrRoundingInfeasible) {
 		t.Fatalf("rounding a halved LP solution: got (%v, %v), want ErrRoundingInfeasible", res, err)
 	}

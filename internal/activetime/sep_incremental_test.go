@@ -17,8 +17,8 @@ import (
 // value after a load.
 func (s *separator) flowValue() float64 {
 	v := 0.0
-	for i := range s.srcEdges {
-		v += s.net.Flow(s.srcEdges[i])
+	for _, id := range s.supply {
+		v += s.net.Flow(id)
 	}
 	return v
 }
@@ -171,9 +171,12 @@ func compareSeparators(t *testing.T, inc *separator, y []float64, cap int, stric
 // generator family: driven through the actual Benders y-trajectory of the
 // default pipeline, round by round, the two must report identical min-cut
 // values and identical violated-cut sets, including across rounds where
-// slot capacities shrink and the carried flow has to be cancelled. The
-// per-slot network the separator replaced must reach the same max-flow
-// value and the same global min-cut job set at every round.
+// slot capacities shrink and the carried flow has to be cancelled. A third
+// separator takes the same points through loadFullScan, whose solves list
+// every supply arc: the oracle's short-list continuation must leave every
+// arc as it does, bit for bit. The per-slot network the separator replaced
+// must reach the same max-flow value and the same global min-cut job set
+// at every round.
 func TestSeparatorIncrementalEquivalence(t *testing.T) {
 	const seedsPerFamily = 20
 	rounds := 0
@@ -186,7 +189,7 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 			// Re-run the default pipeline's master loop, but drive two
 			// persistent separators with every round's optimum (the
 			// incremental one steers the master, exactly like SolveLP).
-			inc := newSeparator(in)
+			inc, full := newSeparator(in), newSeparator(in)
 			prob, err := newMaster(inc)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
@@ -202,6 +205,8 @@ func TestSeparatorIncrementalEquivalence(t *testing.T) {
 				basis = nb
 				y := sol.X
 				compareSeparators(t, inc, y, cap, true, fam.name)
+				loadFullScan(full, y)
+				sameSepArcs(t, fmt.Sprintf("%s seed %d round %d", fam.name, seed, round), inc, full)
 				checkPerSlot(t, inc, y, true, fam.name)
 				rounds++
 				added := 0

@@ -44,11 +44,11 @@ func TestShiftInvarianceActive(t *testing.T) {
 			t.Errorf("trial %d: LP not shift-invariant: %v vs %v",
 				trial, la.Objective, lb.Objective)
 		}
-		ra, err := roundWithLP(in, la)
+		ra, err := roundWithLP(newSeparator(in), la)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := roundWithLP(shifted, lb)
+		rb, err := roundWithLP(newSeparator(shifted), lb)
 		if err != nil {
 			t.Fatal(err)
 		}

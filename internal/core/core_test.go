@@ -216,6 +216,23 @@ func TestVerifyActiveRejectsUnknownJob(t *testing.T) {
 	}
 }
 
+// TestVerifyActiveNamesLowestOverfullSlot holds the verifier to one answer
+// on a schedule that overfills two slots: two jobs at g = 1 both run in
+// slots 1 and 2. Every call must name slot 1, the lowest.
+func TestVerifyActiveNamesLowestOverfullSlot(t *testing.T) {
+	in := &Instance{G: 1, Jobs: []Job{
+		{ID: 0, Release: 0, Deadline: 2, Length: 2},
+		{ID: 1, Release: 0, Deadline: 2, Length: 2},
+	}}
+	s := &ActiveSchedule{Open: []Time{1, 2}, Assign: map[int][]Time{0: {1, 2}, 1: {1, 2}}}
+	const want = "core: slot 1 holds 2 units, capacity g=1"
+	for call := 0; call < 50; call++ {
+		if err := VerifyActive(in, s); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", call, err, want)
+		}
+	}
+}
+
 func TestVerifyBusy(t *testing.T) {
 	in := &Instance{G: 2, Jobs: []Job{
 		{ID: 0, Release: 0, Deadline: 4, Length: 4},

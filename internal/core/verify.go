@@ -2,22 +2,30 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // VerifyActive checks that the schedule is a feasible solution of the
 // slotted active-time instance: every job receives exactly Length units in
 // distinct open slots of its window, and no slot holds more than G units.
+// Of several overfull slots it names the lowest.
+//
+// Units are counted by the slot's position among the sorted open slots, so
+// the check allocates in the size of the schedule, not of the horizon: an
+// instance with a deadline of 10^12 costs no more than one with 10.
 func VerifyActive(in *Instance, s *ActiveSchedule) error {
 	if s == nil {
 		return fmt.Errorf("core: nil active schedule")
 	}
-	open := s.OpenSet()
-	if len(open) != len(s.Open) {
+	open := slices.Clone(s.Open)
+	slices.Sort(open)
+	if len(slices.Compact(open)) != len(s.Open) {
 		return fmt.Errorf("core: duplicate open slots in schedule")
 	}
-	load := make(map[Time]int)
-	for _, j := range in.Jobs {
+	load := make([]int, len(open))
+	last := make([]int, len(open)) // per open slot: 1 + the last job counted in it
+	for i, j := range in.Jobs {
 		slots, ok := s.Assign[j.ID]
 		if !ok {
 			return fmt.Errorf("core: %v has no assignment", j)
@@ -25,20 +33,20 @@ func VerifyActive(in *Instance, s *ActiveSchedule) error {
 		if Time(len(slots)) != j.Length {
 			return fmt.Errorf("core: %v assigned %d units, want %d", j, len(slots), j.Length)
 		}
-		seen := make(map[Time]bool, len(slots))
 		for _, t := range slots {
-			if seen[t] {
-				return fmt.Errorf("core: %v scheduled twice in slot %d", j, t)
-			}
-			seen[t] = true
 			if t < j.FirstSlot() || t > j.LastSlot() {
 				return fmt.Errorf("core: %v scheduled in slot %d outside window slots [%d,%d]",
 					j, t, j.FirstSlot(), j.LastSlot())
 			}
-			if !open[t] {
+			k, isOpen := slices.BinarySearch(open, t)
+			if !isOpen {
 				return fmt.Errorf("core: %v scheduled in closed slot %d", j, t)
 			}
-			load[t]++
+			if last[k] == i+1 {
+				return fmt.Errorf("core: %v scheduled twice in slot %d", j, t)
+			}
+			last[k] = i + 1
+			load[k]++
 		}
 	}
 	// Every job has its key by now, so with distinct job IDs (as Validate
@@ -51,9 +59,9 @@ func VerifyActive(in *Instance, s *ActiveSchedule) error {
 			}
 		}
 	}
-	for t, n := range load {
+	for k, n := range load {
 		if n > in.G {
-			return fmt.Errorf("core: slot %d holds %d units, capacity g=%d", t, n, in.G)
+			return fmt.Errorf("core: slot %d holds %d units, capacity g=%d", open[k], n, in.G)
 		}
 	}
 	return nil

@@ -1,38 +1,35 @@
 // Package flow implements Dinic's maximum-flow algorithm on directed graphs,
 // generic over integer and floating-point capacities.
 //
-// The active-time algorithms use it in two ways: with int64 capacities for
-// the feasibility network Gfeas of the paper (Figure 2), where integrality
-// of maximum flow turns a fractional assignment question into an integral
-// schedule; and with float64 capacities as the separation oracle of the
-// Benders-style cut-generation procedure that solves the active-time LP
-// (capacities y_t and g·y_t are fractional there). The busy-time flow-cover
-// 2-approximation also routes integral 2-unit flows through a job DAG.
+// The active-time algorithms use it for the feasibility network Gfeas of
+// the paper (Figure 2): with int64 capacities in the closing loops, where
+// integrality of maximum flow turns a fractional assignment question into
+// an integral schedule, and with float64 capacities as the separation
+// oracle of the cut generation that solves the active-time LP and in the
+// rounding sweep's checks (capacities y_t and g·y_t are fractional there).
 //
 // # Reuse contract
 //
-// Networks are built once and re-solved many times. Max mutates residual
-// capacities, so between solves the caller restores state with Reset (every
-// edge back to its reference capacity, all flow discarded) and/or
-// SetCapacity (one edge re-capacitated with its flow cleared, becoming the
-// new reference that later Resets restore). The common pattern — the
-// cut-generation separation oracle and the minimal-feasible closing loop —
-// builds the network once per call and only touches the y-dependent
-// capacities each round. Nodes and edges cannot be removed; detaching a
-// node means re-capacitating its edges to zero (with SetCapacityKeepFlow +
-// PushBack repairs when flow is routed through it). All traversal scratch
-// (BFS queue, DFS path stack, level and iterator arrays) is owned by the
-// Network and reused, so a Reset+Max cycle performs no allocations.
+// Networks are built once and re-solved many times. A solve mutates
+// residual capacities, so between solves the caller restores state with
+// Reset (every edge back to its reference capacity, all flow discarded)
+// and/or SetCapacity (one edge re-capacitated with its flow cleared,
+// becoming the new reference that later Resets restore), or keeps the flow
+// with SetCapacityKeepFlow and PushBack repairs. Nodes and edges cannot be
+// removed; detaching a node means re-capacitating its edges to zero. All
+// traversal scratch (BFS queue, DFS path stack, level and iterator arrays)
+// is owned by the Network and reused, so a Reset+MaxFrom cycle performs no
+// allocations.
 //
-// A continuation whose caller knows which arcs of the source can still carry
-// flow runs MaxFrom instead of Max, handing it those arcs; every arc of s it
-// leaves out must be saturated. Dinic's paths never re-enter the source, so
-// a solve only lowers source-arc residuals: a caller that lists each source
-// arc it re-capacitated upwards or pushed flow back on, and drops the list
-// once a solve saturates every source arc, meets the contract without
-// inspecting the rest. Listing a saturated arc is harmless. The
-// minimal-feasible checker keeps such a list of the jobs its repairs
-// shorted.
+// MaxFrom is the solve. Its caller hands it the arcs of the source that
+// can still carry flow; every arc of s it leaves out must be saturated:
+// residual 0 on an int64 network, at most eps on a float64 one. Dinic's
+// paths never re-enter the source, so a solve only lowers source-arc
+// residuals: a caller that lists each source arc whose residual it lifts
+// above eps, and after each solve drops the arcs the solve left at eps or
+// below, meets the contract without inspecting the rest. Listing a
+// saturated arc is harmless. Max is MaxFrom with every source arc listed,
+// the from-zero reference the tests hold continuations to.
 //
 // A network whose shape is known before it is built takes its arc counts
 // up front: NewNetworkDegrees carves every adjacency list out of one array
@@ -42,27 +39,23 @@
 // array on that AddEdge and leaves its neighbours' arcs in place. AddEdge
 // places arcs in call order either way, so a network built with counts
 // holds the same arcs in the same order as one built with NewNetwork from
-// the same calls, and every Max routes the same flow on every edge.
+// the same calls, and every solve routes the same flow on every edge.
 //
 // # Cost of a phase
 //
-// A Dinic phase pays for the region up to the sink, not the whole residual
-// graph: its BFS stops as soon as it labels the sink, so it scans only the
-// adjacency entries met until then, and it resets level and iterator
-// entries only for the nodes the previous phase labelled. A continuation
-// that reroutes a few units along short paths therefore stays cheap on a
-// network with thousands of slot nodes. The flow routed is the same, on
-// every edge, as full-labelling Dinic's: nodes at or past the sink's level
-// lie on no shortest augmenting path, so labelling them changes no path the
-// blocking flow finds.
-//
-// Under Max, every phase's BFS and blocking flow also walk all deg(s) arcs
-// of the source, saturated or not. Under MaxFrom they walk only the listed
-// arcs, so a phase costs the listed arcs plus the region it labels. On a
+// A Dinic phase pays for the listed source arcs plus the region up to the
+// sink, not the whole residual graph: its BFS stops as soon as it labels
+// the sink, so it scans only the adjacency entries met until then, and it
+// resets level and iterator entries only for the nodes the previous phase
+// labelled. A continuation that reroutes a few units along short paths
+// therefore stays cheap on a network with thousands of nodes: on a
 // bipartite network whose source has one arc per job, a continuation after
 // a repair that shorted one or two jobs skips the other n − 2 supply arcs
-// in every phase. The flow is the same on every edge: a saturated source
-// arc labels no node and starts no path, whichever list it is on.
+// in every phase. The flow routed is the same, on every edge, as
+// full-labelling Dinic's over every source arc: nodes at or past the
+// sink's level lie on no shortest augmenting path, so labelling them
+// changes no path the blocking flow finds, and a saturated source arc
+// labels no node and starts no path, whichever list it is on.
 package flow
 
 import "slices"
@@ -83,7 +76,7 @@ type edge[C Capacity] struct {
 }
 
 // EdgeID identifies an edge added with AddEdge so its capacity can be
-// updated with SetCapacity and the flow through it recovered after Max.
+// updated with SetCapacity and the flow through it recovered after a solve.
 type EdgeID[C Capacity] struct {
 	from, idx int
 }
@@ -130,7 +123,7 @@ func (g *Network[C]) NumNodes() int { return len(g.adj) }
 
 // AddEdge adds a directed edge from u to v with the given capacity (clamped
 // at zero) and returns an identifier usable with SetCapacity and, after
-// running Max, with Flow and Residual.
+// a solve, with Flow and Residual.
 func (g *Network[C]) AddEdge(u, v int, cap C) EdgeID[C] {
 	if cap < 0 {
 		cap = 0
@@ -143,7 +136,7 @@ func (g *Network[C]) AddEdge(u, v int, cap C) EdgeID[C] {
 }
 
 // Reset restores every edge to its reference capacity, discarding all flow
-// routed by previous Max calls. Reference capacities are those given to
+// routed by previous solves. Reference capacities are those given to
 // AddEdge, as later amended by SetCapacity.
 func (g *Network[C]) Reset() {
 	for u := range g.adj {
@@ -179,11 +172,11 @@ func (g *Network[C]) Capacity(id EdgeID[C]) C {
 // is clamped down to c, and the excess — returned to the caller — leaves
 // the network momentarily violating flow conservation at the edge's
 // endpoints: the caller must cancel the same amount along the rest of each
-// affected path (PushBack) before running Max again. This is the primitive
+// affected path (PushBack) before the next solve. This is the primitive
 // behind incremental re-capacitation: a separation oracle that keeps its
 // max flow across rounds only repairs the edges whose capacity shrank below
-// their flow and lets Max augment the difference, instead of rebuilding the
-// whole flow from zero.
+// their flow and lets MaxFrom augment the difference, instead of
+// rebuilding the whole flow from zero.
 func (g *Network[C]) SetCapacityKeepFlow(id EdgeID[C], c C) (excess C) {
 	if c < 0 {
 		c = 0
@@ -243,30 +236,21 @@ func (g *Network[C]) ensureScratch() {
 }
 
 // bfs labels nodes with their residual distance from s and reports whether
-// t is reachable. It labels level 1 from the source arcs the solve walks —
-// every arc of s, or only from's — and stops as soon as it labels t: every
-// augmenting path of the phase has exactly level[t] edges, so no node at
-// level ≥ level[t] other than t lies on one, and the blocking flow walks the
-// same edges in the same order whether or not those nodes carry a label.
-// Only the nodes the previous pass queued are cleared first; every other
-// node already holds −1.
-func (g *Network[C]) bfs(s, t int, from []EdgeID[C], all bool) bool {
+// t is reachable. It labels level 1 from the source arcs on from and stops
+// as soon as it labels t: every augmenting path of the phase has exactly
+// level[t] edges, so no node at level ≥ level[t] other than t lies on one,
+// and the blocking flow walks the same edges in the same order whether or
+// not those nodes carry a label. Only the nodes the previous pass queued
+// are cleared first; every other node already holds −1.
+func (g *Network[C]) bfs(s, t int, from []EdgeID[C]) bool {
 	adj, level, eps := g.adj, g.level, g.eps
 	for _, v := range g.queue {
 		level[v] = -1
 	}
 	queue := append(g.queue[:0], s)
 	level[s] = 0
-	src, n := adj[s], len(from)
-	if all {
-		n = len(src)
-	}
-	for k := 0; k < n; k++ {
-		a := k
-		if !all {
-			a = from[k].idx
-		}
-		if e := &src[a]; e.cap > eps && level[e.to] < 0 {
+	for _, id := range from {
+		if e := &adj[s][id.idx]; e.cap > eps && level[e.to] < 0 {
 			level[e.to] = 1
 			queue = append(queue, e.to)
 			if e.to == t {
@@ -340,60 +324,33 @@ func (g *Network[C]) augment(v, t int, limit C) C {
 	return bottle
 }
 
-// Max computes the maximum flow from s to t, mutating the residual network.
-// It may be called repeatedly: each call continues from the current residual
-// state, so callers wanting a fresh solve use Reset (and/or SetCapacity)
-// first.
+// MaxFrom computes the maximum flow from s to t, continuing from the
+// current residual state, and returns the flow it routed. from lists the
+// arcs of s that may still carry flow; every arc of s that it does not
+// list must be saturated (residual at most eps). A list may hold saturated
+// arcs too; an empty one on a saturated source routes nothing. MaxFrom
+// sorts from in place.
 //
-// A phase costs the adjacency entries its BFS scans until it labels t, plus
-// a reset of the nodes the previous phase labelled, then one blocking flow
-// over those nodes; nodes the BFS never reached are not touched. The routed
-// flow equals, edge for edge, that of textbook Dinic with a full BFS labelling
-// of the residual graph: both find the same augmenting paths in the same
-// order.
-func (g *Network[C]) Max(s, t int) C {
-	return g.maxFrom(s, t, nil, true)
-}
-
-// MaxFrom is Max for a continuation that knows which arcs of s may still
-// carry flow: from lists them, and every arc of s that it does not list must
-// be saturated. Each phase's BFS and its level-1 DFS then walk only the
-// listed arcs, in adjacency order, instead of all deg(s) of them, and the
-// routed flow equals Max's on every edge. A list may hold saturated arcs
-// too; an empty one on a saturated source routes nothing. MaxFrom sorts
-// from in place.
+// Each phase's BFS labels from the listed arcs until it reaches t, then
+// one blocking flow takes the listed arcs in adjacency order and augments
+// along each while it has residual and its head is a live level-1 node.
+// The routed flow equals, edge for edge, that of textbook Dinic with a
+// full BFS labelling of the residual graph from every arc of s: both find
+// the same augmenting paths in the same order.
 func (g *Network[C]) MaxFrom(s, t int, from []EdgeID[C]) C {
-	slices.SortFunc(from, func(a, b EdgeID[C]) int { return a.idx - b.idx })
-	return g.maxFrom(s, t, from, false)
-}
-
-// maxFrom is Dinic for Max (all set: every arc of s) and MaxFrom (only
-// from's arcs, sorted). A phase's blocking flow takes the source arcs in
-// adjacency order and augments along each one while it has residual and its
-// head is a live level-1 node. An arc of s that is saturated when a solve
-// starts stays saturated: Dinic's paths never re-enter s, so no push raises
-// a source arc's residual.
-func (g *Network[C]) maxFrom(s, t int, from []EdgeID[C], all bool) C {
 	if s == t {
 		return 0
 	}
+	slices.SortFunc(from, func(a, b EdgeID[C]) int { return a.idx - b.idx })
 	g.ensureScratch()
 	adj, level, iter, eps := g.adj, g.level, g.iter, g.eps
-	src, n := adj[s], len(from)
-	if all {
-		n = len(src)
-	}
 	var total C
-	for g.bfs(s, t, from, all) {
+	for g.bfs(s, t, from) {
 		for _, v := range g.queue {
 			iter[v] = 0
 		}
-		for k := 0; k < n; k++ {
-			a := k
-			if !all {
-				a = from[k].idx
-			}
-			e := &src[a]
+		for _, id := range from {
+			e := &adj[s][id.idx]
 			for e.cap > eps && level[e.to] == 1 {
 				f := g.augment(e.to, t, e.cap)
 				if f == 0 {
@@ -408,14 +365,25 @@ func (g *Network[C]) maxFrom(s, t int, from []EdgeID[C], all bool) C {
 	return total
 }
 
+// Max is MaxFrom with every arc of s listed, for a caller that keeps no
+// list: a solve from zero, or the reference a listed continuation must
+// match.
+func (g *Network[C]) Max(s, t int) C {
+	from := make([]EdgeID[C], len(g.adj[s]))
+	for i := range from {
+		from[i] = EdgeID[C]{from: s, idx: i}
+	}
+	return g.MaxFrom(s, t, from)
+}
+
 // MinCutSource returns the set of nodes reachable from s in the residual
-// network after Max has been run; this is the source side of a minimum cut.
+// network after a solve; this is the source side of a minimum cut.
 func (g *Network[C]) MinCutSource(s int) []bool {
 	return g.ReachableFrom(s, -1)
 }
 
 // ReachableFrom returns the set of nodes reachable from start along
-// residual edges after Max has been run, never expanding through blocked
+// residual edges after a solve, never expanding through blocked
 // (pass -1 to disable blocking). The blocked node is reported as true so
 // the walk skips it, but none of its outgoing edges are followed. The
 // batched Benders separation uses this to harvest one Hall-style violator
@@ -441,64 +409,4 @@ func (g *Network[C]) ReachableFrom(start, blocked int) []bool {
 		}
 	}
 	return seen
-}
-
-// PathEdge labels an edge for path decomposition.
-type PathEdge[C Capacity] struct {
-	ID    EdgeID[C]
-	Label int // caller-defined payload (e.g. job index, or -1 for skip arcs)
-}
-
-// DecomposePaths decomposes the flow currently carried by the given edges
-// into unit paths from s to t on a DAG and returns, per path, the labels of
-// the edges used (in path order). It requires integral per-edge flow values
-// (the int64 instantiation, or float flows that are near-integral) and a
-// graph in which the tracked edges form a DAG from s to t; both hold for the
-// busy-time flow-cover construction that uses it.
-func (g *Network[C]) DecomposePaths(s, t int, edges []PathEdge[C]) [][]int {
-	type arc struct {
-		to    int
-		label int
-		left  int64
-	}
-	out := make(map[int][]*arc)
-	var units int64
-	for _, pe := range edges {
-		f := g.Flow(pe.ID)
-		n := int64(float64(f) + 0.5) // exact for int64; rounds float flow
-		if n <= 0 {
-			continue
-		}
-		a := &arc{to: g.adj[pe.ID.from][pe.ID.idx].to, label: pe.Label, left: n}
-		out[pe.ID.from] = append(out[pe.ID.from], a)
-		if pe.ID.from == s {
-			units += n
-		}
-	}
-	var paths [][]int
-	for u := 0; int64(u) < units; u++ {
-		var labels []int
-		cur := s
-		for cur != t {
-			var next *arc
-			for _, a := range out[cur] {
-				if a.left > 0 {
-					next = a
-					break
-				}
-			}
-			if next == nil {
-				// Flow conservation violated (should not happen): abandon path.
-				labels = nil
-				break
-			}
-			next.left--
-			labels = append(labels, next.label)
-			cur = next.to
-		}
-		if labels != nil {
-			paths = append(paths, labels)
-		}
-	}
-	return paths
 }

@@ -141,35 +141,3 @@ func TestMaxFlowRandomAgainstBrute(t *testing.T) {
 		}
 	}
 }
-
-func TestDecomposePaths(t *testing.T) {
-	// DAG: two disjoint s-t paths via labeled job arcs.
-	g := NewNetwork[int64](4, 0)
-	var pes []PathEdge[int64]
-	pes = append(pes, PathEdge[int64]{g.AddEdge(0, 1, 1), 100})
-	pes = append(pes, PathEdge[int64]{g.AddEdge(1, 3, 1), 101})
-	pes = append(pes, PathEdge[int64]{g.AddEdge(0, 2, 1), 200})
-	pes = append(pes, PathEdge[int64]{g.AddEdge(2, 3, 1), 201})
-	if got := g.Max(0, 3); got != 2 {
-		t.Fatalf("max flow = %d, want 2", got)
-	}
-	paths := g.DecomposePaths(0, 3, pes)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	seen := map[int]bool{}
-	for _, p := range paths {
-		if len(p) != 2 {
-			t.Fatalf("path %v, want 2 arcs", p)
-		}
-		for _, l := range p {
-			seen[l] = true
-		}
-		if p[0]/100 != p[1]/100 {
-			t.Errorf("path %v mixes branches", p)
-		}
-	}
-	if len(seen) != 4 {
-		t.Errorf("labels seen %v, want all 4", seen)
-	}
-}
