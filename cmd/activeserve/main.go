@@ -26,6 +26,11 @@
 // later GET returns it), 422 "infeasible" for arrival batches no schedule
 // can absorb, 400/404 for malformed requests and unknown tenants.
 //
+// Requests are bounded before any session work: a body past maxBodyBytes
+// (8 MiB) is refused with 413 "too_large", and an instance or arrival batch
+// with a deadline past maxHorizon (65,536) with 400 "bad_request", since a
+// session allocates slot-indexed arrays over the whole horizon.
+//
 // Mutations are batched per tenant: concurrent arrivals and departures
 // coalesce onto one re-solve (single flight), each caller waiting on the
 // batch that covers its own mutation. Results are cached across tenants by
@@ -49,6 +54,12 @@ import (
 
 	"repro/internal/activetime"
 	"repro/internal/core"
+)
+
+// Request limits (see the package comment).
+const (
+	maxBodyBytes = 8 << 20
+	maxHorizon   = 1 << 16
 )
 
 func main() {
@@ -117,7 +128,10 @@ func newServer(cfg serverConfig) *server {
 	return s
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
 
 // tenant is one live session plus the single-flight solve state. The
 // capacity-1 channel is the tenant lock (context-aware, unlike a mutex);
@@ -272,10 +286,34 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]any{"error": map[string]string{"code": code, "message": msg}})
 }
 
+// writeBodyError answers a request whose body was refused: 413 when it ran
+// past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+}
+
+// horizonErr names the first job whose deadline passes maxHorizon.
+func horizonErr(jobs []core.Job) error {
+	for _, j := range jobs {
+		if j.Deadline > maxHorizon {
+			return fmt.Errorf("job %d: deadline %d exceeds the horizon cap %d", j.ID, j.Deadline, maxHorizon)
+		}
+	}
+	return nil
+}
+
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	in, err := core.ReadInstance(r.Body)
+	if err == nil {
+		err = horizonErr(in.Jobs)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	sess, err := activetime.NewSession(in)
@@ -363,8 +401,12 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Jobs []core.Job `json:"jobs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	err := json.NewDecoder(r.Body).Decode(&body)
+	if err == nil {
+		err = horizonErr(body.Jobs)
+	}
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	s.mutate(w, r, func(sess *activetime.Session) error { return sess.AddJobs(body.Jobs) })
@@ -375,7 +417,7 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		IDs []int `json:"ids"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	s.mutate(w, r, func(sess *activetime.Session) error { return sess.RemoveJobs(body.IDs) })

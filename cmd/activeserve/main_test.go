@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,6 +288,50 @@ func TestServerTypedErrors(t *testing.T) {
 	code, body = do(t, http.MethodPut, ts.URL+"/v1/tenants/acme", []byte(`{"g":0,"jobs":[]}`))
 	if code != http.StatusBadRequest {
 		t.Errorf("invalid instance: got %d %s", code, body)
+	}
+}
+
+// TestServerRequestLimits pins the request caps: a body one byte past
+// maxBodyBytes is refused with 413 "too_large" on the create and the
+// arrival endpoint, and an instance or an arrival batch whose last deadline
+// is one past maxHorizon with 400 "bad_request", before any session work.
+// A body of maxBodyBytes and a deadline of maxHorizon are accepted.
+func TestServerRequestLimits(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	job := func(id int, deadline int64) string {
+		return fmt.Sprintf(`{"id":%d,"release":%d,"deadline":%d,"length":1}`, id, deadline-1, deadline)
+	}
+	// padded spreads whitespace inside one JSON value to size bytes, so
+	// the decoder must read every byte of it.
+	padded := func(head, tail string, size int) []byte {
+		return []byte(head + strings.Repeat(" ", size-len(head)-len(tail)) + tail)
+	}
+	instance := func(size int, deadline int64) []byte {
+		return padded(`{"g":2,`, `"jobs":[`+job(1, deadline)+`]}`, size)
+	}
+	arrival := func(id, size int, deadline int64) []byte {
+		return padded(`{`, `"jobs":[`+job(id, deadline)+`]}`, size)
+	}
+	for _, c := range []struct {
+		name, method, path string
+		body               []byte
+		status             int
+		code               string
+	}{
+		{"instance past the body cap", http.MethodPut, "/v1/tenants/a", instance(maxBodyBytes+1, 4), http.StatusRequestEntityTooLarge, "too_large"},
+		{"instance past the horizon cap", http.MethodPut, "/v1/tenants/a", instance(128, maxHorizon+1), http.StatusBadRequest, "bad_request"},
+		{"instance at both caps", http.MethodPut, "/v1/tenants/a", instance(maxBodyBytes, maxHorizon), http.StatusCreated, ""},
+		{"arrivals past the body cap", http.MethodPost, "/v1/tenants/a/jobs:add", arrival(2, maxBodyBytes+1, 4), http.StatusRequestEntityTooLarge, "too_large"},
+		{"arrivals past the horizon cap", http.MethodPost, "/v1/tenants/a/jobs:add", arrival(3, 128, maxHorizon+1), http.StatusBadRequest, "bad_request"},
+		{"arrivals at both caps", http.MethodPost, "/v1/tenants/a/jobs:add", arrival(4, maxBodyBytes, maxHorizon), http.StatusOK, ""},
+	} {
+		code, body := do(t, c.method, ts.URL+c.path, c.body)
+		if code != c.status || (c.code != "" && errCode(t, body) != c.code) {
+			t.Errorf("%s: got %d %.200s, want %d %s", c.name, code, body, c.status, c.code)
+		}
+	}
+	if sol := getSolution(t, ts.URL, "a"); sol.Objective != 1 {
+		t.Errorf("two jobs in the last slot under the horizon cap: objective %v, want 1", sol.Objective)
 	}
 }
 

@@ -188,14 +188,12 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 // scaling family must solve inside the CI scaling-job budget, which takes
 // steepest-edge pricing, the hypersparse FTRAN/BTRAN kernels, cut-row
 // working-set pricing and Forrest–Tomlin updates together. The known-good
-// trajectory, on the master with one column per elementary interval,
-// spends 1971 pivots over 95 rounds (2548 cuts, 303 purged, 190
-// refactors, hypersparse share 0.82, about 1.3 s on a 2-vCPU Xeon), none
-// of its warm repairs above 87. The 10600 ceiling was set at 4.2× the 2528
-// pivots of the per-slot separator, the head-room that the
-// Kelley-separation loop's 45000 ceiling had over its 10719 pivots, so a
-// change that drifts back toward that basin fails, as does a pricing or
-// ordering change that drops the solve into a far worse one. It skips
+// trajectory, on the master with one column per elementary interval and
+// one surplus per row, spends 1698 pivots over 56 rounds (2503 cuts, 245
+// purged, 142 refactors, hypersparse share 0.84, about 1.2 s on a 2-vCPU
+// Xeon), none of its warm repairs above 83. The 2280 ceiling is 1.34× those
+// pivots, the head-room the T = 32768 run's ceiling keeps, so a pricing or
+// ordering change that drops the solve into a worse basin fails. It skips
 // under the race detector, where the instruction-level slowdown would
 // turn minutes into the better part of an hour —
 // TestSolveLPHorizon16kLight is the race-mode endurance run.
@@ -209,7 +207,7 @@ func TestSolveLPHorizon16k(t *testing.T) {
 	// separator); the ceiling pads ~10× for slower
 	// runners while still catching a dense-everywhere or quadratic-pricing
 	// catastrophe.
-	runCanonicalEndurance(t, 16384, 10600, 1500, 8000)
+	runCanonicalEndurance(t, 16384, 2280, 1500, 8000)
 }
 
 // TestSolveLPHorizon32k doubles the endurance horizon to T = 32768 at the
@@ -223,13 +221,14 @@ func TestSolveLPHorizon32k(t *testing.T) {
 	}
 	skipUnlessEndurance(t, 30*time.Minute)
 	// The known-good trajectory, on the master with one column per
-	// elementary interval, spends 3021 pivots over 68 rounds (4828 cuts,
-	// 396 purged, 230 refactors, hypersparse share 0.88, about 2.7 s on a
-	// 2-vCPU Xeon) with no fallback, its largest warm repair 143 pivots.
-	// The 3900 ceiling was set at 1.14× the 3421 pivots of the per-slot
-	// separator, the head-room that the Kelley-separation loop's 110000
-	// ceiling had over its 96339 pivots; the warm-repair ceiling of 1500 is
-	// a quarter of that loop's 6,047-pivot repair before its stall.
+	// elementary interval and one surplus per row, spends 2905 pivots over
+	// 48 rounds (4770 cuts, 361 purged, 210 refactors, hypersparse share
+	// 0.88, about 2.6 s on a 2-vCPU Xeon) with no fallback, its largest warm
+	// repair 132 pivots. The 3900 ceiling was set at 1.14× the 3421 pivots
+	// of the per-slot separator, the head-room that the Kelley-separation
+	// loop's 110000 ceiling had over its 96339 pivots, and is 1.34× the
+	// pivots now; the warm-repair ceiling of 1500 is a quarter of that
+	// loop's 6,047-pivot repair before its stall.
 	runCanonicalEndurance(t, 32768, 3900, 1500, 15000)
 }
 

@@ -30,18 +30,18 @@
 // it (columns ascending, duplicates summed, zeros dropped) into a per-row
 // column/value list that both engines read in place. The float engine adds
 // only the views pivots need, a run-compressed copy of each row and a
-// per-column transpose, and every row enters it as given, a·x − s = b with
-// a surplus s. Logical columns are signed unit vectors that are never
-// materialized. All pivoting state
-// lives in a factorized basis representation (factor.go): a sparse LU of
-// the basis — refactorized with a static Markowitz-style column ordering
+// per-column transpose, and every row i enters it as given, a·x − s_i = b,
+// with one logical column: its surplus s_i, the unit column −e_i, which is
+// column n+i after the n structurals and is never materialized. All pivoting
+// state lives in a factorized basis representation (factor.go): a sparse LU
+// of the basis — refactorized with a static Markowitz-style column ordering
 // and threshold partial pivoting — kept current across basis changes by
 // Forrest–Tomlin updates: each pivot replaces the leaving column of U in
 // place with the entering column's spike (its partial FTRAN through L and
 // the accumulated row etas) and eliminates the resulting row bump into one
 // short row-eta operation plus a rotation of U's triangular order. Every
-// B⁻¹·v product is an FTRAN (a triangular solve through L, the row-eta
-// list, and the updated U) and every vᵀ·B⁻¹ product a BTRAN (the same chain
+// B⁻¹·v product is an FTRAN (a triangular solve through L, the row-eta list,
+// and the updated U) and every vᵀ·B⁻¹ product a BTRAN (the same chain
 // transposed, in reverse), so per-pivot work is O(m + nnz(L+U) + nnz(row
 // etas) + nnz of the priced rows) — nothing of size m² or n×m is ever
 // stored, written or scanned, which carries the Benders master to tens of
@@ -60,6 +60,8 @@
 // (largest pivot magnitude within a tie): covering masters are massively
 // dual degenerate, and index-order tie-breaking measurably sent the
 // bound-flipping walk into dual-progress-free flip storms at large horizons.
+// Its last tie-break hashes the column's identity, a structural's index or
+// a surplus's row, never its position.
 //
 // # Hypersparse FTRAN/BTRAN kernels
 //
@@ -145,6 +147,10 @@
 //     state — the primitive behind Benders cut purging; removing a slack
 //     row disturbs neither the remaining duals nor any remaining basic
 //     value.
+//
+// Appended or split columns shift every surplus to its row's new n+i, but
+// the ratio test's last tie-break reads column identity, not position, so a
+// column that no row references moves no pivot.
 //
 // Changing the bound or the objective of a column the basis has already
 // seen invalidates it: ResolveFrom rejects such calls with an error
@@ -310,7 +316,8 @@ func (p *Problem) SetDenseKernels(dense bool) {
 }
 
 // SetPivotHook installs an observer invoked at every basis change with the
-// leaving row's basis position and the entering column. It is read when an
+// leaving row's basis position and the entering column: a structural's
+// index, or NumVars()+i for row i's surplus. It is read when an
 // engine state is created; tests use it to record and compare pivot
 // sequences across kernel paths. The hook must not mutate the problem or
 // re-enter the solver. Pass nil to clear.

@@ -14,8 +14,8 @@ import (
 // row for the pivot-row scatter and a per-column view for FTRAN. All
 // pivoting state lives in the factorized basis representation f — a sparse
 // LU of the basis as of the last refactorization, kept current by
-// Forrest–Tomlin updates (see factor.go). Logical columns (surpluses and pad
-// columns; see newRevised) are signed unit vectors and are never
+// Forrest–Tomlin updates (see factor.go). Each row has one logical column:
+// row i's surplus −e_i is column n+i, a unit vector that is never
 // materialized. xB holds the actual value of each basic variable —
 // not a transformed right-hand side — which keeps the bookkeeping correct
 // when nonbasic variables rest at nonzero upper bounds.
@@ -52,12 +52,8 @@ type revised struct {
 
 	// Views of the Problem's rows, which every row enters as given.
 	rowRun  [][]alphaRun // run-compressed copy of each row
-	rowLogs [][]int32    // logical columns belonging to each row (1 or 2)
 	colRows [][]int32    // per structural column: rows with a nonzero entry
 	colVals [][]float64
-
-	logRow  []int32   // per logical column (index col-n): owning row
-	logSign []float64 // -1 surplus, +1 pad
 
 	f           factor // factorized basis: LU + Forrest–Tomlin updates (see factor.go)
 	factorStale bool   // basis structure changed; refactorize before solving
@@ -66,13 +62,12 @@ type revised struct {
 	basis []int     // basic column of each basis position
 	xB    []float64 // value of the basic variable at each position
 
-	// Per-column state, structural columns first, then logical columns in
-	// materialization order. cost[:n] and upper[:n] double as the snapshot
-	// of the Problem's objective and bounds that a warm re-solve checks.
+	// Per-column state, structural columns first, then row i's surplus at
+	// n+i. cost[:n] and upper[:n] double as the snapshot of the Problem's
+	// objective and bounds that a warm re-solve checks.
 	cost       []float64
 	upper      []float64
 	atUpper    []bool
-	pad        []bool // the never-basic second logical of a cold-built row
 	inBasis    []bool
 	whereBasic []int // basis row of the column, -1 when nonbasic
 
@@ -157,21 +152,14 @@ const (
 )
 
 // newRevised builds the initial state at the all-slack dual basis. Each
-// row a·x ≥ b of p enters as given, read in place, with two logical
-// columns: its surplus (coefficient −1), basic, and a pad column (+1); a row
-// appended later gets the surplus alone (appendRow). Every structural rests at
-// its lower bound, which its nonnegative cost prefers, so the basis is dual
-// feasible; it is a signed permutation, so every inverse row has norm
-// exactly 1 and the dual steepest-edge weights start exact.
-//
-// A pad column never enters the basis: the dual ratio test and
-// checkDualFeasible skip it. It stays because logical column indices feed
-// the final tie-break of the dual ratio test (dualCandBefore), and with
-// one logical per row every later column index, and so the pivot sequence,
-// would change.
+// row a·x ≥ b of p enters as given, read in place, with its surplus
+// (coefficient −1) at column n+i, basic. Every structural rests at its lower
+// bound, which its nonnegative cost prefers, so the basis is dual feasible;
+// it is a signed permutation, so every inverse row has norm exactly 1 and
+// the dual steepest-edge weights start exact.
 func newRevised(p *Problem) *revised {
 	m, n := len(p.b), p.numVars
-	nTotal := n + 2*m
+	nTotal := n + m
 	colCap := nTotal + nTotal/4 + 16 // headroom for appended cut columns
 	rowCap := m + m/4 + 16
 	t := &revised{
@@ -181,17 +169,13 @@ func newRevised(p *Problem) *revised {
 		epoch:      p.removeEpoch,
 		splits:     len(p.splits),
 		rowRun:     make([][]alphaRun, 0, rowCap),
-		rowLogs:    make([][]int32, 0, rowCap),
 		colRows:    make([][]int32, n),
 		colVals:    make([][]float64, n),
-		logRow:     make([]int32, 0, colCap-n),
-		logSign:    make([]float64, 0, colCap-n),
 		basis:      make([]int, 0, rowCap),
 		xB:         make([]float64, 0, rowCap),
 		cost:       make([]float64, nTotal, colCap),
 		upper:      make([]float64, nTotal, colCap),
 		atUpper:    make([]bool, nTotal, colCap),
-		pad:        make([]bool, nTotal, colCap),
 		inBasis:    make([]bool, nTotal, colCap),
 		whereBasic: make([]int, nTotal, colCap),
 		red:        make([]float64, nTotal, colCap),
@@ -229,11 +213,7 @@ func newRevised(p *Problem) *revised {
 			t.colVals[c] = append(t.colVals[c], vals[k])
 		}
 		t.rowRun = append(t.rowRun, compressRuns(cols, vals))
-		surplus := n + 2*i
-		t.logRow = append(t.logRow, int32(i), int32(i))
-		t.logSign = append(t.logSign, -1, 1)
-		t.pad[surplus+1] = true
-		t.rowLogs = append(t.rowLogs, []int32{int32(surplus), int32(surplus + 1)})
+		surplus := n + i
 		t.basis = append(t.basis, surplus)
 		t.xB = append(t.xB, -p.b[i])
 		t.inBasis[surplus] = true
@@ -269,11 +249,11 @@ func (t *revised) scatterBasisColumn(p int, x []float64, patt []int32) []int32 {
 		}
 		return patt
 	}
-	r := t.logRow[c-t.n]
+	r := c - t.n
 	if x[r] == 0 {
-		patt = append(patt, r)
+		patt = append(patt, int32(r))
 	}
-	x[r] += t.logSign[c-t.n]
+	x[r] -= 1
 	return patt
 }
 
@@ -306,16 +286,20 @@ func (t *revised) ensureFactor() bool {
 // dualCand is one eligible entering column of the bounded dual ratio test.
 type dualCand struct {
 	col   int32
+	id    uint32 // the column's identity: its index, or 1<<31 | row for a surplus
 	ratio float64
 	mag   float64 // |pivot element|, the tie-breaking key
 }
 
 // dualCandBefore is the bound-flipping walk's consumption order: ratio
 // ascending with ratios below tieTol collapsed into one degenerate bucket,
-// ties by descending pivot magnitude (Harris-style), final ties by a hashed
-// (still deterministic) column order that decorrelates the flip walk from
-// the master's column layout — plain index order re-correlates it into
-// coherent flip storms on integer-data masters.
+// ties by descending pivot magnitude (Harris-style), final ties by a hash
+// of the column's identity, not its position, so appending or splitting
+// structural columns moves no pivot. The hash (still deterministic)
+// decorrelates the flip walk from the master's column order — plain index
+// order re-correlates it into coherent flip storms on integer-data masters
+// — and, multiplying by an odd constant, is a bijection: distinct columns
+// never tie.
 func dualCandBefore(a, b dualCand) bool {
 	const tieTol = 1e-9 // ratios below this are the degenerate bucket
 	ra, rb := a.ratio, b.ratio
@@ -331,12 +315,7 @@ func dualCandBefore(a, b dualCand) bool {
 	if a.mag != b.mag {
 		return a.mag > b.mag
 	}
-	ha := uint32(a.col) * 2654435761
-	hb := uint32(b.col) * 2654435761
-	if ha != hb {
-		return ha < hb
-	}
-	return a.col < b.col
+	return a.id*2654435761 < b.id*2654435761
 }
 
 // heapifyDualCands builds a binary min-heap under dualCandBefore in place.
@@ -401,9 +380,7 @@ func (t *revised) refreshRed() {
 		for k, c := range cols {
 			red[c] -= yi * vals[k]
 		}
-		for _, lc := range t.rowLogs[i] {
-			red[lc] -= yi * t.logSign[lc-int32(t.n)]
-		}
+		red[t.n+i] += yi
 	}
 	t.sinceRefresh = 0
 }
@@ -440,9 +417,9 @@ func (t *revised) ftran(col int) {
 		}
 		ind = rows
 	} else {
-		r := t.logRow[col-t.n]
-		w[r] = t.logSign[col-t.n]
-		t.oneInd[0] = r
+		r := col - t.n
+		w[r] = -1
+		t.oneInd[0] = int32(r)
 		ind = t.oneInd[:]
 	}
 	t.wInd, t.wSparse = t.f.ftranSparse(w, ind, t.wInd[:0], ftranEnter)
@@ -681,7 +658,7 @@ func (t *revised) pivotRowAlpha() {
 		for _, i32 := range t.rhoInd {
 			i := int(i32)
 			if rho[i] != 0 {
-				vol += len(t.p.rowCols[i]) + len(t.rowLogs[i])
+				vol += len(t.p.rowCols[i]) + 1
 			}
 		}
 		if vol >= nc {
@@ -704,7 +681,7 @@ func (t *revised) pivotRowAlpha() {
 	}
 	for i := 0; i < t.m; i++ {
 		if rho[i] != 0 {
-			vol += len(t.p.rowCols[i]) + len(t.rowLogs[i])
+			vol += len(t.p.rowCols[i]) + 1
 		}
 	}
 	if vol >= nc {
@@ -767,12 +744,11 @@ func (t *revised) scatterRowAlpha(i int, ri float64) {
 			seg[k] += x
 		}
 	}
-	for _, lc := range t.rowLogs[i] {
-		if alpha[lc] == 0 {
-			t.touched = append(t.touched, lc)
-		}
-		alpha[lc] += ri * t.logSign[lc-int32(t.n)]
+	s := t.n + i
+	if alpha[s] == 0 {
+		t.touched = append(t.touched, int32(s))
 	}
+	alpha[s] -= ri
 }
 
 // scatterRowAlphaRaw is scatterRowAlpha without support tracking — a block
@@ -793,10 +769,7 @@ func (t *revised) scatterRowAlphaRaw(i int, ri float64) {
 			seg[k] += x
 		}
 	}
-	ls, n := t.logSign, int32(t.n)
-	for _, lc := range t.rowLogs[i] {
-		alpha[lc] += ri * ls[lc-n]
-	}
+	alpha[t.n+i] -= ri
 }
 
 // collectTouched rebuilds t.touched as the ascending support of t.alpha.
@@ -1123,8 +1096,8 @@ func (t *revised) dualIterate(budget *int) Status {
 		t.btranRho(row)
 		t.pivotRowAlpha()
 		// Entering: bounded dual ratio test with bound flips. Candidates
-		// are visited in increasing dual-ratio order (ties by column index,
-		// for determinism and Bland-style safety); a candidate whose own
+		// are visited in increasing dual-ratio order (final ties by column
+		// identity, for determinism; see dualCandBefore); a candidate whose own
 		// finite range cannot absorb the remaining violation is flipped
 		// across its bounds — no basis change, its dual price has crossed
 		// its ratio so the opposite bound is the dual-feasible one — and
@@ -1137,7 +1110,7 @@ func (t *revised) dualIterate(budget *int) Status {
 		cands := t.cands[:0]
 		for _, j32 := range t.touched {
 			j := int(j32)
-			if t.inBasis[j] || t.pad[j] {
+			if t.inBasis[j] {
 				continue
 			}
 			a := sign * t.alpha[j]
@@ -1156,7 +1129,11 @@ func (t *revised) dualIterate(budget *int) Status {
 			if ratio < 0 {
 				ratio = 0
 			}
-			cands = append(cands, dualCand{col: int32(j), ratio: ratio, mag: math.Abs(a)})
+			id := uint32(j)
+			if j >= t.n {
+				id = 1<<31 | uint32(j-t.n)
+			}
+			cands = append(cands, dualCand{col: int32(j), id: id, ratio: ratio, mag: math.Abs(a)})
 		}
 		t.cands = cands
 		// Candidates are consumed in increasing dual-ratio order. Covering
@@ -1277,15 +1254,14 @@ func (t *revised) solve(budget *int) Status {
 // refactorization failed or a nonbasic column sits off the bound its
 // reduced cost prefers (red < −eps at the lower bound, red > eps at the
 // upper). The dual simplex keeps every reduced cost on its dual-feasible
-// side, so only numerical drift can trip the check. Pad columns are never
-// candidates and are not checked.
+// side, so only numerical drift can trip the check.
 func (t *revised) checkDualFeasible() Status {
 	t.refreshRed()
 	if t.broken {
 		return IterLimit
 	}
 	for j, r := range t.red {
-		if t.inBasis[j] || t.pad[j] {
+		if t.inBasis[j] {
 			continue
 		}
 		if t.atUpper[j] && r > eps || !t.atUpper[j] && r < -eps {
@@ -1432,7 +1408,6 @@ func (t *revised) growCols(k int) {
 	t.red = growF(t.red, 0)
 	t.alpha = growF(t.alpha, 0)
 	t.atUpper = growB(t.atUpper)
-	t.pad = growB(t.pad)
 	t.inBasis = growB(t.inBasis)
 	if cap(t.whereBasic) < nt {
 		s2 := make([]int, len(t.whereBasic), nt+nt/4+16)
@@ -1475,10 +1450,9 @@ func (t *revised) growRows() {
 
 // appendProblemCols incorporates structural columns added to the problem
 // since the state was last solved (Problem.AddColumns). The per-column
-// arrays keep structural columns first, so the whole logical block shifts
-// up by k and every absolute logical column index (basis entries, per-row
-// rowLogs) is remapped; logRow/logSign are indexed relative to n and need
-// no rewrite. The new columns enter nonbasic at their lower bound with the
+// arrays keep structural columns first, so the surplus block shifts up by k,
+// row i's surplus to the new n+i, and the basis entries that name a surplus
+// are remapped. The new columns enter nonbasic at their lower bound with the
 // bounds and costs the caller shaped after AddColumns; their reduced costs
 // are derived at the refactorization this splice schedules (factorStale).
 // A new column appears in no existing row, so its reduced cost is its cost,
@@ -1505,7 +1479,6 @@ func (t *revised) appendProblemCols() {
 		t.upper[d] = t.upper[j]
 		t.red[d] = t.red[j]
 		t.atUpper[d] = t.atUpper[j]
-		t.pad[d] = t.pad[j]
 		t.inBasis[d] = t.inBasis[j]
 		t.whereBasic[d] = t.whereBasic[j]
 	}
@@ -1518,7 +1491,6 @@ func (t *revised) appendProblemCols() {
 		t.upper[j] = u
 		t.red[j] = 0
 		t.atUpper[j] = false
-		t.pad[j] = false
 		t.inBasis[j] = false
 		t.whereBasic[j] = -1
 	}
@@ -1527,11 +1499,6 @@ func (t *revised) appendProblemCols() {
 	for i := range t.basis {
 		if t.basis[i] >= oldN {
 			t.basis[i] += k
-		}
-	}
-	for _, logs := range t.rowLogs {
-		for idx := range logs {
-			logs[idx] += int32(k) // every rowLogs entry is a logical column
 		}
 	}
 	t.n = p.numVars
@@ -1590,18 +1557,15 @@ func (t *revised) appendProblemRows() {
 	t.factorStale = true
 }
 
-// appendRow splices Problem row t.m, a·x ≥ b, into the state as given,
-// a·x − s = b, like a cold row but without the pad: its one logical column
-// is a surplus (coefficient −1), basic at a·x − b.
+// appendRow splices Problem row i = t.m, a·x ≥ b, into the state as given,
+// a·x − s = b, like a cold row: its surplus (coefficient −1) is column n+i,
+// the next one, basic at a·x − b.
 func (t *revised) appendRow(xs []float64) {
 	i := t.m
 	cols, vals := t.p.rowCols[i], t.p.rowVals[i]
-	s := len(t.cost)
+	s := t.n + i
 	t.growCols(1)
-	t.logRow = append(t.logRow, int32(i))
-	t.logSign = append(t.logSign, -1)
 	t.rowRun = append(t.rowRun, compressRuns(cols, vals))
-	t.rowLogs = append(t.rowLogs, []int32{int32(s)})
 	for k, c := range cols {
 		// Grow column slices with explicit headroom: repeated cut appends
 		// touch the same columns round after round, and Go's small-slice
@@ -1645,74 +1609,51 @@ func (t *revised) appendRow(xs []float64) {
 // logical into the basis.
 func (t *revised) removeRows(drop []int) error {
 	// Validate every drop before mutating anything.
-	deadRow := make([]bool, t.m)
-	deadPos := make([]bool, t.m)
-	deadCol := make([]bool, len(t.cost))
+	n, m := t.n, t.m
+	deadRow := make([]bool, m)
+	deadPos := make([]bool, m)
 	for _, r := range drop {
-		if r < 0 || r >= t.m {
-			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", r, t.m)
+		if r < 0 || r >= m {
+			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", r, m)
 		}
 		if deadRow[r] {
 			continue
 		}
-		// A row's first logical is its surplus; a pad never enters the
-		// basis.
-		surplus := int(t.rowLogs[r][0])
-		if !t.inBasis[surplus] {
+		if !t.inBasis[n+r] {
 			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", r)
 		}
 		deadRow[r] = true
-		deadPos[t.whereBasic[surplus]] = true
-		for _, lc := range t.rowLogs[r] {
-			deadCol[int(lc)] = true
-		}
+		deadPos[t.whereBasic[n+r]] = true
 	}
 
-	m := t.m
+	// Row-indexed state, with each surviving row's surplus moving from n+r
+	// to n+rowMap[r]. Every surplus has cost 0, no upper bound and rests at
+	// its lower bound when nonbasic, and alpha is zero between pivots, so
+	// only the reduced cost and the basis flag move.
 	rowMap := make([]int32, m)
 	nr := 0
 	for r := 0; r < m; r++ {
 		if deadRow[r] {
 			rowMap[r] = -1
-		} else {
-			rowMap[r] = int32(nr)
-			nr++
-		}
-	}
-	nCols := len(t.cost)
-	colMap := make([]int32, nCols)
-	for j := 0; j < t.n; j++ {
-		colMap[j] = int32(j)
-	}
-	nc := t.n
-	for j := t.n; j < nCols; j++ {
-		if deadCol[j] {
-			colMap[j] = -1
-		} else {
-			colMap[j] = int32(nc)
-			nc++
-		}
-	}
-
-	// Row-indexed state (logical references remapped in place).
-	nr = 0
-	for r := 0; r < m; r++ {
-		if deadRow[r] {
 			continue
 		}
-		logs := t.rowLogs[r]
-		for k, lc := range logs {
-			logs[k] = colMap[lc]
-		}
+		rowMap[r] = int32(nr)
 		t.rowRun[nr] = t.rowRun[r]
-		t.rowLogs[nr] = logs
+		t.red[n+nr] = t.red[n+r]
+		t.inBasis[n+nr] = t.inBasis[n+r]
 		nr++
 	}
 	t.rowRun = t.rowRun[:nr]
-	t.rowLogs = t.rowLogs[:nr]
+	nc := n + nr
+	t.cost = t.cost[:nc]
+	t.upper = t.upper[:nc]
+	t.red = t.red[:nc]
+	t.alpha = t.alpha[:nc]
+	t.atUpper = t.atUpper[:nc]
+	t.inBasis = t.inBasis[:nc]
 
 	// Per-structural-column row lists.
-	for j := 0; j < t.n; j++ {
+	for j := 0; j < n; j++ {
 		rows, vals := t.colRows[j], t.colVals[j]
 		out := 0
 		for k, r := range rows {
@@ -1725,34 +1666,7 @@ func (t *revised) removeRows(drop []int) error {
 		t.colVals[j] = vals[:out]
 	}
 
-	// Logical-column state and every per-column array.
-	nc = t.n
-	for j := t.n; j < nCols; j++ {
-		if deadCol[j] {
-			continue
-		}
-		t.logRow[nc-t.n] = rowMap[t.logRow[j-t.n]]
-		t.logSign[nc-t.n] = t.logSign[j-t.n]
-		t.cost[nc] = t.cost[j]
-		t.upper[nc] = t.upper[j]
-		t.red[nc] = t.red[j]
-		t.alpha[nc] = t.alpha[j]
-		t.atUpper[nc] = t.atUpper[j]
-		t.pad[nc] = t.pad[j]
-		t.inBasis[nc] = t.inBasis[j]
-		nc++
-	}
-	t.logRow = t.logRow[:nc-t.n]
-	t.logSign = t.logSign[:nc-t.n]
-	t.cost = t.cost[:nc]
-	t.upper = t.upper[:nc]
-	t.red = t.red[:nc]
-	t.alpha = t.alpha[:nc]
-	t.atUpper = t.atUpper[:nc]
-	t.pad = t.pad[:nc]
-	t.inBasis = t.inBasis[:nc]
-
-	// Basis positions: drop the removed rows' basic logicals, keep every
+	// Basis positions: drop the removed rows' basic surpluses, keep every
 	// surviving basic value bit-for-bit. Pricing weights compact the same
 	// way and stay exact: with the dead position holding a unit column,
 	// the inverse is block triangular and each surviving row of the
@@ -1763,7 +1677,11 @@ func (t *revised) removeRows(drop []int) error {
 		if deadPos[p] {
 			continue
 		}
-		t.basis[np] = int(colMap[t.basis[p]])
+		c := t.basis[p]
+		if c >= n {
+			c = n + int(rowMap[c-n])
+		}
+		t.basis[np] = c
 		t.xB[np] = t.xB[p]
 		t.dseW[np] = t.dseW[p]
 		np++
