@@ -31,6 +31,12 @@
 // with a deadline past maxHorizon (65,536) with 400 "bad_request", since a
 // session allocates slot-indexed arrays over the whole horizon.
 //
+// Connections are bounded too: a client must finish its request headers
+// within readHeaderTimeout (10 s), and an idle keep-alive connection is
+// closed after idleTimeout (2 min). On SIGINT or SIGTERM the server stops
+// accepting connections and lets the requests in flight finish — each
+// within its deadline — before it exits.
+//
 // Mutations are batched per tenant: concurrent arrivals and departures
 // coalesce onto one re-solve (single flight), each caller waiting on the
 // batch that covers its own mutation. Results are cached across tenants by
@@ -47,19 +53,25 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/activetime"
 	"repro/internal/core"
 )
 
-// Request limits (see the package comment).
+// Request and connection limits (see the package comment).
 const (
-	maxBodyBytes = 8 << 20
-	maxHorizon   = 1 << 16
+	maxBodyBytes      = 8 << 20
+	maxHorizon        = 1 << 16
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -68,8 +80,46 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "fingerprint result-cache capacity (entries)")
 	flag.Parse()
 	srv := newServer(serverConfig{Deadline: *deadline, CacheSize: *cacheSize, Logf: log.Printf})
-	log.Printf("activeserve: listening on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills at once
+	log.Printf("activeserve: listening on %s", ln.Addr())
+	// A request in flight waits at most its deadline, so that much grace,
+	// plus a second to write the answer, lets every one of them finish.
+	err = serve(ctx, newHTTPServer(srv), ln, srv.cfg.Deadline+time.Second)
+	if !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
+	}
+	log.Printf("activeserve: shut down")
+}
+
+// newHTTPServer wraps h in an http.Server with the connection limits of
+// the package comment.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// serve runs hs on ln until ctx is done, then shuts it down gracefully:
+// the listener closes at once, and the requests in flight get up to grace
+// to finish. It returns what Serve returned, http.ErrServerClosed after a
+// shutdown, or the error of a shutdown that ran out of grace.
+func serve(ctx context.Context, hs *http.Server, ln net.Listener, grace time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		return fmt.Errorf("activeserve: shutdown: %w", err)
+	}
+	return <-served
 }
 
 // serverConfig parameterizes a server; the zero value gets sane defaults.

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -353,5 +356,75 @@ func TestServerFingerprintCache(t *testing.T) {
 	}
 	if hits := srv.cacheHits.Load(); hits < 1 {
 		t.Errorf("cacheHits = %d, want >= 1", hits)
+	}
+}
+
+// TestHTTPServerBoundsConnections checks that the served http.Server times
+// out a client that never finishes its headers and a keep-alive connection
+// left idle, so neither can hold a connection and its goroutine forever.
+func TestHTTPServerBoundsConnections(t *testing.T) {
+	hs := newHTTPServer(newServer(serverConfig{Logf: t.Logf}))
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+}
+
+// TestServeShutdownFinishesInFlight shuts the server down while a jobs:add
+// waits for its tenant: the listener must close at once, the add must still
+// finish with 200, and serving must end with http.ErrServerClosed.
+func TestServeShutdownFinishesInFlight(t *testing.T) {
+	srv := newServer(serverConfig{Logf: t.Logf})
+	adding := make(chan struct{}, 1)
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/jobs:add") {
+			adding <- struct{}{}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	shuttingDown := make(chan struct{})
+	hs.RegisterOnShutdown(func() { close(shuttingDown) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, hs, ln, 30*time.Second) }()
+	base := "http://" + ln.Addr().String()
+	putInstance(t, base, "acme", gen.RandomFlexible(gen.RandomConfig{N: 6, Horizon: 14, MaxLen: 3, Slack: 3, G: 3, Seed: 4}))
+	getSolution(t, base, "acme")
+
+	// Hold the tenant, so the add stays in flight until the shutdown began.
+	tn, _ := srv.tenant("acme")
+	if err := tn.lock(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	added := make(chan int, 1)
+	go func() {
+		body := `{"jobs":[{"id":900,"release":0,"deadline":14,"length":2}]}`
+		resp, err := http.Post(base+"/v1/tenants/acme/jobs:add", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("jobs:add during shutdown: %v", err)
+			added <- 0
+			return
+		}
+		resp.Body.Close()
+		added <- resp.StatusCode
+	}()
+	<-adding
+	cancel()
+	<-shuttingDown
+	select {
+	case err := <-served:
+		t.Fatalf("serving ended with %v while a request was in flight", err)
+	default:
+	}
+	tn.unlock()
+	if code := <-added; code != http.StatusOK {
+		t.Fatalf("in-flight jobs:add ended with status %d, want 200", code)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("serving ended with %v, want http.ErrServerClosed", err)
 	}
 }

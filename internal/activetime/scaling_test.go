@@ -119,15 +119,22 @@ func runCanonicalEndurance(t *testing.T, T, maxPivots, maxWarmPivots, maxUsPerPi
 		t.Errorf("warm-start fallback fired %d times at T=%d; verdicts:\n  %s",
 			def.ColdFallbacks, T, strings.Join(def.FallbackVerdicts, "\n  "))
 	}
+	// Healthy Forrest–Goldfarb updates keep every pricing weight exact, so
+	// the staleness detector's full reset must not fire either: a reset here
+	// means the update arithmetic drifted on the canonical trajectory.
+	if def.Kernel.WeightResets != 0 {
+		t.Errorf("dual pricing weights were reset %d times at T=%d: the weight updates drifted",
+			def.Kernel.WeightResets, T)
+	}
 	if def.MaxWarmPivots > maxWarmPivots {
 		t.Errorf("largest warm repair spent %d pivots at T=%d, above the %d ceiling: the inherited basis is stalling",
 			def.MaxWarmPivots, T, maxWarmPivots)
 	}
 	checkKernelRegime(t, def, maxPivots, maxUsPerPivot, elapsed)
 	writeScalingRecord(t, T, len(in.Jobs), def, elapsed)
-	t.Logf("T=%d n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d max-warm-pivots=%d refactors=%d in %v",
+	t.Logf("T=%d n=%d: obj=%.3f rounds=%d cuts=%d purged=%d pivots=%d max-warm-pivots=%d refactors=%d fallbacks=%d weight-resets=%d in %v",
 		T, len(in.Jobs), def.Objective, def.Rounds, def.Cuts, def.Purged, def.Pivots, def.MaxWarmPivots,
-		def.Refactors, elapsed.Round(time.Millisecond))
+		def.Refactors, def.ColdFallbacks, def.Kernel.WeightResets, elapsed.Round(time.Millisecond))
 }
 
 // writeScalingRecord appends the endurance run's machine-readable digest to
@@ -155,6 +162,7 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 		FtranNNZ   float64 `json:"ftranAvgNnz"`
 		BtranNNZ   float64 `json:"btranAvgNnz"`
 		Refills    int     `json:"rowRefills"`
+		Resets     int     `json:"weightResets"`
 	}
 	var recs []record
 	if data, err := os.ReadFile(path); err == nil {
@@ -173,6 +181,7 @@ func writeScalingRecord(t *testing.T, T, n int, res *LPResult, elapsed time.Dura
 		FtranNNZ:   res.Kernel.FtranAvgNNZ(),
 		BtranNNZ:   res.Kernel.BtranAvgNNZ(),
 		Refills:    res.Kernel.RowRefills,
+		Resets:     res.Kernel.WeightResets,
 	})
 	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -22,10 +23,11 @@ func engineStateOf(t *revised) engineState {
 }
 
 // TestResolveFromRejectsNonCovering pins the float engine's covering
-// contract: an LE row, an EQ row, a negative coefficient, a negative
-// right-hand side and a negative cost are each an error, both in a cold
-// solve and when they arrive after a warm basis was captured. A rejected
-// warm call changes neither the problem nor the basis.
+// contract: an LE row, an EQ row, a negative or infinite coefficient, a
+// negative or infinite right-hand side and a negative or infinite cost are
+// each an error, both in a cold solve and when they arrive after a warm
+// basis was captured. A rejected warm call changes neither the problem nor
+// the basis.
 func TestResolveFromRejectsNonCovering(t *testing.T) {
 	base := func() *Problem {
 		p := NewProblem(2)
@@ -47,6 +49,14 @@ func TestResolveFromRejectsNonCovering(t *testing.T) {
 		{"negative cost", func(p *Problem) {
 			j := p.AddColumns(1)
 			p.SetObjective(j, -1)
+			p.SetUpper(j, 1)
+			check(t, p.AddSparse([]int{0, j}, []float64{1, 1}, GE, 1))
+		}},
+		{"infinite coefficient", func(p *Problem) { check(t, p.AddSparse([]int{0, 1}, []float64{math.Inf(1), 1}, GE, 1)) }},
+		{"infinite right-hand side", func(p *Problem) { check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, math.Inf(1))) }},
+		{"infinite cost", func(p *Problem) {
+			j := p.AddColumns(1)
+			p.SetObjective(j, math.Inf(1))
 			p.SetUpper(j, 1)
 			check(t, p.AddSparse([]int{0, j}, []float64{1, 1}, GE, 1))
 		}},

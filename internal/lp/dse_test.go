@@ -13,7 +13,7 @@ import (
 func exactWeights(t *revised) []float64 {
 	out := make([]float64, t.m)
 	for p := 0; p < t.m; p++ {
-		t.btranRho(p)
+		t.rhoInd, t.rhoSparse = t.btranUnit(p, t.rho, t.rhoInd, t.rhoSparse)
 		s := 0.0
 		for _, v := range t.rho[:t.m] {
 			s += v * v
@@ -24,11 +24,10 @@ func exactWeights(t *revised) []float64 {
 }
 
 // checkWeights asserts the incrementally maintained weights agree with the
-// from-scratch BTRAN recomputation to 1e-8 relative, unless the engine has
-// (legitimately) declared them stale and fallen back to devex updates.
+// from-scratch BTRAN recomputation to 1e-8 relative.
 func checkWeights(t *testing.T, st *revised, where string) {
 	t.Helper()
-	if st.dseStale || st.broken {
+	if st.broken {
 		return
 	}
 	want := exactWeights(st)
@@ -76,9 +75,8 @@ func addCoverRow(p *Problem, rng *rand.Rand, n int) {
 // after every re-solve recomputes each position's reference weight from
 // scratch via BTRAN, asserting the incrementally maintained weights match
 // to 1e-8 — the same style of ground-truth check factor_test.go applies to
-// FTRAN/BTRAN themselves. The engine may not simply mark the weights stale
-// to dodge the comparison: these benign sequences must keep exact
-// maintenance alive, which the test asserts too.
+// FTRAN/BTRAN themselves. The incremental updates must carry these benign
+// sequences alone: the test also asserts that no weight reset fired.
 func TestDSEWeightsExactAcrossPivots(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,8 +121,8 @@ func TestDSEWeightsExactAcrossPivots(t *testing.T) {
 				}
 				checkWeights(t, basis.t, "after RemoveRows re-solve")
 			}
-			if basis.t.dseStale {
-				t.Fatalf("seed %d round %d: weights went stale on a benign sequence", seed, round)
+			if r := basis.t.kstats.WeightResets; r != 0 {
+				t.Fatalf("seed %d round %d: weights went stale on a benign sequence (%d resets)", seed, round, r)
 			}
 		}
 	}

@@ -249,11 +249,12 @@ const (
 	// pivot, so only fill and accumulated roundoff need bounding — and the
 	// update count doubles as the trajectory lever on the massively
 	// degenerate covering masters, where small rounding differences steer
-	// tie-breaks into different pivot-count basins. A short cadence bounds
-	// the update-era drift and empirically lands the canonical endurance
-	// instances in low basins (T = 16384: 10719 pivots; T = 32768: 96339);
-	// longer cadences (32–192) were swept and land up to 6× worse at
-	// T = 32768 despite lower per-pivot overhead.
+	// tie-breaks into different pivot-count basins. Each fold also
+	// re-derives the basic values and reduced costs, so it is the engine's
+	// periodic refresh too. With this cadence the canonical endurance
+	// instances take 1,698 pivots at T = 16384 and 2,905 at T = 32768;
+	// cadences of 32 and 64 take 1,762 and 2,890–2,944, with fewer
+	// refactorizations and no measured change in wall time.
 	maxFTUpdates = 16
 	ftFillBloat  = 8
 )
@@ -261,31 +262,19 @@ const (
 // reset prepares the factor for a refactorization at dimension m, reusing
 // arena capacity.
 func (f *factor) reset(m int) {
-	grow32 := func(s []int32, n int) []int32 {
-		if cap(s) < n {
-			return make([]int32, n, n+n/4+16)
-		}
-		return s[:n]
-	}
-	growF := func(s []float64, n int) []float64 {
-		if cap(s) < n {
-			return make([]float64, n, n+n/4+16)
-		}
-		return s[:n]
-	}
 	f.m = m
-	f.perm = grow32(f.perm, 0)
-	f.cperm = grow32(f.cperm, 0)
-	f.rowStep = grow32(f.rowStep, m)
+	f.perm = f.perm[:0]
+	f.cperm = f.cperm[:0]
+	f.rowStep = growI32(f.rowStep, m)
 	for i := range f.rowStep {
 		f.rowStep[i] = -1
 	}
-	f.uDiag = growF(f.uDiag, 0)
-	f.lOff = grow32(f.lOff, 1)
+	f.uDiag = f.uDiag[:0]
+	f.lOff = growI32(f.lOff, 1)
 	f.lOff[0] = 0
 	f.lRow = f.lRow[:0]
 	f.lVal = f.lVal[:0]
-	f.uOff = grow32(f.uOff, 1)
+	f.uOff = growI32(f.uOff, 1)
 	f.uOff[0] = 0
 	f.uStep = f.uStep[:0]
 	f.uVal = f.uVal[:0]
@@ -608,12 +597,13 @@ func transposePattern(m int, off, adj []int32, tOff, tAdj []int32) ([]int32, []i
 }
 
 // newStamp advances the step-space visit stamp, clearing the mark array on
-// the (effectively unreachable) int32 wraparound.
+// the int32 wraparound, which a long-lived state reaches after about 2³¹
+// solves. The clear covers the whole backing array: entries past len(mark)
+// keep the stamps of a larger earlier dimension, and a restarted stamp
+// would match them once the dimension grows back.
 func (f *factor) newStamp() {
 	if f.stamp == math.MaxInt32 {
-		for i := range f.mark {
-			f.mark[i] = 0
-		}
+		clear(f.mark[:cap(f.mark)])
 		f.stamp = 0
 	}
 	f.stamp++
@@ -1029,9 +1019,6 @@ func (f *factor) btranSparse(v []float64, vind []int32, out []int32) ([]int32, b
 	reach := f.reach[:0]
 	mark, stamp := f.mark, f.stamp
 	for _, p := range vind {
-		if v[p] == 0 {
-			continue
-		}
 		k := f.posStep[p]
 		if mark[k] != stamp {
 			mark[k] = stamp

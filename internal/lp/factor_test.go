@@ -170,12 +170,17 @@ func TestFactorSolvesMatchDense(t *testing.T) {
 // entering-class FTRAN (which stashes the spike) and ftUpdate, with a
 // stability-refused update falling back to a from-scratch refactorization
 // exactly as the engine does. Sizes straddle hyperMinDim so both the dense
-// and hypersparse capture/solve paths run.
+// and hypersparse capture/solve paths run. Halfway through, the visit stamp
+// is pushed to its int32 ceiling, so the wraparound that clears the mark
+// array runs between checked solves.
 func TestFactorFTUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var f factor
 	forced := 0
 	for trial := 0; trial < 25; trial++ {
+		if trial == 12 {
+			f.stamp = math.MaxInt32 - 1
+		}
 		m := 5 + rng.Intn(140)
 		d := randBasis(rng, m, m)
 		if !f.refactorize(m, d) {

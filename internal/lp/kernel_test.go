@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -104,5 +105,54 @@ func TestSweepBitsSortedEmission(t *testing.T) {
 				t.Fatalf("trial %d: word %d nonzero after set+clear round trip", trial, w)
 			}
 		}
+	}
+}
+
+// TestKernelStatsCarriesEveryField gives every KernelStats field a distinct
+// value and checks that minus and Accumulate carry each one, so a counter
+// added to the struct but left out of either method fails here. UFillMaxPct
+// is a high-water mark: minus keeps the minuend's peak and Accumulate takes
+// the larger. The ratio helpers report 0 when they have no denominator.
+func TestKernelStatsCarriesEveryField(t *testing.T) {
+	var a, b KernelStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	typ := va.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Int {
+			t.Fatalf("field %s is %v; this test knows int counters only", typ.Field(i).Name, typ.Field(i).Type)
+		}
+		va.Field(i).SetInt(int64(1000 + 7*i))
+		vb.Field(i).SetInt(int64(1 + i))
+	}
+	diff := a.minus(b)
+	sum := a
+	sum.Accumulate(b)
+	vd, vs := reflect.ValueOf(diff), reflect.ValueOf(sum)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		x, y := va.Field(i).Int(), vb.Field(i).Int()
+		wantDiff, wantSum := x-y, x+y
+		if name == "UFillMaxPct" {
+			wantDiff, wantSum = x, max(x, y)
+		}
+		if got := vd.Field(i).Int(); got != wantDiff {
+			t.Errorf("minus: %s = %d, want %d", name, got, wantDiff)
+		}
+		if got := vs.Field(i).Int(); got != wantSum {
+			t.Errorf("Accumulate: %s = %d, want %d", name, got, wantSum)
+		}
+	}
+	var zero KernelStats
+	if zero.FtranAvgNNZ() != 0 || zero.BtranAvgNNZ() != 0 || zero.HyperShare() != 0 {
+		t.Errorf("ratios of empty stats: %v %v %v, want 0", zero.FtranAvgNNZ(), zero.BtranAvgNNZ(), zero.HyperShare())
+	}
+	if got := (KernelStats{FtranHyper: 4, FtranHyperNNZ: 10}).FtranAvgNNZ(); got != 2.5 {
+		t.Errorf("FtranAvgNNZ = %v, want 2.5", got)
+	}
+	if got := (KernelStats{BtranHyper: 2, BtranHyperNNZ: 9}).BtranAvgNNZ(); got != 4.5 {
+		t.Errorf("BtranAvgNNZ = %v, want 4.5", got)
+	}
+	if got := (KernelStats{FtranHyper: 1, FtranDense: 1, BtranHyper: 2}).HyperShare(); got != 0.75 {
+		t.Errorf("HyperShare = %v, want 0.75", got)
 	}
 }

@@ -4,13 +4,13 @@
 //	subject to  a_i·x >= b_i      for each constraint i
 //	            0 <= x_j <= u_j   (u_j = +Inf unless SetUpper is called)
 //
-// with c >= 0, a_i >= 0 and b_i >= 0 by a sparse dual simplex in float64
-// (Solve, ResolveFrom), and general linear programs, whose rows may be
-// a_i·x {<=,>=,=} b_i with any signs, by an exact simplex over math/big.Rat
-// (SolveExact, ResolveExactFrom). The float engine returns an error for
-// any program that is not covering. The exact engine stays general because
-// it is the oracle the float engine's tests compare against, and it serves
-// callers that need exact optima of small programs.
+// with finite c >= 0, a_i >= 0 and b_i >= 0 by a sparse dual simplex in
+// float64 (Solve, ResolveFrom), and general linear programs, whose rows may
+// be a_i·x {<=,>=,=} b_i with any signs, by an exact simplex over
+// math/big.Rat (SolveExact, ResolveExactFrom). The float engine returns an
+// error for any program that is not covering. The exact engine stays
+// general because it is the oracle the float engine's tests compare
+// against, and it serves callers that need exact optima of small programs.
 //
 // # The covering contract
 //
@@ -55,7 +55,9 @@
 // below the stability tolerance, in which case the pre-update factors are
 // discarded untouched and rebuilt from the post-pivot basis. Each
 // refactorization immediately re-derives the basic values and reduced costs
-// so the incremental state never disagrees with the factors. The dual ratio
+// so the incremental state never disagrees with the factors; since a fold
+// comes at least every maxFTUpdates pivots, no other periodic refresh is
+// needed. The dual ratio
 // test orders its candidates by ratio with Harris-style tie-breaking
 // (largest pivot magnitude within a tie): covering masters are massively
 // dual degenerate, and index-order tie-breaking measurably sent the
@@ -102,8 +104,10 @@
 // one BTRAN each. The exact norm of each pivot row — computed anyway for
 // the ratio test — anchors the leaving weight every pivot and doubles as a
 // staleness detector: on disagreement beyond a guard factor the engine
-// falls back to devex max-form updates (robust to approximate weights) for
-// the rest of the state's life. Leaving rows are priced from a working set
+// recomputes every weight from the current factors, one BTRAN per position
+// as for an appended row, and continues with the exact update; each such
+// reset is counted in KernelStats.WeightResets, and healthy update
+// arithmetic never needs one. Leaving rows are priced from a working set
 // of infeasible cut rows — maintained incrementally by the same sparse
 // updates that change basic values, rebuilt by one complete sweep (counted
 // in KernelStats.RowRefills) only when it runs dry, so steady-state pivots
@@ -115,9 +119,10 @@
 // Variable upper bounds are native (nonbasic variables may sit at either
 // bound, and the ratio test admits bound flips), so callers never pay a
 // constraint row for a box constraint. The reduced-cost row persists across
-// pivots, updated in place and refreshed periodically against drift, and
-// the factor arenas are reused across refactorizations, so steady-state
-// pivoting performs no allocations.
+// pivots, updated in place and re-derived from the factors at every
+// refactorization and before any optimality claim, and the factor arenas
+// are reused across refactorizations, so steady-state pivoting performs no
+// allocations.
 //
 // # Warm-start contract
 //
@@ -168,16 +173,35 @@
 //
 // # Numerical safeguards
 //
-// When the dual simplex finds no violated row, the engine refreshes the
-// basic values and reduced costs from the factors and checks that every
-// nonbasic column still sits on the bound its reduced cost prefers.
-// Infeasibility is never certified from drifted state: before reporting
-// it, the engine refactorizes the basis from scratch, resyncs every basic
-// value, and re-tries. For the second half of its pivot budget the dual
-// simplex selects leaving rows by Bland's rule. Every returned optimum is
-// verified against the caller's own rows to 1e-6 as the last line of
-// defense — a warm solve that fails any of this falls back to a verified
-// cold solve.
+// Each safeguard below has a test in this package that reaches it, most of
+// them by injecting one fault per warm re-solve through the engine's pivot
+// hook; each such test also checks that the re-solve ends in a verified
+// optimum, a counted cold fallback, or a non-Optimal status, never in a
+// wrong optimum.
+//   - Pricing weights that disagree with their pivot row's exact norm are
+//     recomputed from the factors (TestFaultScaledWeightResets).
+//   - A Forrest–Tomlin update whose spike fails the stability test, or that
+//     finds no spike stashed, refuses, and the engine refactorizes from the
+//     post-pivot basis (TestFaultZeroedSpikeForcesRefactor).
+//   - A refactorization of a numerically singular basis leaves the state
+//     broken; a broken state reports only IterLimit, so a warm solve falls
+//     back cold (TestFaultDependentColumnBreaksFactor).
+//   - When the dual simplex finds no violated row, the engine refreshes the
+//     basic values and reduced costs from the factors and checks that every
+//     nonbasic column still sits on the bound its reduced cost prefers.
+//     Every returned optimum is then verified against the caller's own rows
+//     to 1e-6; on violation the engine refactorizes and re-optimizes, at
+//     most twice. Both checks fail a NaN, and the leaving-row choice still
+//     picks a row whose weight is NaN, so a value that blew up ends in a
+//     fallback, not in a NaN optimum or an endless loop
+//     (TestFaultPerturbedFactorsCaught, TestVerifyOptimalExits).
+//   - Infeasibility is never certified from drifted state: before reporting
+//     it, the engine refactorizes the basis from scratch, resyncs every basic
+//     value, and re-tries (TestWarmResolveInfeasibleCut).
+//   - For the second half of its pivot budget the dual simplex selects
+//     leaving rows by Bland's rule (TestBlandRegimeReached).
+//
+// A warm solve that fails any of this falls back to a verified cold solve.
 package lp
 
 import (
@@ -631,6 +655,11 @@ type KernelStats struct {
 	// fold policy caps. It is a high-water mark, not a flow: minus carries
 	// the current peak through and Accumulate takes the max.
 	UFillMaxPct int
+	// WeightResets counts exact recomputations of every dual pricing
+	// weight, made when a pivot row's exact norm disagreed with its
+	// incrementally updated weight beyond the staleness factor. Healthy
+	// update arithmetic never triggers one.
+	WeightResets int
 }
 
 func (k *KernelStats) noteFtran(hyper bool, nnz int) {
@@ -666,6 +695,7 @@ func (k KernelStats) minus(o KernelStats) KernelStats {
 		FTSpikeNNZ:      k.FTSpikeNNZ - o.FTSpikeNNZ,
 		ForcedRefactors: k.ForcedRefactors - o.ForcedRefactors,
 		UFillMaxPct:     k.UFillMaxPct, // high-water mark: the peak to date stands
+		WeightResets:    k.WeightResets - o.WeightResets,
 	}
 }
 
@@ -685,6 +715,7 @@ func (k *KernelStats) Accumulate(o KernelStats) {
 	if o.UFillMaxPct > k.UFillMaxPct {
 		k.UFillMaxPct = o.UFillMaxPct
 	}
+	k.WeightResets += o.WeightResets
 }
 
 // FtranAvgNNZ returns the mean result support of the hypersparse FTRANs
@@ -716,9 +747,8 @@ func (k KernelStats) HyperShare() float64 {
 }
 
 const (
-	eps          = 1e-9
-	maxPivots    = 200000
-	refreshEvery = 128 // pivots between full reduced-cost refreshes
+	eps       = 1e-9
+	maxPivots = 200000
 )
 
 // Basis is an opaque snapshot of the simplex working state, enabling warm
@@ -861,26 +891,32 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 
 // coveringErr reports why p is not a covering program, checking every
 // cost and the rows from index from on: the float engine solves only
-// min c·x with c ≥ 0 over rows a·x ≥ b with a ≥ 0 and b ≥ 0. The negated
-// comparisons reject NaN too.
+// min c·x with finite c ≥ 0 over rows a·x ≥ b with finite a ≥ 0 and b ≥ 0.
+// An infinite cost or coefficient would turn 0·∞ into NaN, which no
+// verification of the answer can order.
 func (p *Problem) coveringErr(from int) error {
 	for j, c := range p.c {
-		if !(c >= 0) {
-			return fmt.Errorf("lp: variable %d has cost %v; the float engine needs costs >= 0", j, c)
+		if !finiteNonneg(c) {
+			return fmt.Errorf("lp: variable %d has cost %v; the float engine needs finite costs >= 0", j, c)
 		}
 	}
 	for i := from; i < len(p.b); i++ {
 		if p.rel[i] != GE {
 			return fmt.Errorf("lp: row %d is a %v row; the float engine solves only >= rows", i, p.rel[i])
 		}
-		if !(p.b[i] >= 0) {
-			return fmt.Errorf("lp: row %d has right-hand side %v; the float engine needs b >= 0", i, p.b[i])
+		if !finiteNonneg(p.b[i]) {
+			return fmt.Errorf("lp: row %d has right-hand side %v; the float engine needs a finite b >= 0", i, p.b[i])
 		}
 		for k, v := range p.rowVals[i] {
-			if !(v >= 0) {
-				return fmt.Errorf("lp: row %d has coefficient %v on variable %d; the float engine needs a >= 0", i, v, p.rowCols[i][k])
+			if !finiteNonneg(v) {
+				return fmt.Errorf("lp: row %d has coefficient %v on variable %d; the float engine needs finite a >= 0", i, v, p.rowCols[i][k])
 			}
 		}
 	}
 	return nil
+}
+
+// finiteNonneg reports 0 ≤ x < +∞; NaN fails both comparisons.
+func finiteNonneg(x float64) bool {
+	return x >= 0 && x <= math.MaxFloat64
 }

@@ -40,9 +40,10 @@ import (
 // appended or removed (factorStale), on every resync, and — forced, counted
 // in KernelStats.ForcedRefactors — when a spike fails the update's stability
 // tolerance. Numerical drift is controlled exactly as documented in the
-// package comment: the reduced-cost row is refreshed periodically and before
-// any optimality claim, and an Infeasible verdict is only accepted after a
-// full refactorization plus a basic-value resync confirms it.
+// package comment: the basic values and the reduced-cost row are re-derived
+// from the factors at every refactorization and before any optimality
+// claim, and an Infeasible verdict is only accepted after a full
+// refactorization plus a basic-value resync confirms it.
 type revised struct {
 	p      *Problem // owner of the rows; a Basis of another Problem is rejected
 	n      int      // structural variables
@@ -80,7 +81,7 @@ type revised struct {
 	y       []float64  // dual scratch for refreshes, length m
 	flipAcc []float64  // row-space accumulator for batched bound flips, length m
 	flipSol []float64  // FTRAN scratch for applyFlips, length m, kept zeroed
-	tau     []float64  // steepest-edge update scratch (B⁻¹·rho), length m
+	tau     []float64  // steepest-edge scratch (B⁻¹·rho, or a weight's BTRAN), length m
 	alpha   []float64  // pivot row of the tableau, length ncols, kept zeroed
 	touched []int32    // columns with nonzero alpha this pivot
 	cands   []dualCand // dual ratio-test candidates, reused across pivots
@@ -99,7 +100,7 @@ type revised struct {
 	tauSparse  bool
 	flipInd    []int32 // support of flipAcc (engine rows; dups tolerated)
 	flipSolInd []int32
-	oneInd     [1]int32 // unit-vector support scratch for ftran/btranRho
+	oneInd     [1]int32 // unit-vector support scratch for ftran/btranUnit
 
 	// Dual working-set pricing (see pickDualRow): the candidate leaving
 	// rows and membership flags keyed by basis position. rowListOK means
@@ -114,22 +115,19 @@ type revised struct {
 	kstatsAtCall KernelStats // snapshot when the current ResolveFrom began
 
 	// Pricing state (see the pricing section of the package comment).
-	// dseW[i] is the dual pricing weight of basis position i: the exact
-	// Forrest–Goldfarb reference weight ‖e_iᵀB⁻¹‖² while dseStale is
-	// false, a devex-style approximation after. A negative entry marks a
-	// position appended since the last dual pass, initialized lazily by
+	// dseW[i] is the dual pricing weight of basis position i, the
+	// Forrest–Goldfarb reference weight ‖e_iᵀB⁻¹‖². A negative entry marks a
+	// position appended since the last dual pass, priced lazily by
 	// ensureWeights. Weights live in basis-position space, so they
 	// survive refactorization unchanged (B does not change) and survive
 	// RemoveRows by compaction (the surviving rows of the reduced inverse
 	// are exactly the surviving rows of the old one).
-	dseW     []float64
-	dseStale bool // exact FG maintenance lost; devex max-form updates from here on
+	dseW []float64
 
 	pivots          int // lifetime pivot count
 	pivotsAtCall    int // pivot count when the current ResolveFrom began
 	refactors       int // lifetime successful refactorizations
 	refactorsAtCall int // refactorization count when the current call began
-	sinceRefresh    int
 
 	pivotHook func(row, col int) // observes basis changes; nil outside tests
 }
@@ -142,13 +140,8 @@ const (
 	// dseStaleFactor is the staleness trigger: when the incrementally
 	// maintained weight of the pivot row disagrees with the exact
 	// ‖e_rᵀB⁻¹‖² (computed anyway for the ratio test) by more than this
-	// factor either way, the whole weight set is declared stale and the
-	// engine falls back to devex max-form updates.
+	// factor either way, every weight is recomputed from the factors.
 	dseStaleFactor = 16.0
-	// devexResetAbove restarts the devex reference framework (all
-	// weights back to 1) when a weight outgrows it; unbounded devex
-	// weights degenerate into pure most-infeasible selection.
-	devexResetAbove = 1e10
 )
 
 // newRevised builds the initial state at the all-slack dual basis. Each
@@ -257,30 +250,25 @@ func (t *revised) scatterBasisColumn(p int, x []float64, patt []int32) []int32 {
 	return patt
 }
 
-// factorizeNow rebuilds the LU factorization from the current basis columns,
-// dropping the accumulated updates. On numerical singularity the
-// representation is lost and the state is marked broken: every iterate loop
-// then reports IterLimit, which the caller turns into a cold re-solve (or a
-// loud non-optimum) — a broken state never certifies optimality or
-// infeasibility.
-func (t *revised) factorizeNow() bool {
-	if t.f.refactorize(t.m, t) {
-		t.factorStale = false
-		t.broken = false
-		t.refactors++
-		return true
-	}
-	t.broken = true
-	return false
-}
-
-// ensureFactor makes the factorization match the current basis structure,
-// refactorizing if rows were appended or removed since the last solve.
+// ensureFactor makes the factorization match the current basis. When
+// factorStale is set — rows were appended or removed, or a fold or resync
+// dropped the updated factors — it rebuilds the LU from the basis columns.
+// On numerical singularity the representation is lost and the state is
+// marked broken: every iterate loop then reports IterLimit, which the caller
+// turns into a cold re-solve (or a loud non-optimum) — a broken state never
+// certifies optimality or infeasibility.
 func (t *revised) ensureFactor() bool {
 	if !t.factorStale {
 		return !t.broken
 	}
-	return t.factorizeNow()
+	if !t.f.refactorize(t.m, t) {
+		t.broken = true
+		return false
+	}
+	t.factorStale = false
+	t.broken = false
+	t.refactors++
+	return true
 }
 
 // dualCand is one eligible entering column of the bounded dual ratio test.
@@ -355,10 +343,11 @@ const pivTol = 1e-7
 // factorized basis: xB = B⁻¹(b − N·x_N) by FTRAN, then the duals
 // y = c_B·B⁻¹ by BTRAN, then red_j = c_j - y·A_j via one sweep over the
 // sparse rows. Re-deriving xB together with red keeps the incremental
-// per-pivot updates from drifting apart between refreshes.
+// per-pivot updates from drifting apart between refreshes. Stale factors
+// are rebuilt first; when that fails the state is broken and nothing is
+// refreshed.
 func (t *revised) refreshRed() {
 	if !t.ensureFactor() {
-		t.sinceRefresh = 0
 		return
 	}
 	t.refreshXB()
@@ -382,7 +371,6 @@ func (t *revised) refreshRed() {
 		}
 		red[t.n+i] += yi
 	}
-	t.sinceRefresh = 0
 }
 
 // invalidateKernel forgets the sparse-support bookkeeping of the solve
@@ -426,83 +414,87 @@ func (t *revised) ftran(col int) {
 	t.kstats.noteFtran(t.wSparse, len(t.wInd))
 }
 
-// btranRho computes rho = e_rowᵀ·B⁻¹ (the pivot row of the inverse) into
-// t.rho by a BTRAN of the position-space unit vector, leaving the row's
-// support in t.rhoInd (rhoSparse cleared on dense fallback).
-func (t *revised) btranRho(row int) {
-	rho := t.rho[:t.m]
-	if t.rhoSparse {
-		for _, i := range t.rhoInd {
-			rho[i] = 0
+// btranUnit computes e_pᵀ·B⁻¹ into v by a BTRAN of the position-space unit
+// vector. ind and sparse describe v's previous contents (its support, valid
+// when sparse is set), which are cleared first; the result's support comes
+// back the same way, for the caller to keep beside v.
+func (t *revised) btranUnit(p int, v []float64, ind []int32, sparse bool) ([]int32, bool) {
+	v = v[:t.m]
+	if sparse {
+		for _, i := range ind {
+			v[i] = 0
 		}
 	} else {
-		for i := range rho {
-			rho[i] = 0
+		for i := range v {
+			v[i] = 0
 		}
 	}
-	rho[row] = 1
-	t.oneInd[0] = int32(row)
-	t.rhoInd, t.rhoSparse = t.f.btranSparse(rho, t.oneInd[:], t.rhoInd[:0])
-	t.kstats.noteBtran(t.rhoSparse, len(t.rhoInd))
+	v[p] = 1
+	t.oneInd[0] = int32(p)
+	ind, sparse = t.f.btranSparse(v, t.oneInd[:], ind[:0])
+	t.kstats.noteBtran(sparse, len(ind))
+	return ind, sparse
 }
 
-// ensureWeights initializes pricing weights for basis positions appended
-// since the last pricing pass (marked -1 by appendRow). While the weight
-// set is exactly maintained, a new position's reference weight is computed
-// exactly with one BTRAN of the position unit vector — ‖e_pᵀB⁻¹‖², the
-// Forrest–Goldfarb definition; after the devex fallback the reference value
-// 1 is used. Existing positions are never touched here: applyPivot
-// maintains them incrementally across every basis change.
+// sqNorm returns ‖v‖², summed over the support ind when sparse is set.
+func sqNorm(v []float64, ind []int32, sparse bool) float64 {
+	s := 0.0
+	if sparse {
+		for _, i := range ind {
+			s += v[i] * v[i]
+		}
+	} else {
+		for _, x := range v {
+			s += x * x
+		}
+	}
+	return s
+}
+
+// weight returns basis position p's exact reference weight ‖e_pᵀB⁻¹‖²,
+// floored at dseWeightFloor, from one BTRAN of the current factors. It
+// solves in the tau scratch, which holds nothing between FG updates, so
+// t.rho, the pivot row updateWeights is still using, stays intact.
+func (t *revised) weight(p int) float64 {
+	t.tauInd, t.tauSparse = t.btranUnit(p, t.tau, t.tauInd, t.tauSparse)
+	return max(sqNorm(t.tau[:t.m], t.tauInd, t.tauSparse), dseWeightFloor)
+}
+
+// ensureWeights prices the basis positions appended since the last pricing
+// pass (marked -1 by appendRow) exactly. Existing positions are never
+// touched here: applyPivot maintains them incrementally across every basis
+// change. A broken state has no factors to price with, and dualIterate
+// reports IterLimit for it before any pivot reads a weight.
 func (t *revised) ensureWeights() {
-	exact := !t.dseStale && !t.broken && !t.factorStale
-	for p := 0; p < t.m; p++ {
-		if t.dseW[p] >= 0 {
-			continue
+	if t.broken {
+		return
+	}
+	for p, w := range t.dseW {
+		if w < 0 {
+			t.dseW[p] = t.weight(p)
 		}
-		if !exact {
-			t.dseW[p] = 1
-			continue
-		}
-		t.btranRho(p)
-		rho := t.rho[:t.m]
-		s := 0.0
-		if t.rhoSparse {
-			for _, i := range t.rhoInd {
-				v := rho[i]
-				s += v * v
-			}
-		} else {
-			for _, v := range rho {
-				s += v * v
-			}
-		}
-		if s < dseWeightFloor {
-			s = dseWeightFloor
-		}
-		t.dseW[p] = s
 	}
 }
 
 // updateWeights maintains the dual pricing weights across the basis change
 // at position row: t.w must hold the pivot column B⁻¹·A_q and t.rho the
 // pivot row e_rowᵀ·B⁻¹, both for the pre-pivot basis (which is why
-// applyPivot calls this before pushing the pivot's eta). The exact norm of
-// the pivot row — free, since the row was computed for the ratio test
-// anyway — always anchors the leaving position's new weight, and doubles as
-// the staleness detector: when the incrementally carried weight disagrees
-// with the exact norm by more than dseStaleFactor, accumulated update error
-// has detached the weight set from the basis and the engine degrades to
-// devex max-form updates (robust to approximate weights) for the rest of
-// this state's life.
+// applyPivot calls this before the factor update). The exact norm of the
+// pivot row — free, since the row was computed for the ratio test anyway —
+// always anchors the leaving position's new weight, and doubles as the
+// staleness detector: when the incrementally carried weight disagrees with
+// the exact norm by more than dseStaleFactor, accumulated update error has
+// detached the weight set from the basis, and every weight is recomputed
+// from the pre-pivot factors (counted in KernelStats.WeightResets) before
+// the update proceeds.
 //
-// Exact (Forrest–Goldfarb) mode updates every position touched by the
-// pivot column with
+// The Forrest–Goldfarb update changes every position touched by the pivot
+// column:
 //
 //	β'_i = β_i − 2·(w_i/w_r)·τ_i + (w_i/w_r)²·β_r ,  τ = B⁻¹·rho_row ,
 //
 // costing one extra FTRAN per pivot (τ_i is the inner product of inverse
-// rows i and row); devex mode uses β'_i = max(β_i, (w_i/w_r)²·β_r) with no
-// extra solve.
+// rows i and row).
 func (t *revised) updateWeights(row int) {
 	w := t.w[:t.m]
 	wr := w[row]
@@ -510,87 +502,37 @@ func (t *revised) updateWeights(row int) {
 		return
 	}
 	rho := t.rho[:t.m]
-	br := 0.0
-	if t.rhoSparse {
-		for _, i := range t.rhoInd {
-			v := rho[i]
-			br += v * v
+	br := sqNorm(rho, t.rhoInd, t.rhoSparse)
+	inv := 1 / wr
+	if incw := t.dseW[row]; incw > 0 && (incw*dseStaleFactor < br || incw > br*dseStaleFactor) {
+		for p := range t.dseW {
+			t.dseW[p] = t.weight(p)
+		}
+		t.kstats.WeightResets++
+	}
+	// FG correction term τ = B⁻¹·rho, solved through the hypersparse
+	// kernels with rho's support as the right-hand-side pattern.
+	tau := t.tau[:t.m]
+	if t.tauSparse {
+		for _, i := range t.tauInd {
+			tau[i] = 0
 		}
 	} else {
-		for _, v := range rho {
-			br += v * v
+		for i := range tau {
+			tau[i] = 0
 		}
 	}
-	inv := 1 / wr
-	if !t.dseStale {
-		if incw := t.dseW[row]; incw > 0 && (incw*dseStaleFactor < br || incw > br*dseStaleFactor) {
-			t.dseStale = true
-			for i := range t.dseW {
-				t.dseW[i] = 1
-			}
+	if t.rhoSparse {
+		for _, i := range t.rhoInd {
+			tau[i] = rho[i]
 		}
+		t.tauInd, t.tauSparse = t.f.ftranSparse(tau, t.rhoInd, t.tauInd[:0], ftranTau)
+	} else {
+		copy(tau, rho)
+		t.f.ftran(tau)
+		t.tauInd, t.tauSparse = t.tauInd[:0], false
 	}
-	if !t.dseStale {
-		// FG correction term τ = B⁻¹·rho, solved through the hypersparse
-		// kernels with rho's support as the right-hand-side pattern.
-		tau := t.tau[:t.m]
-		if t.tauSparse {
-			for _, i := range t.tauInd {
-				tau[i] = 0
-			}
-		} else {
-			for i := range tau {
-				tau[i] = 0
-			}
-		}
-		if t.rhoSparse {
-			for _, i := range t.rhoInd {
-				tau[i] = rho[i]
-			}
-			t.tauInd, t.tauSparse = t.f.ftranSparse(tau, t.rhoInd, t.tauInd[:0], ftranTau)
-		} else {
-			copy(tau, rho)
-			t.f.ftran(tau)
-			t.tauInd, t.tauSparse = t.tauInd[:0], false
-		}
-		t.kstats.noteFtran(t.tauSparse, len(t.tauInd))
-		if t.wSparse {
-			for _, i32 := range t.wInd {
-				i := int(i32)
-				wi := w[i]
-				if wi == 0 || i == row {
-					continue
-				}
-				s := wi * inv
-				nb := t.dseW[i] - 2*s*tau[i] + s*s*br
-				if nb < dseWeightFloor {
-					nb = dseWeightFloor
-				}
-				t.dseW[i] = nb
-			}
-		} else {
-			for i := 0; i < t.m; i++ {
-				wi := w[i]
-				if wi == 0 || i == row {
-					continue
-				}
-				s := wi * inv
-				nb := t.dseW[i] - 2*s*tau[i] + s*s*br
-				if nb < dseWeightFloor {
-					nb = dseWeightFloor
-				}
-				t.dseW[i] = nb
-			}
-		}
-		nb := br * inv * inv
-		if nb < dseWeightFloor {
-			nb = dseWeightFloor
-		}
-		t.dseW[row] = nb
-		return
-	}
-	// Devex max-form updates, anchored at the exact pivot-row norm.
-	reset := false
+	t.kstats.noteFtran(t.tauSparse, len(t.tauInd))
 	if t.wSparse {
 		for _, i32 := range t.wInd {
 			i := int(i32)
@@ -598,12 +540,8 @@ func (t *revised) updateWeights(row int) {
 			if wi == 0 || i == row {
 				continue
 			}
-			if cand := wi * wi * inv * inv * br; cand > t.dseW[i] {
-				t.dseW[i] = cand
-				if cand > devexResetAbove {
-					reset = true
-				}
-			}
+			s := wi * inv
+			t.dseW[i] = max(t.dseW[i]-2*s*tau[i]+s*s*br, dseWeightFloor)
 		}
 	} else {
 		for i := 0; i < t.m; i++ {
@@ -611,29 +549,16 @@ func (t *revised) updateWeights(row int) {
 			if wi == 0 || i == row {
 				continue
 			}
-			if cand := wi * wi * inv * inv * br; cand > t.dseW[i] {
-				t.dseW[i] = cand
-				if cand > devexResetAbove {
-					reset = true
-				}
-			}
+			s := wi * inv
+			t.dseW[i] = max(t.dseW[i]-2*s*tau[i]+s*s*br, dseWeightFloor)
 		}
 	}
-	brr := br * inv * inv
-	if brr < 1 {
-		brr = 1
-	}
-	t.dseW[row] = brr
-	if reset || brr > devexResetAbove {
-		for i := range t.dseW {
-			t.dseW[i] = 1
-		}
-	}
+	t.dseW[row] = max(br*inv*inv, dseWeightFloor)
 }
 
 // pivotRowAlpha accumulates alpha_j = rho·A_j for every column with a
 // nonzero result into t.alpha, recording them in t.touched; t.rho must hold
-// the pivot row (btranRho leaves its support in t.rhoInd, which this sweep
+// the pivot row (btranUnit leaves its support in t.rhoInd, which this sweep
 // walks instead of scanning all m positions when available). The cost is
 // the sparse support of the pivot row, never n or m. Callers must drain
 // t.alpha back to zero (the reduced-cost update in applyPivot does, as does
@@ -879,7 +804,6 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool) {
 	t.xB[row] = enterVal
 	t.noteDualRow(row)
 	t.pivots++
-	t.sinceRefresh++
 	// Fold the updated factors into a fresh LU before they accumulate fill
 	// or drift (or immediately, when a stability-forced refactorization is
 	// pending). The basis bookkeeping above is already final, so the
@@ -888,9 +812,7 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool) {
 	// update-era incremental state, and letting them disagree with the
 	// fresh factors makes the dual ratio test chase phantom violations.
 	if forcedRefactor || t.f.ftShouldFold() {
-		if t.factorizeNow() {
-			t.refreshRed()
-		}
+		t.resync()
 	}
 }
 
@@ -1017,6 +939,9 @@ func (t *revised) pickDualRow() (int, bool) {
 				return -1, false
 			}
 		}
+		// The comparison is negated so that a row whose weight blew up to
+		// NaN still wins; otherwise a list of such rows would send this loop
+		// refilling forever, out of the pivot budget's reach.
 		best, row, above := 0.0, -1, false
 		out := 0
 		for _, i32 := range t.rowList {
@@ -1028,7 +953,7 @@ func (t *revised) pickDualRow() (int, bool) {
 			}
 			t.rowList[out] = i32
 			out++
-			if score := viol * viol / t.dseW[i]; score > best || (score == best && row >= 0 && i < row) {
+			if score := viol * viol / t.dseW[i]; !(score <= best) || (score == best && row >= 0 && i < row) {
 				best, row, above = score, i, ab
 			}
 		}
@@ -1065,9 +990,6 @@ func (t *revised) dualIterate(budget *int) Status {
 			return IterLimit
 		}
 		*budget--
-		if t.sinceRefresh >= refreshEvery {
-			t.refreshRed()
-		}
 		// Leaving row: the basic variable maximizing violation²/weight — the
 		// dual steepest-edge criterion, which measures each violation in the
 		// geometry of the dual edge the pivot would traverse instead of raw
@@ -1093,7 +1015,7 @@ func (t *revised) dualIterate(budget *int) Status {
 		if above {
 			sign = -1.0
 		}
-		t.btranRho(row)
+		t.rhoInd, t.rhoSparse = t.btranUnit(row, t.rho, t.rhoInd, t.rhoSparse)
 		t.pivotRowAlpha()
 		// Entering: bounded dual ratio test with bound flips. Candidates
 		// are visited in increasing dual-ratio order (final ties by column
@@ -1214,15 +1136,14 @@ func (t *revised) dualIterate(budget *int) Status {
 			t.clearAlpha()
 			// Refactorize and resync before believing drifted state; the
 			// retry re-enters the loop with clean numbers. A failed
-			// refactorization leaves nothing to certify infeasibility with.
-			if !resynced && t.resync() {
-				resynced = true
-				continue
+			// refactorization leaves the state broken, so the loop top
+			// reports IterLimit: nothing certifies infeasibility then.
+			if resynced {
+				return Infeasible
 			}
-			if t.broken {
-				return IterLimit
-			}
-			return Infeasible
+			resynced = true
+			t.resync()
+			continue
 		}
 		delta := (t.xB[row] - target) / (colDir * t.alpha[col])
 		if delta < 0 {
@@ -1249,22 +1170,19 @@ func (t *revised) solve(budget *int) Status {
 }
 
 // checkDualFeasible confirms an optimum the dual simplex reached. It first
-// re-derives the basic values and reduced costs from the factors; the next
-// warm re-solve starts from these values. It then reports IterLimit if the
-// refactorization failed or a nonbasic column sits off the bound its
+// re-derives the basic values and reduced costs from the factors the
+// optimum was reached on; the next warm re-solve starts from these values.
+// It then reports IterLimit if a nonbasic column sits off the bound its
 // reduced cost prefers (red < −eps at the lower bound, red > eps at the
-// upper). The dual simplex keeps every reduced cost on its dual-feasible
-// side, so only numerical drift can trip the check.
+// upper), or a NaN one. The dual simplex keeps every reduced cost on its
+// dual-feasible side, so only numerical drift can trip the check.
 func (t *revised) checkDualFeasible() Status {
 	t.refreshRed()
-	if t.broken {
-		return IterLimit
-	}
 	for j, r := range t.red {
 		if t.inBasis[j] {
 			continue
 		}
-		if t.atUpper[j] && r > eps || !t.atUpper[j] && r < -eps {
+		if t.atUpper[j] && !(r <= eps) || !t.atUpper[j] && !(r >= -eps) {
 			return IterLimit
 		}
 	}
@@ -1274,15 +1192,11 @@ func (t *revised) checkDualFeasible() Status {
 // resync refactorizes the basis from scratch — the row etas and updated U,
 // the carriers of all accumulated update error, are dropped and the LU
 // rebuilt from the basis columns — then recomputes every basic value and the
-// reduced-cost row from the fresh factors. It reports false when the basis
-// matrix is numerically singular (the state is then broken and only
-// IterLimit may be reported).
-func (t *revised) resync() bool {
-	if !t.factorizeNow() {
-		return false
-	}
-	t.refreshRed() // also re-derives xB from the fresh factors
-	return true
+// reduced-cost row from the fresh factors. A numerically singular basis
+// leaves the state broken (see ensureFactor).
+func (t *revised) resync() {
+	t.factorStale = true
+	t.refreshRed()
 }
 
 // verifyOptimal confirms a claimed optimum against the problem data itself:
@@ -1298,9 +1212,12 @@ func (t *revised) verifyOptimal(budget *int) Status {
 		if t.consistent(1e-6) {
 			return Optimal
 		}
-		if tries == 2 || !t.resync() {
+		if tries == 2 {
 			return IterLimit
 		}
+		// The retry's first refresh refactorizes from the basis columns; a
+		// singular basis ends it in IterLimit.
+		t.factorStale = true
 		st := t.dualIterate(budget)
 		if st == Optimal {
 			st = t.checkDualFeasible()
@@ -1313,7 +1230,8 @@ func (t *revised) verifyOptimal(budget *int) Status {
 
 // consistent reports whether the current point satisfies the problem's
 // rows (all a·x ≥ b; ResolveFrom admits no other) and the basic variables
-// their bounds, all within tol.
+// their bounds, all within tol. The row test is negated so that a NaN in
+// the point fails it.
 func (t *revised) consistent(tol float64) bool {
 	for i := 0; i < t.m; i++ {
 		v := t.xB[i]
@@ -1332,7 +1250,7 @@ func (t *revised) consistent(tol float64) bool {
 		for k, c := range cols {
 			ax += vals[k] * x[c]
 		}
-		if ax < p.b[i]-tol {
+		if !(ax >= p.b[i]-tol) {
 			return false
 		}
 	}
@@ -1351,9 +1269,6 @@ func (t *revised) refreshXB() {
 			continue
 		}
 		u := t.upper[j]
-		if u == 0 {
-			continue
-		}
 		rows, vals := t.colRows[j], t.colVals[j]
 		for k, ri := range rows {
 			r[ri] -= vals[k] * u
@@ -1608,17 +1523,12 @@ func (t *revised) appendRow(xs []float64) {
 // nonbasic logical rests at zero, so a positive surplus value forces the
 // logical into the basis.
 func (t *revised) removeRows(drop []int) error {
-	// Validate every drop before mutating anything.
+	// Validate every drop before mutating anything (RemoveRows has checked
+	// the indices; a duplicate marks the same row and position twice).
 	n, m := t.n, t.m
 	deadRow := make([]bool, m)
 	deadPos := make([]bool, m)
 	for _, r := range drop {
-		if r < 0 || r >= m {
-			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", r, m)
-		}
-		if deadRow[r] {
-			continue
-		}
 		if !t.inBasis[n+r] {
 			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", r)
 		}
