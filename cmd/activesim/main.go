@@ -39,6 +39,13 @@ func run(args []string, stdout io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("-in is required")
 	}
+	strategy, ok := map[string]activetime.CloseStrategy{
+		"ltr": activetime.CloseLeftToRight,
+		"rtl": activetime.CloseRightToLeft,
+	}[*order]
+	if !ok {
+		return fmt.Errorf("unknown -order %q (want ltr or rtl)", *order)
+	}
 	in, err := core.LoadInstance(*path)
 	if err != nil {
 		return err
@@ -49,10 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	var sched *core.ActiveSchedule
 	switch *algo {
 	case "minimal":
-		strategy := activetime.CloseRightToLeft
-		if *order == "ltr" {
-			strategy = activetime.CloseLeftToRight
-		}
 		sched, err = activetime.MinimalFeasible(in, activetime.MinimalOptions{Strategy: strategy})
 	case "lp-round":
 		var res *activetime.RoundingResult

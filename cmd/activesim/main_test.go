@@ -70,6 +70,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-algo", "unit-exact"}, &bytes.Buffer{}); err == nil {
 		t.Error("unit-exact on non-unit instance accepted")
 	}
+	for _, algo := range []string{"minimal", "lp-round"} {
+		var out bytes.Buffer
+		err := run([]string{"-in", path, "-algo", algo, "-order", "bogus"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "ltr or rtl") {
+			t.Errorf("-algo %s -order bogus: error %v, want one naming ltr and rtl", algo, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-algo %s -order bogus printed %q before failing", algo, out.String())
+		}
+	}
 }
 
 func TestRunInfeasible(t *testing.T) {

@@ -39,6 +39,13 @@ func run(args []string, stdout io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("-in is required")
 	}
+	sm, ok := map[string]busytime.SpanMinimizer{
+		"heuristic": busytime.HeuristicSpan{},
+		"exact":     busytime.ExactSpan{},
+	}[*span]
+	if !ok {
+		return fmt.Errorf("unknown -span %q (want heuristic or exact)", *span)
+	}
 	in, err := core.LoadInstance(*path)
 	if err != nil {
 		return err
@@ -55,10 +62,6 @@ func run(args []string, stdout io.Writer) error {
 		return runPreemptive(stdout, in, *algo == "preemptive-inf", *gantt)
 	}
 
-	var sm busytime.SpanMinimizer = busytime.HeuristicSpan{}
-	if *span == "exact" {
-		sm = busytime.ExactSpan{}
-	}
 	intervalAlgo := map[string]busytime.IntervalAlgorithm{
 		"greedytracking": func(i *core.Instance) (*core.BusySchedule, error) {
 			return busytime.GreedyTracking(i, busytime.GTOptions{})

@@ -104,4 +104,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-algo", "bogus"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	for _, in := range []*core.Instance{intervalInstance(), flexInstance()} {
+		var out bytes.Buffer
+		err := run([]string{"-in", writeInstance(t, in), "-span", "bogus"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "heuristic or exact") {
+			t.Errorf("-span bogus: error %v, want one naming heuristic and exact", err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-span bogus printed %q before failing", out.String())
+		}
+	}
 }

@@ -16,9 +16,6 @@ type ExactLPResult struct {
 	// the master's Y_I spread over each atom's slots right-filled, as in
 	// LPResult.Y.
 	Y []*big.Rat
-	// Cuts, Rounds and Pivots mirror LPResult: cut count, master solves,
-	// and total rational simplex pivots.
-	Cuts, Rounds, Pivots int
 }
 
 // SolveLPExact computes the optimal value of LP1 in exact rational
@@ -31,27 +28,12 @@ type ExactLPResult struct {
 // Separation uses the float max-flow oracle (capacities are converted from
 // the rational master solution), then the final master optimum is exact
 // for the generated cut set; a last float separation confirms no cut is
-// violated beyond tolerance. Intended for small instances and for
-// certifying SolveLP — e.g. it proves the integrality-gap gadget's LP
+// violated beyond tolerance. Every round solves the rational master cold
+// (lp.SolveExact keeps no state), so the oracle shares no warm-start code
+// with the float pipeline it certifies. Intended for small instances and
+// for certifying SolveLP — e.g. it proves the integrality-gap gadget's LP
 // optimum is exactly g+1.
-//
-// Each round after the first re-solves warm (lp.Problem.ResolveExactFrom):
-// the previous round's rational dictionary is the starting basis and only
-// the appended cuts are repaired by the exact dual simplex, instead of the
-// cold from-scratch solve SolveLPExactCold performs. E17 reports the pivots
-// both ways — warm re-solves cut them by an order of magnitude.
 func SolveLPExact(in *core.Instance) (*ExactLPResult, error) {
-	return solveLPExact(in, true)
-}
-
-// SolveLPExactCold is the cold reference behind E17's exact-pivot
-// comparison: identical cuts and convergence, but every round solves the
-// rational master from scratch.
-func SolveLPExactCold(in *core.Instance) (*ExactLPResult, error) {
-	return solveLPExact(in, false)
-}
-
-func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -64,23 +46,16 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ExactLPResult{Cuts: len(in.Jobs)}
 	reg := newCutRegistry(len(in.Jobs))
-	var basis *lp.RatBasis
 	maxRounds := 20*T + 200
 	for round := 0; round < maxRounds; round++ {
-		res.Rounds++
-		sol, nextBasis, err := prob.ResolveExactFrom(basis)
+		sol, err := lp.SolveExact(prob)
 		if err != nil {
 			return nil, err
 		}
 		if sol.Status != lp.Optimal {
 			return nil, fmt.Errorf("activetime: exact LP master %v", sol.Status)
 		}
-		if warm {
-			basis = nextBasis
-		}
-		res.Pivots += sol.Iterations
 		y := sol.Float64s()
 		// Each round separates on a newly built interval network (the one
 		// SolveLP's separator uses), so its max flow starts from zero: the
@@ -101,8 +76,7 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 			added++
 		}
 		if added == 0 {
-			res.Objective = sol.Objective
-			res.Y = make([]*big.Rat, T+1)
+			res := &ExactLPResult{Objective: sol.Objective, Y: make([]*big.Rat, T+1)}
 			for t := range res.Y {
 				res.Y[t] = new(big.Rat)
 			}
@@ -122,7 +96,6 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 			}
 			return res, nil
 		}
-		res.Cuts += added
 	}
 	return nil, fmt.Errorf("activetime: exact LP cut generation did not converge in %d rounds", maxRounds)
 }

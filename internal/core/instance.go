@@ -173,15 +173,6 @@ func (in *Instance) Deadlines() []Time {
 	return out
 }
 
-// RenumberJobs assigns sequential IDs 0..n-1 in the current job order and
-// returns the instance for chaining.
-func (in *Instance) RenumberJobs() *Instance {
-	for i := range in.Jobs {
-		in.Jobs[i].ID = i
-	}
-	return in
-}
-
 // WriteJSON writes the instance as indented JSON.
 func (in *Instance) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -104,15 +104,6 @@ func (s *BusySchedule) Cost(in *Instance) (Time, error) {
 	return total, nil
 }
 
-// NumJobs returns the number of placements across all bundles.
-func (s *BusySchedule) NumJobs() int {
-	n := 0
-	for i := range s.Bundles {
-		n += len(s.Bundles[i].Placements)
-	}
-	return n
-}
-
 // Piece is a maximal contiguous stretch of processing of one job on one
 // machine in the preemptive busy-time model.
 type Piece struct {

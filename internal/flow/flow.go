@@ -118,9 +118,6 @@ func NewNetworkDegrees[C Capacity](deg []int, eps C) *Network[C] {
 	return g
 }
 
-// NumNodes returns the number of nodes in the network.
-func (g *Network[C]) NumNodes() int { return len(g.adj) }
-
 // AddEdge adds a directed edge from u to v with the given capacity (clamped
 // at zero) and returns an identifier usable with SetCapacity and, after
 // a solve, with Flow and Residual.

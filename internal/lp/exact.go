@@ -2,17 +2,15 @@ package lp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/big"
 )
 
 // RatSolution is the result of an exact rational solve.
 type RatSolution struct {
-	Status     Status
-	X          []*big.Rat
-	Objective  *big.Rat
-	Iterations int
+	Status    Status
+	X         []*big.Rat
+	Objective *big.Rat
 }
 
 // Float64s returns the solution vector converted to float64.
@@ -29,145 +27,29 @@ func (s *RatSolution) Float64s() []float64 {
 // converted exactly via big.Rat.SetFloat64, so integral and dyadic data stay
 // exact. Variable upper bounds set with SetUpper are materialized as
 // explicit "x_j <= u" rows (the rational engine has no bounded-variable
-// pivoting; it exists for validation, not speed). Intended for small
+// pivoting; it exists for validation, not speed). Every call builds its
+// tableau from the problem's current rows and runs the two-phase simplex
+// from scratch, so no state survives between calls. Intended for small
 // problems and for validating Solve.
 func SolveExact(p *Problem) (*RatSolution, error) {
-	sol, _, err := p.ResolveExactFrom(nil)
-	return sol, err
-}
-
-// RatBasis is the persistent working state of the exact rational engine,
-// enabling warm re-solves via ResolveExactFrom. Like the float engine's
-// Basis it is tied to the Problem that produced it and is consumed by the
-// next call.
-type RatBasis struct {
-	t         *ratTableau
-	rowsBuilt int       // Problem rows incorporated into the tableau
-	epoch     int       // Problem.removeEpoch at capture; removals invalidate
-	upper     []float64 // bound snapshot; bound changes invalidate the basis
-	splits    int       // len(Problem.splits) at capture; a split means a cold solve
-}
-
-// ResolveExactFrom optimizes the problem exactly, warm-starting from prev
-// when non-nil: the previous round's optimal rational dictionary is reused
-// as the starting basis, rows appended since (LE or GE — the shapes Benders
-// cut generation produces) are eliminated against it and repaired with the
-// exact dual simplex under Bland's rule, and a final barred primal pass
-// certifies optimality. The warm-start contract is narrower than
-// ResolveFrom's: only row appends between calls — no column appends, bound
-// changes or objective changes. A SplitColumn since the basis was captured
-// rewrites rows the dictionary already holds, so the call solves cold. A
-// warm solve that cannot finish (EQ append, pivot budget) falls back to a
-// cold run of the full problem. The returned RatBasis is nil when the solve
-// did not end Optimal.
-func (p *Problem) ResolveExactFrom(prev *RatBasis) (*RatSolution, *RatBasis, error) {
 	if p.numVars == 0 {
-		return nil, nil, errors.New("lp: problem has no variables")
+		return nil, errors.New("lp: problem has no variables")
 	}
-	warmSpent := 0
-	if prev != nil && prev.t != nil && prev.splits == len(p.splits) {
-		if prev.t.n != p.numVars {
-			return nil, nil, fmt.Errorf("lp: exact basis has %d variables, problem has %d", prev.t.n, p.numVars)
-		}
-		if prev.rowsBuilt > len(p.b) {
-			return nil, nil, errors.New("lp: problem has fewer rows than the exact basis (rows were removed)")
-		}
-		if prev.epoch != p.removeEpoch {
-			return nil, nil, errors.New("lp: rows were removed since the exact basis was captured; re-solve cold")
-		}
-		if j, changed := p.upperChanged(prev.upper, nil); changed {
-			return nil, nil, fmt.Errorf("lp: upper bound of variable %d changed since the exact basis was captured; re-solve cold", j)
-		}
-		sol, ok, spent, err := p.resolveExactWarm(prev)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			if sol.Status != Optimal {
-				return sol, nil, nil
-			}
-			prev.rowsBuilt = len(p.b)
-			return sol, prev, nil
-		}
-		// Fall through to a cold solve; the wasted warm pivots are carried
-		// into its Iterations so effort reports never hide a failed warm
-		// attempt.
-		warmSpent = spent
-	}
-	q := boundsAsRows(p)
-	t, err := newRatTableau(q)
+	t, err := newRatTableau(boundsAsRows(p))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	status, iters := t.run()
-	sol := &RatSolution{Status: status, Iterations: warmSpent + iters}
-	if status != Optimal {
-		return sol, nil, nil
+	sol := &RatSolution{Status: t.run()}
+	if sol.Status != Optimal {
+		return sol, nil
 	}
-	if err := t.fillSolution(p, sol); err != nil {
-		return nil, nil, err
-	}
-	upper := make([]float64, p.numVars)
-	for j := range upper {
-		upper[j] = math.Inf(1)
-	}
-	if p.upper != nil {
-		copy(upper, p.upper)
-	}
-	return sol, &RatBasis{t: t, rowsBuilt: len(p.b), epoch: p.removeEpoch, upper: upper, splits: len(p.splits)}, nil
-}
-
-// resolveExactWarm incorporates the rows appended since prev was captured
-// and re-optimizes with the exact dual simplex. ok is false when the warm
-// path cannot finish (unsupported append shape, pivot budget); spent then
-// reports the pivots it wasted so the caller's cold fallback can account
-// for them.
-func (p *Problem) resolveExactWarm(prev *RatBasis) (sol *RatSolution, ok bool, spent int, err error) {
-	t := prev.t
-	for r := prev.rowsBuilt; r < len(p.b); r++ {
-		if p.rel[r] == EQ {
-			return nil, false, 0, nil // only the covering shapes warm-start
-		}
-		if err := t.appendRow(p.rowCols[r], p.rowVals[r], p.rel[r], p.b[r]); err != nil {
-			return nil, false, 0, nil
-		}
-	}
-	budget := maxPivots
-	status := t.dualIterate(t.cost, t.isBarred, &budget)
-	if status == Optimal {
-		status = t.iterate(t.cost, t.isBarred, &budget)
-	}
-	iters := maxPivots - budget
-	if status == IterLimit {
-		return nil, false, iters, nil
-	}
-	sol = &RatSolution{Status: status, Iterations: iters}
-	if status != Optimal {
-		return sol, true, iters, nil
-	}
-	if err := t.fillSolution(p, sol); err != nil {
-		return nil, false, iters, err
-	}
-	return sol, true, iters, nil
-}
-
-// fillSolution extracts the primal point and objective for the original
-// problem p from the tableau.
-func (t *ratTableau) fillSolution(p *Problem, sol *RatSolution) error {
 	sol.X = t.primal()
-	obj := new(big.Rat)
-	for j := range p.c {
-		if p.c[j] == 0 {
-			continue
-		}
-		cj, ok := new(big.Rat).SetString(floatRat(p.c[j]))
-		if !ok {
-			return errors.New("lp: bad objective coefficient")
-		}
-		obj.Add(obj, new(big.Rat).Mul(cj, sol.X[j]))
+	sol.Objective = new(big.Rat)
+	term := new(big.Rat)
+	for j, x := range sol.X {
+		sol.Objective.Add(sol.Objective, term.Mul(t.cost[j], x))
 	}
-	sol.Objective = obj
-	return nil
+	return sol, nil
 }
 
 // boundsAsRows returns a shallow copy of p with every finite upper bound
@@ -204,14 +86,6 @@ func boundsAsRows(p *Problem) *Problem {
 	return q
 }
 
-func floatRat(f float64) string {
-	r := new(big.Rat).SetFloat64(f)
-	if r == nil {
-		return "0"
-	}
-	return r.RatString()
-}
-
 func rat(f float64) (*big.Rat, error) {
 	r := new(big.Rat).SetFloat64(f)
 	if r == nil {
@@ -223,8 +97,7 @@ func rat(f float64) (*big.Rat, error) {
 type ratTableau struct {
 	m, n     int
 	nTotal   int
-	firstArt int // first artificial column of the initial build
-	artEnd   int // one past the last artificial; appended logicals follow
+	firstArt int // first artificial column; artificials follow every slack
 	a        [][]*big.Rat
 	rhs      []*big.Rat
 	basis    []int
@@ -233,10 +106,9 @@ type ratTableau struct {
 }
 
 // isBarred reports whether column j is a phase-1 artificial, which may
-// never re-enter the basis in phase 2. Logical columns appended by warm
-// re-solves land beyond artEnd and stay pivotable.
+// never re-enter the basis in phase 2.
 func (t *ratTableau) isBarred(j int) bool {
-	return j >= t.firstArt && j < t.artEnd
+	return j >= t.firstArt
 }
 
 func newRatTableau(p *Problem) (*ratTableau, error) {
@@ -273,7 +145,6 @@ func newRatTableau(p *Problem) (*ratTableau, error) {
 		m: m, n: n,
 		nTotal:   n + nSlack + nArt,
 		firstArt: n + nSlack,
-		artEnd:   n + nSlack + nArt,
 		a:        make([][]*big.Rat, m),
 		rhs:      make([]*big.Rat, m),
 		basis:    make([]int, m),
@@ -333,117 +204,6 @@ func newRatTableau(p *Problem) (*ratTableau, error) {
 		t.a[i] = row
 	}
 	return t, nil
-}
-
-// appendRow adds one LE or GE constraint to a solved tableau: the row is
-// normalized so its fresh logical column can serve as the basic variable,
-// every currently basic column is eliminated from it against the active
-// dictionary rows, and the logical enters the basis — at a negative value
-// exactly when the current point violates the row, which is what the dual
-// simplex then repairs. The new logical is a plain slack/surplus, never an
-// artificial, so it stays eligible for pivoting in later rounds.
-func (t *ratTableau) appendRow(cols []int32, vals []float64, rel Relation, b float64) error {
-	// Grow every existing row by the new logical column. The column block
-	// layout ([structural | slack | artificial]) is not preserved for
-	// appended logicals — they land after the artificials, which is safe
-	// because barred() bars by index range and the new column must NOT be
-	// barred.
-	col := t.nTotal
-	t.nTotal++
-	for i := range t.a {
-		t.a[i] = append(t.a[i], new(big.Rat))
-	}
-	t.cost = append(t.cost, new(big.Rat))
-	newRow := make([]*big.Rat, t.nTotal)
-	for j := range newRow {
-		newRow[j] = new(big.Rat)
-	}
-	sign := int64(1)
-	if rel == GE {
-		sign = -1 // -a·x + s = -b: the slack keeps a +1 coefficient
-	}
-	signRat := new(big.Rat).SetInt64(sign)
-	for k, c := range cols {
-		v, err := rat(vals[k])
-		if err != nil {
-			return err
-		}
-		newRow[c].Mul(signRat, v)
-	}
-	newRow[col].SetInt64(1)
-	bi, err := rat(b)
-	if err != nil {
-		return err
-	}
-	rhs := new(big.Rat).Mul(signRat, bi)
-	// Eliminate the basic variables of the active dictionary rows.
-	tmp := new(big.Rat)
-	for i := 0; i < t.m; i++ {
-		if !t.active[i] {
-			continue
-		}
-		f := new(big.Rat).Set(newRow[t.basis[i]])
-		if f.Sign() == 0 {
-			continue
-		}
-		ai := t.a[i]
-		for j := 0; j < t.nTotal; j++ {
-			if ai[j].Sign() == 0 {
-				continue
-			}
-			tmp.Mul(f, ai[j])
-			newRow[j].Sub(newRow[j], tmp)
-		}
-		tmp.Mul(f, t.rhs[i])
-		rhs.Sub(rhs, tmp)
-	}
-	t.a = append(t.a, newRow)
-	t.rhs = append(t.rhs, rhs)
-	t.basis = append(t.basis, col)
-	t.active = append(t.active, true)
-	t.m++
-	return nil
-}
-
-// dualIterate restores primal feasibility after appended rows while
-// maintaining dual feasibility, using Bland's rule throughout (first
-// negative right-hand side leaves; among minimum-ratio columns the lowest
-// index enters), which guarantees termination in exact arithmetic.
-func (t *ratTableau) dualIterate(cost []*big.Rat, barred func(int) bool, budget *int) Status {
-	ratio := new(big.Rat)
-	for {
-		if *budget <= 0 {
-			return IterLimit
-		}
-		*budget--
-		row := -1
-		for i := 0; i < t.m; i++ {
-			if t.active[i] && t.rhs[i].Sign() < 0 {
-				row = i
-				break
-			}
-		}
-		if row < 0 {
-			return Optimal
-		}
-		red := t.reducedCosts(cost, barred)
-		col := -1
-		var bestRatio *big.Rat
-		for j := 0; j < t.nTotal; j++ {
-			if t.a[row][j].Sign() >= 0 || (barred != nil && barred(j)) {
-				continue
-			}
-			ratio.Quo(red[j], new(big.Rat).Neg(t.a[row][j]))
-			if col < 0 || ratio.Cmp(bestRatio) < 0 {
-				col = j
-				bestRatio = new(big.Rat).Set(ratio)
-			}
-		}
-		if col < 0 {
-			return Infeasible
-		}
-		t.pivot(row, col)
-	}
 }
 
 func (t *ratTableau) reducedCosts(cost []*big.Rat, barred func(int) bool) []*big.Rat {
@@ -550,7 +310,7 @@ func (t *ratTableau) iterate(cost []*big.Rat, barred func(int) bool, budget *int
 	}
 }
 
-func (t *ratTableau) run() (Status, int) {
+func (t *ratTableau) run() Status {
 	budget := maxPivots
 	if t.firstArt < t.nTotal {
 		phase1 := make([]*big.Rat, t.nTotal)
@@ -562,7 +322,7 @@ func (t *ratTableau) run() (Status, int) {
 		}
 		st := t.iterate(phase1, nil, &budget)
 		if st == IterLimit {
-			return IterLimit, maxPivots - budget
+			return IterLimit
 		}
 		artSum := new(big.Rat)
 		for i := 0; i < t.m; i++ {
@@ -571,7 +331,7 @@ func (t *ratTableau) run() (Status, int) {
 			}
 		}
 		if artSum.Sign() > 0 {
-			return Infeasible, maxPivots - budget
+			return Infeasible
 		}
 		for i := 0; i < t.m; i++ {
 			if !t.active[i] || t.basis[i] < t.firstArt {
@@ -590,8 +350,7 @@ func (t *ratTableau) run() (Status, int) {
 			}
 		}
 	}
-	st := t.iterate(t.cost, t.isBarred, &budget)
-	return st, maxPivots - budget
+	return t.iterate(t.cost, t.isBarred, &budget)
 }
 
 func (t *ratTableau) primal() []*big.Rat {

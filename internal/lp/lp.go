@@ -7,10 +7,10 @@
 // with finite c >= 0, a_i >= 0 and b_i >= 0 by a sparse dual simplex in
 // float64 (Solve, ResolveFrom), and general linear programs, whose rows may
 // be a_i·x {<=,>=,=} b_i with any signs, by an exact simplex over
-// math/big.Rat (SolveExact, ResolveExactFrom). The float engine returns an
-// error for any program that is not covering. The exact engine stays
-// general because it is the oracle the float engine's tests compare
-// against, and it serves callers that need exact optima of small programs.
+// math/big.Rat (SolveExact). The float engine returns an error for any
+// program that is not covering. The exact engine stays general because it
+// is the oracle the float engine's tests compare against, and it serves
+// callers that need exact optima of small programs.
 //
 // # The covering contract
 //
@@ -166,10 +166,7 @@
 // and solves cold from the all-slack basis; it reports this in
 // Solution.ColdFallbacks — counted, never silent.
 //
-// The exact rational engine mirrors the contract on a smaller surface:
-// ResolveExactFrom keeps the big.Rat dictionary alive between calls,
-// repairs appended LE/GE rows with an exact Bland dual simplex, and falls
-// back to a cold rational solve for anything else, a split included.
+// The exact rational engine keeps no state: every SolveExact call solves cold.
 //
 // # Numerical safeguards
 //
@@ -274,8 +271,8 @@ type Problem struct {
 	rowVals [][]float64
 	rel     []Relation
 	b       []float64
-	// removeEpoch counts RemoveRows calls. Engine states snapshot it so a
-	// warm re-solve can reject a basis that missed a removal — a pure
+	// removeEpoch counts RemoveRows calls. A float engine state snapshots
+	// it so a warm re-solve can reject a basis that missed a removal — a pure
 	// row-count comparison cannot tell remove-k-then-append-k from
 	// append-only.
 	removeEpoch int
@@ -288,7 +285,7 @@ type Problem struct {
 	pivotHook    func(row, col int)
 	// splits logs every SplitColumn call in order. A float engine state
 	// replays the entries it has not seen when it splices the new columns
-	// in; an exact state that missed one solves cold.
+	// in.
 	splits []colSplit
 }
 
@@ -360,8 +357,8 @@ func (p *Problem) Upper(j int) float64 {
 // upperChanged compares the problem's current bounds against a snapshot
 // taken when an engine state was captured, with the bound each of the
 // given later splits kept in place of the snapshot's, reporting the first
-// variable whose bound differs. Both the float and the exact warm-start
-// contracts reject bound changes through this single check.
+// variable whose bound differs. The warm-start contract rejects bound
+// changes through this single check.
 func (p *Problem) upperChanged(snap []float64, splits []colSplit) (j int, changed bool) {
 	for j := range snap {
 		want := snap[j]
@@ -413,8 +410,8 @@ func (p *Problem) AddColumns(k int) int {
 //
 // Like AddColumns it keeps a captured basis warm-startable: ResolveFrom
 // splices k in next to j so that the old point and its duals carry over
-// (see the warm-start contract in the package comment). The exact engine
-// re-solves cold after a split. keep must lie in [0, upper(j)].
+// (see the warm-start contract in the package comment). keep must lie in
+// [0, upper(j)].
 func (p *Problem) SplitColumn(j int, keep float64) (int, error) {
 	if j < 0 || j >= p.numVars {
 		return 0, fmt.Errorf("lp: SplitColumn column %d out of range [0,%d)", j, p.numVars)

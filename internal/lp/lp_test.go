@@ -67,15 +67,18 @@ func TestSolveGEAndEQ(t *testing.T) {
 }
 
 // TestSolveInfeasible: a covering row no point within the bounds
-// satisfies is infeasible for the float engine.
+// satisfies is infeasible for both engines; the exact one finds it in
+// phase 1.
 func TestSolveInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective(0, 1)
 	p.SetUpper(0, 3)
 	check(t, p.AddSparse([]int{0}, []float64{1}, GE, 5))
-	sol := mustSolve(t, p)
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", sol.Status)
+	if sol := mustSolve(t, p); sol.Status != Infeasible {
+		t.Fatalf("float status = %v, want infeasible", sol.Status)
+	}
+	if sol := mustSolveExact(t, p); sol.Status != Infeasible {
+		t.Fatalf("exact status = %v, want infeasible", sol.Status)
 	}
 }
 
@@ -294,6 +297,62 @@ func TestExactRejectsNonFinite(t *testing.T) {
 	check(t, p.AddSparse([]int{0}, []float64{1}, GE, 1))
 	if _, err := SolveExact(p); err == nil {
 		t.Error("infinite coefficient accepted by exact engine")
+	}
+}
+
+// TestExactInputShapes feeds SolveExact the inputs at the edges of its
+// tableau build: a GE row with a negative right-hand side, which it flips
+// to LE; finite bounds beside infinite ones, of which only the finite
+// become rows; and the inputs it must refuse, a NaN coefficient, an
+// infinite right-hand side and a problem with no variables.
+func TestExactInputShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *Problem
+		want  *big.Rat // nil: SolveExact must return an error
+	}{
+		{"GE row with b < 0", func() *Problem {
+			// min -x s.t. -x >= -3, so x <= 3: the optimum is -3.
+			p := NewProblem(1)
+			p.SetObjective(0, -1)
+			check(t, p.AddSparse([]int{0}, []float64{-1}, GE, -3))
+			return p
+		}, big.NewRat(-3, 1)},
+		{"finite and infinite bounds", func() *Problem {
+			// min x + 2y s.t. x + y >= 3, x <= 2, y unbounded: (2, 1).
+			p := NewProblem(2)
+			p.SetObjective(0, 1)
+			p.SetObjective(1, 2)
+			p.SetUpper(0, 2)
+			check(t, p.AddSparse([]int{0, 1}, []float64{1, 1}, GE, 3))
+			return p
+		}, big.NewRat(4, 1)},
+		{"NaN coefficient", func() *Problem {
+			p := NewProblem(1)
+			p.SetObjective(0, 1)
+			check(t, p.AddSparse([]int{0}, []float64{math.NaN()}, GE, 1))
+			return p
+		}, nil},
+		{"infinite rhs", func() *Problem {
+			p := NewProblem(1)
+			p.SetObjective(0, 1)
+			check(t, p.AddSparse([]int{0}, []float64{1}, GE, math.Inf(1)))
+			return p
+		}, nil},
+		{"no variables", func() *Problem { return NewProblem(0) }, nil},
+	} {
+		sol, err := SolveExact(tc.build())
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted with status %v", tc.name, sol.Status)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if sol.Status != Optimal || sol.Objective.Cmp(tc.want) != 0 {
+			t.Errorf("%s: %v with objective %v, want optimal %v", tc.name, sol.Status, sol.Objective, tc.want)
+		}
 	}
 }
 
